@@ -201,6 +201,51 @@ def make_triple(spec: AlgebraSpec, t, a, b) -> TildeTriple:
 
 
 # ---------------------------------------------------------------------------
+# compiled maps: every action used here is x -> u x w, linear over the field
+# ---------------------------------------------------------------------------
+
+class LinearMap:
+    """The affine map x -> M x + shift, with M stored as sparse integer columns.
+
+    cols[i] lists the pairs (l, c) with (M e_i)_l = c != 0.  A map is compiled
+    once per generator or group element; apply() then costs no AlgebraSpec.mul.
+    """
+    __slots__ = ("field", "cols", "shift")
+
+    def __init__(self, field: FieldSpec, cols, shift):
+        self.field = field
+        self.cols = tuple(cols)
+        self.shift = tuple(shift)
+
+    def apply(self, x):
+        F = self.field
+        out = list(self.shift)
+        if F.k == 1:
+            # exact integer multiply-add, one reduction at the end
+            for xi, col in zip(x, self.cols):
+                if xi:
+                    for l, c in col:
+                        out[l] += xi * c
+            p = F.p
+            return tuple([v % p for v in out])
+        for xi, col in zip(x, self.cols):
+            if xi:
+                for l, c in col:
+                    out[l] = F.add(out[l], F.mul(xi, c))
+        return tuple(out)
+
+
+def sandwich_map(spec: AlgebraSpec, u, w, indices=None) -> LinearMap:
+    """x -> u x w on full vectors, compiled from mul on the basis vectors in
+    `indices` (default all); the columns of the other basis vectors are zero."""
+    cols = [()] * spec.dim
+    for i in range(spec.dim) if indices is None else indices:
+        image = spec.mul(spec.mul(u, spec.basis_vec(i)), w)
+        cols[i] = tuple((l, c) for l, c in enumerate(image) if c)
+    return LinearMap(spec.field, cols, spec.zero())
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -416,6 +461,25 @@ def rho_dual(spec: AlgebraSpec, tau: TildeTriple, lam):
     return tuple(out)
 
 
+def rho_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
+    """rho(tau) compiled, on full vectors of J (J is an ideal, so J maps to J)."""
+    return sandwich_map(spec, spec.mul(tau.t, tau.a), spec.mul(tau.b_inv, tau.t_inv),
+                        spec.radical_basis)
+
+
+def rho_dual_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
+    """rho*(tau) compiled, on radical coordinates: the transpose of the
+    sandwich x -> a^{-1} t^{-1} x t b restricted to J."""
+    rad = spec.radical_basis
+    pos = {i: s for s, i in enumerate(rad)}
+    m = sandwich_map(spec, spec.mul(tau.a_inv, tau.t_inv), spec.mul(tau.t, tau.b), rad)
+    cols = [[] for _ in rad]
+    for r, i in enumerate(rad):
+        for l, c in m.cols[i]:
+            cols[pos[l]].append((r, c))
+    return LinearMap(spec.field, cols, [0] * len(rad))
+
+
 def tilde_generators(spec: AlgebraSpec):
     """Generator triples: block torus generators plus 1 + c*b_i on either side."""
     gens = []
@@ -449,39 +513,43 @@ def orbit(spec: AlgebraSpec, start, action: str, generators=None, verify: bool =
     A finite group is generated by any generating set as a semigroup, so
     applying generators (without inverses) reaches the whole orbit.  Soundness
     of the generator set itself is backed by a random-closure check with full
-    triples.
+    triples.  The BFS applies each generator's compiled map; J is an ideal, so
+    checking the start once keeps the whole orbit inside J.
     """
-    act = rho if action == "rho" else rho_dual
+    compile_map = rho_map if action == "rho" else rho_dual_map
     if action == "rho":
         start = tuple(start)
+        if not spec.in_radical(start):
+            raise NotInRadical(f"{start} has a nonzero S-component")
     if generators is None:
         generators = tilde_generators(spec)
+    maps = [compile_map(spec, g).apply for g in generators]
     members = {start}
     frontier = [start]
     while frontier:
         new = []
         for v in frontier:
-            for g in generators:
-                w = act(spec, g, v)
+            for f in maps:
+                w = f(v)
                 if w not in members:
                     members.add(w)
                     new.append(w)
         frontier = new
     if verify:
-        _verify_closure(spec, members, act, seed)
+        _verify_closure(spec, members, compile_map, seed)
     tag = "J" if action == "rho" else "J*"
     return OrbitRecord(frozenset(members), min(members), tag)
 
 
-def _verify_closure(spec, members, act, seed, triples: int = ORBIT_VERIFY_TRIPLES):
+def _verify_closure(spec, members, compile_map, seed, triples: int = ORBIT_VERIFY_TRIPLES):
     rng = random.Random(seed)
     sample = sorted(members)
     if len(sample) > 20:
         sample = rng.sample(sample, 20)
     for _ in range(triples):
-        tau = random_triple(spec, rng)
+        f = compile_map(spec, random_triple(spec, rng)).apply
         for v in sample:
-            if act(spec, tau, v) not in members:
+            if f(v) not in members:
                 raise AssertionError("orbit BFS closure failed under a random full triple")
 
 

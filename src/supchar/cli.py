@@ -9,6 +9,7 @@ import sys
 
 from . import triangular as tri
 from .algebra import (
+    DEFAULT_SPACE_BOUND,
     is_singular,
     load_algebra_file,
     orbit_census,
@@ -17,6 +18,7 @@ from .algebra import (
 from .errors import (
     AlgebraValidationError,
     BadSize,
+    DegreeTooLarge,
     GroupTooLarge,
     NotPrime,
     SpaceTooLarge,
@@ -33,6 +35,7 @@ from .supercharacters import (
     axioms_report,
     build_table,
     enumerate_labels,
+    n_characters,
     restriction_check,
 )
 
@@ -43,12 +46,13 @@ EXIT_TOO_LARGE = 3
 
 
 def _bound(args) -> int:
-    if args.bound is not None:
-        return args.bound
-    env = os.environ.get("SUPCHAR_BOUND")
-    if env:
-        return int(env)
-    return DEFAULT_GROUP_BOUND
+    """Bound on |G|; args.bound already carries SUPCHAR_BOUND (see main)."""
+    return DEFAULT_GROUP_BOUND if args.bound is None else args.bound
+
+
+def _space_bound(args) -> int:
+    """Bound on |J| and |J*| for the orbit censuses."""
+    return DEFAULT_SPACE_BOUND if args.bound is None else args.bound
 
 
 def _field(args):
@@ -77,7 +81,7 @@ def cmd_table(args) -> int:
         return EXIT_OK
     if args.mode == "brute":
         _write(args.out, _render_table(
-            tri.table(args.n, F, "brute", bound, jobs=args.jobs), args.format))
+            tri.table(args.n, F, "brute", bound), args.format))
         return EXIT_OK
     # mode both: build both, diff, write the closed table plus a report
     spec = tri.make_triangular(args.n, F)
@@ -86,8 +90,7 @@ def cmd_table(args) -> int:
     mapping = tri.class_record_map(spec, args.n, class_labels, partition)
     sizes = [partition[i].size for i in mapping]
     closed = tri.closed_table(args.n, F, sizes)
-    brute = tri.brute_table(args.n, F, bound, jobs=args.jobs,
-                            partition=partition, spec=spec)
+    brute = tri.brute_table(args.n, F, bound, partition=partition, spec=spec)
     diffs = tri.compare_tables(closed, brute)
     _write(args.out, _render_table(closed, args.format))
     report = args.diff_out or (args.out + ".diff" if args.out else None)
@@ -118,11 +121,11 @@ class _Check:
         self.details = details
 
 
-def _verify_checks(spec, n, F, selected, bound, jobs):
+def _verify_checks(spec, n, F, selected, bound, space_bound):
     results = []
     partition = superclass_partition(spec, bound)
-    census_j = orbit_census(spec, "J")
-    census_d = orbit_census(spec, "J*")
+    census_j = orbit_census(spec, "J", space_bound)
+    census_d = orbit_census(spec, "J*", space_bound)
     labels = enumerate_labels(spec, census_d)
 
     if "counts" in selected:
@@ -145,7 +148,7 @@ def _verify_checks(spec, n, F, selected, bound, jobs):
 
     table = None
     if "axioms" in selected or "restriction" in selected:
-        table = build_table(spec, partition, labels, bound, jobs=jobs)
+        table = build_table(spec, partition, labels, bound)
 
     if "axioms" in selected:
         results.extend(axioms_report(spec, table, partition))
@@ -154,16 +157,18 @@ def _verify_checks(spec, n, F, selected, bound, jobs):
         if n is None:
             results.append(_Check("oracle", True, "skipped: no closed form for custom algebras"))
         else:
-            diffs = tri.compare_tables(tri.table(n, F, "closed", bound),
-                                       tri.table(n, F, "brute", bound, jobs=jobs))
+            diffs = tri.compare_tables(
+                tri.table(n, F, "closed", bound, partition=partition, spec=spec),
+                tri.table(n, F, "brute", bound, partition=partition, spec=spec))
             results.append(_Check("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 
     if "restriction" in selected:
         ok = True
         detail = f"{len(labels)} characters restricted to 1+J"
+        n_chars = n_characters(spec)
         for lbl, row in zip(labels, table.values):
             cf = ClassFunction(tuple(row), None)
-            passed, _ = restriction_check(spec, lbl, cf, partition)
+            passed, _ = restriction_check(spec, lbl, cf, partition, n_chars)
             if not passed:
                 ok = False
                 detail = f"decomposition failed for {lbl.render()}"
@@ -187,11 +192,10 @@ def cmd_verify(args) -> int:
         F = _field(args)
         n = args.n
         spec = tri.make_triangular(n, F)
-    return _report(_verify_checks(spec, n, F, selected, bound, args.jobs))
+    return _report(_verify_checks(spec, n, F, selected, bound, _space_bound(args)))
 
 
 def cmd_orbits(args) -> int:
-    bound = _bound(args)
     if args.spec:
         spec = load_algebra_file(args.spec)
     else:
@@ -200,7 +204,7 @@ def cmd_orbits(args) -> int:
         (["J*"] if args.space == "dual" else ["J"])
     lines = []
     for sp in spaces:
-        census = orbit_census(spec, sp)
+        census = orbit_census(spec, sp, _space_bound(args))
         lines.append(f"space {sp}: n={census.n} n_E={census.n_e} residual={census.residual}")
         for T in sorted(census.n_sub, key=lambda t: (len(t), sorted(t))):
             lines.append(f"  n(J_{{{','.join(str(i + 1) for i in sorted(T))}}}) = {census.n_sub[T]}")
@@ -218,9 +222,9 @@ def cmd_algebra(args) -> int:
     bound = _bound(args)
     spec = load_algebra_file(args.spec)
     partition = superclass_partition(spec, bound)
-    census_d = orbit_census(spec, "J*")
+    census_d = orbit_census(spec, "J*", _space_bound(args))
     labels = enumerate_labels(spec, census_d)
-    table = build_table(spec, partition, labels, bound, jobs=args.jobs)
+    table = build_table(spec, partition, labels, bound)
     _write(args.out, _render_table(table, args.format))
     return _report(axioms_report(spec, table, partition))
 
@@ -240,8 +244,8 @@ def make_parser() -> argparse.ArgumentParser:
         if spec_file:
             p.add_argument("--spec", default=None, help="algebra spec JSON file")
         p.add_argument("--bound", type=int, default=None,
-                       help="enumeration bound override (default SUPCHAR_BOUND or 2^17)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel induction workers")
+                       help="enumeration bound on |G| and on |J|, |J*| (default "
+                            "SUPCHAR_BOUND, else 2^17 for G and 2^20 for J, J*)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     pt = sub.add_parser("table", help="build a triangular supercharacter table")
@@ -271,6 +275,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    env = os.environ.get("SUPCHAR_BOUND")
+    if args.bound is None and env:
+        try:
+            args.bound = int(env)
+        except ValueError:
+            print(f"invalid configuration: SUPCHAR_BOUND must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_BAD_CONFIG
     uses_field = args.command == "table" or (
         args.command in ("verify", "orbits") and not args.spec)
     if args.command == "algebra" and not args.spec:
@@ -288,7 +300,7 @@ def main(argv=None) -> int:
     except (GroupTooLarge, SpaceTooLarge) as exc:
         print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (AlgebraValidationError, NotPrime, BadSize, FileNotFoundError,
+    except (AlgebraValidationError, NotPrime, DegreeTooLarge, BadSize, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

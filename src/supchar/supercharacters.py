@@ -21,6 +21,7 @@ from .algebra import (
     make_triple,
     orbit,
     orbit_support,
+    sandwich_map,
 )
 from .cyclo import CycloNumber
 from .errors import (
@@ -138,23 +139,20 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 
 class InductionContext:
-    """Shared conjugation data for literal induction: memoized multisets of
-    s^{-1} g s over s in G."""
+    """Shared conjugation data for literal induction: the compiled maps
+    x -> s^{-1} x s for s in G, and memoized multisets of s^{-1} g s."""
 
     def __init__(self, spec: AlgebraSpec, bound: int):
         size = group_order(spec)
         if size > bound:
             raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-        self.spec = spec
-        self.glist = g_elements(spec)
-        self.inverses = {g: spec.invert(g) for g in self.glist}
+        self.conj = [sandwich_map(spec, spec.invert(s), s).apply for s in g_elements(spec)]
         self._memo: dict = {}
 
     def conj_counter(self, g) -> Counter:
         got = self._memo.get(g)
         if got is None:
-            spec = self.spec
-            got = Counter(spec.mul_many(self.inverses[s], g, s) for s in self.glist)
+            got = Counter(f(g) for f in self.conj)
             self._memo[g] = got
         return got
 
@@ -166,14 +164,15 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     m = spec.cyclo_order
-    g_lam = stab.g_lambda
-    h_set = set(stab.h_eprime)
+    # xi tabulated once on G_lambda; a key miss means v lies outside G_lambda
+    xi_exp = {v: xi_exponent(spec, stab, label.theta, v) for v in stab.g_lambda}
 
     def value_at(g) -> CycloNumber:
         counts: Counter = Counter()
         for v, cnt in ctx.conj_counter(g).items():
-            if v in g_lam:
-                counts[xi_exponent(spec, stab, label.theta, v)] += cnt
+            e = xi_exp.get(v)
+            if e is not None:
+                counts[e] += cnt
         out = CycloNumber.zero(m)
         for e, cnt in counts.items():
             out = out + CycloNumber.root(m, e) * cnt
@@ -283,19 +282,10 @@ class CharacterTable:
 
 
 def build_table(spec: AlgebraSpec, partition, labels, bound: int,
-                constancy: str = "full", jobs: int = 1) -> CharacterTable:
+                constancy: str = "full") -> CharacterTable:
     """Induce every supercharacter and assemble the exact table."""
     ctx = InductionContext(spec, bound)
-
-    def one(label):
-        return induce(spec, label, partition, ctx, constancy=constancy)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            funcs = list(pool.map(one, labels))
-    else:
-        funcs = [one(l) for l in labels]
+    funcs = [induce(spec, l, partition, ctx, constancy=constancy) for l in labels]
     return CharacterTable(
         row_labels=list(labels),
         col_labels=[r.label for r in partition],
@@ -426,12 +416,12 @@ def n_supercharacter(spec: AlgebraSpec, mu, bound: int = 2 ** 17) -> dict:
             for r in rad]
     right = set(linalg.span(F, linalg.kernel_basis(F, rows), dim=len(rad)))
     m = spec.cyclo_order
-    inverses = {s: spec.invert(s) for s in nl}
+    conj = [sandwich_map(spec, spec.invert(s), s).apply for s in nl]
     out = {}
     for g in nl:
         counts: Counter = Counter()
-        for s in nl:
-            v = spec.mul_many(inverses[s], g, s)
+        for f in conj:
+            v = f(g)
             coords = spec.j_coords(spec.sub(v, spec.unit))
             if coords in right:
                 counts[additive_char_exponent(F, spec.form_eval(mu, spec.j_embed(coords)), m)] += 1
@@ -442,11 +432,18 @@ def n_supercharacter(spec: AlgebraSpec, mu, bound: int = 2 ** 17) -> dict:
     return out
 
 
+def n_characters(spec: AlgebraSpec) -> list:
+    """(N x N-orbit, its N-supercharacter) for every orbit of nn_orbits."""
+    return [(orb, n_supercharacter(spec, orb.representative)) for orb in nn_orbits(spec)]
+
+
 def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunction,
-                      partition):
+                      partition, n_chars=None):
     """Weak form of the restriction formula: Res_N(chi) decomposes over the
     N-supercharacters with nonnegative rational coefficients, supported on the
-    torus conjugates of lambda.  Returns (passed, coefficient map)."""
+    torus conjugates of lambda.  Returns (passed, coefficient map).
+
+    n_chars is n_characters(spec); pass it in to share it between labels."""
     nl = [spec.add(spec.unit, x) for x in spec.j_vectors()]
     member_to_idx = {}
     for ci, rec in enumerate(partition):
@@ -454,8 +451,8 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
             member_to_idx[g] = ci
     res = {g: cf.values[member_to_idx[g]] for g in nl}
 
-    orbits = nn_orbits(spec)
-    n_chars = [(orb, n_supercharacter(spec, orb.representative)) for orb in orbits]
+    if n_chars is None:
+        n_chars = n_characters(spec)
 
     def nip(f1, f2):
         m = spec.cyclo_order

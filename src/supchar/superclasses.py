@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgebraSpec,
+    LinearMap,
     OrbitRecord,
     TildeTriple,
     associated_support,
@@ -18,6 +19,7 @@ from .algebra import (
     orbit_support,
     random_triple,
     regular_orbit_counts,
+    sandwich_map,
     tilde_generators,
 )
 from .errors import GroupTooLarge, NotInH, ReductionFailed
@@ -56,6 +58,12 @@ def r_act(spec: AlgebraSpec, tau: TildeTriple, g):
     """R_tau(g) = 1 + t a (g - 1) b^{-1} t^{-1}."""
     core = spec.mul_many(tau.t, tau.a, spec.sub(g, spec.unit), tau.b_inv, tau.t_inv)
     return spec.add(spec.unit, core)
+
+
+def r_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
+    """R_tau compiled: g -> M g + (1 - M 1) with M the sandwich by t a and b^{-1} t^{-1}."""
+    m = sandwich_map(spec, spec.mul(tau.t, tau.a), spec.mul(tau.b_inv, tau.t_inv))
+    return LinearMap(spec.field, m.cols, spec.sub(spec.unit, m.apply(spec.unit)))
 
 
 def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:
@@ -109,7 +117,7 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND,
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    gens = tilde_generators(spec)
+    maps = [r_map(spec, tau).apply for tau in tilde_generators(spec)]
     seen = set()
     classes = []
     for g in g_elements(spec):
@@ -120,8 +128,8 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND,
         while frontier:
             new = []
             for v in frontier:
-                for tau in gens:
-                    w = r_act(spec, tau, v)
+                for f in maps:
+                    w = f(v)
                     if w not in members:
                         members.add(w)
                         new.append(w)
@@ -136,9 +144,9 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND,
             if len(sample) > 10:
                 sample = rng.sample(sample, 10)
             for _ in range(25):
-                tau = random_triple(spec, rng)
+                f = r_map(spec, random_triple(spec, rng)).apply
                 for v in sample:
-                    if r_act(spec, tau, v) not in members:
+                    if f(v) not in members:
                         raise AssertionError("superclass BFS closure failed")
     records = [SuperclassRecord(classify(spec, m), frozenset(m), min(m)) for m in classes]
     records.sort(key=lambda r: r.representative)
@@ -184,13 +192,13 @@ def conjugacy_classes(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
     gl = g_elements(spec)
-    inverses = {g: spec.invert(g) for g in gl}
+    conj = [sandwich_map(spec, s, spec.invert(s)).apply for s in gl]
     seen = set()
     classes = []
     for g in gl:
         if g in seen:
             continue
-        cls = {spec.mul_many(s, g, inverses[s]) for s in gl}
+        cls = {f(g) for f in conj}
         seen |= cls
         classes.append(frozenset(cls))
     return classes

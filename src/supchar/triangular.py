@@ -294,7 +294,7 @@ def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
 
 
 def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
-                constancy: str = "full", jobs: int = 1,
+                constancy: str = "full",
                 partition=None, spec: AlgebraSpec | None = None) -> CharacterTable:
     """The same table by literal induction over the whole group."""
     if spec is None:
@@ -304,7 +304,7 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
     class_labels, char_labels = labels(n, field)
     mapping = class_record_map(spec, n, class_labels, partition)
     gen_labels = [to_general_label(spec, n, ch) for ch in char_labels]
-    base = build_table(spec, partition, gen_labels, bound, constancy=constancy, jobs=jobs)
+    base = build_table(spec, partition, gen_labels, bound, constancy=constancy)
     # re-index columns by the triangular label order
     values = [[row[mapping[c]] for c in range(len(class_labels))] for row in base.values]
     sizes = [partition[mapping[c]].size for c in range(len(class_labels))]
@@ -313,19 +313,25 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
 
 
 def table(n: int, field: FieldSpec, mode: str = "closed_form",
-          bound: int = DEFAULT_GROUP_BOUND, jobs: int = 1) -> CharacterTable:
+          bound: int = DEFAULT_GROUP_BOUND, partition=None,
+          spec: AlgebraSpec | None = None) -> CharacterTable:
+    """The closed-form or brute-force table; a given spec and partition of
+    T(n, field) are used instead of being built again."""
     if mode in ("closed_form", "closed"):
         sizes = None
         if group_order_tri(n, field) <= bound:
-            spec = make_triangular(n, field)
-            partition = superclass_partition(spec, bound)
+            if spec is None:
+                spec = make_triangular(n, field)
+            if partition is None:
+                partition = superclass_partition(spec, bound)
             class_labels, _ = labels(n, field)
             mapping = class_record_map(spec, n, class_labels, partition)
             sizes = [partition[i].size for i in mapping]
         return closed_table(n, field, sizes)
     if mode in ("brute_force", "brute"):
         constancy = "full" if group_order_tri(n, field) <= 1000 else "sample"
-        return brute_table(n, field, bound, constancy=constancy, jobs=jobs)
+        return brute_table(n, field, bound, constancy=constancy,
+                           partition=partition, spec=spec)
     raise ValueError(f"unknown table mode {mode!r}")
 
 

@@ -133,13 +133,38 @@ def test_algebra_pipeline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
-def test_determinism_across_runs_and_jobs(tmp_path, n, p):
+def test_determinism_across_runs(tmp_path, n, p):
     outputs = []
-    for i, jobs in enumerate(["1", "1", "2"]):
+    for i in range(3):
         out = tmp_path / f"t{i}.csv"
         diff = tmp_path / f"t{i}.diff"
         code = run(["table", "--n", str(n), "--p", str(p), "--mode", "both",
-                    "--jobs", jobs, "--out", str(out), "--diff-out", str(diff)])
+                    "--out", str(out), "--diff-out", str(diff)])
         assert code == 0
         outputs.append(out.read_bytes() + diff.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_bound_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SUPCHAR_BOUND", "abc")
+    code, _, err = run(["table", "--n", "2", "--p", "3"], capsys)
+    assert code == 2
+    assert "SUPCHAR_BOUND" in err
+
+
+def test_zero_field_degree(capsys):
+    code, _, err = run(["table", "--n", "2", "--p", "3", "--k", "0"], capsys)
+    assert code == 2
+    assert "degree" in err
+
+
+def test_orbits_bound_exceeded(monkeypatch):
+    assert run(["orbits", "--n", "4", "--p", "2", "--bound", "4"]) == 3
+    monkeypatch.setenv("SUPCHAR_BOUND", "4")
+    assert run(["orbits", "--n", "4", "--p", "2"]) == 3
+
+
+def test_jobs_flag_removed():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--n", "2", "--p", "3", "--jobs", "0"])
+    assert exc.value.code == 2
