@@ -735,8 +735,63 @@ def _coeff(field: FieldSpec, raw, path: str) -> int:
     raise AlgebraValidationError(f"{path}: bad coefficient {raw!r}")
 
 
+def _fail(path: str, what: str):
+    raise AlgebraValidationError(f"{path}: {what}")
+
+
+def _list(raw, path: str, length: int | None = None) -> list:
+    if not isinstance(raw, list):
+        _fail(path, f"expected a list, got {raw!r}")
+    if length is not None and len(raw) != length:
+        _fail(path, f"expected {length} entries, got {len(raw)}")
+    return raw
+
+
+def _int(raw, path: str, lo: int, hi: int | None = None) -> int:
+    """An integer in [lo, hi) (hi None: no upper limit)."""
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < lo or \
+            (hi is not None and raw >= hi):
+        rng = f"at least {lo}" if hi is None else f"in {lo}..{hi - 1}"
+        _fail(path, f"expected an integer {rng}, got {raw!r}")
+    return raw
+
+
+def _check_schema(data) -> None:
+    """Types, lengths and index ranges of a spec file, before anything is
+    built from it; each fault names its JSON field.  Keys not read here are
+    ignored."""
+    if not isinstance(data, dict):
+        _fail("spec", f"top level must be a JSON object, got {type(data).__name__}")
+    for key in ("p", "dim", "unit", "mul", "blocks", "radical_basis"):
+        if key not in data:
+            _fail(key, "missing required field")
+    _int(data["p"], "p", 2)
+    _int(data.get("k", 1), "k", 1)
+    dim = _int(data["dim"], "dim", 1)
+    _list(data["unit"], "unit", dim)
+    for idx, ent in enumerate(_list(data["mul"], "mul")):
+        i, j, terms = _list(ent, f"mul[{idx}]", 3)
+        _int(i, f"mul[{idx}][0]", 0, dim)
+        _int(j, f"mul[{idx}][1]", 0, dim)
+        for t, term in enumerate(_list(terms, f"mul[{idx}][2]")):
+            _int(_list(term, f"mul[{idx}][2][{t}]", 2)[0], f"mul[{idx}][2][{t}][0]", 0, dim)
+    for bi, blk in enumerate(_list(data["blocks"], "blocks")):
+        if not isinstance(blk, dict):
+            _fail(f"blocks[{bi}]", f"expected an object, got {blk!r}")
+        for key in ("idempotent", "degree", "basis"):
+            if key not in blk:
+                _fail(f"blocks[{bi}].{key}", "missing required field")
+        _list(blk["idempotent"], f"blocks[{bi}].idempotent", dim)
+        _int(blk["degree"], f"blocks[{bi}].degree", 1)
+        for t, i in enumerate(_list(blk["basis"], f"blocks[{bi}].basis")):
+            _int(i, f"blocks[{bi}].basis[{t}]", 0, dim)
+    for t, i in enumerate(_list(data["radical_basis"], "radical_basis")):
+        _int(i, f"radical_basis[{t}]", 0, dim)
+
+
 def load_algebra(data: dict) -> AlgebraSpec:
     """Build and validate an AlgebraSpec from the JSON schema."""
+    _check_schema(data)
     field = field_make(data["p"], data.get("k", 1))
     dim = data["dim"]
     unit = [_coeff(field, c, f"unit[{i}]") for i, c in enumerate(data["unit"])]

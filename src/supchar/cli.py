@@ -31,7 +31,9 @@ from .superclasses import (
     superclass_partition,
 )
 from .supercharacters import (
+    CheckResult,
     ClassFunction,
+    InductionContext,
     axioms_report,
     build_table,
     enumerate_labels,
@@ -114,13 +116,6 @@ def _report(results) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-class _Check:
-    def __init__(self, name, passed, details=""):
-        self.name = name
-        self.passed = passed
-        self.details = details
-
-
 def _verify_checks(spec, n, F, selected, bound, space_bound):
     results = []
     partition = superclass_partition(spec, bound)
@@ -136,31 +131,36 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
             cls, chs = tri.labels(n, F)
             ok = ok and len(cls) == len(partition) and len(chs) == len(labels)
             detail += f" = closed-form labels {len(cls)}"
-        results.append(_Check("counts", ok, detail))
+        results.append(CheckResult("counts", ok, detail))
 
     if "orbits" in selected:
         ok = (census_j.residual == 0 and census_d.residual == 0
               and census_j.n_e == census_d.n_e)
-        results.append(_Check("orbits", ok,
-                              f"n(J)={census_j.n} n_E(J)={census_j.n_e} "
-                              f"n(J*)={census_d.n} n_E(J*)={census_d.n_e} "
-                              f"residuals {census_j.residual},{census_d.residual}"))
+        results.append(CheckResult("orbits", ok,
+                                   f"n(J)={census_j.n} n_E(J)={census_j.n_e} "
+                                   f"n(J*)={census_d.n} n_E(J*)={census_d.n_e} "
+                                   f"residuals {census_j.residual},{census_d.residual}"))
 
-    table = None
+    # one set of conjugacy classes serves every induction and the axioms
+    ctx = table = None
     if "axioms" in selected or "restriction" in selected:
-        table = build_table(spec, partition, labels, bound)
+        ctx = InductionContext(spec, bound)
+        table = build_table(spec, partition, labels, bound, ctx=ctx)
 
     if "axioms" in selected:
-        results.extend(axioms_report(spec, table, partition))
+        results.extend(axioms_report(spec, table, partition, ctx.classes))
 
     if "oracle" in selected:
         if n is None:
-            results.append(_Check("oracle", True, "skipped: no closed form for custom algebras"))
+            results.append(CheckResult("oracle", True, "skipped: no closed form for custom algebras"))
         else:
+            # the brute table induces again, from the closed form's lambda_D
+            # labels instead of the census representatives, so that the oracle
+            # does not rest on the table the axioms were checked on
             diffs = tri.compare_tables(
                 tri.table(n, F, "closed", bound, partition=partition, spec=spec),
-                tri.table(n, F, "brute", bound, partition=partition, spec=spec))
-            results.append(_Check("oracle", not diffs, f"{len(diffs)} mismatched entries"))
+                tri.table(n, F, "brute", bound, partition=partition, spec=spec, ctx=ctx))
+            results.append(CheckResult("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 
     if "restriction" in selected:
         ok = True
@@ -173,7 +173,7 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
                 ok = False
                 detail = f"decomposition failed for {lbl.render()}"
                 break
-        results.append(_Check("restriction", ok, detail))
+        results.append(CheckResult("restriction", ok, detail))
     return results
 
 
@@ -224,9 +224,10 @@ def cmd_algebra(args) -> int:
     partition = superclass_partition(spec, bound)
     census_d = orbit_census(spec, "J*", _space_bound(args))
     labels = enumerate_labels(spec, census_d)
-    table = build_table(spec, partition, labels, bound)
+    ctx = InductionContext(spec, bound)
+    table = build_table(spec, partition, labels, bound, ctx=ctx)
     _write(args.out, _render_table(table, args.format))
-    return _report(axioms_report(spec, table, partition))
+    return _report(axioms_report(spec, table, partition, ctx.classes))
 
 
 def make_parser() -> argparse.ArgumentParser:

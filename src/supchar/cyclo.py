@@ -75,22 +75,34 @@ class CycloNumber:
         self.order = order
         self.coeffs = cs
 
+    @classmethod
+    def _make(cls, order: int, coeffs: tuple) -> "CycloNumber":
+        """Wrap a tuple that is already all Fractions, as arithmetic results
+        are, without converting each coefficient again."""
+        deg = len(cyclotomic_poly(order)) - 1
+        if len(coeffs) != deg:
+            raise OrderMismatch(f"expected {deg} coefficients for order {order}, got {len(coeffs)}")
+        out = object.__new__(cls)
+        out.order = order
+        out.coeffs = coeffs
+        return out
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(m: int) -> "CycloNumber":
         deg = len(cyclotomic_poly(m)) - 1
-        return CycloNumber(m, (Fraction(0),) * deg)
+        return CycloNumber._make(m, (Fraction(0),) * deg)
 
     @staticmethod
     def rational(m: int, value) -> "CycloNumber":
         deg = len(cyclotomic_poly(m)) - 1
-        return CycloNumber(m, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        return CycloNumber._make(m, (Fraction(value),) + (Fraction(0),) * (deg - 1))
 
     @staticmethod
     def root(m: int, j: int) -> "CycloNumber":
         """zeta_m^j."""
-        return CycloNumber(m, _power_basis(m)[j % m])
+        return CycloNumber._make(m, _power_basis(m)[j % m])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -102,12 +114,12 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.rational(self.order, other)
         self._check(other)
-        return CycloNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNumber._make(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, tuple(-a for a in self.coeffs))
+        return CycloNumber._make(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -116,7 +128,7 @@ class CycloNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.order, tuple(a * other for a in self.coeffs))
+            return CycloNumber._make(self.order, tuple(a * other for a in self.coeffs))
         self._check(other)
         deg = len(self.coeffs)
         prod = [Fraction(0)] * (2 * deg - 1)
@@ -134,7 +146,7 @@ class CycloNumber:
             prod[d] = Fraction(0)
             for t in range(deg + 1):
                 prod[d - deg + t] -= c * phi[t]
-        return CycloNumber(self.order, tuple(prod[:deg]))
+        return CycloNumber._make(self.order, tuple(prod[:deg]))
 
     __rmul__ = __mul__
 
@@ -154,7 +166,7 @@ class CycloNumber:
             row = basis[(-i) % self.order]
             for t in range(deg):
                 out[t] += a * row[t]
-        return CycloNumber(self.order, tuple(out))
+        return CycloNumber._make(self.order, tuple(out))
 
     # -- predicates --------------------------------------------------------
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .algebra import (
@@ -15,7 +15,6 @@ from .algebra import (
     block_component,
     corner_orbit,
     form_support,
-    g_elements,
     group_order,
     h_elements,
     make_triple,
@@ -32,7 +31,7 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import identity_index
+from .superclasses import conjugacy_classes, identity_index
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,11 @@ class StabilizerData:
 class ClassFunction:
     values: tuple           # CycloNumbers aligned with the partition order
     degree: CycloNumber
+
+    @cached_property
+    def conj_values(self) -> tuple:
+        """The complex conjugates of values, computed once per function."""
+        return tuple(v.conj() for v in self.values)
 
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
@@ -139,61 +143,53 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 
 class InductionContext:
-    """Shared conjugation data for literal induction: the compiled maps
-    x -> s^{-1} x s for s in G, and memoized multisets of s^{-1} g s."""
+    """The conjugacy classes of G, shared by every induction of one run:
+    the classes, the class index of each element, and |G|."""
 
     def __init__(self, spec: AlgebraSpec, bound: int):
-        size = group_order(spec)
-        if size > bound:
-            raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-        self.conj = [sandwich_map(spec, spec.invert(s), s).apply for s in g_elements(spec)]
-        self._memo: dict = {}
-
-    def conj_counter(self, g) -> Counter:
-        got = self._memo.get(g)
-        if got is None:
-            got = Counter(f(g) for f in self.conj)
-            self._memo[g] = got
-        return got
+        self.classes = conjugacy_classes(spec, bound)
+        self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
+        self.order = group_order(spec)
 
 
 def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
-           ctx: InductionContext, constancy: str = "full",
-           stab: StabilizerData | None = None, seed: int = 0) -> ClassFunction:
-    """ind(xi, G_lambda, G) by the literal averaging formula, constancy-checked."""
+           ctx: InductionContext, stab: StabilizerData | None = None) -> ClassFunction:
+    """ind(xi, G_lambda, G), evaluated once per conjugacy class by the averaging
+    formula grouped by class, and checked constant on every superclass element:
+
+        chi(g) = |G| / (|cl(g)| |G_lambda|) * sum of xi(y), y in cl(g) /\\ G_lambda.
+    """
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     m = spec.cyclo_order
-    # xi tabulated once on G_lambda; a key miss means v lies outside G_lambda
-    xi_exp = {v: xi_exponent(spec, stab, label.theta, v) for v in stab.g_lambda}
+    # multiplicity of each exponent of xi on cl(g) /\ G_lambda, per class
+    counts: dict = {}
+    for v in stab.g_lambda:
+        e = xi_exponent(spec, stab, label.theta, v)
+        counts.setdefault(ctx.class_of[v], Counter())[e] += 1
+    class_values: dict = {}
 
-    def value_at(g) -> CycloNumber:
-        counts: Counter = Counter()
-        for v, cnt in ctx.conj_counter(g).items():
-            e = xi_exp.get(v)
-            if e is not None:
-                counts[e] += cnt
-        out = CycloNumber.zero(m)
-        for e, cnt in counts.items():
-            out = out + CycloNumber.root(m, e) * cnt
-        return out / stab.size
+    def value_of(ci) -> CycloNumber:
+        got = class_values.get(ci)
+        if got is None:
+            got = CycloNumber.zero(m)
+            scale = Fraction(ctx.order, len(ctx.classes[ci]) * stab.size)
+            for e, cnt in counts.get(ci, {}).items():
+                got = got + CycloNumber.root(m, e) * (cnt * scale)
+            class_values[ci] = got
+        return got
 
-    rng = random.Random(seed)
     values = []
     for rec in partition:
-        members = sorted(rec.members)
-        if constancy == "sample" and len(members) > 4:
-            members = [rec.representative] + rng.sample(members, 3)
-        elif constancy == "none":
-            members = [rec.representative]
-        vals = [value_at(g) for g in members]
-        if any(v != vals[0] for v in vals[1:]):
+        first, *rest = {ctx.class_of[g] for g in rec.members}
+        val = value_of(first)
+        if any(value_of(ci) != val for ci in rest):
             raise NotConstantOnSuperclass(f"induced character varies on {rec.representative}")
-        values.append(vals[0])
+        values.append(val)
 
     idx = identity_index(spec, partition)
     degree = values[idx]
-    expected = Fraction(group_order(spec), stab.size)
+    expected = Fraction(ctx.order, stab.size)
     assert degree == expected, f"degree {degree} != |G|/|G_lambda| = {expected}"
     return ClassFunction(tuple(values), degree)
 
@@ -204,8 +200,8 @@ def inner_product(partition, phi: ClassFunction, psi: ClassFunction,
         raise PartitionMismatch("class functions defined on different partitions")
     m = phi.values[0].order
     out = CycloNumber.zero(m)
-    for rec, a, b in zip(partition, phi.values, psi.values):
-        out = out + a * b.conj() * rec.size
+    for rec, a, b in zip(partition, phi.values, psi.conj_values):
+        out = out + a * b * rec.size
     return out / order
 
 
@@ -282,18 +278,19 @@ class CharacterTable:
 
 
 def build_table(spec: AlgebraSpec, partition, labels, bound: int,
-                constancy: str = "full") -> CharacterTable:
-    """Induce every supercharacter and assemble the exact table."""
-    ctx = InductionContext(spec, bound)
-    funcs = [induce(spec, l, partition, ctx, constancy=constancy) for l in labels]
+                ctx: InductionContext | None = None) -> CharacterTable:
+    """Induce every supercharacter and assemble the exact table; a given
+    InductionContext of spec is used instead of being built again."""
+    if ctx is None:
+        ctx = InductionContext(spec, bound)
+    funcs = [induce(spec, l, partition, ctx) for l in labels]
     return CharacterTable(
         row_labels=list(labels),
         col_labels=[r.label for r in partition],
         sizes=[r.size for r in partition],
         values=[list(f.values) for f in funcs],
-        group_order=group_order(spec),
+        group_order=ctx.order,
         cyclo_order=spec.cyclo_order,
-        constancy=constancy,
     )
 
 
@@ -340,7 +337,6 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     out.append(CheckResult("disjoint", disjoint, bad or "all off-diagonal inner products 0"))
 
     if conj_classes is None:
-        from .superclasses import conjugacy_classes
         conj_classes = conjugacy_classes(spec)
     member_to_class = {}
     for ci, rec in enumerate(partition):
@@ -432,9 +428,22 @@ def n_supercharacter(spec: AlgebraSpec, mu, bound: int = 2 ** 17) -> dict:
     return out
 
 
+def _n_inner(spec: AlgebraSpec, f1: dict, f2: dict) -> CycloNumber:
+    """<f1, f2>_N for functions on N given as {element: value} dicts over N."""
+    out = CycloNumber.zero(spec.cyclo_order)
+    for g, v in f1.items():
+        out = out + v * f2[g].conj()
+    return out / len(f1)
+
+
 def n_characters(spec: AlgebraSpec) -> list:
-    """(N x N-orbit, its N-supercharacter) for every orbit of nn_orbits."""
-    return [(orb, n_supercharacter(spec, orb.representative)) for orb in nn_orbits(spec)]
+    """(N x N-orbit, its N-supercharacter psi, <psi, psi>_N) for every orbit
+    of nn_orbits; the norm depends only on the orbit, not on the label."""
+    out = []
+    for orb in nn_orbits(spec):
+        psi = n_supercharacter(spec, orb.representative)
+        out.append((orb, psi, _n_inner(spec, psi, psi)))
+    return out
 
 
 def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunction,
@@ -454,13 +463,6 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
     if n_chars is None:
         n_chars = n_characters(spec)
 
-    def nip(f1, f2):
-        m = spec.cyclo_order
-        out = CycloNumber.zero(m)
-        for g in nl:
-            out = out + f1[g] * f2[g].conj()
-        return out / len(nl)
-
     lam = label.lambda_rep
     rad = list(spec.radical_basis)
     allowed = set()
@@ -468,7 +470,7 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
         t_inv = spec.invert(t)
         conj_lam = tuple(spec.form_eval(lam, spec.mul_many(t_inv, spec.basis_vec(r), t))
                          for r in rad)
-        for oi, (orb, _) in enumerate(n_chars):
+        for oi, (orb, _, _) in enumerate(n_chars):
             if conj_lam in orb.members:
                 allowed.add(oi)
 
@@ -476,9 +478,8 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
     coeffs = {}
     recon = {g: CycloNumber.zero(m) for g in nl}
     ok = True
-    for oi, (orb, chi) in enumerate(n_chars):
-        num = nip(res, chi)
-        den = nip(chi, chi)
+    for oi, (orb, chi, den) in enumerate(n_chars):
+        num = _n_inner(spec, res, chi)
         if not (num.is_rational() and den.is_rational()):
             ok = False
             break

@@ -14,6 +14,7 @@ from .fields import FieldSpec, field_make
 from .superclasses import DEFAULT_GROUP_BOUND, superclass_partition
 from .supercharacters import (
     CharacterTable,
+    InductionContext,
     SupercharLabel,
     build_table,
 )
@@ -294,8 +295,8 @@ def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
 
 
 def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
-                constancy: str = "full",
-                partition=None, spec: AlgebraSpec | None = None) -> CharacterTable:
+                partition=None, spec: AlgebraSpec | None = None,
+                ctx: InductionContext | None = None) -> CharacterTable:
     """The same table by literal induction over the whole group."""
     if spec is None:
         spec = make_triangular(n, field)
@@ -304,7 +305,7 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
     class_labels, char_labels = labels(n, field)
     mapping = class_record_map(spec, n, class_labels, partition)
     gen_labels = [to_general_label(spec, n, ch) for ch in char_labels]
-    base = build_table(spec, partition, gen_labels, bound, constancy=constancy)
+    base = build_table(spec, partition, gen_labels, bound, ctx=ctx)
     # re-index columns by the triangular label order
     values = [[row[mapping[c]] for c in range(len(class_labels))] for row in base.values]
     sizes = [partition[mapping[c]].size for c in range(len(class_labels))]
@@ -314,9 +315,10 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
 
 def table(n: int, field: FieldSpec, mode: str = "closed_form",
           bound: int = DEFAULT_GROUP_BOUND, partition=None,
-          spec: AlgebraSpec | None = None) -> CharacterTable:
-    """The closed-form or brute-force table; a given spec and partition of
-    T(n, field) are used instead of being built again."""
+          spec: AlgebraSpec | None = None,
+          ctx: InductionContext | None = None) -> CharacterTable:
+    """The closed-form or brute-force table; a given spec, partition and
+    InductionContext of T(n, field) are used instead of being built again."""
     if mode in ("closed_form", "closed"):
         sizes = None
         if group_order_tri(n, field) <= bound:
@@ -329,9 +331,7 @@ def table(n: int, field: FieldSpec, mode: str = "closed_form",
             sizes = [partition[i].size for i in mapping]
         return closed_table(n, field, sizes)
     if mode in ("brute_force", "brute"):
-        constancy = "full" if group_order_tri(n, field) <= 1000 else "sample"
-        return brute_table(n, field, bound, constancy=constancy,
-                           partition=partition, spec=spec)
+        return brute_table(n, field, bound, partition=partition, spec=spec, ctx=ctx)
     raise ValueError(f"unknown table mode {mode!r}")
 
 

@@ -78,7 +78,7 @@ def test_ac3_axioms():
         spec = get_spec(n, p, k)
         partition = get_partition(n, p, k)
         labels = enumerate_labels(spec, orbit_census(spec, "J*"))
-        table = build_table(spec, partition, labels, 2 ** 17, constancy="full")
+        table = build_table(spec, partition, labels, 2 ** 17)
         report = axioms_report(spec, table, partition)
         failed = [r.name for r in report if not r.passed]
         assert not failed, f"(n={n}, q={q_of(p, k)}): {failed}"

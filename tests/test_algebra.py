@@ -402,6 +402,27 @@ def test_load_error_cites_path():
         load_algebra(bad)
 
 
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d.pop("radical_basis"), "radical_basis: missing"),
+    (lambda d: d.__setitem__("unit", [1]), "unit: expected 2 entries"),
+    (lambda d: d.__setitem__("dim", "2"), "dim: expected an integer"),
+    (lambda d: d["mul"].__setitem__(1, [0, 1]), "mul[1]: expected 3 entries"),
+    (lambda d: d["mul"][1].__setitem__(2, [[-1, 1]]), "mul[1][2][0][0]"),
+    (lambda d: d["blocks"][0].__setitem__("degree", 0), "blocks[0].degree"),
+    (lambda d: d["blocks"][0].__setitem__("basis", [2]), "blocks[0].basis[0]"),
+    (lambda d: d["radical_basis"].append(7), "radical_basis[1]"),
+], ids=["missing-radical-basis", "short-unit", "dim-not-int", "short-mul-entry",
+        "negative-term-index", "zero-degree", "block-index-out-of-range",
+        "radical-index-out-of-range"])
+def test_load_schema_error_names_field(mutate, field):
+    with open(os.path.join(DATA, "dual_numbers_q3.json")) as fh:
+        data = json.load(fh)
+    mutate(data)
+    with pytest.raises(AlgebraValidationError) as exc:
+        load_algebra(data)
+    assert field in str(exc.value)
+
+
 def test_generator_closure_sanity():
     s = get_spec(3, 3)
     gens = tilde_generators(s)

@@ -168,3 +168,33 @@ def test_jobs_flag_removed():
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--n", "2", "--p", "3", "--jobs", "0"])
     assert exc.value.code == 2
+
+
+def _dual_numbers():
+    with open(os.path.join(DATA, "dual_numbers_q3.json")) as fh:
+        return json.load(fh)
+
+
+def _without_blocks(data):
+    del data["blocks"]
+    return data
+
+
+def _mul_index_out_of_range(data):
+    data["mul"].append([5, 0, [[0, 1]]])
+    return data
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (_without_blocks, "blocks"),
+    (_mul_index_out_of_range, "mul[4][0]"),
+    (lambda data: [data], "top level"),
+], ids=["missing-blocks", "mul-index-out-of-range", "top-level-array"])
+def test_malformed_spec_file_exits_2(tmp_path, capsys, mutate, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(mutate(_dual_numbers())))
+    for command in ("algebra", "verify", "orbits"):
+        code, _, err = run([command, "--spec", str(path)], capsys)
+        assert code == 2, command
+        assert field in err, err
+        assert "Traceback" not in err

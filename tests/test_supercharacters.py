@@ -1,16 +1,28 @@
+import os
 from fractions import Fraction
 
 import pytest
 
-from supchar.algebra import group_order, orbit, orbit_census
+from supchar.algebra import (
+    g_elements,
+    group_order,
+    load_algebra_file,
+    orbit,
+    orbit_census,
+)
 from supchar.cyclo import CycloNumber
 from supchar.errors import (
     GroupTooLarge,
+    NotConstantOnSuperclass,
     NotInStabilizer,
     NotRegular,
     PartitionMismatch,
 )
-from supchar.superclasses import identity_index
+from supchar.superclasses import (
+    SuperclassRecord,
+    identity_index,
+    superclass_partition,
+)
 from supchar.supercharacters import (
     CharacterTable,
     ClassFunction,
@@ -29,6 +41,8 @@ from supchar.supercharacters import (
 )
 
 from conftest import get_partition, get_spec
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
 
 def principal_label(spec):
@@ -186,12 +200,58 @@ def test_induce_independent_of_orbit_representative():
         vals = []
         for lam in reps:
             alt = SupercharLabel(lbl.e, lbl.f, lbl.theta, lam)
-            vals.append(induce(s33, alt, partition33, ctx33, constancy="sample").values)
+            vals.append(induce(s33, alt, partition33, ctx33).values)
         assert vals[0] == vals[1]
         tested += 1
         if tested == 3:
             break
     assert tested == 3
+
+
+def _reference_specs():
+    yield "T(2,3)", get_spec(2, 3), get_partition(2, 3)
+    yield "T(3,2)", get_spec(3, 2), get_partition(3, 2)
+    yield "T(2,GF(4))", get_spec(2, 2, 2), get_partition(2, 2, 2)
+    for name in ("dual_numbers_q3.json", "triangular_2_3.json"):
+        spec = load_algebra_file(os.path.join(DATA, name))
+        yield name, spec, superclass_partition(spec)
+
+
+def test_induce_matches_literal_average_over_g():
+    """induce equals (1/|G_lambda|) sum over s in G of xi°(s^-1 g s) at every g."""
+    for name, s, partition in _reference_specs():
+        ctx = InductionContext(s, 2 ** 17)
+        group = g_elements(s)
+        inverses = {u: s.invert(u) for u in group}
+        m = s.cyclo_order
+        for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+            stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
+            cf = induce(s, lbl, partition, ctx, stab=stab)
+            for rec, value in zip(partition, cf.values):
+                for g in rec.members:
+                    total = CycloNumber.zero(m)
+                    for u in group:
+                        y = s.mul_many(inverses[u], g, u)
+                        if y in stab.g_lambda:
+                            total = total + xi(s, lbl, y, stab)
+                    assert value == total / stab.size, (name, lbl.render(), g)
+
+
+def test_induce_rejects_value_varying_on_a_superclass():
+    s = get_spec(2, 3)
+    partition = get_partition(2, 3)
+    ctx = InductionContext(s, 2 ** 17)
+    lbl = e12_label(s)
+    values = induce(s, lbl, partition, ctx).values
+    idx = identity_index(s, partition)
+    i, j = next((i, j) for i in range(len(partition)) for j in range(i + 1, len(partition))
+                if idx not in (i, j) and values[i] != values[j])
+    a, b = partition[i], partition[j]
+    merged = SuperclassRecord(a.label, a.members | b.members, min(a.representative,
+                                                                  b.representative))
+    bad = [r for k, r in enumerate(partition) if k not in (i, j)] + [merged]
+    with pytest.raises(NotConstantOnSuperclass):
+        induce(s, lbl, bad, ctx)
 
 
 def test_induction_context_bound():
