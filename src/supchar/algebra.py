@@ -9,7 +9,6 @@ range(dim), so S and J are coordinate subspaces.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from math import lcm
 
@@ -20,6 +19,7 @@ from .errors import (
     BadUnit,
     NotAssociative,
     NotDirectSum,
+    NotGenerating,
     NotInRadical,
     NotInvertible,
     RadicalNotNilpotent,
@@ -29,7 +29,6 @@ from .errors import (
 from .fields import FieldSpec, field_make
 
 DEFAULT_SPACE_BOUND = 2 ** 20
-ORBIT_VERIFY_TRIPLES = 100
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,7 @@ class AlgebraSpec:
             for row in self.mul_table
         )
         self._inv_cache: dict = {}
+        self._certified = False     # set once certify_generators has passed
         self._validated = False
 
     # -- linear helpers --------------------------------------------------
@@ -480,13 +480,15 @@ def rho_dual_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
     return LinearMap(spec.field, cols, [0] * len(rad))
 
 
-def tilde_generators(spec: AlgebraSpec):
-    """Generator triples: block torus generators plus 1 + c*b_i on either side."""
+def tilde_generators(spec: AlgebraSpec, torus: bool = True):
+    """Generator triples: block torus generators (unless torus is False) plus
+    1 + c*b_i on either side.  Each triple moves one of t, a, b only."""
     gens = []
-    for i, blk in enumerate(spec.blocks):
-        if spec.block_orders[i] > 1:
-            t = spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
-            gens.append(make_triple(spec, t, spec.unit, spec.unit))
+    if torus:
+        for i, blk in enumerate(spec.blocks):
+            if spec.block_orders[i] > 1:
+                t = spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
+                gens.append(make_triple(spec, t, spec.unit, spec.unit))
     for r in spec.radical_basis:
         b = spec.basis_vec(r)
         for c in range(1, spec.field.q):
@@ -496,34 +498,8 @@ def tilde_generators(spec: AlgebraSpec):
     return gens
 
 
-def random_triple(spec: AlgebraSpec, rng: random.Random) -> TildeTriple:
-    t = spec.zero()
-    for units in spec.block_units:
-        t = spec.add(t, rng.choice(units))
-    q = spec.field.q
-    a = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
-    b = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
-    return make_triple(spec, t, a, b)
-
-
-def orbit(spec: AlgebraSpec, start, action: str, generators=None, verify: bool = True,
-          seed: int = 0) -> OrbitRecord:
-    """BFS closure of `start` under generator triples (action: "rho" or "rho_dual").
-
-    A finite group is generated by any generating set as a semigroup, so
-    applying generators (without inverses) reaches the whole orbit.  Soundness
-    of the generator set itself is backed by a random-closure check with full
-    triples.  The BFS applies each generator's compiled map; J is an ideal, so
-    checking the start once keeps the whole orbit inside J.
-    """
-    compile_map = rho_map if action == "rho" else rho_dual_map
-    if action == "rho":
-        start = tuple(start)
-        if not spec.in_radical(start):
-            raise NotInRadical(f"{start} has a nonzero S-component")
-    if generators is None:
-        generators = tilde_generators(spec)
-    maps = [compile_map(spec, g).apply for g in generators]
+def closure(start, maps) -> set:
+    """BFS closure of start under the maps (applied without inverses)."""
     members = {start}
     frontier = [start]
     while frontier:
@@ -535,22 +511,79 @@ def orbit(spec: AlgebraSpec, start, action: str, generators=None, verify: bool =
                     members.add(w)
                     new.append(w)
         frontier = new
-    if verify:
-        _verify_closure(spec, members, compile_map, seed)
+    return members
+
+
+def certify_generators(spec: AlgebraSpec, gens) -> None:
+    """Prove that the triples gens generate G~ = H x| (N x N); raise
+    NotGenerating otherwise.
+
+    Each triple must move one of t, a, b only, with t in H and a, b in N.
+    As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), gens then generate G~ exactly
+    when their t-parts generate H and their a-parts and b-parts each generate
+    N.  Each of these is a BFS from the unit under right multiplication, whose
+    closure lies in H (or N) and so equals it exactly when it has |H| (or |N|)
+    elements.  The b-parts need no BFS of their own when they equal the a-parts.
+    """
+    unit = spec.unit
+    h_set = set(h_elements(spec))
+    parts = {"t": set(), "a": set(), "b": set()}
+    for g in gens:
+        moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
+        if len(moved) > 1:
+            raise NotGenerating(f"triple {g.t, g.a, g.b} moves more than one part")
+        for k, x in moved:
+            inside = x in h_set if k == "t" else spec.in_radical(spec.sub(x, unit))
+            if not inside:
+                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
+            parts[k].add(x)
+    n_order = spec.field.q ** len(spec.radical_basis)
+    checks = [("t", "H", group_order(spec) // n_order), ("a", "N", n_order)]
+    if parts["b"] != parts["a"]:
+        checks.append(("b", "N", n_order))
+    for k, name, order in checks:
+        maps = [sandwich_map(spec, unit, x).apply for x in sorted(parts[k])]
+        size = len(closure(unit, maps))
+        if size != order:
+            raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
+                                f"of {name}, which has order {order}")
+
+
+def certified_generators(spec: AlgebraSpec, torus: bool = True):
+    """tilde_generators(spec, torus), once certify_generators has proved that
+    the full list generates G~.  The proof runs once per spec; without the
+    torus the triples generate 1 x (N x N), which the same proof covers."""
+    if not spec._certified:
+        certify_generators(spec, tilde_generators(spec))
+        spec._certified = True
+    return tilde_generators(spec, torus)
+
+
+def action_maps(spec: AlgebraSpec, action: str, generators) -> list:
+    """The compiled apply functions of the generators under action "rho"
+    (on full vectors of J) or "rho_dual" (on radical coordinates)."""
+    compile_map = rho_map if action == "rho" else rho_dual_map
+    return [compile_map(spec, g).apply for g in generators]
+
+
+def orbit(spec: AlgebraSpec, start, action: str, maps=None) -> OrbitRecord:
+    """BFS closure of `start` under generator triples (action: "rho" or "rho_dual").
+
+    maps are the generators' compiled actions (action_maps); the default is
+    those of certified_generators(spec).  A finite group is generated by any
+    generating set as a semigroup, so applying certified generators (without
+    inverses) reaches exactly the G~-orbit.  J is an ideal, so checking the
+    start once keeps the whole orbit inside J.
+    """
+    if action == "rho":
+        start = tuple(start)
+        if not spec.in_radical(start):
+            raise NotInRadical(f"{start} has a nonzero S-component")
+    if maps is None:
+        maps = action_maps(spec, action, certified_generators(spec))
+    members = closure(start, maps)
     tag = "J" if action == "rho" else "J*"
     return OrbitRecord(frozenset(members), min(members), tag)
-
-
-def _verify_closure(spec, members, compile_map, seed, triples: int = ORBIT_VERIFY_TRIPLES):
-    rng = random.Random(seed)
-    sample = sorted(members)
-    if len(sample) > 20:
-        sample = rng.sample(sample, 20)
-    for _ in range(triples):
-        f = compile_map(spec, random_triple(spec, rng)).apply
-        for v in sample:
-            if f(v) not in members:
-                raise AssertionError("orbit BFS closure failed under a random full triple")
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +690,7 @@ def corner_generators(spec: AlgebraSpec, T: frozenset):
 
 def corner_orbit(spec: AlgebraSpec, T: frozenset, start, action: str) -> OrbitRecord:
     """The G~_e-orbit of an element/form of the corner J_e, e = e_T."""
-    return orbit(spec, start, action, generators=corner_generators(spec, T), verify=False)
+    return orbit(spec, start, action, action_maps(spec, action, corner_generators(spec, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +717,13 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
         raise SpaceTooLarge(f"|{space}| = {size} exceeds bound {bound}")
     action = "rho" if space == "J" else "rho_dual"
     vectors = spec.j_vectors() if space == "J" else spec.dual_vectors()
-    gens = tilde_generators(spec)
+    maps = action_maps(spec, action, certified_generators(spec))
     seen = set()
     orbits = []
     for v in vectors:
         if v in seen:
             continue
-        orb = orbit(spec, v, action, generators=gens)
+        orb = orbit(spec, v, action, maps)
         seen |= orb.members
         orbits.append(orb)
     assert len(seen) == size, "orbits do not partition the space"

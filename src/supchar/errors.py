@@ -71,6 +71,10 @@ class NotInRadical(SupcharError):
     pass
 
 
+class NotGenerating(SupcharError):
+    pass
+
+
 class SpaceTooLarge(SupcharError):
     pass
 

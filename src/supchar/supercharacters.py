@@ -12,12 +12,13 @@ from functools import cached_property
 from . import linalg
 from .algebra import (
     AlgebraSpec,
+    action_maps,
     block_component,
+    certified_generators,
     corner_orbit,
     form_support,
     group_order,
     h_elements,
-    make_triple,
     orbit,
     orbit_support,
     sandwich_map,
@@ -124,22 +125,29 @@ def theta_exponent(spec: AlgebraSpec, theta, h) -> int:
     return out
 
 
-def xi_exponent(spec: AlgebraSpec, stab: StabilizerData, theta, g) -> int:
-    """Exponent of xi(g) = theta(h) eps^{lam(x)} as a power of zeta_m."""
+def theta_table(spec: AlgebraSpec, stab: StabilizerData, theta) -> dict:
+    """{h: theta_exponent(spec, theta, h)} for every h in H_{e'}, built once per label."""
+    return {h: theta_exponent(spec, theta, h) for h in stab.h_eprime}
+
+
+def xi_exponent(spec: AlgebraSpec, stab: StabilizerData, thetas: dict, g) -> int:
+    """Exponent of xi(g) = theta(h) eps^{lam(x)} as a power of zeta_m, with
+    thetas = theta_table(spec, stab, theta)."""
     h = spec.s_part(g)
     x = spec.j_part(g)
-    if h not in set(stab.h_eprime) or spec.j_coords(x) not in stab.j_right:
+    if h not in thetas or spec.j_coords(x) not in stab.j_right:
         raise NotInStabilizer(f"{g} does not lie in G_lambda")
     m = spec.cyclo_order
     add = additive_char_exponent(spec.field, spec.form_eval(stab.lam, x), m)
-    return (theta_exponent(spec, theta, h) + add) % m
+    return (thetas[h] + add) % m
 
 
 def xi(spec: AlgebraSpec, label: SupercharLabel, g,
        stab: StabilizerData | None = None) -> CycloNumber:
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
-    return CycloNumber.root(spec.cyclo_order, xi_exponent(spec, stab, label.theta, g))
+    thetas = theta_table(spec, stab, label.theta)
+    return CycloNumber.root(spec.cyclo_order, xi_exponent(spec, stab, thetas, g))
 
 
 class InductionContext:
@@ -163,9 +171,10 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     m = spec.cyclo_order
     # multiplicity of each exponent of xi on cl(g) /\ G_lambda, per class
+    thetas = theta_table(spec, stab, label.theta)
     counts: dict = {}
     for v in stab.g_lambda:
-        e = xi_exponent(spec, stab, label.theta, v)
+        e = xi_exponent(spec, stab, thetas, v)
         counts.setdefault(ctx.class_of[v], Counter())[e] += 1
     class_values: dict = {}
 
@@ -306,8 +315,9 @@ class CheckResult:
 
 
 def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
-                  conj_classes=None) -> list[CheckResult]:
-    """Pass/fail per supercharacter-theory axiom plus the standard consequences."""
+                  conj_classes) -> list[CheckResult]:
+    """Pass/fail per supercharacter-theory axiom plus the standard consequences;
+    conj_classes are the conjugacy classes of G (conjugacy_classes(spec, bound))."""
     out = []
     nrows = len(table.row_labels)
     ncols = len(table.col_labels)
@@ -336,8 +346,6 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
             break
     out.append(CheckResult("disjoint", disjoint, bad or "all off-diagonal inner products 0"))
 
-    if conj_classes is None:
-        conj_classes = conjugacy_classes(spec)
     member_to_class = {}
     for ci, rec in enumerate(partition):
         for g in rec.members:
@@ -382,19 +390,13 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
 
 def nn_orbits(spec: AlgebraSpec):
     """N x N-orbits in J* (the triple-group action with trivial torus part)."""
-    gens = []
-    for r in spec.radical_basis:
-        b = spec.basis_vec(r)
-        for c in range(1, spec.field.q):
-            a = spec.add(spec.unit, spec.smul(c, b))
-            gens.append(make_triple(spec, spec.unit, a, spec.unit))
-            gens.append(make_triple(spec, spec.unit, spec.unit, a))
+    maps = action_maps(spec, "rho_dual", certified_generators(spec, torus=False))
     seen = set()
     orbits = []
     for v in spec.dual_vectors():
         if v in seen:
             continue
-        orb = orbit(spec, v, "rho_dual", generators=gens, verify=False)
+        orb = orbit(spec, v, "rho_dual", maps)
         seen |= orb.members
         orbits.append(orb)
     orbits.sort(key=lambda o: o.representative)

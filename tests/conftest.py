@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from supchar.algebra import make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -43,6 +44,17 @@ def get_partition(n, p, k=1):
     if key not in _partitions:
         _partitions[key] = superclass_partition(get_spec(n, p, k))
     return _partitions[key]
+
+
+def random_triple(spec, rng):
+    """A uniformly random triple (t, a, b) of G~ drawn from rng."""
+    t = spec.zero()
+    for units in spec.block_units:
+        t = spec.add(t, rng.choice(units))
+    q = spec.field.q
+    a = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
+    b = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
+    return make_triple(spec, t, a, b)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from supchar.cyclo import CycloNumber
 from supchar import cli
 from supchar.superclasses import predicted_count
 from supchar.supercharacters import (
+    InductionContext,
     axioms_report,
     build_table,
     enumerate_labels,
@@ -78,8 +79,9 @@ def test_ac3_axioms():
         spec = get_spec(n, p, k)
         partition = get_partition(n, p, k)
         labels = enumerate_labels(spec, orbit_census(spec, "J*"))
-        table = build_table(spec, partition, labels, 2 ** 17)
-        report = axioms_report(spec, table, partition)
+        ctx = InductionContext(spec, 2 ** 17)
+        table = build_table(spec, partition, labels, 2 ** 17, ctx=ctx)
+        report = axioms_report(spec, table, partition, ctx.classes)
         failed = [r.name for r in report if not r.passed]
         assert not failed, f"(n={n}, q={q_of(p, k)}): {failed}"
     emit("AC-3", True, "constancy, identity singleton, orthogonality, "

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from supchar import algebra, linalg
 from supchar.algebra import (
     AlgebraSpec,
     Block,
+    certify_generators,
     corner_orbit,
     g_elements,
     group_order,
+    h_elements,
     is_singular,
     load_algebra,
     load_algebra_file,
@@ -18,7 +21,6 @@ from supchar.algebra import (
     orbit,
     orbit_census,
     orbit_support,
-    random_triple,
     rho,
     rho_dual,
     support_idempotent,
@@ -31,6 +33,7 @@ from supchar.errors import (
     BadUnit,
     NotAssociative,
     NotDirectSum,
+    NotGenerating,
     NotInRadical,
     NotInvertible,
     RadicalNotNilpotent,
@@ -38,8 +41,10 @@ from supchar.errors import (
     SpaceTooLarge,
 )
 from supchar import triangular as tri
+from supchar.superclasses import superclass_partition
+from supchar.supercharacters import nn_orbits
 
-from conftest import get_field, get_spec
+from conftest import get_field, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -283,6 +288,105 @@ def test_orbit_representative_is_minimal():
     census = orbit_census(s, "J")
     for orb in census.orbits:
         assert orb.representative == min(orb.members)
+
+
+# ---------------------------------------------------------------------------
+# the generation certificate
+# ---------------------------------------------------------------------------
+
+E12, E13 = 3, 4     # basis indices of E12 and E13 in T(3, q)
+
+
+def _direction(s, x):
+    """r if x = 1 + c b_r with c != 0, else None."""
+    support = [i for i, v in enumerate(s.sub(x, s.unit)) if v]
+    return support[0] if len(support) == 1 else None
+
+
+def _without_direction(s, gens, r, sides=("a", "b")):
+    return [g for g in gens if all(_direction(s, getattr(g, side)) != r for side in sides)]
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
+def test_certificate_accepts_tilde_generators(n, p, k):
+    s = get_spec(n, p, k)
+    certify_generators(s, tilde_generators(s))
+
+
+def test_certificate_accepts_generators_without_a_commutator_direction():
+    # 1 + E13 is the commutator of 1 + E12 and 1 + E23, so the rest still generate
+    s = get_spec(3, 2)
+    certify_generators(s, _without_direction(s, tilde_generators(s), E13))
+
+
+def test_certificate_rejects_a_missing_radical_direction():
+    s = get_spec(3, 2)
+    gens = tilde_generators(s)
+    with pytest.raises(NotGenerating, match="a-parts generate a subgroup of order 4 "):
+        certify_generators(s, _without_direction(s, gens, E12))
+    with pytest.raises(NotGenerating, match="b-parts generate a subgroup of order 4 "):
+        certify_generators(s, _without_direction(s, gens, E12, sides=("b",)))
+
+
+def test_certificate_rejects_a_missing_torus_generator():
+    s = get_spec(2, 3)
+    gens = tilde_generators(s)
+    torus = [g for g in gens if g.t != s.unit]
+    assert len(torus) == 2
+    with pytest.raises(NotGenerating, match="t-parts generate a subgroup of order 2 "):
+        certify_generators(s, [g for g in gens if g is not torus[0]])
+
+
+def test_certificate_rejects_two_sided_triples():
+    # (1, a, a) for every a: the a-parts and b-parts generate N, but the triples
+    # generate only the diagonal of N x N
+    s = get_spec(2, 3)
+    gens = [g for g in tilde_generators(s) if g.t != s.unit]
+    gens += [make_triple(s, s.unit, g.a, g.a) for g in tilde_generators(s) if g.a != s.unit]
+    with pytest.raises(NotGenerating, match="more than one part"):
+        certify_generators(s, gens)
+
+
+def test_censuses_and_partition_run_the_certificate(monkeypatch):
+    full = algebra.tilde_generators
+    monkeypatch.setattr(algebra, "tilde_generators",
+                        lambda spec, torus=True: full(spec, torus)[:-1])
+    runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
+            lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits)
+    for run in runs:
+        s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
+        with pytest.raises(NotGenerating):
+            run(s)
+
+
+def _stabilizer_order(s, x, hs):
+    """|Stab(x)| in G~ by linear algebra: (t, 1+u, 1+v) fixes x exactly when
+    u x - x_t v = x_t - x with x_t = t^-1 x t, so the stabilizer has
+    sum over t in H of [the system is consistent] q^{dim ker} elements."""
+    F = s.field
+    rad = s.radical_basis
+    minus_one = F.neg(1)
+    total = 0
+    for t in hs:
+        xt = s.mul_many(s.invert(t), x, t)
+        cols = [s.j_coords(s.mul(s.basis_vec(r), x)) for r in rad]
+        cols += [s.j_coords(s.smul(minus_one, s.mul(xt, s.basis_vec(r)))) for r in rad]
+        rows = [list(row) for row in zip(*cols)]
+        if linalg.solve(F, rows, list(s.j_coords(s.sub(xt, x)))) is not None:
+            total += F.q ** len(linalg.kernel_basis(F, rows))
+    return total
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2)])
+def test_census_orbits_satisfy_orbit_stabilizer(n, p, k):
+    """|orbit| |Stab| = |H| |N|^2 for every J-orbit, with |Stab| computed
+    independently of the BFS and of the generators."""
+    s = get_spec(n, p, k)
+    hs = h_elements(s)
+    tilde_order = group_order(s) * s.field.q ** len(s.radical_basis)
+    for orb in orbit_census(s, "J").orbits:
+        x = orb.representative
+        assert len(orb.members) * _stabilizer_order(s, x, hs) == tilde_order, x
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])

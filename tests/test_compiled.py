@@ -13,7 +13,6 @@ from supchar.algebra import (
     g_elements,
     load_algebra_file,
     orbit,
-    random_triple,
     rho,
     rho_dual,
     rho_dual_map,
@@ -24,7 +23,7 @@ from supchar.algebra import (
 from supchar.errors import NotInRadical
 from supchar.superclasses import r_act, r_map
 
-from conftest import ACCEPTANCE_CONFIGS, get_spec
+from conftest import ACCEPTANCE_CONFIGS, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 SPEC_FILES = ["dual_numbers_q3.json", "triangular_2_3.json"]

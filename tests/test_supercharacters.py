@@ -332,15 +332,17 @@ def test_table_deterministic_across_runs():
 # ---------------------------------------------------------------------------
 
 def full_table(n, p):
+    """The spec, partition, induced table and conjugacy classes of T(n, p)."""
     s = get_spec(n, p)
     partition = get_partition(n, p)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    return s, partition, build_table(s, partition, labels, 2 ** 17)
+    ctx = InductionContext(s, 2 ** 17)
+    return s, partition, build_table(s, partition, labels, 2 ** 17, ctx=ctx), ctx.classes
 
 
 def test_axioms_pass_t22():
-    s, partition, table = full_table(2, 2)
-    report = axioms_report(s, table, partition)
+    s, partition, table, classes = full_table(2, 2)
+    report = axioms_report(s, table, partition, classes)
     assert all(r.passed for r in report)
     names = [r.name for r in report]
     assert names == ["S1", "S2", "S3", "disjoint", "conjugacy-refinement",
@@ -348,12 +350,12 @@ def test_axioms_pass_t22():
 
 
 def test_axioms_negative_control():
-    s, partition, table = full_table(2, 2)
+    s, partition, table, classes = full_table(2, 2)
     bad = CharacterTable(table.row_labels, table.col_labels, table.sizes,
                          [list(row) for row in table.values],
                          table.group_order, table.cyclo_order, table.constancy)
     bad.values[1][1] = bad.values[1][1] + 1
-    report = {r.name: r.passed for r in axioms_report(s, bad, partition)}
+    report = {r.name: r.passed for r in axioms_report(s, bad, partition, classes)}
     assert not (report["disjoint"] and report["regular-character"])
 
 

@@ -7,7 +7,6 @@ from supchar.algebra import (
     group_order,
     make_triple,
     orbit_census,
-    random_triple,
 )
 from supchar.errors import GroupTooLarge, NotInH
 from supchar.superclasses import (
@@ -23,7 +22,7 @@ from supchar.superclasses import (
 )
 from supchar import triangular as tri
 
-from conftest import get_field, get_partition, get_spec
+from conftest import get_field, get_partition, get_spec, random_triple
 
 
 def test_r_act_identity_triple():
