@@ -84,6 +84,9 @@ class AlgebraSpec:
         )
         self._inv_cache: dict = {}
         self._certified = False     # set once certify_generators has passed
+        self._corner_gens: dict = {}    # T -> certified corner_generators
+        self._corner_maps: dict = {}    # (T, action) -> their compiled actions
+        self._torus_conj = None         # y -> t^-1 y t for every t in H
         self._validated = False
 
     # -- linear helpers --------------------------------------------------
@@ -498,6 +501,15 @@ def tilde_generators(spec: AlgebraSpec, torus: bool = True):
     return gens
 
 
+def torus_conjugations(spec: AlgebraSpec) -> list:
+    """The compiled apply functions of y -> t^-1 y t for every t in H, built
+    once per spec."""
+    if spec._torus_conj is None:
+        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t).apply
+                            for t in h_elements(spec)]
+    return spec._torus_conj
+
+
 def closure(start, maps) -> set:
     """BFS closure of start under the maps (applied without inverses)."""
     members = {start}
@@ -514,31 +526,49 @@ def closure(start, maps) -> set:
     return members
 
 
-def certify_generators(spec: AlgebraSpec, gens) -> None:
-    """Prove that the triples gens generate G~ = H x| (N x N); raise
+def certify_generators(spec: AlgebraSpec, gens, T: frozenset | None = None) -> None:
+    """Prove that the triples gens generate G~_e = H_e x| (N_e x N_e) for the
+    corner e = e_T (default: every block, so e = 1 and G~_e = G~); raise
     NotGenerating otherwise.
 
-    Each triple must move one of t, a, b only, with t in H and a, b in N.
-    As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), gens then generate G~ exactly
-    when their t-parts generate H and their a-parts and b-parts each generate
-    N.  Each of these is a BFS from the unit under right multiplication, whose
-    closure lies in H (or N) and so equals it exactly when it has |H| (or |N|)
-    elements.  The b-parts need no BFS of their own when they equal the a-parts.
+    Each triple must move one of t, a, b only, with t in H_e (identity off the
+    corner) and a, b in N_e = 1 + e J e.  As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b),
+    gens then generate G~_e exactly when their t-parts generate H_e and their
+    a-parts and b-parts each generate N_e.  Each of these is a BFS from the unit
+    under right multiplication, whose closure lies in H_e (or N_e) and so
+    equals it exactly when it has |H_e| = prod of block_orders[i], i in T (or
+    |N_e| = q^{dim J_e}) elements.  The b-parts need no BFS of their own when
+    they equal the a-parts.
     """
     unit = spec.unit
+    zero = spec.zero()
+    if T is None:
+        T = frozenset(range(len(spec.blocks)))
+    off = [blk.idempotent for i, blk in enumerate(spec.blocks) if i not in T]
     h_set = set(h_elements(spec))
+
+    def inside(k, x):
+        if k == "t":
+            return x in h_set and all(spec.mul(f, x) == f for f in off)
+        y = spec.sub(x, unit)
+        return spec.in_radical(y) and all(
+            spec.mul(f, y) == zero and spec.mul(y, f) == zero for f in off)
+
     parts = {"t": set(), "a": set(), "b": set()}
     for g in gens:
         moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
         if len(moved) > 1:
             raise NotGenerating(f"triple {g.t, g.a, g.b} moves more than one part")
         for k, x in moved:
-            inside = x in h_set if k == "t" else spec.in_radical(spec.sub(x, unit))
-            if not inside:
-                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
+            if not inside(k, x):
+                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'} "
+                                    f"of the corner of blocks {sorted(T)}")
             parts[k].add(x)
-    n_order = spec.field.q ** len(spec.radical_basis)
-    checks = [("t", "H", group_order(spec) // n_order), ("a", "N", n_order)]
+    h_order = 1
+    for i in T:
+        h_order *= spec.block_orders[i]
+    n_order = spec.field.q ** len(corner_j_basis(spec, T))
+    checks = [("t", "H", h_order), ("a", "N", n_order)]
     if parts["b"] != parts["a"]:
         checks.append(("b", "N", n_order))
     for k, name, order in checks:
@@ -688,9 +718,22 @@ def corner_generators(spec: AlgebraSpec, T: frozenset):
     return gens
 
 
+def corner_maps(spec: AlgebraSpec, T: frozenset, action: str) -> list:
+    """The compiled actions of corner_generators(spec, T); the generators are
+    certified once per T, and compiled once per (T, action), per spec."""
+    if T not in spec._corner_gens:
+        gens = corner_generators(spec, T)
+        certify_generators(spec, gens, T)
+        spec._corner_gens[T] = gens
+    key = (T, action)
+    if key not in spec._corner_maps:
+        spec._corner_maps[key] = action_maps(spec, action, spec._corner_gens[T])
+    return spec._corner_maps[key]
+
+
 def corner_orbit(spec: AlgebraSpec, T: frozenset, start, action: str) -> OrbitRecord:
     """The G~_e-orbit of an element/form of the corner J_e, e = e_T."""
-    return orbit(spec, start, action, action_maps(spec, action, corner_generators(spec, T)))
+    return orbit(spec, start, action, corner_maps(spec, T, action))
 
 
 # ---------------------------------------------------------------------------

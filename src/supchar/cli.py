@@ -87,12 +87,8 @@ def cmd_table(args) -> int:
         return EXIT_OK
     # mode both: build both, diff, write the closed table plus a report
     spec = tri.make_triangular(args.n, F)
-    partition = superclass_partition(spec, bound)
-    class_labels, _ = tri.labels(args.n, F)
-    mapping = tri.class_record_map(spec, args.n, class_labels, partition)
-    sizes = [partition[i].size for i in mapping]
-    closed = tri.closed_table(args.n, F, sizes)
-    brute = tri.brute_table(args.n, F, bound, partition=partition, spec=spec)
+    closed = tri.table(args.n, F, "closed", bound, spec=spec)
+    brute = tri.table(args.n, F, "brute", bound, spec=spec)
     diffs = tri.compare_tables(closed, brute)
     _write(args.out, _render_table(closed, args.format))
     report = args.diff_out or (args.out + ".diff" if args.out else None)
@@ -158,7 +154,7 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
             # labels instead of the census representatives, so that the oracle
             # does not rest on the table the axioms were checked on
             diffs = tri.compare_tables(
-                tri.table(n, F, "closed", bound, partition=partition, spec=spec),
+                tri.table(n, F, "closed", bound, spec=spec),
                 tri.table(n, F, "brute", bound, partition=partition, spec=spec, ctx=ctx))
             results.append(CheckResult("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 

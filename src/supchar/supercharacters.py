@@ -207,10 +207,14 @@ def inner_product(partition, phi: ClassFunction, psi: ClassFunction,
                   order: int) -> CycloNumber:
     if len(phi.values) != len(partition) or len(psi.values) != len(partition):
         raise PartitionMismatch("class functions defined on different partitions")
-    m = phi.values[0].order
-    out = CycloNumber.zero(m)
+    # sum a conj(b) over the classes of each size, then weight once per size
+    by_size: dict = {}
     for rec, a, b in zip(partition, phi.values, psi.conj_values):
-        out = out + a * b * rec.size
+        n = rec.size
+        by_size[n] = by_size[n] + a * b if n in by_size else a * b
+    out = CycloNumber.zero(phi.values[0].order)
+    for size, total in by_size.items():
+        out = out + total * size
     return out / order
 
 

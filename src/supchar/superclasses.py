@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .algebra import (
     AlgebraSpec,
     LinearMap,
@@ -20,6 +21,7 @@ from .algebra import (
     orbit_support,
     regular_orbit_counts,
     sandwich_map,
+    torus_conjugations,
 )
 from .errors import GroupTooLarge, NotInH, ReductionFailed
 
@@ -63,6 +65,41 @@ def r_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
     """R_tau compiled: g -> M g + (1 - M 1) with M the sandwich by t a and b^{-1} t^{-1}."""
     m = sandwich_map(spec, spec.mul(tau.t, tau.a), spec.mul(tau.b_inv, tau.t_inv))
     return LinearMap(spec.field, m.cols, spec.sub(spec.unit, m.apply(spec.unit)))
+
+
+def transporter_count(spec: AlgebraSpec, x, y) -> int:
+    """#{(t, a, b) in H x N x N : t a x b^-1 t^-1 = y} for x, y in A, with no
+    enumeration of N.  With x = g - 1 and y = g' - 1 this counts the triples
+    with R_tau(g) = g'; it is nonzero exactly when g' lies in the superclass
+    of g, and for y = x it is |Stab(g)| in G~.
+
+    For each t in H, with y_t = t^-1 y t, a = 1 + u and b = 1 + v, the
+    equation reads u x - y_t v = y_t - x with (u, v) in J x J.  Both products
+    lie in J, so y_t - x must have a zero S-part; the affine system then has
+    q^{dim ker} solutions if it is consistent and none otherwise.
+    """
+    F = spec.field
+    nu = len(spec.radical_basis)
+    basis = [spec.basis_vec(r) for r in spec.radical_basis]
+    left = [spec.j_coords(spec.mul(b, x)) for b in basis]   # u -> u x
+    counts: dict = {}
+    total = 0
+    for conj in torus_conjugations(spec):
+        yt = conj(y)
+        if yt not in counts:
+            rhs = spec.sub(yt, x)
+            if not spec.in_radical(rhs):
+                counts[yt] = 0
+            else:
+                # columns: u-coordinates, then v-coordinates (v -> -y_t v)
+                cols = left + [tuple(F.neg(c) for c in spec.j_coords(spec.mul(yt, b)))
+                               for b in basis]
+                aug = [list(row) + [c] for row, c in zip(zip(*cols), spec.j_coords(rhs))]
+                _, pivots = linalg.rref(F, aug)
+                consistent = not pivots or pivots[-1] < 2 * nu
+                counts[yt] = F.q ** (2 * nu - len(pivots)) if consistent else 0
+        total += counts[yt]
+    return total
 
 
 def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:

@@ -7,11 +7,11 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .algebra import AlgebraSpec, Block, validate_algebra
+from .algebra import AlgebraSpec, Block, group_order, validate_algebra
 from .cyclo import CycloNumber
-from .errors import BadSize
+from .errors import BadSize, PartitionMismatch
 from .fields import FieldSpec, field_make
-from .superclasses import DEFAULT_GROUP_BOUND, superclass_partition
+from .superclasses import DEFAULT_GROUP_BOUND, superclass_partition, transporter_count
 from .supercharacters import (
     CharacterTable,
     InductionContext,
@@ -229,14 +229,13 @@ def cyclo_order_for(field: FieldSpec) -> int:
     return lcm(field.p, max(field.q - 1, 1))
 
 
-def value(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSpec,
-          order: int | None = None) -> CycloNumber:
-    """Closed-form supercharacter value on a superclass."""
-    if order is None:
-        order = cyclo_order_for(field)
+def value_terms(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSpec,
+                order: int) -> tuple[int, int]:
+    """(exp, scalar) with closed-form value scalar * zeta_order^exp; scalar is 0
+    when the value is 0."""
     d1, d2, d0 = delta_factors(char.d, cls.h, cls.dprime)
     if d1 * d2 * d0 == 0:
-        return CycloNumber.zero(order)
+        return 0, 0
     m, s = m_and_s(char.d, cls.h, cls.dprime, field)
     inter = len(set(char.d.roots) & set(cls.dprime.roots))
     scalar = (-1) ** inter * field.q ** m * (field.q - 1) ** s
@@ -245,7 +244,21 @@ def value(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSpec,
         step = order // (field.q - 1)
         for ci, hi in zip(char.c, cls.h):
             exp = (exp + ci * field.dlog(hi) * step) % order
+    return exp, scalar
+
+
+def _from_terms(order: int, exp: int, scalar: int) -> CycloNumber:
+    if scalar == 0:
+        return CycloNumber.zero(order)
     return CycloNumber.root(order, exp) * scalar
+
+
+def value(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSpec,
+          order: int | None = None) -> CycloNumber:
+    """Closed-form supercharacter value on a superclass."""
+    if order is None:
+        order = cyclo_order_for(field)
+    return _from_terms(order, *value_terms(char, cls, field, order))
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +272,57 @@ def diag_embed(spec: AlgebraSpec, n: int, h: tuple):
     return tuple(vec)
 
 
+def class_rep(spec: AlgebraSpec, n: int, lbl: TriSuperclassLabel):
+    """The representative g_{h,D'} = diag(h) + x_{D'} of a superclass label."""
+    return spec.add(diag_embed(spec, n, lbl.h), x_D(spec, n, lbl.dprime))
+
+
 def class_record_map(spec: AlgebraSpec, n: int, class_labels, partition):
     """Bijection from (h, D') labels to superclass records via g_{h,D'}."""
     member_to_idx = {}
     for ci, rec in enumerate(partition):
         for g in rec.members:
             member_to_idx[g] = ci
-    mapping = []
-    for lbl in class_labels:
-        g = spec.add(diag_embed(spec, n, lbl.h), x_D(spec, n, lbl.dprime))
-        mapping.append(member_to_idx[g])
+    mapping = [member_to_idx[class_rep(spec, n, lbl)] for lbl in class_labels]
     assert sorted(mapping) == list(range(len(partition))), \
         "triangular labels do not biject onto the superclass partition"
     return mapping
+
+
+def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
+    """|superclass of g_{h,D'}| = |G~| / |Stab(g_{h,D'})| per label, by
+    orbit-stabilizer (transporter_count), with no enumeration of G.
+
+    Also proves that the labels biject onto the superclasses, and raises
+    PartitionMismatch otherwise: every stabilizer order divides |G~|, the
+    sizes sum to |G|, and no two labels with equal S-part and equal size
+    share a superclass.  The S-part (R_tau fixes it, as S is commutative) and
+    the size are superclass invariants, so the labels lie in distinct
+    superclasses, and distinct superclasses whose sizes sum to |G| are all
+    of them.
+    """
+    order = group_order(spec)
+    tilde = order * spec.field.q ** len(spec.radical_basis)
+    xs = [spec.sub(class_rep(spec, n, lbl), spec.unit) for lbl in class_labels]
+    sizes = []
+    for lbl, x in zip(class_labels, xs):
+        stab = transporter_count(spec, x, x)
+        if not stab or tilde % stab:
+            raise PartitionMismatch(f"|Stab| = {stab} of {lbl.render()} does not divide "
+                                    f"|G~| = {tilde}")
+        sizes.append(tilde // stab)
+    if sum(sizes) != order:
+        raise PartitionMismatch(f"superclass sizes sum to {sum(sizes)}, not |G| = {order}")
+    groups: dict = {}
+    for i, (x, size) in enumerate(zip(xs, sizes)):
+        groups.setdefault((spec.s_part(x), size), []).append(i)
+    for idx in groups.values():
+        for a, i in enumerate(idx):
+            for j in idx[a + 1:]:
+                if transporter_count(spec, xs[i], xs[j]):
+                    raise PartitionMismatch(f"{class_labels[i].render()} and "
+                                            f"{class_labels[j].render()} label one superclass")
+    return sizes
 
 
 def to_general_label(spec: AlgebraSpec, n: int, lbl: TriSupercharLabel) -> SupercharLabel:
@@ -283,7 +334,17 @@ def to_general_label(spec: AlgebraSpec, n: int, lbl: TriSupercharLabel) -> Super
 def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
     class_labels, char_labels = labels(n, field)
     order = cyclo_order_for(field)
-    values = [[value(ch, cl, field, order) for cl in class_labels] for ch in char_labels]
+    # few distinct (exp, scalar) pairs recur across the table: build each once
+    built: dict = {}
+    values = []
+    for ch in char_labels:
+        row = []
+        for cl in class_labels:
+            terms = value_terms(ch, cl, field, order)
+            if terms not in built:
+                built[terms] = _from_terms(order, *terms)
+            row.append(built[terms])
+        values.append(row)
     if sizes is None:
         sizes = [None] * len(class_labels)
     go = 1
@@ -317,18 +378,16 @@ def table(n: int, field: FieldSpec, mode: str = "closed_form",
           bound: int = DEFAULT_GROUP_BOUND, partition=None,
           spec: AlgebraSpec | None = None,
           ctx: InductionContext | None = None) -> CharacterTable:
-    """The closed-form or brute-force table; a given spec, partition and
-    InductionContext of T(n, field) are used instead of being built again."""
+    """The closed-form or brute-force table; a given spec of T(n, field) is
+    used instead of being built again, and so are a given partition and
+    InductionContext by the brute-force table.  The closed form's size row is
+    left empty when |G| exceeds bound."""
     if mode in ("closed_form", "closed"):
         sizes = None
         if group_order_tri(n, field) <= bound:
             if spec is None:
                 spec = make_triangular(n, field)
-            if partition is None:
-                partition = superclass_partition(spec, bound)
-            class_labels, _ = labels(n, field)
-            mapping = class_record_map(spec, n, class_labels, partition)
-            sizes = [partition[i].size for i in mapping]
+            sizes = superclass_sizes(spec, n, labels(n, field)[0])
         return closed_table(n, field, sizes)
     if mode in ("brute_force", "brute"):
         return brute_table(n, field, bound, partition=partition, spec=spec, ctx=ctx)
@@ -340,7 +399,8 @@ def group_order_tri(n: int, field: FieldSpec) -> int:
 
 
 def compare_tables(t1: CharacterTable, t2: CharacterTable) -> list[str]:
-    """Entrywise diff of two tables sharing label sets; empty means identical."""
+    """Diff of the size rows and of the entries of two tables sharing label
+    sets; empty means identical."""
     diffs = []
     if [l.render() for l in t1.row_labels] != [l.render() for l in t2.row_labels]:
         diffs.append("row label sets differ")
@@ -348,6 +408,9 @@ def compare_tables(t1: CharacterTable, t2: CharacterTable) -> list[str]:
         diffs.append("column label sets differ")
     if diffs:
         return diffs
+    for c, (a, b) in enumerate(zip(t1.sizes, t2.sizes)):
+        if a != b:
+            diffs.append(f"[size @ {t1.col_labels[c].render()}] {a} != {b}")
     for r, (row1, row2) in enumerate(zip(t1.values, t2.values)):
         for c, (a, b) in enumerate(zip(row1, row2)):
             if a != b:

@@ -5,15 +5,16 @@ import random
 
 import pytest
 
-from supchar import algebra, linalg
+from supchar import algebra
 from supchar.algebra import (
     AlgebraSpec,
     Block,
     certify_generators,
+    corner_generators,
+    corner_j_basis,
     corner_orbit,
     g_elements,
     group_order,
-    h_elements,
     is_singular,
     load_algebra,
     load_algebra_file,
@@ -41,7 +42,7 @@ from supchar.errors import (
     SpaceTooLarge,
 )
 from supchar import triangular as tri
-from supchar.superclasses import superclass_partition
+from supchar.superclasses import superclass_partition, transporter_count
 from supchar.supercharacters import nn_orbits
 
 from conftest import get_field, get_spec, random_triple
@@ -359,34 +360,69 @@ def test_censuses_and_partition_run_the_certificate(monkeypatch):
             run(s)
 
 
-def _stabilizer_order(s, x, hs):
-    """|Stab(x)| in G~ by linear algebra: (t, 1+u, 1+v) fixes x exactly when
-    u x - x_t v = x_t - x with x_t = t^-1 x t, so the stabilizer has
-    sum over t in H of [the system is consistent] q^{dim ker} elements."""
-    F = s.field
-    rad = s.radical_basis
-    minus_one = F.neg(1)
-    total = 0
-    for t in hs:
-        xt = s.mul_many(s.invert(t), x, t)
-        cols = [s.j_coords(s.mul(s.basis_vec(r), x)) for r in rad]
-        cols += [s.j_coords(s.smul(minus_one, s.mul(xt, s.basis_vec(r)))) for r in rad]
-        rows = [list(row) for row in zip(*cols)]
-        if linalg.solve(F, rows, list(s.j_coords(s.sub(xt, x)))) is not None:
-            total += F.q ** len(linalg.kernel_basis(F, rows))
-    return total
+def _corners(s):
+    nb = len(s.blocks)
+    return [frozenset(i for i in range(nb) if mask >> i & 1) for mask in range(2 ** nb)]
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (2, 2, 2), (3, 3, 1)])
+def test_certificate_accepts_every_corner(n, p, k):
+    s = get_spec(n, p, k)
+    for T in _corners(s):
+        certify_generators(s, corner_generators(s, T), T)
+
+
+def test_corner_certificate_rejects_a_missing_corner_direction():
+    # the corner of blocks 1, 2, 3 of T(4, 2) is T(3, 2): J_e = <E12, E13, E23>
+    s = get_spec(4, 2)
+    T = frozenset({0, 1, 2})
+    assert len(corner_j_basis(s, T)) == 3
+    gens = _without_direction(s, corner_generators(s, T), root_index(4, 1, 2))
+    with pytest.raises(NotGenerating,
+                       match="a-parts generate a subgroup of order 4 of N, which has order 8"):
+        certify_generators(s, gens, T)
+
+
+def test_corner_certificate_rejects_parts_off_the_corner():
+    # blocks 2 and 3 of T(3, 3) have tori of equal order, and E12, E23 span
+    # lines of equal size, so swapping one for the other keeps every closure
+    # size right: only the membership test sees that it left the corner {1, 2}
+    s = get_spec(3, 3)
+    T = frozenset({0, 1})
+    gens = corner_generators(s, T)
+    torus = [g for g in tilde_generators(s) if g.t != s.unit]
+    swapped_t = [torus[2] if g is gens[1] else g for g in gens]
+    assert gens[1].t == torus[1].t
+    with pytest.raises(NotGenerating, match="t-part .* lies outside H of the corner"):
+        certify_generators(s, swapped_t, T)
+    e23 = s.basis_vec(root_index(3, 2, 3))
+    off = [make_triple(s, s.unit, s.add(s.unit, s.smul(c, e23)), s.unit) for c in (1, 2)]
+    swapped_a = [g for g in gens if g.a == s.unit] + off
+    with pytest.raises(NotGenerating, match="a-part .* lies outside N of the corner"):
+        certify_generators(s, swapped_a, T)
+
+
+def test_corner_orbits_run_the_corner_certificate(monkeypatch):
+    full = algebra.corner_generators
+    monkeypatch.setattr(algebra, "corner_generators", lambda spec, T: full(spec, T)[:-1])
+    runs = (lambda s: corner_orbit(s, frozenset({0, 1, 2}), s.zero(), "rho"),
+            superclass_partition)
+    for run in runs:
+        s = tri.make_triangular(3, get_field(2))    # fresh: no corner certified yet
+        with pytest.raises(NotGenerating):
+            run(s)
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2)])
 def test_census_orbits_satisfy_orbit_stabilizer(n, p, k):
-    """|orbit| |Stab| = |H| |N|^2 for every J-orbit, with |Stab| computed
-    independently of the BFS and of the generators."""
+    """|orbit| |Stab| = |H| |N|^2 for every J-orbit, with |Stab| counted by
+    linear algebra (transporter_count), independently of the BFS and of the
+    generators."""
     s = get_spec(n, p, k)
-    hs = h_elements(s)
     tilde_order = group_order(s) * s.field.q ** len(s.radical_basis)
     for orb in orbit_census(s, "J").orbits:
         x = orb.representative
-        assert len(orb.members) * _stabilizer_order(s, x, hs) == tilde_order, x
+        assert len(orb.members) * transporter_count(s, x, x) == tilde_order, x
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])

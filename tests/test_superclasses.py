@@ -19,6 +19,7 @@ from supchar.superclasses import (
     predicted_count,
     r_act,
     superclass_partition,
+    transporter_count,
 )
 from supchar import triangular as tri
 
@@ -180,6 +181,24 @@ def test_labels_distinct_and_mapping_consistent(n, p):
         rec = next(r for r in partition if g in r.members)
         want_e = frozenset(i - 1 for i in lbl_cls.dprime.rowcol())
         assert rec.label.e == want_e
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2)])
+def test_transporter_count_detects_superclass_membership(n, p, k):
+    """For every pair g, g' of G: the triples taking g to g' number
+    |G~| / |class of g| (a coset of the stabilizer) when g' lies in the
+    superclass of g, and none otherwise."""
+    s = get_spec(n, p, k)
+    tilde = group_order(s) * s.field.q ** len(s.radical_basis)
+    partition = get_partition(n, p, k)
+    class_of = {g: ci for ci, rec in enumerate(partition) for g in rec.members}
+    gl = g_elements(s)
+    for g in gl:
+        x = s.sub(g, s.unit)
+        want = tilde // partition[class_of[g]].size
+        for h in gl:
+            count = transporter_count(s, x, s.sub(h, s.unit))
+            assert count == (want if class_of[h] == class_of[g] else 0), (g, h)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3)])

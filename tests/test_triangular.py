@@ -1,7 +1,11 @@
+import csv
+import io
+
 import pytest
 
+from supchar.cli import main
 from supchar.cyclo import CycloNumber
-from supchar.errors import BadSize
+from supchar.errors import BadSize, PartitionMismatch
 from supchar import triangular as tri
 
 from conftest import get_field, get_partition, get_spec
@@ -156,6 +160,50 @@ def test_class_record_map_is_bijection():
     assert sorted(mapping) == list(range(len(partition)))
 
 
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2),
+                                   (4, 2, 1), (5, 2, 1)])
+def test_closed_sizes_equal_partition_sizes(n, p, k):
+    s = get_spec(n, p, k)
+    class_labels, _ = tri.labels(n, s.field)
+    partition = get_partition(n, p, k)
+    mapping = tri.class_record_map(s, n, class_labels, partition)
+    closed = tri.table(n, s.field, "closed", spec=s)
+    assert closed.sizes == [partition[i].size for i in mapping]
+
+
+def test_closed_sizes_reject_a_duplicated_label(monkeypatch):
+    s = get_spec(3, 3)
+    class_labels, char_labels = tri.labels(3, s.field)
+    sizes = tri.superclass_sizes(s, 3, class_labels)
+    assert sum(sizes) == 216
+
+    def closed_with(cls):
+        monkeypatch.setattr(tri, "labels", lambda n, field: (cls, char_labels))
+        return tri.table(3, s.field, "closed", spec=s)
+
+    # label i twice, label j dropped
+    i, j = next((i, j) for i in range(len(sizes)) for j in range(len(sizes))
+                if i != j and sizes[i] == sizes[j])
+    with pytest.raises(PartitionMismatch, match="label one superclass"):
+        closed_with([class_labels[i]] + [l for c, l in enumerate(class_labels) if c != j])
+    i, j = next((i, j) for i in range(len(sizes)) for j in range(len(sizes))
+                if sizes[i] != sizes[j])
+    with pytest.raises(PartitionMismatch, match="sum to"):
+        closed_with([class_labels[i]] + [l for c, l in enumerate(class_labels) if c != j])
+
+
+def test_closed_t53_sizes_need_no_enumeration(capsys):
+    """|G| = 1,889,568 lies beyond every enumeration of G; with the bound raised
+    the closed table still gets its size row, and it sums to |G|."""
+    assert main(["table", "--n", "5", "--p", "3", "--bound", "2000000", "--mode", "closed"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert sum(int(v) for v in rows[1][1:]) == 1_889_568
+    # the bound still guards the size row
+    assert main(["table", "--n", "3", "--p", "3", "--bound", "100", "--mode", "closed"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1][1:] == [""] * 15
+
+
 def test_to_general_label():
     s = get_spec(2, 3)
     lbl = tri.TriSupercharLabel((0, 1), D())
@@ -183,6 +231,16 @@ def test_table_row_column_order_stable():
     t2 = tri.table(2, F, mode="closed")
     assert t1.to_csv() == t2.to_csv()
     assert t1.row_labels[0].render() == "c=[0, 0];D={}"
+
+
+def test_compare_tables_reports_a_size_mismatch():
+    F = get_field(3)
+    closed = tri.table(2, F, mode="closed")
+    brute = tri.table(2, F, mode="brute")
+    assert tri.compare_tables(closed, brute) == []
+    brute.sizes[1] += 1
+    assert tri.compare_tables(closed, brute) == [
+        f"[size @ {closed.col_labels[1].render()}] {closed.sizes[1]} != {closed.sizes[1] + 1}"]
 
 
 def test_compare_tables_reports_differences():
