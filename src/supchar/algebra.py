@@ -83,7 +83,6 @@ class AlgebraSpec:
             for row in self.mul_table
         )
         self._inv_cache: dict = {}
-        self._certified = False     # set once certify_generators has passed
         self._corner_gens: dict = {}    # T -> certified corner_generators
         self._corner_maps: dict = {}    # (T, action) -> their compiled actions
         self._torus_conj = None         # y -> t^-1 y t for every t in H
@@ -159,19 +158,10 @@ class AlgebraSpec:
         return tuple(vec)
 
     def j_vectors(self):
-        """All elements of J as full-dimension vectors, lexicographic order."""
-        F = self.field
-        coords_list = [()]
-        for _ in self.radical_basis:
-            coords_list = [c + (v,) for c in coords_list for v in range(F.q)]
-        return [self.j_embed(c) for c in coords_list]
-
-    def dual_vectors(self):
-        F = self.field
-        out = [()]
-        for _ in self.radical_basis:
-            out = [c + (v,) for c in out for v in range(F.q)]
-        return out
+        """All elements of J as full-dimension vectors, lexicographic in the
+        radical coordinates."""
+        basis = [self.basis_vec(i) for i in self.radical_basis]
+        return list(linalg.span(self.field, basis, self.dim))
 
     # -- inversion ---------------------------------------------------------
 
@@ -308,7 +298,7 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
                spec.mul(basis[i], blk.idempotent) != basis[i]:
                 raise BadIdempotents(f"blocks[{bi}]: idempotent is not a unit of the block")
         # every nonzero block element must be invertible inside the block
-        for z in _span_vectors(spec, sub):
+        for z in linalg.span(F, [basis[i] for i in sub], d):
             if z == spec.zero():
                 continue
             rows = [[spec.mul(z, basis[j])[l] for j in sub] for l in sub]
@@ -349,17 +339,6 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     return spec
 
 
-def _span_vectors(spec: AlgebraSpec, idx_list):
-    """All vectors supported on the given coordinates (full-dim tuples)."""
-    F = spec.field
-    vecs = [spec.zero()]
-    for i in idx_list:
-        b = spec.basis_vec(i)
-        scaled = [spec.smul(c, b) for c in range(F.q)]
-        vecs = [spec.add(v, s) for v in vecs for s in scaled]
-    return vecs
-
-
 def _build_block_data(spec: AlgebraSpec):
     """Per-block unit sets, multiplicative generators and discrete logs."""
     F = spec.field
@@ -367,7 +346,7 @@ def _build_block_data(spec: AlgebraSpec):
     spec.block_gen = []
     spec.block_dlog = []
     for blk in spec.blocks:
-        elems = _span_vectors(spec, list(blk.basis))
+        elems = linalg.span(F, [spec.basis_vec(i) for i in blk.basis], spec.dim)
         units = sorted(z for z in elems if z != spec.zero())
         order = F.q ** blk.degree - 1
         gen = None
@@ -404,10 +383,6 @@ def h_elements(spec: AlgebraSpec):
     for units in spec.block_units:
         combos = [spec.add(v, u) for v in combos for u in units]
     return sorted(combos)
-
-
-def n_elements(spec: AlgebraSpec):
-    return [spec.add(spec.unit, x) for x in spec.j_vectors()]
 
 
 def group_order(spec: AlgebraSpec) -> int:
@@ -483,24 +458,6 @@ def rho_dual_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
     return LinearMap(spec.field, cols, [0] * len(rad))
 
 
-def tilde_generators(spec: AlgebraSpec, torus: bool = True):
-    """Generator triples: block torus generators (unless torus is False) plus
-    1 + c*b_i on either side.  Each triple moves one of t, a, b only."""
-    gens = []
-    if torus:
-        for i, blk in enumerate(spec.blocks):
-            if spec.block_orders[i] > 1:
-                t = spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
-                gens.append(make_triple(spec, t, spec.unit, spec.unit))
-    for r in spec.radical_basis:
-        b = spec.basis_vec(r)
-        for c in range(1, spec.field.q):
-            a = spec.add(spec.unit, spec.smul(c, b))
-            gens.append(make_triple(spec, spec.unit, a, spec.unit))
-            gens.append(make_triple(spec, spec.unit, spec.unit, a))
-    return gens
-
-
 def torus_conjugations(spec: AlgebraSpec) -> list:
     """The compiled apply functions of y -> t^-1 y t for every t in H, built
     once per spec."""
@@ -508,6 +465,46 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
         spec._torus_conj = [sandwich_map(spec, spec.invert(t), t).apply
                             for t in h_elements(spec)]
     return spec._torus_conj
+
+
+# ---------------------------------------------------------------------------
+# generators of the corner groups G~_e, and their orbits
+# ---------------------------------------------------------------------------
+
+def _corner(spec: AlgebraSpec, T: frozenset | None) -> frozenset:
+    """T, or every block when T is None (the corner e = 1, where G~_e = G~)."""
+    return frozenset(range(len(spec.blocks))) if T is None else T
+
+
+def corner_j_basis(spec: AlgebraSpec, T: frozenset):
+    """An independent set of projections e b_r e spanning J_e (full-dim vectors)."""
+    e = idempotent_of(spec, T)
+    rows = []
+    for r in spec.radical_basis:
+        v = spec.mul(e, spec.mul(spec.basis_vec(r), e))
+        if v != spec.zero():
+            rows.append(list(v))
+    if not rows:
+        return []
+    mat, pivots = linalg.rref(spec.field, rows)
+    return [tuple(mat[i]) for i in range(len(pivots))]
+
+
+def corner_generators(spec: AlgebraSpec, T: frozenset):
+    """Generator triples of G~_e embedded in G~ (identity off the corner);
+    with T every block, e = 1 and they generate G~ itself."""
+    gens = []
+    for i in sorted(T):
+        if spec.block_orders[i] > 1:
+            t = spec.add(spec.block_gen[i],
+                         spec.sub(spec.unit, spec.blocks[i].idempotent))
+            gens.append(make_triple(spec, t, spec.unit, spec.unit))
+    for b in corner_j_basis(spec, T):
+        for c in range(1, spec.field.q):
+            a = spec.add(spec.unit, spec.smul(c, b))
+            gens.append(make_triple(spec, spec.unit, a, spec.unit))
+            gens.append(make_triple(spec, spec.unit, spec.unit, a))
+    return gens
 
 
 def closure(start, maps) -> set:
@@ -542,8 +539,7 @@ def certify_generators(spec: AlgebraSpec, gens, T: frozenset | None = None) -> N
     """
     unit = spec.unit
     zero = spec.zero()
-    if T is None:
-        T = frozenset(range(len(spec.blocks)))
+    T = _corner(spec, T)
     off = [blk.idempotent for i, blk in enumerate(spec.blocks) if i not in T]
     h_set = set(h_elements(spec))
 
@@ -579,41 +575,60 @@ def certify_generators(spec: AlgebraSpec, gens, T: frozenset | None = None) -> N
                                 f"of {name}, which has order {order}")
 
 
-def certified_generators(spec: AlgebraSpec, torus: bool = True):
-    """tilde_generators(spec, torus), once certify_generators has proved that
-    the full list generates G~.  The proof runs once per spec; without the
-    torus the triples generate 1 x (N x N), which the same proof covers."""
-    if not spec._certified:
-        certify_generators(spec, tilde_generators(spec))
-        spec._certified = True
-    return tilde_generators(spec, torus)
+def certified_corner(spec: AlgebraSpec, T: frozenset | None = None) -> list:
+    """corner_generators(spec, T) for the corner e = e_T (default: every
+    block, so e = 1 and G~_e = G~), once certify_generators has proved that
+    they generate G~_e.  The proof runs once per T and spec."""
+    T = _corner(spec, T)
+    if T not in spec._corner_gens:
+        gens = corner_generators(spec, T)
+        certify_generators(spec, gens, T)
+        spec._corner_gens[T] = gens
+    return spec._corner_gens[T]
 
 
-def action_maps(spec: AlgebraSpec, action: str, generators) -> list:
-    """The compiled apply functions of the generators under action "rho"
-    (on full vectors of J) or "rho_dual" (on radical coordinates)."""
-    compile_map = rho_map if action == "rho" else rho_dual_map
-    return [compile_map(spec, g).apply for g in generators]
+def corner_maps(spec: AlgebraSpec, T: frozenset | None, action: str) -> list:
+    """The compiled apply functions of certified_corner(spec, T) under action
+    "rho" (on full vectors of J) or "rho_dual" (on radical coordinates),
+    compiled once per (T, action) and spec."""
+    T = _corner(spec, T)
+    if (T, action) not in spec._corner_maps:
+        compile_map = rho_map if action == "rho" else rho_dual_map
+        spec._corner_maps[T, action] = [compile_map(spec, g).apply
+                                        for g in certified_corner(spec, T)]
+    return spec._corner_maps[T, action]
 
 
-def orbit(spec: AlgebraSpec, start, action: str, maps=None) -> OrbitRecord:
-    """BFS closure of `start` under generator triples (action: "rho" or "rho_dual").
+def orbit_partition(points, maps) -> list[frozenset]:
+    """The closures of the points under the maps, in order of their least
+    member.  Under the compiled actions of certified generators these are
+    exactly the orbits of the group they generate (see orbit)."""
+    seen = set()
+    orbits = []
+    for v in points:
+        if v not in seen:
+            members = frozenset(closure(v, maps))
+            seen |= members
+            orbits.append(members)
+    assert len(seen) == len(points), "orbits do not partition the points"
+    return sorted(orbits, key=min)
 
-    maps are the generators' compiled actions (action_maps); the default is
-    those of certified_generators(spec).  A finite group is generated by any
-    generating set as a semigroup, so applying certified generators (without
-    inverses) reaches exactly the G~-orbit.  J is an ideal, so checking the
-    start once keeps the whole orbit inside J.
+
+def orbit(spec: AlgebraSpec, start, action: str, T: frozenset | None = None) -> OrbitRecord:
+    """The G~_e-orbit of `start` (action: "rho" or "rho_dual") for the corner
+    e = e_T (default: every block, so the G~-orbit), with start in J_e or J_e*.
+
+    A finite group is generated by any generating set as a semigroup, so the
+    BFS closure under certified generators (certified_corner), applied without
+    inverses, is exactly the orbit.  J is an ideal, so checking the start once
+    keeps the whole orbit inside J.
     """
     if action == "rho":
         start = tuple(start)
         if not spec.in_radical(start):
             raise NotInRadical(f"{start} has a nonzero S-component")
-    if maps is None:
-        maps = action_maps(spec, action, certified_generators(spec))
-    members = closure(start, maps)
-    tag = "J" if action == "rho" else "J*"
-    return OrbitRecord(frozenset(members), min(members), tag)
+    members = frozenset(closure(start, corner_maps(spec, T, action)))
+    return OrbitRecord(members, min(members), "J" if action == "rho" else "J*")
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +668,6 @@ def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> frozenset:
     return minimal[0]
 
 
-def support_idempotent(spec: AlgebraSpec, orb: OrbitRecord):
-    """The minimal idempotent e with orb meeting J_e, plus a witness member."""
-    T = orbit_support(spec, orb)
-    supp = element_support if orb.space_tag == "J" else form_support
-    witness = min(v for v in orb.members if supp(spec, v) <= T)
-    return idempotent_of(spec, T), T, witness
-
-
 def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
     """Annihilator criterion: singular iff some c in A \\ J kills v on both sides."""
     F = spec.field
@@ -685,58 +692,6 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subalgebra (corner) orbits, via embedded generators of G~_e
-# ---------------------------------------------------------------------------
-
-def corner_j_basis(spec: AlgebraSpec, T: frozenset):
-    """An independent set of projections e b_r e spanning J_e (full-dim vectors)."""
-    e = idempotent_of(spec, T)
-    rows = []
-    for r in spec.radical_basis:
-        v = spec.mul(e, spec.mul(spec.basis_vec(r), e))
-        if v != spec.zero():
-            rows.append(list(v))
-    if not rows:
-        return []
-    mat, pivots = linalg.rref(spec.field, rows)
-    return [tuple(mat[i]) for i in range(len(pivots))]
-
-
-def corner_generators(spec: AlgebraSpec, T: frozenset):
-    """Generator triples of G~_e embedded in G~ (identity off the corner)."""
-    gens = []
-    for i in sorted(T):
-        if spec.block_orders[i] > 1:
-            t = spec.add(spec.block_gen[i],
-                         spec.sub(spec.unit, spec.blocks[i].idempotent))
-            gens.append(make_triple(spec, t, spec.unit, spec.unit))
-    for b in corner_j_basis(spec, T):
-        for c in range(1, spec.field.q):
-            a = spec.add(spec.unit, spec.smul(c, b))
-            gens.append(make_triple(spec, spec.unit, a, spec.unit))
-            gens.append(make_triple(spec, spec.unit, spec.unit, a))
-    return gens
-
-
-def corner_maps(spec: AlgebraSpec, T: frozenset, action: str) -> list:
-    """The compiled actions of corner_generators(spec, T); the generators are
-    certified once per T, and compiled once per (T, action), per spec."""
-    if T not in spec._corner_gens:
-        gens = corner_generators(spec, T)
-        certify_generators(spec, gens, T)
-        spec._corner_gens[T] = gens
-    key = (T, action)
-    if key not in spec._corner_maps:
-        spec._corner_maps[key] = action_maps(spec, action, spec._corner_gens[T])
-    return spec._corner_maps[key]
-
-
-def corner_orbit(spec: AlgebraSpec, T: frozenset, start, action: str) -> OrbitRecord:
-    """The G~_e-orbit of an element/form of the corner J_e, e = e_T."""
-    return orbit(spec, start, action, corner_maps(spec, T, action))
-
-
-# ---------------------------------------------------------------------------
 # censuses
 # ---------------------------------------------------------------------------
 
@@ -758,19 +713,13 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
     size = F.q ** len(spec.radical_basis)
     if size > bound:
         raise SpaceTooLarge(f"|{space}| = {size} exceeds bound {bound}")
-    action = "rho" if space == "J" else "rho_dual"
-    vectors = spec.j_vectors() if space == "J" else spec.dual_vectors()
-    maps = action_maps(spec, action, certified_generators(spec))
-    seen = set()
-    orbits = []
-    for v in vectors:
-        if v in seen:
-            continue
-        orb = orbit(spec, v, action, maps)
-        seen |= orb.members
-        orbits.append(orb)
-    assert len(seen) == size, "orbits do not partition the space"
-    orbits.sort(key=lambda o: o.representative)
+    points = spec.j_vectors()
+    if space == "J":
+        tag, maps = "J", corner_maps(spec, None, "rho")
+    else:
+        points = [spec.j_coords(x) for x in points]     # J* in radical coordinates
+        tag, maps = "J*", corner_maps(spec, None, "rho_dual")
+    orbits = [OrbitRecord(m, min(m), tag) for m in orbit_partition(points, maps)]
     supports = [orbit_support(spec, o) for o in orbits]
 
     nb = len(spec.blocks)

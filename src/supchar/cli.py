@@ -78,12 +78,8 @@ def _render_table(table, fmt: str) -> str:
 def cmd_table(args) -> int:
     bound = _bound(args)
     F = _field(args)
-    if args.mode == "closed":
-        _write(args.out, _render_table(tri.table(args.n, F, "closed", bound), args.format))
-        return EXIT_OK
-    if args.mode == "brute":
-        _write(args.out, _render_table(
-            tri.table(args.n, F, "brute", bound), args.format))
+    if args.mode != "both":
+        _write(args.out, _render_table(tri.table(args.n, F, args.mode, bound), args.format))
         return EXIT_OK
     # mode both: build both, diff, write the closed table plus a report
     spec = tri.make_triangular(args.n, F)
@@ -273,13 +269,19 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     env = os.environ.get("SUPCHAR_BOUND")
+    source = "--bound"
     if args.bound is None and env:
+        source = "SUPCHAR_BOUND"
         try:
             args.bound = int(env)
         except ValueError:
             print(f"invalid configuration: SUPCHAR_BOUND must be an integer, got {env!r}",
                   file=sys.stderr)
             return EXIT_BAD_CONFIG
+    if args.bound is not None and args.bound < 0:
+        print(f"invalid configuration: {source} must be non-negative, got {args.bound}",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
     uses_field = args.command == "table" or (
         args.command in ("verify", "orbits") and not args.spec)
     if args.command == "algebra" and not args.spec:

@@ -210,23 +210,3 @@ class CycloNumber:
 
     def __repr__(self):
         return f"CycloNumber({self.order}, {self.render()!r})"
-
-
-def cyclo_op(op: str, *args):
-    """Dispatch a named cyclotomic operation; uniform entry point for tooling."""
-    if op == "make_root":
-        m, j = args
-        return CycloNumber.root(m, j)
-    if op == "add":
-        return args[0] + args[1]
-    if op == "mul":
-        return args[0] * args[1]
-    if op == "neg":
-        return -args[0]
-    if op == "conj":
-        return args[0].conj()
-    if op == "eq":
-        return args[0] == args[1]
-    if op == "is_zero":
-        return args[0].is_zero()
-    raise ValueError(f"unknown cyclo op {op!r}")

@@ -37,14 +37,6 @@ class FieldSpec:
 
     # -- element encoding ----------------------------------------------
 
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector (length k) of the element encoding."""
-        digits = []
-        for _ in range(self.k):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
     def encode(self, digits) -> int:
         a = 0
         for d in reversed(list(digits)):
@@ -92,9 +84,6 @@ class FieldSpec:
             return 0
         n = self.q - 1
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % n]
-
-    def smul(self, c: int, a: int) -> int:
-        return self.mul(c, a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -250,48 +239,9 @@ def field_make_custom(p: int, k: int, modulus: tuple[int, ...], generator: int) 
     return _finish(p, k, modulus, generator, *tables)
 
 
-def field_op(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
-    """Dispatch a named field operation; the uniform entry point used by the CLI."""
-    if op == "add":
-        return spec.add(a, b)
-    if op == "sub":
-        return spec.sub(a, b)
-    if op == "mul":
-        return spec.mul(a, b)
-    if op == "div":
-        return spec.div(a, b)
-    if op == "inv":
-        return spec.inv(a)
-    if op == "neg":
-        return spec.neg(a)
-    raise ValueError(f"unknown field op {op!r}")
-
-
-def additive_char(spec: FieldSpec, c: int, m: int):
-    """The fixed nontrivial additive character: zeta_p^{Tr(c)} at order m."""
-    from .cyclo import CycloNumber
-    return CycloNumber.root(m, additive_char_exponent(spec, c, m))
-
-
-def mult_char(spec: FieldSpec, exponent: int, h: int, m: int):
-    """The multiplicative character h |-> zeta_{q-1}^{exponent*dlog(h)} at order m."""
-    from .cyclo import CycloNumber
-    return CycloNumber.root(m, mult_char_exponent(spec, exponent, h, m))
-
-
 def additive_char_exponent(spec: FieldSpec, c: int, m: int) -> int:
-    """Exponent j with chi(c) = zeta_m^j for the fixed additive character."""
+    """Exponent j with chi(c) = zeta_m^j for the fixed nontrivial additive
+    character chi(c) = zeta_p^{Tr(c)}."""
     if m % spec.p != 0:
         raise BadOrder(f"cyclotomic order {m} not divisible by p={spec.p}")
     return (spec.trace(c) * (m // spec.p)) % m
-
-
-def mult_char_exponent(spec: FieldSpec, exponent: int, h: int, m: int) -> int:
-    """Exponent j with theta(h) = zeta_m^j for the power-of-dlog character."""
-    if spec.q > 2 and m % (spec.q - 1) != 0:
-        raise BadOrder(f"cyclotomic order {m} not divisible by q-1={spec.q - 1}")
-    if h == 0:
-        raise LogOfZero("multiplicative character at zero")
-    if spec.q == 2:
-        return 0
-    return (exponent * spec.dlog(h) * (m // (spec.q - 1))) % m

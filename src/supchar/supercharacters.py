@@ -12,15 +12,16 @@ from functools import cached_property
 from . import linalg
 from .algebra import (
     AlgebraSpec,
-    action_maps,
+    OrbitRecord,
     block_component,
-    certified_generators,
-    corner_orbit,
+    certified_corner,
     form_support,
     group_order,
     h_elements,
     orbit,
+    orbit_partition,
     orbit_support,
+    rho_dual_map,
     sandwich_map,
 )
 from .cyclo import CycloNumber
@@ -32,7 +33,7 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import conjugacy_classes, identity_index
+from .superclasses import conjugacy_classes, identity_index, superclass_index
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
     F = spec.field
     if check_regular:
         if form_support(spec, lam) != e or \
-                orbit_support(spec, corner_orbit(spec, e, lam, "rho_dual")) != e:
+                orbit_support(spec, orbit(spec, lam, "rho_dual", e)) != e:
             raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
 
     rad = list(spec.radical_basis)
@@ -350,10 +351,7 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
             break
     out.append(CheckResult("disjoint", disjoint, bad or "all off-diagonal inner products 0"))
 
-    member_to_class = {}
-    for ci, rec in enumerate(partition):
-        for g in rec.members:
-            member_to_class[g] = ci
+    member_to_class = superclass_index(partition)
     refines = all(len({member_to_class[g] for g in cls}) == 1 for cls in conj_classes)
     out.append(CheckResult("conjugacy-refinement", refines,
                            f"{len(conj_classes)} conjugacy classes"))
@@ -393,18 +391,13 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
 # ---------------------------------------------------------------------------
 
 def nn_orbits(spec: AlgebraSpec):
-    """N x N-orbits in J* (the triple-group action with trivial torus part)."""
-    maps = action_maps(spec, "rho_dual", certified_generators(spec, torus=False))
-    seen = set()
-    orbits = []
-    for v in spec.dual_vectors():
-        if v in seen:
-            continue
-        orb = orbit(spec, v, "rho_dual", maps)
-        seen |= orb.members
-        orbits.append(orb)
-    orbits.sort(key=lambda o: o.representative)
-    return orbits
+    """N x N-orbits in J* (the triple-group action with trivial torus part).
+
+    The certified generators of G~ with t = 1 generate 1 x (N x N): their
+    a-parts and b-parts each generate N, which is what certified_corner proved."""
+    maps = [rho_dual_map(spec, g).apply for g in certified_corner(spec) if g.t == spec.unit]
+    points = [spec.j_coords(x) for x in spec.j_vectors()]
+    return [OrbitRecord(m, min(m), "J*") for m in orbit_partition(points, maps)]
 
 
 def n_supercharacter(spec: AlgebraSpec, mu, bound: int = 2 ** 17) -> dict:
@@ -460,10 +453,7 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
 
     n_chars is n_characters(spec); pass it in to share it between labels."""
     nl = [spec.add(spec.unit, x) for x in spec.j_vectors()]
-    member_to_idx = {}
-    for ci, rec in enumerate(partition):
-        for g in rec.members:
-            member_to_idx[g] = ci
+    member_to_idx = superclass_index(partition)
     res = {g: cf.values[member_to_idx[g]] for g in nl}
 
     if n_chars is None:

@@ -7,17 +7,16 @@ from . import linalg
 from .algebra import (
     AlgebraSpec,
     LinearMap,
-    OrbitRecord,
     TildeTriple,
     associated_support,
     block_component,
-    certified_generators,
-    closure,
-    corner_orbit,
+    certified_corner,
     element_support,
     g_elements,
     group_order,
     idempotent_of,
+    orbit,
+    orbit_partition,
     orbit_support,
     regular_orbit_counts,
     sandwich_map,
@@ -139,7 +138,7 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
             raise ReductionFailed("reduced element left the superclass")
 
     fprime = frozenset(range(len(spec.blocks))) - fset
-    orb = corner_orbit(spec, fprime, y, "rho")
+    orb = orbit(spec, y, "rho", fprime)
     T = orbit_support(spec, orb)
     omega_rep = min(v for v in orb.members if element_support(spec, v) <= T)
     if spec.add(h, omega_rep) not in members:
@@ -151,25 +150,21 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     """All superclasses, labeled and sorted by representative.
 
     Each superclass is the BFS closure of an element under the certified
-    generators (certified_generators), so it is exactly one G~-orbit."""
+    generators of G~ (certified_corner), so it is exactly one G~-orbit."""
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    maps = [r_map(spec, tau).apply for tau in certified_generators(spec)]
-    seen = set()
-    classes = []
-    for g in g_elements(spec):
-        if g in seen:
-            continue
-        members = closure(g, maps)
-        seen |= members
-        classes.append(members)
-    assert len(seen) == size, "superclasses do not partition G"
-    records = [SuperclassRecord(classify(spec, m), frozenset(m), min(m)) for m in classes]
-    records.sort(key=lambda r: r.representative)
+    maps = [r_map(spec, tau).apply for tau in certified_corner(spec)]
+    records = [SuperclassRecord(classify(spec, m), m, min(m))
+               for m in orbit_partition(g_elements(spec), maps)]
     labels = {r.label for r in records}
     assert len(labels) == len(records), "distinct superclasses share a label"
     return records
+
+
+def superclass_index(partition) -> dict:
+    """{g: i} for every element g of the superclass partition[i]."""
+    return {g: ci for ci, rec in enumerate(partition) for g in rec.members}
 
 
 def identity_index(spec: AlgebraSpec, partition) -> int:
@@ -219,21 +214,3 @@ def conjugacy_classes(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
         seen |= cls
         classes.append(frozenset(cls))
     return classes
-
-
-def partition_to_json(spec: AlgebraSpec, partition) -> list:
-    out = []
-    for rec in partition:
-        lbl = rec.label
-        h_blocks = [[rec.label.h[i] for i in blk.basis] for blk in spec.blocks]
-        out.append({
-            "label": {
-                "e": sorted(lbl.e),
-                "f": sorted(lbl.f),
-                "h": h_blocks,
-                "omega_rep": list(lbl.omega_rep),
-            },
-            "size": rec.size,
-            "representative": list(rec.representative),
-        })
-    return out

@@ -10,8 +10,13 @@ from . import linalg
 from .algebra import AlgebraSpec, Block, group_order, validate_algebra
 from .cyclo import CycloNumber
 from .errors import BadSize, PartitionMismatch
-from .fields import FieldSpec, field_make
-from .superclasses import DEFAULT_GROUP_BOUND, superclass_partition, transporter_count
+from .fields import FieldSpec
+from .superclasses import (
+    DEFAULT_GROUP_BOUND,
+    superclass_index,
+    superclass_partition,
+    transporter_count,
+)
 from .supercharacters import (
     CharacterTable,
     InductionContext,
@@ -279,10 +284,7 @@ def class_rep(spec: AlgebraSpec, n: int, lbl: TriSuperclassLabel):
 
 def class_record_map(spec: AlgebraSpec, n: int, class_labels, partition):
     """Bijection from (h, D') labels to superclass records via g_{h,D'}."""
-    member_to_idx = {}
-    for ci, rec in enumerate(partition):
-        for g in rec.members:
-            member_to_idx[g] = ci
+    member_to_idx = superclass_index(partition)
     mapping = [member_to_idx[class_rep(spec, n, lbl)] for lbl in class_labels]
     assert sorted(mapping) == list(range(len(partition))), \
         "triangular labels do not biject onto the superclass partition"
@@ -347,11 +349,8 @@ def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
         values.append(row)
     if sizes is None:
         sizes = [None] * len(class_labels)
-    go = 1
-    for _ in range(n):
-        go *= field.q - 1
-    go *= field.q ** (n * (n - 1) // 2)
-    return CharacterTable(char_labels, class_labels, sizes, values, go, order,
+    return CharacterTable(char_labels, class_labels, sizes, values,
+                          group_order_tri(n, field), order,
                           constancy="closed-form")
 
 
@@ -374,22 +373,22 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
                           base.group_order, base.cyclo_order, constancy=base.constancy)
 
 
-def table(n: int, field: FieldSpec, mode: str = "closed_form",
+def table(n: int, field: FieldSpec, mode: str = "closed",
           bound: int = DEFAULT_GROUP_BOUND, partition=None,
           spec: AlgebraSpec | None = None,
           ctx: InductionContext | None = None) -> CharacterTable:
-    """The closed-form or brute-force table; a given spec of T(n, field) is
-    used instead of being built again, and so are a given partition and
-    InductionContext by the brute-force table.  The closed form's size row is
-    left empty when |G| exceeds bound."""
-    if mode in ("closed_form", "closed"):
+    """The closed-form (mode "closed") or brute-force (mode "brute") table; a
+    given spec of T(n, field) is used instead of being built again, and so
+    are a given partition and InductionContext by the brute-force table.  The
+    closed form's size row is left empty when |G| exceeds bound."""
+    if mode == "closed":
         sizes = None
         if group_order_tri(n, field) <= bound:
             if spec is None:
                 spec = make_triangular(n, field)
             sizes = superclass_sizes(spec, n, labels(n, field)[0])
         return closed_table(n, field, sizes)
-    if mode in ("brute_force", "brute"):
+    if mode == "brute":
         return brute_table(n, field, bound, partition=partition, spec=spec, ctx=ctx)
     raise ValueError(f"unknown table mode {mode!r}")
 

@@ -12,7 +12,8 @@ from supchar.algebra import (
     certify_generators,
     corner_generators,
     corner_j_basis,
-    corner_orbit,
+    element_support,
+    form_support,
     g_elements,
     group_order,
     is_singular,
@@ -24,8 +25,6 @@ from supchar.algebra import (
     orbit_support,
     rho,
     rho_dual,
-    support_idempotent,
-    tilde_generators,
     validate_algebra,
 )
 from supchar.errors import (
@@ -42,10 +41,10 @@ from supchar.errors import (
     SpaceTooLarge,
 )
 from supchar import triangular as tri
-from supchar.superclasses import superclass_partition, transporter_count
-from supchar.supercharacters import nn_orbits
+from supchar.superclasses import classify, superclass_partition, transporter_count
+from supchar.supercharacters import nn_orbits, stabilizer_data
 
-from conftest import get_field, get_spec, random_triple
+from conftest import all_blocks, dual_vectors, get_field, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -200,7 +199,7 @@ def test_rho_identity_triple():
     tau = make_triple(s, s.unit, s.unit, s.unit)
     for x in s.j_vectors():
         assert rho(s, tau, x) == x
-    for lam in s.dual_vectors():
+    for lam in dual_vectors(s):
         assert rho_dual(s, tau, lam) == lam
 
 
@@ -242,7 +241,7 @@ def test_rho_is_a_group_action(n, p, k):
     s = get_spec(n, p, k)
     rng = random.Random(5)
     xs = s.j_vectors()
-    lams = s.dual_vectors()
+    lams = dual_vectors(s)
     for _ in range(1000):
         t1 = random_triple(s, rng)
         t2 = random_triple(s, rng)
@@ -291,6 +290,21 @@ def test_orbit_representative_is_minimal():
         assert orb.representative == min(orb.members)
 
 
+def test_orbits_come_in_representative_order_for_any_radical_basis_order():
+    # listing the radical basis backwards makes J enumerate out of vector
+    # order, so the orbits and superclasses must still be sorted afterwards
+    s = get_spec(3, 3)
+    entries = [(i, j, [(l, c) for l, c in enumerate(cell) if c])
+               for i, row in enumerate(s.mul_table) for j, cell in enumerate(row)]
+    rev = validate_algebra(AlgebraSpec(s.field, s.dim, entries, s.unit, s.blocks,
+                                       tuple(reversed(s.radical_basis))))
+    for space in ("J", "J*"):
+        reps = [o.representative for o in orbit_census(rev, space).orbits]
+        assert reps == sorted(reps) and len(reps) == orbit_census(s, space).n
+    reps = [r.representative for r in superclass_partition(rev)]
+    assert reps == sorted(reps)
+
+
 # ---------------------------------------------------------------------------
 # the generation certificate
 # ---------------------------------------------------------------------------
@@ -311,18 +325,18 @@ def _without_direction(s, gens, r, sides=("a", "b")):
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
 def test_certificate_accepts_tilde_generators(n, p, k):
     s = get_spec(n, p, k)
-    certify_generators(s, tilde_generators(s))
+    certify_generators(s, corner_generators(s, all_blocks(s)))
 
 
 def test_certificate_accepts_generators_without_a_commutator_direction():
     # 1 + E13 is the commutator of 1 + E12 and 1 + E23, so the rest still generate
     s = get_spec(3, 2)
-    certify_generators(s, _without_direction(s, tilde_generators(s), E13))
+    certify_generators(s, _without_direction(s, corner_generators(s, all_blocks(s)), E13))
 
 
 def test_certificate_rejects_a_missing_radical_direction():
     s = get_spec(3, 2)
-    gens = tilde_generators(s)
+    gens = corner_generators(s, all_blocks(s))
     with pytest.raises(NotGenerating, match="a-parts generate a subgroup of order 4 "):
         certify_generators(s, _without_direction(s, gens, E12))
     with pytest.raises(NotGenerating, match="b-parts generate a subgroup of order 4 "):
@@ -331,7 +345,7 @@ def test_certificate_rejects_a_missing_radical_direction():
 
 def test_certificate_rejects_a_missing_torus_generator():
     s = get_spec(2, 3)
-    gens = tilde_generators(s)
+    gens = corner_generators(s, all_blocks(s))
     torus = [g for g in gens if g.t != s.unit]
     assert len(torus) == 2
     with pytest.raises(NotGenerating, match="t-parts generate a subgroup of order 2 "):
@@ -342,16 +356,20 @@ def test_certificate_rejects_two_sided_triples():
     # (1, a, a) for every a: the a-parts and b-parts generate N, but the triples
     # generate only the diagonal of N x N
     s = get_spec(2, 3)
-    gens = [g for g in tilde_generators(s) if g.t != s.unit]
-    gens += [make_triple(s, s.unit, g.a, g.a) for g in tilde_generators(s) if g.a != s.unit]
+    full = corner_generators(s, all_blocks(s))
+    gens = [g for g in full if g.t != s.unit]
+    gens += [make_triple(s, s.unit, g.a, g.a) for g in full if g.a != s.unit]
     with pytest.raises(NotGenerating, match="more than one part"):
         certify_generators(s, gens)
 
 
+def _drop_last_generator(monkeypatch):
+    full = algebra.corner_generators
+    monkeypatch.setattr(algebra, "corner_generators", lambda spec, T: full(spec, T)[:-1])
+
+
 def test_censuses_and_partition_run_the_certificate(monkeypatch):
-    full = algebra.tilde_generators
-    monkeypatch.setattr(algebra, "tilde_generators",
-                        lambda spec, torus=True: full(spec, torus)[:-1])
+    _drop_last_generator(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
             lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits)
     for run in runs:
@@ -390,7 +408,7 @@ def test_corner_certificate_rejects_parts_off_the_corner():
     s = get_spec(3, 3)
     T = frozenset({0, 1})
     gens = corner_generators(s, T)
-    torus = [g for g in tilde_generators(s) if g.t != s.unit]
+    torus = [g for g in corner_generators(s, all_blocks(s)) if g.t != s.unit]
     swapped_t = [torus[2] if g is gens[1] else g for g in gens]
     assert gens[1].t == torus[1].t
     with pytest.raises(NotGenerating, match="t-part .* lies outside H of the corner"):
@@ -403,14 +421,34 @@ def test_corner_certificate_rejects_parts_off_the_corner():
 
 
 def test_corner_orbits_run_the_corner_certificate(monkeypatch):
-    full = algebra.corner_generators
-    monkeypatch.setattr(algebra, "corner_generators", lambda spec, T: full(spec, T)[:-1])
-    runs = (lambda s: corner_orbit(s, frozenset({0, 1, 2}), s.zero(), "rho"),
-            superclass_partition)
+    # the corner of blocks 1, 2 of T(3, 2) is J_e = <E12>, so with q = 2 its
+    # last generator (1, 1, 1 + E12) is its only b-part
+    _drop_last_generator(monkeypatch)
+    corner = frozenset({0, 1})
+    e12_dual = (1, 0, 0)
+    runs = (lambda s: orbit(s, s.zero(), "rho", corner),
+            lambda s: orbit(s, e12_dual, "rho_dual", corner),
+            lambda s: classify(s, frozenset({s.unit})),
+            lambda s: stabilizer_data(s, e12_dual, corner))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: no corner certified yet
         with pytest.raises(NotGenerating):
             run(s)
+
+
+def test_censuses_compile_each_generator_once(monkeypatch):
+    counts = {"rho_map": 0, "rho_dual_map": 0}
+    for name in counts:
+        def counted(spec, tau, real=getattr(algebra, name), name=name):
+            counts[name] += 1
+            return real(spec, tau)
+        monkeypatch.setattr(algebra, name, counted)
+    s = tri.make_triangular(3, get_field(3))
+    for _ in range(2):
+        orbit_census(s, "J")
+        orbit_census(s, "J*")
+    n_gens = len(corner_generators(s, all_blocks(s)))
+    assert counts == {"rho_map": n_gens, "rho_dual_map": n_gens}
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2)])
@@ -479,16 +517,6 @@ def test_annihilator_agrees_with_combinatorial_regularity(n, p):
         assert is_singular(s, lam, True) == (not want_regular)
 
 
-def test_support_idempotent_examples():
-    s = get_spec(3, 2)
-    e13 = basis_vec(s, root_index(3, 1, 3))
-    orb = orbit(s, e13, "rho")
-    e, T, witness = support_idempotent(s, orb)
-    assert T == frozenset({0, 2})
-    assert e == (1, 0, 1) + (0,) * 3
-    assert witness in orb.members
-
-
 def test_support_set_closed_under_meet():
     """The idempotents whose corner meets an orbit form a meet-closed family
     with a unique minimum."""
@@ -496,7 +524,6 @@ def test_support_set_closed_under_meet():
     census = orbit_census(s, "J")
     nb = len(s.blocks)
     for orb in census.orbits:
-        from supchar.algebra import element_support
         hit = set()
         for mask in range(2 ** nb):
             T = frozenset(i for i in range(nb) if mask >> i & 1)
@@ -511,13 +538,14 @@ def test_support_set_closed_under_meet():
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3)])
 def test_corner_restriction_is_regular(n, p):
     s = get_spec(n, p)
-    for space in ("J", "J*"):
+    for space, action, supp in (("J", "rho", element_support),
+                                ("J*", "rho_dual", form_support)):
         census = orbit_census(s, space)
         for orb, T in zip(census.orbits, census.supports):
             if not T:
                 continue
-            _, _, witness = support_idempotent(s, orb)
-            sub = corner_orbit(s, T, witness, "rho" if space == "J" else "rho_dual")
+            witness = min(v for v in orb.members if supp(s, v) <= T)
+            sub = orbit(s, witness, action, T)
             assert orbit_support(s, sub) == T
             assert sub.members <= orb.members
 
@@ -565,7 +593,7 @@ def test_load_schema_error_names_field(mutate, field):
 
 def test_generator_closure_sanity():
     s = get_spec(3, 3)
-    gens = tilde_generators(s)
+    gens = corner_generators(s, all_blocks(s))
     # torus generators for each block plus two one-parameter families per
     # radical basis vector and nonzero scalar
     assert len(gens) == 3 + 2 * 3 * 2

@@ -152,6 +152,17 @@ def test_bound_env_not_an_integer(monkeypatch, capsys):
     assert "SUPCHAR_BOUND" in err
 
 
+def test_negative_bound_exits_2(monkeypatch, capsys):
+    for command in ("table", "orbits"):
+        code, _, err = run([command, "--n", "2", "--p", "3", "--bound", "-1"], capsys)
+        assert code == 2, command
+        assert "--bound" in err and "-1" in err
+    monkeypatch.setenv("SUPCHAR_BOUND", "-3")
+    code, _, err = run(["table", "--n", "2", "--p", "3"], capsys)
+    assert code == 2
+    assert "SUPCHAR_BOUND" in err and "-3" in err
+
+
 def test_zero_field_degree(capsys):
     code, _, err = run(["table", "--n", "2", "--p", "3", "--k", "0"], capsys)
     assert code == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from supchar.cyclo import CycloNumber, cyclo_op, cyclotomic_poly
+from supchar.cyclo import CycloNumber, cyclotomic_poly
 from supchar.errors import OrderMismatch
 
 
@@ -67,18 +67,6 @@ def test_order_mismatch():
         CycloNumber.root(3, 1) + CycloNumber.root(4, 1)
     with pytest.raises(OrderMismatch):
         CycloNumber.root(3, 1) * CycloNumber.root(6, 1)
-
-
-def test_cyclo_op_dispatch():
-    assert cyclo_op("make_root", 3, 1) == CycloNumber.root(3, 1)
-    assert cyclo_op("add", CycloNumber.root(3, 1), CycloNumber.root(3, 2)) == \
-        CycloNumber.rational(3, -1)
-    assert cyclo_op("is_zero", CycloNumber.zero(5))
-    assert cyclo_op("eq", CycloNumber.root(4, 2), CycloNumber.rational(4, -1))
-    assert cyclo_op("conj", CycloNumber.root(5, 2)) == CycloNumber.root(5, 3)
-    assert cyclo_op("neg", CycloNumber.rational(3, 2)) == CycloNumber.rational(3, -2)
-    assert cyclo_op("mul", CycloNumber.root(8, 1), CycloNumber.root(8, 7)) == \
-        CycloNumber.rational(8, 1)
 
 
 def test_numeric_agreement_with_sympy():

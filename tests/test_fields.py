@@ -1,6 +1,5 @@
 import pytest
 
-from supchar.cyclo import CycloNumber
 from supchar.errors import (
     BadOrder,
     DegreeTooLarge,
@@ -9,12 +8,9 @@ from supchar.errors import (
     NotPrime,
 )
 from supchar.fields import (
-    additive_char,
     additive_char_exponent,
     field_make,
     field_make_custom,
-    field_op,
-    mult_char,
 )
 
 from conftest import get_field
@@ -49,11 +45,11 @@ def test_gf4_modulus_and_product():
 
 def test_gf3_ops():
     F = get_field(3)
-    assert field_op(F, "add", 2, 2) == 1
-    assert field_op(F, "inv", 2) == 2
-    assert field_op(F, "neg", 1) == 2
-    assert field_op(F, "sub", 0, 2) == 1
-    assert field_op(F, "div", 1, 2) == 2
+    assert F.add(2, 2) == 1
+    assert F.inv(2) == 2
+    assert F.neg(1) == 2
+    assert F.sub(0, 2) == 1
+    assert F.div(1, 2) == 2
 
 
 def test_gf5_dlog():
@@ -153,11 +149,14 @@ def test_frobenius_additive():
 
 def test_additive_char_values():
     F3 = get_field(3)
-    assert additive_char(F3, 0, 3) == CycloNumber.rational(3, 1)
-    assert additive_char(F3, 1, 3) == CycloNumber.root(3, 1)
+    assert additive_char_exponent(F3, 0, 3) == 0
+    assert additive_char_exponent(F3, 1, 3) == 1
+    assert additive_char_exponent(F3, 2, 6) == 4
     F4 = get_field(2, 2)
     x = F4.encode([0, 1])
-    assert additive_char(F4, x, 2) == CycloNumber.rational(2, -1)
+    # Tr(x) = x + x^2 = 1, so chi(x) = -1
+    assert additive_char_exponent(F4, x, 2) == 1
+    assert additive_char_exponent(F4, 1, 2) == 0
 
 
 def test_additive_char_homomorphism():
@@ -166,43 +165,14 @@ def test_additive_char_homomorphism():
         m = F.p if F.q == 2 else F.p * (F.q - 1)
         for a in F.elements():
             for b in F.elements():
-                lhs = additive_char(F, a, m) * additive_char(F, b, m)
-                assert lhs == additive_char(F, F.add(a, b), m)
+                lhs = (additive_char_exponent(F, a, m) + additive_char_exponent(F, b, m)) % m
+                assert lhs == additive_char_exponent(F, F.add(a, b), m)
 
 
 def test_additive_char_bad_order():
     F = get_field(3)
     with pytest.raises(BadOrder):
         additive_char_exponent(F, 1, 4)
-
-
-def test_mult_char_values():
-    F3 = get_field(3)
-    assert mult_char(F3, 0, 2, 2) == CycloNumber.rational(2, 1)
-    assert mult_char(F3, 1, 2, 2) == CycloNumber.rational(2, -1)
-    F5 = get_field(5)
-    assert mult_char(F5, 2, 2, 4) == CycloNumber.rational(4, -1)
-
-
-def test_mult_char_homomorphism():
-    for p, k in SMALL_FIELDS:
-        F = get_field(p, k)
-        if F.q == 2:
-            continue
-        m = F.q - 1
-        for c in range(F.q - 1):
-            for h1 in F.units():
-                for h2 in F.units():
-                    lhs = mult_char(F, c, h1, m) * mult_char(F, c, h2, m)
-                    assert lhs == mult_char(F, c, F.mul(h1, h2), m)
-
-
-def test_mult_char_errors():
-    F = get_field(5)
-    with pytest.raises(LogOfZero):
-        mult_char(F, 1, 0, 4)
-    with pytest.raises(BadOrder):
-        mult_char(F, 1, 2, 3)
 
 
 def test_gf9_alternative_modulus_same_arithmetic():

@@ -90,6 +90,16 @@ def test_span_sizes():
     assert list(linalg.span(F, [], dim=2)) == [(0, 0)]
 
 
+def test_span_of_unit_vectors_is_product_order():
+    """The one F_q-space enumerator lists F_q^n lexicographically, as the
+    orbit censuses and the superclass partition rely on."""
+    for F in (get_field(3), get_field(2, 2)):
+        for n in range(4):
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            want = list(itertools.product(range(F.q), repeat=n))
+            assert list(linalg.span(F, units, dim=n)) == want
+
+
 def test_rref_idempotent():
     F = get_field(5)
     rng = random.Random(1)

@@ -15,7 +15,6 @@ from supchar.superclasses import (
     conjugacy_classes,
     identity_index,
     m_factor,
-    partition_to_json,
     predicted_count,
     r_act,
     superclass_partition,
@@ -211,12 +210,3 @@ def test_sizes_divide_tilde_group_order(n, p):
     tilde = h_order * n_order * n_order
     for rec in get_partition(n, p):
         assert tilde % rec.size == 0
-
-
-def test_partition_json_shape():
-    s = get_spec(2, 3)
-    out = partition_to_json(s, get_partition(2, 3))
-    assert len(out) == 5
-    for item in out:
-        assert set(item) == {"label", "size", "representative"}
-        assert set(item["label"]) == {"e", "f", "h", "omega_rep"}
