@@ -157,7 +157,7 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
     if "restriction" in selected:
         ok = True
         detail = f"{len(labels)} characters restricted to 1+J"
-        n_chars = n_characters(spec)
+        n_chars = n_characters(spec, bound)
         for lbl, row in zip(labels, table.values):
             cf = ClassFunction(tuple(row), None)
             passed, _ = restriction_check(spec, lbl, cf, partition, n_chars)
@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     if args.bound is not None and args.bound < 0:
         print(f"invalid configuration: {source} must be non-negative, got {args.bound}",
               file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    if args.command in ("verify", "orbits") and args.spec and (args.n, args.p) != (None, None):
+        print("--spec conflicts with --n/--p: give one algebra or the other", file=sys.stderr)
         return EXIT_BAD_CONFIG
     uses_field = args.command == "table" or (
         args.command in ("verify", "orbits") and not args.spec)

@@ -16,6 +16,7 @@ from .algebra import (
     block_component,
     certified_corner,
     form_support,
+    g_elements,
     group_order,
     h_elements,
     orbit,
@@ -33,7 +34,7 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import conjugacy_classes, identity_index, superclass_index
+from .superclasses import identity_index, r_map, superclass_index
 
 
 @dataclass(frozen=True)
@@ -77,30 +78,16 @@ class ClassFunction:
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
                     check_regular: bool = True) -> StabilizerData:
     """J_{lam,right}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right})."""
-    F = spec.field
     if check_regular:
         if form_support(spec, lam) != e or \
                 orbit_support(spec, orbit(spec, lam, "rho_dual", e)) != e:
             raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
 
     rad = list(spec.radical_basis)
-    rows = []
-    for r in rad:
-        rows.append([spec.form_eval(lam, spec.mul(spec.basis_vec(c), spec.basis_vec(r)))
-                     for c in rad])
-    basis = linalg.kernel_basis(F, rows)
-    j_right = set(linalg.span(F, basis, dim=len(rad)))
-
     hs = []
     for h in h_elements(spec):
         if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e):
             hs.append(h)
-
-    g_lam = set()
-    for h in hs:
-        for u in j_right:
-            g_lam.add(spec.mul(h, spec.add(spec.unit, spec.j_embed(u))))
-    assert len(g_lam) == len(hs) * len(j_right)
 
     # cross-check: H_{e'} = H_{lam,right} /\ H_{lam,left}
     def fixes(h):
@@ -109,7 +96,20 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
         return right == lam and left == lam
     both = [h for h in h_elements(spec) if fixes(h)]
     assert sorted(both) == sorted(hs), "H_{e'} != H_right /\\ H_left for a regular form"
+    return right_stabilizer(spec, lam, e, hs)
 
+
+def right_stabilizer(spec: AlgebraSpec, lam, e: frozenset, hs) -> StabilizerData:
+    """hs (1 + J_{lam,right}) with J_{lam,right} = {u in J : lam(u J) = 0}: G_lam
+    for hs = H_{e'}, and N_{lam,right} in N = 1 + J for hs = [1]."""
+    F = spec.field
+    rad = spec.radical_basis
+    rows = [[spec.form_eval(lam, spec.mul(spec.basis_vec(c), spec.basis_vec(r))) for c in rad]
+            for r in rad]
+    basis = linalg.kernel_basis(F, rows)
+    j_right = set(linalg.span(F, basis, dim=len(rad)))
+    g_lam = {spec.mul(h, spec.add(spec.unit, spec.j_embed(u))) for h in hs for u in j_right}
+    assert len(g_lam) == len(hs) * len(j_right)
     return StabilizerData(tuple(lam), e, basis, j_right, hs, g_lam, len(g_lam))
 
 
@@ -152,13 +152,29 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 
 class InductionContext:
-    """The conjugacy classes of G, shared by every induction of one run:
-    the classes, the class index of each element, and |G|."""
+    """The conjugacy classes of G, or with group="N" of N = 1 + J, shared by
+    every induction of one run: the classes, the class index of each element,
+    and the group order.
 
-    def __init__(self, spec: AlgebraSpec, bound: int):
-        self.classes = conjugacy_classes(spec, bound)
+    Each class is the BFS closure of an element under the conjugations
+    g -> s^-1 g s by the distinct t-parts and a-parts of certified_corner
+    (only the a-parts for N).  The certificate proves that the t-parts generate
+    H and the a-parts generate N, so the parts generate G = H N (or N) and each
+    closure is exactly one conjugacy class."""
+
+    def __init__(self, spec: AlgebraSpec, bound: int, group: str = "G"):
+        self.order = group_order(spec) if group == "G" else \
+            spec.field.q ** len(spec.radical_basis)
+        if self.order > bound:
+            raise GroupTooLarge(f"|{group}| = {self.order} exceeds bound {bound}")
+        gens = certified_corner(spec)
+        parts = {g.a for g in gens} | ({g.t for g in gens} if group == "G" else set())
+        parts.discard(spec.unit)
+        maps = [sandwich_map(spec, spec.invert(s), s).apply for s in sorted(parts)]
+        elements = g_elements(spec) if group == "G" else \
+            [spec.add(spec.unit, x) for x in spec.j_vectors()]
+        self.classes = orbit_partition(elements, maps)
         self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
-        self.order = group_order(spec)
 
 
 def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
@@ -211,7 +227,7 @@ def inner_product(partition, phi: ClassFunction, psi: ClassFunction,
     # sum a conj(b) over the classes of each size, then weight once per size
     by_size: dict = {}
     for rec, a, b in zip(partition, phi.values, psi.conj_values):
-        n = rec.size
+        n = len(rec.members)
         by_size[n] = by_size[n] + a * b if n in by_size else a * b
     out = CycloNumber.zero(phi.values[0].order)
     for size, total in by_size.items():
@@ -322,7 +338,7 @@ class CheckResult:
 def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
                   conj_classes) -> list[CheckResult]:
     """Pass/fail per supercharacter-theory axiom plus the standard consequences;
-    conj_classes are the conjugacy classes of G (conjugacy_classes(spec, bound))."""
+    conj_classes are the conjugacy classes of G (InductionContext.classes)."""
     out = []
     nrows = len(table.row_labels)
     ncols = len(table.col_labels)
@@ -400,64 +416,45 @@ def nn_orbits(spec: AlgebraSpec):
     return [OrbitRecord(m, min(m), "J*") for m in orbit_partition(points, maps)]
 
 
-def n_supercharacter(spec: AlgebraSpec, mu, bound: int = 2 ** 17) -> dict:
-    """The induced character ind(xi_mu, N_{mu,right}, N), as values on all of N."""
-    F = spec.field
-    nl = [spec.add(spec.unit, x) for x in spec.j_vectors()]
-    if len(nl) > bound:
-        raise GroupTooLarge(f"|N| = {len(nl)} exceeds bound {bound}")
-    rad = list(spec.radical_basis)
-    rows = [[spec.form_eval(mu, spec.mul(spec.basis_vec(c), spec.basis_vec(r))) for c in rad]
-            for r in rad]
-    right = set(linalg.span(F, linalg.kernel_basis(F, rows), dim=len(rad)))
-    m = spec.cyclo_order
-    conj = [sandwich_map(spec, spec.invert(s), s).apply for s in nl]
-    out = {}
-    for g in nl:
-        counts: Counter = Counter()
-        for f in conj:
-            v = f(g)
-            coords = spec.j_coords(spec.sub(v, spec.unit))
-            if coords in right:
-                counts[additive_char_exponent(F, spec.form_eval(mu, spec.j_embed(coords)), m)] += 1
-        val = CycloNumber.zero(m)
-        for e, cnt in counts.items():
-            val = val + CycloNumber.root(m, e) * cnt
-        out[g] = val / len(right)
-    return out
+def n_characters(spec: AlgebraSpec, bound: int):
+    """(N-superclasses, characters): the N-superclasses 1 + N x N of N = 1 + J,
+    and for every orbit of nn_orbits the triple (orbit, psi, <psi, psi>_N) with
+    psi = ind(xi_mu, N_{mu,right}, N) on the N-superclasses; the norm depends
+    only on the orbit, not on the label.
 
-
-def _n_inner(spec: AlgebraSpec, f1: dict, f2: dict) -> CycloNumber:
-    """<f1, f2>_N for functions on N given as {element: value} dicts over N."""
-    out = CycloNumber.zero(spec.cyclo_order)
-    for g, v in f1.items():
-        out = out + v * f2[g].conj()
-    return out / len(f1)
-
-
-def n_characters(spec: AlgebraSpec) -> list:
-    """(N x N-orbit, its N-supercharacter psi, <psi, psi>_N) for every orbit
-    of nn_orbits; the norm depends only on the orbit, not on the label."""
-    out = []
+    The certified generators of G~ with t = 1 generate 1 x (N x N), so each
+    closure under their R_tau is exactly one N-superclass."""
+    ctx = InductionContext(spec, bound, group="N")
+    maps = [r_map(spec, g).apply for g in certified_corner(spec) if g.t == spec.unit]
+    n_part = [OrbitRecord(m, min(m), "N") for m in orbit_partition(list(ctx.class_of), maps)]
+    chars = []
     for orb in nn_orbits(spec):
-        psi = n_supercharacter(spec, orb.representative)
-        out.append((orb, psi, _n_inner(spec, psi, psi)))
-    return out
+        mu = orb.representative
+        label = SupercharLabel(frozenset(), frozenset(), (0,) * len(spec.blocks), mu)
+        psi = induce(spec, label, n_part, ctx, right_stabilizer(spec, mu, frozenset(), [spec.unit]))
+        chars.append((orb, psi, inner_product(n_part, psi, psi, ctx.order)))
+    return n_part, chars
 
 
 def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunction,
-                      partition, n_chars=None):
+                      partition, n_chars):
     """Weak form of the restriction formula: Res_N(chi) decomposes over the
     N-supercharacters with nonnegative rational coefficients, supported on the
     torus conjugates of lambda.  Returns (passed, coefficient map).
 
-    n_chars is n_characters(spec); pass it in to share it between labels."""
-    nl = [spec.add(spec.unit, x) for x in spec.j_vectors()]
+    n_chars is n_characters(spec, bound), shared between labels.  Res_N(chi)
+    is a class function on its N-superclasses, each of which must lie in one
+    superclass of G."""
+    n_part, chars = n_chars
     member_to_idx = superclass_index(partition)
-    res = {g: cf.values[member_to_idx[g]] for g in nl}
-
-    if n_chars is None:
-        n_chars = n_characters(spec)
+    values = []
+    for rec in n_part:
+        first, *rest = {member_to_idx.get(g) for g in rec.members}
+        if rest or first is None:
+            raise PartitionMismatch(f"the N-superclass of {rec.representative} "
+                                    "does not lie in one superclass of G")
+        values.append(cf.values[first])
+    res = ClassFunction(tuple(values), cf.degree)
 
     lam = label.lambda_rep
     rad = list(spec.radical_basis)
@@ -466,28 +463,20 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
         t_inv = spec.invert(t)
         conj_lam = tuple(spec.form_eval(lam, spec.mul_many(t_inv, spec.basis_vec(r), t))
                          for r in rad)
-        for oi, (orb, _, _) in enumerate(n_chars):
+        for oi, (orb, _, _) in enumerate(chars):
             if conj_lam in orb.members:
                 allowed.add(oi)
 
-    m = spec.cyclo_order
+    n_order = spec.field.q ** len(rad)
     coeffs = {}
-    recon = {g: CycloNumber.zero(m) for g in nl}
+    recon = [CycloNumber.zero(spec.cyclo_order)] * len(n_part)
     ok = True
-    for oi, (orb, chi, den) in enumerate(n_chars):
-        num = _n_inner(spec, res, chi)
+    for oi, (orb, psi, den) in enumerate(chars):
+        num = inner_product(n_part, res, psi, n_order)
         if not (num.is_rational() and den.is_rational()):
-            ok = False
-            break
-        c = num.rational_value() / den.rational_value()
-        coeffs[orb.representative] = c
-        if c < 0:
-            ok = False
-        if c != 0 and oi not in allowed:
-            ok = False
-        if c != 0:
-            for g in nl:
-                recon[g] = recon[g] + chi[g] * c
-    if ok:
-        ok = all(recon[g] == res[g] for g in nl)
-    return ok, coeffs
+            return False, coeffs
+        c = coeffs[orb.representative] = num.rational_value() / den.rational_value()
+        ok = ok and c >= 0 and (c == 0 or oi in allowed)
+        if c:
+            recon = [r + v * c for r, v in zip(recon, psi.values)]
+    return ok and tuple(recon) == res.values, coeffs

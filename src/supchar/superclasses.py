@@ -196,21 +196,3 @@ def predicted_count(spec: AlgebraSpec, census) -> int:
             U = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
             total += n_e[T] * m_factor(spec, U)
     return total
-
-
-def conjugacy_classes(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
-    """Ordinary conjugacy classes of G, by exhaustive conjugation."""
-    size = group_order(spec)
-    if size > bound:
-        raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    gl = g_elements(spec)
-    conj = [sandwich_map(spec, s, spec.invert(s)).apply for s in gl]
-    seen = set()
-    classes = []
-    for g in gl:
-        if g in seen:
-            continue
-        cls = {f(g) for f in conj}
-        seen |= cls
-        classes.append(frozenset(cls))
-    return classes

@@ -42,7 +42,7 @@ from supchar.errors import (
 )
 from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
-from supchar.supercharacters import nn_orbits, stabilizer_data
+from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
 from conftest import all_blocks, dual_vectors, get_field, get_spec, random_triple
 
@@ -371,7 +371,9 @@ def _drop_last_generator(monkeypatch):
 def test_censuses_and_partition_run_the_certificate(monkeypatch):
     _drop_last_generator(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
-            lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits)
+            lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
+            lambda s: InductionContext(s, 2 ** 17), lambda s: InductionContext(s, 2 ** 17, "N"),
+            lambda s: n_characters(s, 2 ** 17))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
         with pytest.raises(NotGenerating):

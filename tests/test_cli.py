@@ -99,6 +99,15 @@ def test_verify_custom_algebra(capsys):
     assert "CHECK oracle PASS skipped" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "orbits"])
+@pytest.mark.parametrize("flags", [["--n", "3", "--p", "2"], ["--n", "3"], ["--p", "3"]])
+def test_spec_with_n_or_p_exits_2(command, flags, capsys):
+    spec_path = os.path.join(DATA, "dual_numbers_q3.json")
+    code, out, err = run([command, "--spec", spec_path] + flags, capsys)
+    assert code == 2 and out == ""
+    assert "--spec conflicts with --n/--p" in err
+
+
 def test_verify_detects_perturbed_table(monkeypatch, capsys):
     real = sc.build_table
 

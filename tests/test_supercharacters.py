@@ -1,9 +1,14 @@
 import os
+import re
 from fractions import Fraction
 
 import pytest
 
+from supchar import algebra, superclasses
+from supchar import supercharacters as sc
+from supchar import triangular as tri
 from supchar.algebra import (
+    certified_corner,
     g_elements,
     group_order,
     load_algebra_file,
@@ -18,6 +23,7 @@ from supchar.errors import (
     NotRegular,
     PartitionMismatch,
 )
+from supchar.fields import additive_char_exponent
 from supchar.superclasses import (
     SuperclassRecord,
     identity_index,
@@ -33,14 +39,14 @@ from supchar.supercharacters import (
     enumerate_labels,
     induce,
     inner_product,
-    n_supercharacter,
+    n_characters,
     nn_orbits,
     restriction_check,
     stabilizer_data,
     xi,
 )
 
-from conftest import get_partition, get_spec
+from conftest import get_field, get_partition, get_spec
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -363,16 +369,23 @@ def test_axioms_negative_control():
 # characters of N and the restriction decomposition
 # ---------------------------------------------------------------------------
 
+def n_values(spec, mu):
+    """The N-supercharacter of the N x N-orbit of mu, as {g: value} over N."""
+    n_part, chars = n_characters(spec, 2 ** 17)
+    psi = next(psi for orb, psi, _ in chars if mu in orb.members)
+    return {g: v for rec, v in zip(n_part, psi.values) for g in rec.members}
+
+
 def test_n_supercharacter_trivial():
     s = get_spec(2, 3)
-    vals = n_supercharacter(s, (0,))
+    vals = n_values(s, (0,))
     one = CycloNumber.rational(s.cyclo_order, 1)
-    assert all(v == one for v in vals.values())
+    assert len(vals) == 3 and all(v == one for v in vals.values())
 
 
 def test_n_supercharacter_abelian_line():
     s = get_spec(2, 3)
-    vals = n_supercharacter(s, (1,))
+    vals = n_values(s, (1,))
     m = s.cyclo_order
     e12 = s.basis_vec(2)
     assert vals[s.unit] == CycloNumber.rational(m, 1)
@@ -383,13 +396,96 @@ def test_n_supercharacter_abelian_line():
 def test_n_supercharacter_heisenberg():
     s = get_spec(3, 2)
     mu = (0, 1, 0)  # E13*
-    vals = n_supercharacter(s, mu)
+    vals = n_values(s, mu)
     m = s.cyclo_order
     e13 = s.basis_vec(4)
     e12 = s.basis_vec(3)
     assert vals[s.unit] == CycloNumber.rational(m, 2)
     assert vals[s.add(s.unit, e13)] == CycloNumber.rational(m, -2)
     assert vals[s.add(s.unit, e12)].is_zero()
+
+
+def _literal_specs():
+    yield "T(3,3)", get_spec(3, 3), get_partition(3, 3)
+    yield from _reference_specs()
+
+
+def _literal_classes(s, group):
+    """{u^-1 g u : u in group} for every g of group."""
+    inverses = {u: s.invert(u) for u in group}
+    classes, seen = set(), set()
+    for g in group:
+        if g not in seen:
+            cls = frozenset(s.mul_many(inverses[u], g, u) for u in group)
+            seen |= cls
+            classes.add(cls)
+    return classes
+
+
+def test_classes_of_g_and_n_equal_literal_conjugation():
+    for name, s, _ in _literal_specs():
+        n_group = [s.add(s.unit, x) for x in s.j_vectors()]
+        for group, elements in (("G", g_elements(s)), ("N", n_group)):
+            ctx = InductionContext(s, 2 ** 17, group)
+            assert set(ctx.classes) == _literal_classes(s, elements), (name, group)
+            assert ctx.order == len(elements) and len(ctx.class_of) == len(elements)
+
+
+def test_n_characters_match_literal_average_over_n():
+    """psi_mu(g) = (1/|N_{mu,right}|) sum over u in N of xi°(u^-1 g u) at every g in N,
+    with J_{mu,right} = {u in J : mu(u v) = 0 for every v in J} found by enumeration,
+    and <psi, psi>_N summed over the elements of N."""
+    for name, s, _ in _literal_specs():
+        F, m = s.field, s.cyclo_order
+        radical = s.j_vectors()
+        group = [s.add(s.unit, x) for x in radical]
+        inverses = {u: s.invert(u) for u in group}
+        n_part, chars = n_characters(s, 2 ** 17)
+        assert sorted(g for rec in n_part for g in rec.members) == sorted(group)
+        for orb, psi, norm in chars:
+            mu = orb.representative
+            right = {s.j_coords(u) for u in radical
+                     if all(s.form_eval(mu, s.mul(u, v)) == 0 for v in radical)}
+            square = CycloNumber.zero(m)
+            for rec, value in zip(n_part, psi.values):
+                for g in rec.members:
+                    total = CycloNumber.zero(m)
+                    for u in group:
+                        y = s.j_coords(s.sub(s.mul_many(inverses[u], g, u), s.unit))
+                        if y in right:
+                            exp = additive_char_exponent(F, s.form_eval(mu, s.j_embed(y)), m)
+                            total = total + CycloNumber.root(m, exp)
+                    assert value == total / len(right), (name, mu, g)
+                    square = square + value * value.conj()
+            assert norm == square / len(group), (name, mu)
+
+
+def test_n_characters_respect_the_bound():
+    s = get_spec(3, 3)
+    with pytest.raises(GroupTooLarge, match="27 exceeds bound 26"):
+        n_characters(s, 26)
+    n_part, chars = n_characters(s, 27)
+    assert sum(len(rec.members) for rec in n_part) == 27
+
+
+def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
+    """One conjugation per distinct non-unit t-part and a-part of the certified
+    generators for G (not one per element, |G| = 216), and for n_characters one
+    conjugation per a-part plus one R_tau and one rho*_tau per triple with t = 1."""
+    s = tri.make_triangular(3, get_field(3))
+    gens = certified_corner(s)          # certify before counting
+    real = algebra.sandwich_map
+    calls = []
+    for mod in (algebra, superclasses, sc):
+        monkeypatch.setattr(mod, "sandwich_map", lambda *a, **k: calls.append(1) or real(*a, **k))
+    t_parts = {g.t for g in gens} - {s.unit}
+    a_parts = {g.a for g in gens} - {s.unit}
+    InductionContext(s, 2 ** 17)
+    assert len(calls) == len(t_parts | a_parts) == 9
+    calls.clear()
+    n_characters(s, 2 ** 17)
+    n_triples = sum(1 for g in gens if g.t == s.unit)
+    assert len(calls) == len(a_parts) + 2 * n_triples == 30
 
 
 def test_nn_orbit_count_t32():
@@ -399,15 +495,80 @@ def test_nn_orbit_count_t32():
     assert total == 2 ** 3
 
 
-@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
-def test_restriction_decomposition(n, p):
+def _restriction_setup(n, p):
     s = get_spec(n, p)
     partition = get_partition(n, p)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
     table = build_table(s, partition, labels, 2 ** 17)
-    for lbl, row in zip(labels, table.values):
-        cf = ClassFunction(tuple(row), row[identity_index(s, partition)])
-        ok, coeffs = restriction_check(s, lbl, cf, partition)
+    funcs = [ClassFunction(tuple(row), row[identity_index(s, partition)]) for row in table.values]
+    return s, partition, labels, funcs, n_characters(s, 2 ** 17)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_restriction_decomposition(n, p):
+    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
+    for lbl, cf in zip(labels, funcs):
+        ok, coeffs = restriction_check(s, lbl, cf, partition, n_chars)
         assert ok, f"restriction failed for {lbl.render()}: {coeffs}"
         assert all(c >= 0 for c in coeffs.values())
         assert any(c > 0 for c in coeffs.values())
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_restriction_rejects_a_perturbed_value(n, p):
+    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
+    idx = identity_index(s, partition)
+    # a superclass other than {1} that meets N, so that Res_N sees the change
+    ci = next(i for i, rec in enumerate(partition)
+              if i != idx and s.s_part(rec.representative) == s.unit)
+    for lbl, cf in zip(labels, funcs):
+        values = list(cf.values)
+        values[ci] = values[ci] + 1
+        ok, _ = restriction_check(s, lbl, ClassFunction(tuple(values), cf.degree),
+                                  partition, n_chars)
+        assert not ok, lbl.render()
+
+
+def test_restriction_rejects_a_lambda_outside_its_torus_conjugates():
+    s, partition, labels, funcs, n_chars = _restriction_setup(2, 3)
+    one = funcs[labels.index(principal_label(s))]
+    big = funcs[labels.index(e12_label(s))]
+    assert restriction_check(s, principal_label(s), one, partition, n_chars)[0]
+    assert restriction_check(s, e12_label(s), big, partition, n_chars)[0]
+    assert not restriction_check(s, e12_label(s), one, partition, n_chars)[0]
+    assert not restriction_check(s, principal_label(s), big, partition, n_chars)[0]
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_restriction_rejects_a_negated_row(n, p):
+    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
+    for lbl, cf in zip(labels, funcs):
+        neg = ClassFunction(tuple(v * -1 for v in cf.values), cf.degree * -1)
+        assert not restriction_check(s, lbl, neg, partition, n_chars)[0], lbl.render()
+
+
+def test_restriction_rejects_a_missing_n_supercharacter():
+    # Res_N of the principal character is psi_0 alone, which is orthogonal to
+    # every other psi: without psi_0 all coefficients are 0 and only the
+    # reconstruction sees the gap
+    s, partition, labels, funcs, (n_part, chars) = _restriction_setup(3, 2)
+    rest = [c for c in chars if c[0].representative != (0, 0, 0)]
+    assert len(rest) == len(chars) - 1
+    one = funcs[labels.index(principal_label(s))]
+    ok, coeffs = restriction_check(s, principal_label(s), one, partition, (n_part, rest))
+    assert not ok and not any(coeffs.values())
+
+
+def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
+    s, partition, labels, funcs, n_chars = _restriction_setup(3, 2)
+    n_part, _ = n_chars
+    orb = next(rec for rec in n_part if len(rec.members) > 1)
+    k, rec = next((k, rec) for k, rec in enumerate(partition) if orb.representative in rec.members)
+    g = max(orb.members)
+    rest = rec.members - {g}
+    split = [SuperclassRecord(rec.label, frozenset({g}), g),
+             SuperclassRecord(rec.label, rest, min(rest))]
+    bad = partition[:k] + split + partition[k + 1:]
+    cf = ClassFunction(funcs[0].values[:k + 1] + funcs[0].values[k:], funcs[0].degree)
+    with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
+        restriction_check(s, labels[0], cf, bad, n_chars)

@@ -12,7 +12,6 @@ from supchar.errors import GroupTooLarge, NotInH
 from supchar.superclasses import (
     associated_idempotent,
     classify,
-    conjugacy_classes,
     identity_index,
     m_factor,
     predicted_count,
@@ -20,6 +19,7 @@ from supchar.superclasses import (
     superclass_partition,
     transporter_count,
 )
+from supchar.supercharacters import InductionContext
 from supchar import triangular as tri
 
 from conftest import get_field, get_partition, get_spec, random_triple
@@ -119,7 +119,7 @@ def test_refines_conjugacy(n, p):
     for ci, rec in enumerate(partition):
         for g in rec.members:
             member_to_class[g] = ci
-    for cls in conjugacy_classes(s):
+    for cls in InductionContext(s, 2 ** 17).classes:
         assert len({member_to_class[g] for g in cls}) == 1
 
 
