@@ -28,6 +28,7 @@ from .fields import field_make
 from .superclasses import (
     DEFAULT_GROUP_BOUND,
     predicted_count,
+    superclass_index,
     superclass_partition,
 )
 from .supercharacters import (
@@ -158,9 +159,10 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
         ok = True
         detail = f"{len(labels)} characters restricted to 1+J"
         n_chars = n_characters(spec, bound)
+        index = superclass_index(partition)
         for lbl, row in zip(labels, table.values):
             cf = ClassFunction(tuple(row), None)
-            passed, _ = restriction_check(spec, lbl, cf, partition, n_chars)
+            passed, _ = restriction_check(spec, lbl, cf, index, n_chars)
             if not passed:
                 ok = False
                 detail = f"decomposition failed for {lbl.render()}"

@@ -104,6 +104,13 @@ class CycloNumber:
         """zeta_m^j."""
         return CycloNumber._make(m, _power_basis(m)[j % m])
 
+    @staticmethod
+    def from_int_poly(m: int, poly, den: int) -> "CycloNumber":
+        """(poly mod Phi_m) / den, for integer coefficients poly (constant first)."""
+        _, rem = _poly_divmod_int(poly, cyclotomic_poly(m))
+        rem += [0] * (len(cyclotomic_poly(m)) - 1 - len(rem))
+        return CycloNumber._make(m, tuple(Fraction(c, den) for c in rem))
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "CycloNumber"):

@@ -7,11 +7,13 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .algebra import (
     AlgebraSpec,
+    LinearMap,
     OrbitRecord,
     block_component,
     certified_corner,
@@ -25,12 +27,13 @@ from .algebra import (
     rho_dual_map,
     sandwich_map,
 )
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, cyclotomic_poly
 from .errors import (
     GroupTooLarge,
     NotConstantOnSuperclass,
     NotInStabilizer,
     NotRegular,
+    OrderMismatch,
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
@@ -69,11 +72,6 @@ class ClassFunction:
     values: tuple           # CycloNumbers aligned with the partition order
     degree: CycloNumber
 
-    @cached_property
-    def conj_values(self) -> tuple:
-        """The complex conjugates of values, computed once per function."""
-        return tuple(v.conj() for v in self.values)
-
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
                     check_regular: bool = True) -> StabilizerData:
@@ -108,7 +106,12 @@ def right_stabilizer(spec: AlgebraSpec, lam, e: frozenset, hs) -> StabilizerData
             for r in rad]
     basis = linalg.kernel_basis(F, rows)
     j_right = set(linalg.span(F, basis, dim=len(rad)))
-    g_lam = {spec.mul(h, spec.add(spec.unit, spec.j_embed(u))) for h in hs for u in j_right}
+    g_lam = set()
+    for h in hs:
+        # u -> h (1 + u) = h + h u on radical coordinates, compiled once per h != 1
+        cols = [((r, 1),) for r in range(spec.dim)] if h == spec.unit else \
+            sandwich_map(spec, h, spec.unit, rad).cols
+        g_lam.update(map(LinearMap(F, [cols[r] for r in rad], h).apply, j_right))
     assert len(g_lam) == len(hs) * len(j_right)
     return StabilizerData(tuple(lam), e, basis, j_right, hs, g_lam, len(g_lam))
 
@@ -220,19 +223,49 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
     return ClassFunction(tuple(values), degree)
 
 
+def _integer_rows(values, weights):
+    """(d, rows) with weights[K] * values[K] = sum of col[K] z^t / d over the
+    pairs (t, col) of rows: one Python-int column per power z^t that is not
+    all zero, over the common denominator d of every coefficient."""
+    d = lcm(*(c.denominator for v in values for c in v.coeffs))
+    cols = ((t, [v.coeffs[t].numerator * (d // v.coeffs[t].denominator) * w
+                 for v, w in zip(values, weights)]) for t in range(len(values[0].coeffs)))
+    return d, [(t, col) for t, col in cols if any(col)]
+
+
+def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]:
+    """[[<phi, psi> for psi in psis] for phi in phis], exactly, where
+    <phi, psi> = (1/order) sum over the classes K of |K| phi(K) conj(psi(K)).
+
+    Each phi becomes |K|-weighted integer rows and each psi, conjugated once
+    per value, plain integer rows (_integer_rows).  A pair is then a sum of
+    integer dot products per degree s + t, reduced mod Phi_m once."""
+    sizes = [len(rec.members) for rec in partition]
+    funcs = [*phis, *psis]
+    if any(len(f.values) != len(sizes) for f in funcs):
+        raise PartitionMismatch("class functions defined on different partitions")
+    orders = {v.order for f in funcs for v in f.values}
+    if len(orders) != 1:
+        raise OrderMismatch(f"orders differ: {sorted(orders)}")
+    m = orders.pop()
+    width = 2 * len(cyclotomic_poly(m)) - 3
+    left = [_integer_rows(f.values, sizes) for f in phis]
+    right = [_integer_rows([v.conj() for v in f.values], [1] * len(sizes)) for f in psis]
+
+    def pair(a, b):
+        acc = [0] * width
+        for s, x in a:
+            for t, y in b:
+                acc[s + t] += sum(map(mul, x, y))
+        return acc
+    return [[CycloNumber.from_int_poly(m, pair(a, b), da * db * order) for db, b in right]
+            for da, a in left]
+
+
 def inner_product(partition, phi: ClassFunction, psi: ClassFunction,
                   order: int) -> CycloNumber:
-    if len(phi.values) != len(partition) or len(psi.values) != len(partition):
-        raise PartitionMismatch("class functions defined on different partitions")
-    # sum a conj(b) over the classes of each size, then weight once per size
-    by_size: dict = {}
-    for rec, a, b in zip(partition, phi.values, psi.conj_values):
-        n = len(rec.members)
-        by_size[n] = by_size[n] + a * b if n in by_size else a * b
-    out = CycloNumber.zero(phi.values[0].order)
-    for size, total in by_size.items():
-        out = out + total * size
-    return out / order
+    """<phi, psi>: the one-pair call of inner_products."""
+    return inner_products(partition, [phi], [psi], order)[0][0]
 
 
 def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
@@ -354,18 +387,10 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     out.append(CheckResult("S3", singleton, f"identity class size {partition[idx].size}"))
 
     funcs = [ClassFunction(tuple(row), row[idx]) for row in table.values]
-    disjoint = True
-    bad = ""
-    for i in range(nrows):
-        for j in range(i + 1, nrows):
-            ip = inner_product(partition, funcs[i], funcs[j], table.group_order)
-            if not ip.is_zero():
-                disjoint = False
-                bad = f"<{i},{j}> = {ip.render()}"
-                break
-        if not disjoint:
-            break
-    out.append(CheckResult("disjoint", disjoint, bad or "all off-diagonal inner products 0"))
+    gram = inner_products(partition, funcs, funcs, table.group_order)
+    bad = next((f"<{i},{j}> = {gram[i][j].render()}" for i in range(nrows)
+                for j in range(i + 1, nrows) if not gram[i][j].is_zero()), "")
+    out.append(CheckResult("disjoint", not bad, bad or "all off-diagonal inner products 0"))
 
     member_to_class = superclass_index(partition)
     refines = all(len({member_to_class[g] for g in cls}) == 1 for cls in conj_classes)
@@ -377,8 +402,8 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     ok = True
     details = []
     coeffs = []
-    for f in funcs:
-        norm = inner_product(partition, f, f, table.group_order)
+    for i, f in enumerate(funcs):
+        norm = gram[i][i]
         if not (norm.is_rational() and norm.rational_value() > 0 and f.degree.is_rational()):
             ok = False
             break
@@ -388,15 +413,20 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
             break
         coeffs.append(a)
     if ok:
-        for ci in range(ncols):
-            total = CycloNumber.zero(m)
-            for a, f in zip(coeffs, funcs):
-                total = total + f.values[ci] * a
-            want = Fraction(table.group_order) if ci == idx else Fraction(0)
-            if total != CycloNumber.rational(m, want):
-                ok = False
-                details.append(f"reconstruction off at class {ci}")
-                break
+        # L sum a chi = L |G| at the identity and 0 elsewhere, on integer rows
+        rows = [_integer_rows(f.values, [1] * ncols) for f in funcs]
+        weights = [a / d for a, (d, _) in zip(coeffs, rows)]
+        big = lcm(*(w.denominator for w in weights))
+        total = [[0] * ncols for _ in range(len(cyclotomic_poly(m)) - 1)]
+        total[0][idx] = -big * table.group_order
+        for w, (_, r) in zip(weights, rows):
+            for t, col in r:
+                total[t] = [x + w.numerator * (big // w.denominator) * y
+                            for x, y in zip(total[t], col)]
+        ci = next((ci for ci in range(ncols) if any(col[ci] for col in total)), None)
+        if ci is not None:
+            ok = False
+            details.append(f"reconstruction off at class {ci}")
     out.append(CheckResult("regular-character", ok,
                            "; ".join(details) or f"coefficients {sorted(set(map(str, coeffs)))}"))
     return out
@@ -437,19 +467,18 @@ def n_characters(spec: AlgebraSpec, bound: int):
 
 
 def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunction,
-                      partition, n_chars):
+                      class_index: dict, n_chars):
     """Weak form of the restriction formula: Res_N(chi) decomposes over the
     N-supercharacters with nonnegative rational coefficients, supported on the
     torus conjugates of lambda.  Returns (passed, coefficient map).
 
-    n_chars is n_characters(spec, bound), shared between labels.  Res_N(chi)
-    is a class function on its N-superclasses, each of which must lie in one
-    superclass of G."""
+    class_index (superclass_index of cf's partition) and n_chars
+    (n_characters(spec, bound)) are shared between labels.  Res_N(chi) is a
+    class function on its N-superclasses, each inside one superclass of G."""
     n_part, chars = n_chars
-    member_to_idx = superclass_index(partition)
     values = []
     for rec in n_part:
-        first, *rest = {member_to_idx.get(g) for g in rec.members}
+        first, *rest = {class_index.get(g) for g in rec.members}
         if rest or first is None:
             raise PartitionMismatch(f"the N-superclass of {rec.representative} "
                                     "does not lie in one superclass of G")
@@ -471,8 +500,9 @@ def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunctio
     coeffs = {}
     recon = [CycloNumber.zero(spec.cyclo_order)] * len(n_part)
     ok = True
-    for oi, (orb, psi, den) in enumerate(chars):
-        num = inner_product(n_part, res, psi, n_order)
+    # <psi, res> = conj <res, psi> (equal when rational), so only res is conjugated
+    nums = inner_products(n_part, [psi for _, psi, _ in chars], [res], n_order)
+    for oi, ((orb, psi, den), (num,)) in enumerate(zip(chars, nums)):
         if not (num.is_rational() and den.is_rational()):
             return False, coeffs
         c = coeffs[orb.representative] = num.rational_value() / den.rational_value()

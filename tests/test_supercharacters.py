@@ -27,6 +27,7 @@ from supchar.fields import additive_char_exponent
 from supchar.superclasses import (
     SuperclassRecord,
     identity_index,
+    superclass_index,
     superclass_partition,
 )
 from supchar.supercharacters import (
@@ -39,6 +40,7 @@ from supchar.supercharacters import (
     enumerate_labels,
     induce,
     inner_product,
+    inner_products,
     n_characters,
     nn_orbits,
     restriction_check,
@@ -95,6 +97,26 @@ def test_stabilizer_rejects_irregular():
         stabilizer_data(s, (0, 1, 0), frozenset({0, 1, 2}))  # E13* has support {1,3}
     with pytest.raises(NotRegular):
         stabilizer_data(s, (1, 0, 0), frozenset({0, 1, 2}))  # E12* misses block 3
+
+
+def _literal_right_stabilizer(s, lam, hs):
+    """{h (1 + u) : h in hs, u in J with lam(u v) = 0 for every v in J}, by
+    enumeration and spec.mul."""
+    radical = s.j_vectors()
+    right = [u for u in radical if all(s.form_eval(lam, s.mul(u, v)) == 0 for v in radical)]
+    return {s.mul(h, s.add(s.unit, u)) for h in hs for u in right}
+
+
+def test_g_lambda_and_n_right_equal_the_literal_products():
+    for name, s, _ in _literal_specs():
+        for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+            stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
+            want = _literal_right_stabilizer(s, lbl.lambda_rep, stab.h_eprime)
+            assert stab.g_lambda == want and stab.size == len(want), (name, lbl.render())
+        for orb in nn_orbits(s):
+            mu = orb.representative
+            stab = sc.right_stabilizer(s, mu, frozenset(), [s.unit])
+            assert stab.g_lambda == _literal_right_stabilizer(s, mu, [s.unit]), (name, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +310,141 @@ def test_inner_product_partition_mismatch():
     cf = ClassFunction((CycloNumber.rational(2, 1),), CycloNumber.rational(2, 1))
     with pytest.raises(PartitionMismatch):
         inner_product(partition, cf, cf, 2)
+    ok = induce(s, principal_label(s), partition, InductionContext(s, 2 ** 17))
+    for phis, psis in (([ok], [ok, cf]), ([cf, ok], [ok])):
+        with pytest.raises(PartitionMismatch):
+            inner_products(partition, phis, psis, 2)
+
+
+def _literal_inner(partition, phi, psi, order):
+    """(1/order) sum over K of |K| phi(K) conj(psi(K)) in CycloNumber arithmetic."""
+    total = CycloNumber.zero(phi.values[0].order)
+    for rec, a, b in zip(partition, phi.values, psi.values):
+        total = total + a * b.conj() * len(rec.members)
+    return total / order
+
+
+def _literal_disjoint_detail(partition, funcs, order):
+    """The detail of the first nonzero off-diagonal <i,j>, i < j, or None."""
+    for i in range(len(funcs)):
+        for j in range(i + 1, len(funcs)):
+            ip = _literal_inner(partition, funcs[i], funcs[j], order)
+            if not ip.is_zero():
+                return f"<{i},{j}> = {ip.render()}"
+    return None
+
+
+def _table_specs():
+    yield "T(3,3)", get_spec(3, 3), get_partition(3, 3)
+    yield "T(4,2)", get_spec(4, 2), get_partition(4, 2)
+    yield from _reference_specs()
+
+
+def test_inner_products_equal_the_literal_sum():
+    for name, s, partition in _table_specs():
+        labels = enumerate_labels(s, orbit_census(s, "J*"))
+        table = build_table(s, partition, labels, 2 ** 17)
+        funcs = [ClassFunction(tuple(row), None) for row in table.values]
+        # and one class function with non-integral values
+        funcs.append(ClassFunction(tuple(a / 2 + b / 3 for a, b in zip(*table.values[-2:])),
+                                   None))
+        gram = inner_products(partition, funcs, funcs, table.group_order)
+        assert len(gram) == len(funcs) and all(len(row) == len(funcs) for row in gram)
+        for i, phi in enumerate(funcs):
+            for j, psi in enumerate(funcs):
+                assert gram[i][j] == _literal_inner(partition, phi, psi, table.group_order), \
+                    (name, i, j)
+    # the N-side: every pair of psi_mu of T(3,3), and their norms
+    n_part, chars = n_characters(get_spec(3, 3), 2 ** 17)
+    psis = [psi for _, psi, _ in chars]
+    gram = inner_products(n_part, psis, psis, 27)
+    for i, (_, phi, norm) in enumerate(chars):
+        assert norm == gram[i][i]
+        for j, psi in enumerate(psis):
+            assert gram[i][j] == _literal_inner(n_part, phi, psi, 27), (i, j)
+    assert inner_products(n_part, psis[:1], psis, 27) == gram[:1]
+
+
+def _perturbed(table):
+    return CharacterTable(table.row_labels, table.col_labels, table.sizes,
+                          [list(row) for row in table.values],
+                          table.group_order, table.cyclo_order, table.constancy)
+
+
+def test_disjoint_fails_on_a_perturbed_value_with_the_literal_detail():
+    s, partition, table, classes = full_table(3, 3)
+    idx = identity_index(s, partition)
+    k, l = [k for k in range(len(partition)) if k != idx][:2]
+    one = table.values.index([CycloNumber.rational(table.cyclo_order, 1)] * len(partition))
+    # chi_r(K) + 1 alone, and chi_r(K) + |L| with chi_r(L) - |K|, which keeps
+    # <1, chi_r> = 0 so that the first failing pair does not involve 1
+    for bumps in ({k: 1}, {k: partition[l].size, l: -partition[k].size}):
+        bad = _perturbed(table)
+        for c, b in bumps.items():
+            bad.values[-1][c] = bad.values[-1][c] + b
+        funcs = [ClassFunction(tuple(row), None) for row in bad.values]
+        want = _literal_disjoint_detail(partition, funcs, bad.group_order)
+        report = {r.name: r for r in axioms_report(s, bad, partition, classes)}
+        assert want is not None and not report["disjoint"].passed
+        assert report["disjoint"].details == want
+    assert not want.startswith(f"<{one},")
+
+
+def test_disjoint_fails_on_a_perturbed_class_size():
+    s, partition, table, classes = full_table(3, 3)
+    k = next(k for k, rec in enumerate(partition) if s.unit not in rec.members)
+    rec = partition[k]
+    grown = SuperclassRecord(rec.label, rec.members | {("not in G",)}, rec.representative)
+    bad = partition[:k] + [grown] + partition[k + 1:]
+    funcs = [ClassFunction(tuple(row), None) for row in table.values]
+    want = _literal_disjoint_detail(bad, funcs, table.group_order)
+    report = {r.name: r for r in axioms_report(s, table, bad, classes)}
+    assert want is not None and not report["disjoint"].passed
+    assert report["disjoint"].details == want
+
+
+def test_regular_character_fails_on_a_value_turned_by_a_root_of_unity():
+    # chi(K) -> zeta^-1 chi(K) keeps every norm and degree; for rational chi(K)
+    # the reconstruction is off by a multiple of z alone
+    s, partition, table, classes = full_table(3, 3)
+    m = table.cyclo_order
+    idx = identity_index(s, partition)
+    r, k = next((r, k) for r, row in enumerate(table.values) for k, v in enumerate(row)
+                if k != idx and v.is_rational() and not v.is_zero())
+    bad = _perturbed(table)
+    bad.values[r][k] = bad.values[r][k] * CycloNumber.root(m, -1)
+    assert not (bad.values[r][k] - table.values[r][k]).coeffs[0]
+    report = {r.name: r for r in axioms_report(s, bad, partition, classes)}
+    assert not report["regular-character"].passed
+    assert report["regular-character"].details == f"reconstruction off at class {k}"
+
+
+def test_regular_character_holds_for_a_row_scaled_by_a_third():
+    # a = chi(1) / <chi, chi> scales inversely, so a chi and the check are unchanged
+    s, partition, table, classes = full_table(3, 3)
+    scaled = _perturbed(table)
+    scaled.values[-1] = [v / 3 for v in scaled.values[-1]]
+    report = {r.name: r.passed for r in axioms_report(s, scaled, partition, classes)}
+    assert report["regular-character"] and report["disjoint"]
+
+
+def test_inner_products_make_no_cyclo_multiplication(monkeypatch):
+    """The kernel multiplies Python ints only; axioms_report makes fewer
+    CycloNumber products than one per table entry."""
+    s, partition, table, classes = full_table(3, 3)
+    funcs = [ClassFunction(tuple(row), None) for row in table.values]
+    real = CycloNumber.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counted)
+    inner_products(partition, funcs, funcs, table.group_order)
+    assert not calls
+    assert all(r.passed for r in axioms_report(s, table, partition, classes))
+    assert len(calls) < len(table.values) * len(partition)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +665,7 @@ def _restriction_setup(n, p):
 def test_restriction_decomposition(n, p):
     s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
     for lbl, cf in zip(labels, funcs):
-        ok, coeffs = restriction_check(s, lbl, cf, partition, n_chars)
+        ok, coeffs = restriction_check(s, lbl, cf, superclass_index(partition), n_chars)
         assert ok, f"restriction failed for {lbl.render()}: {coeffs}"
         assert all(c >= 0 for c in coeffs.values())
         assert any(c > 0 for c in coeffs.values())
@@ -525,26 +682,28 @@ def test_restriction_rejects_a_perturbed_value(n, p):
         values = list(cf.values)
         values[ci] = values[ci] + 1
         ok, _ = restriction_check(s, lbl, ClassFunction(tuple(values), cf.degree),
-                                  partition, n_chars)
+                                  superclass_index(partition), n_chars)
         assert not ok, lbl.render()
 
 
 def test_restriction_rejects_a_lambda_outside_its_torus_conjugates():
     s, partition, labels, funcs, n_chars = _restriction_setup(2, 3)
+    index = superclass_index(partition)
     one = funcs[labels.index(principal_label(s))]
     big = funcs[labels.index(e12_label(s))]
-    assert restriction_check(s, principal_label(s), one, partition, n_chars)[0]
-    assert restriction_check(s, e12_label(s), big, partition, n_chars)[0]
-    assert not restriction_check(s, e12_label(s), one, partition, n_chars)[0]
-    assert not restriction_check(s, principal_label(s), big, partition, n_chars)[0]
+    assert restriction_check(s, principal_label(s), one, index, n_chars)[0]
+    assert restriction_check(s, e12_label(s), big, index, n_chars)[0]
+    assert not restriction_check(s, e12_label(s), one, index, n_chars)[0]
+    assert not restriction_check(s, principal_label(s), big, index, n_chars)[0]
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_rejects_a_negated_row(n, p):
     s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
+    index = superclass_index(partition)
     for lbl, cf in zip(labels, funcs):
         neg = ClassFunction(tuple(v * -1 for v in cf.values), cf.degree * -1)
-        assert not restriction_check(s, lbl, neg, partition, n_chars)[0], lbl.render()
+        assert not restriction_check(s, lbl, neg, index, n_chars)[0], lbl.render()
 
 
 def test_restriction_rejects_a_missing_n_supercharacter():
@@ -555,7 +714,8 @@ def test_restriction_rejects_a_missing_n_supercharacter():
     rest = [c for c in chars if c[0].representative != (0, 0, 0)]
     assert len(rest) == len(chars) - 1
     one = funcs[labels.index(principal_label(s))]
-    ok, coeffs = restriction_check(s, principal_label(s), one, partition, (n_part, rest))
+    ok, coeffs = restriction_check(s, principal_label(s), one, superclass_index(partition),
+                                   (n_part, rest))
     assert not ok and not any(coeffs.values())
 
 
@@ -571,4 +731,4 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     bad = partition[:k] + split + partition[k + 1:]
     cf = ClassFunction(funcs[0].values[:k + 1] + funcs[0].values[k:], funcs[0].degree)
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
-        restriction_check(s, labels[0], cf, bad, n_chars)
+        restriction_check(s, labels[0], cf, superclass_index(bad), n_chars)
