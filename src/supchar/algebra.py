@@ -53,7 +53,7 @@ class TildeTriple:
 class OrbitRecord:
     members: frozenset
     representative: tuple
-    space_tag: str  # "J", "J*", "G" or "N"
+    space_tag: str  # "J", "J*" or "N"
 
 
 class AlgebraSpec:

@@ -59,7 +59,7 @@ def _space_bound(args) -> int:
 
 
 def _field(args):
-    return field_make(args.p, args.k)
+    return field_make(args.p, 1 if args.k is None else args.k)
 
 
 def _write(path, text):
@@ -177,7 +177,8 @@ def cmd_verify(args) -> int:
     selected = all_checks if args.checks == ["all"] else args.checks
     bad = [c for c in selected if c not in all_checks]
     if bad:
-        print(f"unknown checks: {bad}", file=sys.stderr)
+        print("--checks all cannot be combined with named checks" if "all" in bad
+              else f"unknown checks: {bad}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if args.spec:
         spec = load_algebra_file(args.spec)
@@ -235,7 +236,7 @@ def make_parser() -> argparse.ArgumentParser:
         if triangular:
             p.add_argument("--n", type=int, default=None, help="matrix size")
             p.add_argument("--p", type=int, default=None, help="field characteristic")
-            p.add_argument("--k", type=int, default=1, help="field degree, q = p^k")
+            p.add_argument("--k", type=int, default=None, help="field degree, q = p^k (default 1)")
         if spec_file:
             p.add_argument("--spec", default=None, help="algebra spec JSON file")
         p.add_argument("--bound", type=int, default=None,
@@ -284,8 +285,8 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {source} must be non-negative, got {args.bound}",
               file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.command in ("verify", "orbits") and args.spec and (args.n, args.p) != (None, None):
-        print("--spec conflicts with --n/--p: give one algebra or the other", file=sys.stderr)
+    if args.command in ("verify", "orbits") and args.spec and {args.n, args.p, args.k} != {None}:
+        print("--spec conflicts with --n/--p/--k: give one algebra or the other", file=sys.stderr)
         return EXIT_BAD_CONFIG
     uses_field = args.command == "table" or (
         args.command in ("verify", "orbits") and not args.spec)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -59,11 +59,8 @@ class SupercharLabel:
 @dataclass
 class StabilizerData:
     lam: tuple
-    e: frozenset
-    j_right_basis: list
     j_right: set            # radical-coord tuples
-    h_eprime: list
-    g_lambda: set
+    g_lambda: dict          # h -> {h (1 + u): exponent of eps^{lam(h u)} as a power of zeta_m}
     size: int
 
 
@@ -73,19 +70,16 @@ class ClassFunction:
     degree: CycloNumber
 
 
-def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
-                    check_regular: bool = True) -> StabilizerData:
-    """J_{lam,right}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right})."""
-    if check_regular:
-        if form_support(spec, lam) != e or \
-                orbit_support(spec, orbit(spec, lam, "rho_dual", e)) != e:
-            raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
+def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
+    """J_{lam,right}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right}), for a form
+    lam regular in the corner of e (NotRegular otherwise)."""
+    if form_support(spec, lam) != e or \
+            orbit_support(spec, orbit(spec, lam, "rho_dual", e)) != e:
+        raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
 
     rad = list(spec.radical_basis)
-    hs = []
-    for h in h_elements(spec):
-        if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e):
-            hs.append(h)
+    hs = [h for h in h_elements(spec)
+          if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e)]
 
     # cross-check: H_{e'} = H_{lam,right} /\ H_{lam,left}
     def fixes(h):
@@ -94,26 +88,33 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset,
         return right == lam and left == lam
     both = [h for h in h_elements(spec) if fixes(h)]
     assert sorted(both) == sorted(hs), "H_{e'} != H_right /\\ H_left for a regular form"
-    return right_stabilizer(spec, lam, e, hs)
+    return right_stabilizer(spec, lam, hs)
 
 
-def right_stabilizer(spec: AlgebraSpec, lam, e: frozenset, hs) -> StabilizerData:
+def right_stabilizer(spec: AlgebraSpec, lam, hs) -> StabilizerData:
     """hs (1 + J_{lam,right}) with J_{lam,right} = {u in J : lam(u J) = 0}: G_lam
-    for hs = H_{e'}, and N_{lam,right} in N = 1 + J for hs = [1]."""
+    for hs = H_{e'}, and N_{lam,right} in N = 1 + J for hs = [1].
+
+    Each element h (1 + u) = h + h u is recorded under h with the exponent of
+    eps^{lam(h u)}, the additive part of xi there.  One check per h, that
+    h J_{lam,right} = J_{lam,right}, puts every element in the domain of xi and
+    shows that u -> h (1 + u) is one-to-one, so |G_lam| = |hs| |J_{lam,right}|."""
     F = spec.field
     rad = spec.radical_basis
     rows = [[spec.form_eval(lam, spec.mul(spec.basis_vec(c), spec.basis_vec(r))) for c in rad]
             for r in rad]
-    basis = linalg.kernel_basis(F, rows)
-    j_right = set(linalg.span(F, basis, dim=len(rad)))
-    g_lam = set()
+    j_right = set(linalg.span(F, linalg.kernel_basis(F, rows), dim=len(rad)))
+    eps = [additive_char_exponent(F, c, spec.cyclo_order) for c in F.elements()]
+    g_lam = {}
     for h in hs:
         # u -> h (1 + u) = h + h u on radical coordinates, compiled once per h != 1
         cols = [((r, 1),) for r in range(spec.dim)] if h == spec.unit else \
             sandwich_map(spec, h, spec.unit, rad).cols
-        g_lam.update(map(LinearMap(F, [cols[r] for r in rad], h).apply, j_right))
-    assert len(g_lam) == len(hs) * len(j_right)
-    return StabilizerData(tuple(lam), e, basis, j_right, hs, g_lam, len(g_lam))
+        part = g_lam[h] = {g: eps[spec.form_eval(lam, g)]
+                           for g in map(LinearMap(F, [cols[r] for r in rad], h).apply, j_right)}
+        if {spec.j_coords(g) for g in part} != j_right:
+            raise NotInStabilizer(f"{h} (1 + J_lambda,right) does not lie in G_lambda")
+    return StabilizerData(tuple(lam), j_right, g_lam, len(hs) * len(j_right))
 
 
 def theta_exponent(spec: AlgebraSpec, theta, h) -> int:
@@ -129,29 +130,18 @@ def theta_exponent(spec: AlgebraSpec, theta, h) -> int:
     return out
 
 
-def theta_table(spec: AlgebraSpec, stab: StabilizerData, theta) -> dict:
-    """{h: theta_exponent(spec, theta, h)} for every h in H_{e'}, built once per label."""
-    return {h: theta_exponent(spec, theta, h) for h in stab.h_eprime}
-
-
-def xi_exponent(spec: AlgebraSpec, stab: StabilizerData, thetas: dict, g) -> int:
-    """Exponent of xi(g) = theta(h) eps^{lam(x)} as a power of zeta_m, with
-    thetas = theta_table(spec, stab, theta)."""
-    h = spec.s_part(g)
-    x = spec.j_part(g)
-    if h not in thetas or spec.j_coords(x) not in stab.j_right:
-        raise NotInStabilizer(f"{g} does not lie in G_lambda")
-    m = spec.cyclo_order
-    add = additive_char_exponent(spec.field, spec.form_eval(stab.lam, x), m)
-    return (thetas[h] + add) % m
-
-
 def xi(spec: AlgebraSpec, label: SupercharLabel, g,
        stab: StabilizerData | None = None) -> CycloNumber:
+    """xi(g) = theta(h) eps^{lam(x)} for g = h + x with h in H_{e'} and x in
+    J_{lam,right}, straight from the definition; NotInStabilizer otherwise."""
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
-    thetas = theta_table(spec, stab, label.theta)
-    return CycloNumber.root(spec.cyclo_order, xi_exponent(spec, stab, thetas, g))
+    h, x = spec.s_part(g), spec.j_part(g)
+    if h not in stab.g_lambda or spec.j_coords(x) not in stab.j_right:
+        raise NotInStabilizer(f"{g} does not lie in G_lambda")
+    m = spec.cyclo_order
+    return CycloNumber.root(m, theta_exponent(spec, label.theta, h) + additive_char_exponent(
+        spec.field, spec.form_eval(stab.lam, x), m))
 
 
 class InductionContext:
@@ -186,26 +176,27 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
     formula grouped by class, and checked constant on every superclass element:
 
         chi(g) = |G| / (|cl(g)| |G_lambda|) * sum of xi(y), y in cl(g) /\\ G_lambda.
-    """
+
+    The exponent of xi(h (1 + u)) as a power of zeta_m is theta's exponent at
+    h plus the one stab recorded for h (1 + u).  Each class's sum is counted
+    per power of zeta_m and reduced mod Phi_m once."""
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     m = spec.cyclo_order
-    # multiplicity of each exponent of xi on cl(g) /\ G_lambda, per class
-    thetas = theta_table(spec, stab, label.theta)
-    counts: dict = {}
-    for v in stab.g_lambda:
-        e = xi_exponent(spec, stab, thetas, v)
-        counts.setdefault(ctx.class_of[v], Counter())[e] += 1
+    # the number of y in cl(g) /\ G_lambda with xi(y) = zeta_m^t, per class and t
+    counts = defaultdict(lambda: [0] * m)
+    for h, part in stab.g_lambda.items():
+        th = theta_exponent(spec, label.theta, h)
+        for y, t in part.items():
+            counts[ctx.class_of[y]][(th + t) % m] += 1
     class_values: dict = {}
 
     def value_of(ci) -> CycloNumber:
         got = class_values.get(ci)
         if got is None:
-            got = CycloNumber.zero(m)
             scale = Fraction(ctx.order, len(ctx.classes[ci]) * stab.size)
-            for e, cnt in counts.get(ci, {}).items():
-                got = got + CycloNumber.root(m, e) * (cnt * scale)
-            class_values[ci] = got
+            got = class_values[ci] = CycloNumber.from_int_poly(
+                m, [c * scale.numerator for c in counts.get(ci, [0])], scale.denominator)
         return got
 
     values = []
@@ -346,7 +337,10 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
     InductionContext of spec is used instead of being built again."""
     if ctx is None:
         ctx = InductionContext(spec, bound)
-    funcs = [induce(spec, l, partition, ctx) for l in labels]
+    # G_lambda depends on the orbit (lambda, e) only, not on (f, theta)
+    stabs = {key: stabilizer_data(spec, *key)
+             for key in dict.fromkeys((l.lambda_rep, l.e) for l in labels)}
+    funcs = [induce(spec, l, partition, ctx, stabs[l.lambda_rep, l.e]) for l in labels]
     return CharacterTable(
         row_labels=list(labels),
         col_labels=[r.label for r in partition],
@@ -461,7 +455,7 @@ def n_characters(spec: AlgebraSpec, bound: int):
     for orb in nn_orbits(spec):
         mu = orb.representative
         label = SupercharLabel(frozenset(), frozenset(), (0,) * len(spec.blocks), mu)
-        psi = induce(spec, label, n_part, ctx, right_stabilizer(spec, mu, frozenset(), [spec.unit]))
+        psi = induce(spec, label, n_part, ctx, right_stabilizer(spec, mu, [spec.unit]))
         chars.append((orb, psi, inner_product(n_part, psi, psi, ctx.order)))
     return n_part, chars
 

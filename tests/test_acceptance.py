@@ -1,7 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the lines.
-The large (4, 3) configuration is skipped unless SUPCHAR_ACCEPT_43 is set.
 """
 import os
 from fractions import Fraction
@@ -30,7 +29,6 @@ from conftest import get_field, get_partition, get_spec
 
 CONFIGS = [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1)]
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
-RUN_43 = bool(os.environ.get("SUPCHAR_ACCEPT_43"))
 
 
 def emit(name: str, ok: bool, detail: str = ""):
@@ -44,7 +42,7 @@ def q_of(p, k):
 
 def test_ac1_oracle_equivalence():
     total = 0
-    configs = CONFIGS + ([(4, 3, 1)] if RUN_43 else [])
+    configs = CONFIGS + [(4, 3, 1)]
     for n, p, k in configs:
         F = get_field(p, k)
         closed = tri.table(n, F, mode="closed")

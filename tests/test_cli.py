@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -92,6 +93,12 @@ def test_verify_unknown_check():
     assert run(["verify", "--n", "2", "--p", "3", "--checks", "bogus"]) == 2
 
 
+def test_verify_all_with_named_checks_exits_2(capsys):
+    code, out, err = run(["verify", "--n", "2", "--p", "3", "--checks", "all", "counts"], capsys)
+    assert code == 2 and out == ""
+    assert "--checks all cannot be combined with named checks" in err
+
+
 def test_verify_custom_algebra(capsys):
     spec_path = os.path.join(DATA, "dual_numbers_q3.json")
     code, out, _ = run(["verify", "--spec", spec_path, "--checks", "all"], capsys)
@@ -106,6 +113,14 @@ def test_spec_with_n_or_p_exits_2(command, flags, capsys):
     code, out, err = run([command, "--spec", spec_path] + flags, capsys)
     assert code == 2 and out == ""
     assert "--spec conflicts with --n/--p" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "orbits"])
+def test_spec_with_k_exits_2(command, capsys):
+    spec_path = os.path.join(DATA, "dual_numbers_q3.json")
+    code, out, err = run([command, "--spec", spec_path, "--k", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "--spec conflicts with --n/--p/--k" in err
 
 
 def test_verify_detects_perturbed_table(monkeypatch, capsys):
@@ -152,6 +167,35 @@ def test_determinism_across_runs(tmp_path, n, p):
         assert code == 0
         outputs.append(out.read_bytes() + diff.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# sha256 of the stdout of each run: any change in a printed number changes it
+PINNED_STDOUT = [
+    (["verify", "--n", "2", "--p", "3", "--checks", "all"],
+     "d27cfb93e99f7b05bd101c718ec4d5fc1d3acf56f52d3c302246ec232dde6a2c"),
+    (["verify", "--n", "3", "--p", "2", "--checks", "all"],
+     "7c8c260030cd1d4c80c2c3decf0833ed701347155a93d992463e8552845578eb"),
+    (["verify", "--n", "3", "--p", "3", "--checks", "all"],
+     "ac339e9f6155999582b4629d005ffe8593c78c4f4146d62169af722c1574e2cc"),
+    (["verify", "--n", "2", "--p", "2", "--k", "2", "--checks", "all"],
+     "de9c7b1b606eb6e3118c0f721cc0f1f6b0ee356b63f6a6994d71a41629d1d109"),
+    (["verify", "--n", "4", "--p", "2", "--checks", "all"],
+     "a4ea44473d11089358e081e7078195a7356bff1e92d7dab28cc6ee2ca32ce05e"),
+    (["algebra", "--spec", os.path.join(DATA, "dual_numbers_q3.json")],
+     "7473cdd7661f831f9f48291d6b26bed5e54deb9e58ab5a9e9e6b610b85319e63"),
+    (["algebra", "--spec", os.path.join(DATA, "triangular_2_3.json")],
+     "a1013abcaa670955b5a279dc40837d64f26d3f47c23c6cd78d538ce812e17cdd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(os.path.basename(a) for a in argv)
+                              for argv, _ in PINNED_STDOUT])
+def test_stdout_matches_pinned_sha256(argv, digest, monkeypatch, capsys):
+    monkeypatch.delenv("SUPCHAR_BOUND", raising=False)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bound_env_not_an_integer(monkeypatch, capsys):

@@ -79,7 +79,7 @@ def test_stabilizer_e12():
         s = get_spec(2, p)
         stab = stabilizer_data(s, (1,), frozenset({0, 1}))
         assert len(stab.j_right) == p      # J_right = J since J^2 = 0
-        assert len(stab.h_eprime) == 1
+        assert len(stab.g_lambda) == 1     # H_{e'} = {1}
         assert stab.size == p
 
 
@@ -107,16 +107,46 @@ def _literal_right_stabilizer(s, lam, hs):
     return {s.mul(h, s.add(s.unit, u)) for h in hs for u in right}
 
 
+def _elements(stab):
+    """The elements of G_lambda (or N_{mu,right}), over every h."""
+    return {g for part in stab.g_lambda.values() for g in part}
+
+
+def _assert_recorded_exponents(s, stab):
+    """Each h (1 + u) carries the exponent of eps^{lam(h u)}, under its own h."""
+    m = s.cyclo_order
+    for h, part in stab.g_lambda.items():
+        for g, t in part.items():
+            assert s.s_part(g) == h
+            assert t == additive_char_exponent(s.field, s.form_eval(stab.lam, g), m)
+
+
 def test_g_lambda_and_n_right_equal_the_literal_products():
     for name, s, _ in _literal_specs():
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-            want = _literal_right_stabilizer(s, lbl.lambda_rep, stab.h_eprime)
-            assert stab.g_lambda == want and stab.size == len(want), (name, lbl.render())
+            want = _literal_right_stabilizer(s, lbl.lambda_rep, list(stab.g_lambda))
+            assert _elements(stab) == want and stab.size == len(want), (name, lbl.render())
+            _assert_recorded_exponents(s, stab)
         for orb in nn_orbits(s):
             mu = orb.representative
-            stab = sc.right_stabilizer(s, mu, frozenset(), [s.unit])
-            assert stab.g_lambda == _literal_right_stabilizer(s, mu, [s.unit]), (name, mu)
+            stab = sc.right_stabilizer(s, mu, [s.unit])
+            assert _elements(stab) == _literal_right_stabilizer(s, mu, [s.unit]), (name, mu)
+            _assert_recorded_exponents(s, stab)
+
+
+def test_right_stabilizer_rejects_h_moving_j_right(monkeypatch):
+    # lam = E13* on T(3,3) in the corner of blocks 1, 3: J_right = <E13, E23>
+    # and H_{e'} holds diag(1, 2, 1).  A left multiplication compiled wrongly,
+    # every basis vector to E12, moves J_right off itself.
+    s = get_spec(3, 3)
+    e12 = s.radical_basis[0]
+
+    def broken(spec, u, w, indices=None):
+        return algebra.LinearMap(spec.field, [((e12, 1),)] * spec.dim, spec.zero())
+    monkeypatch.setattr(sc, "sandwich_map", broken)
+    with pytest.raises(NotInStabilizer):
+        stabilizer_data(s, (0, 1, 0), frozenset({0, 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +178,8 @@ def test_xi_multiplicative_exhaustive():
     s = get_spec(2, 3)
     lbl = e12_label(s)
     stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-    for g1 in sorted(stab.g_lambda):
-        for g2 in sorted(stab.g_lambda):
+    for g1 in sorted(_elements(stab)):
+        for g2 in sorted(_elements(stab)):
             assert xi(s, lbl, s.mul(g1, g2), stab) == \
                 xi(s, lbl, g1, stab) * xi(s, lbl, g2, stab)
 
@@ -254,15 +284,45 @@ def test_induce_matches_literal_average_over_g():
         m = s.cyclo_order
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
+            elements = _elements(stab)
             cf = induce(s, lbl, partition, ctx, stab=stab)
             for rec, value in zip(partition, cf.values):
                 for g in rec.members:
                     total = CycloNumber.zero(m)
                     for u in group:
                         y = s.mul_many(inverses[u], g, u)
-                        if y in stab.g_lambda:
+                        if y in elements:
                             total = total + xi(s, lbl, y, stab)
                     assert value == total / stab.size, (name, lbl.render(), g)
+
+
+def test_build_table_shares_one_stabilizer_per_orbit(monkeypatch):
+    """build_table builds one G_lambda per orbit (lambda, e), and each of its
+    rows equals induce with a fresh stabilizer of that row's own label."""
+    specs = [("T(3,3)", get_spec(3, 3), get_partition(3, 3)),
+             ("T(2,GF(4))", get_spec(2, 2, 2), get_partition(2, 2, 2))]
+    for name in ("dual_numbers_q3.json", "triangular_2_3.json"):
+        spec = load_algebra_file(os.path.join(DATA, name))
+        specs.append((name, spec, superclass_partition(spec)))
+    real = sc.stabilizer_data
+    for name, s, partition in specs:
+        calls = []
+
+        def counted(spec, lam, e):
+            calls.append((lam, e))
+            return real(spec, lam, e)
+        monkeypatch.setattr(sc, "stabilizer_data", counted)
+        labels = enumerate_labels(s, orbit_census(s, "J*"))
+        ctx = InductionContext(s, 2 ** 17)
+        table = build_table(s, partition, labels, 2 ** 17, ctx=ctx)
+        monkeypatch.setattr(sc, "stabilizer_data", real)
+        assert sorted(calls) == sorted({(l.lambda_rep, l.e) for l in labels}), name
+        for lbl, row in zip(labels, table.values):
+            fresh = real(s, lbl.lambda_rep, lbl.e)
+            assert list(induce(s, lbl, partition, ctx, stab=fresh).values) == row, \
+                (name, lbl.render())
+        if name == "T(3,3)":
+            assert (len(labels), len(calls)) == (15, 5)
 
 
 def test_induce_rejects_value_varying_on_a_superclass():
