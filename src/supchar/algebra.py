@@ -83,8 +83,8 @@ class AlgebraSpec:
             for row in self.mul_table
         )
         self._inv_cache: dict = {}
-        self._corner_gens: dict = {}    # T -> certified corner_generators
-        self._corner_maps: dict = {}    # (T, action) -> their compiled actions
+        self._tilde_gens = None         # certified tilde_generators
+        self._generator_maps: dict = {}  # action -> their compiled actions
         self._torus_conj = None         # y -> t^-1 y t for every t in H
         self._validated = False
 
@@ -468,40 +468,20 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# generators of the corner groups G~_e, and their orbits
+# generators of the triple group G~, and its orbits
 # ---------------------------------------------------------------------------
 
-def _corner(spec: AlgebraSpec, T: frozenset | None) -> frozenset:
-    """T, or every block when T is None (the corner e = 1, where G~_e = G~)."""
-    return frozenset(range(len(spec.blocks))) if T is None else T
-
-
-def corner_j_basis(spec: AlgebraSpec, T: frozenset):
-    """An independent set of projections e b_r e spanning J_e (full-dim vectors)."""
-    e = idempotent_of(spec, T)
-    rows = []
-    for r in spec.radical_basis:
-        v = spec.mul(e, spec.mul(spec.basis_vec(r), e))
-        if v != spec.zero():
-            rows.append(list(v))
-    if not rows:
-        return []
-    mat, pivots = linalg.rref(spec.field, rows)
-    return [tuple(mat[i]) for i in range(len(pivots))]
-
-
-def corner_generators(spec: AlgebraSpec, T: frozenset):
-    """Generator triples of G~_e embedded in G~ (identity off the corner);
-    with T every block, e = 1 and they generate G~ itself."""
+def tilde_generators(spec: AlgebraSpec):
+    """Generator triples of G~: one torus generator per block, and (1, a, 1),
+    (1, 1, a) with a = 1 + c b_r for every radical basis vector b_r and c != 0."""
     gens = []
-    for i in sorted(T):
+    for i, blk in enumerate(spec.blocks):
         if spec.block_orders[i] > 1:
-            t = spec.add(spec.block_gen[i],
-                         spec.sub(spec.unit, spec.blocks[i].idempotent))
+            t = spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
             gens.append(make_triple(spec, t, spec.unit, spec.unit))
-    for b in corner_j_basis(spec, T):
+    for r in spec.radical_basis:
         for c in range(1, spec.field.q):
-            a = spec.add(spec.unit, spec.smul(c, b))
+            a = spec.add(spec.unit, spec.smul(c, spec.basis_vec(r)))
             gens.append(make_triple(spec, spec.unit, a, spec.unit))
             gens.append(make_triple(spec, spec.unit, spec.unit, a))
     return gens
@@ -523,48 +503,31 @@ def closure(start, maps) -> set:
     return members
 
 
-def certify_generators(spec: AlgebraSpec, gens, T: frozenset | None = None) -> None:
-    """Prove that the triples gens generate G~_e = H_e x| (N_e x N_e) for the
-    corner e = e_T (default: every block, so e = 1 and G~_e = G~); raise
+def certify_generators(spec: AlgebraSpec, gens) -> None:
+    """Prove that the triples gens generate G~ = H x| (N x N); raise
     NotGenerating otherwise.
 
-    Each triple must move one of t, a, b only, with t in H_e (identity off the
-    corner) and a, b in N_e = 1 + e J e.  As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b),
-    gens then generate G~_e exactly when their t-parts generate H_e and their
-    a-parts and b-parts each generate N_e.  Each of these is a BFS from the unit
-    under right multiplication, whose closure lies in H_e (or N_e) and so
-    equals it exactly when it has |H_e| = prod of block_orders[i], i in T (or
-    |N_e| = q^{dim J_e}) elements.  The b-parts need no BFS of their own when
-    they equal the a-parts.
+    Each triple must move one of t, a, b only, with t in H and a, b in
+    N = 1 + J.  As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), gens then generate
+    G~ exactly when their t-parts generate H and their a-parts and b-parts each
+    generate N.  Each of these is a BFS from the unit under right
+    multiplication, whose closure lies in H (or N) and so equals it exactly
+    when it has |H| (or |N| = q^{dim J}) elements.  The b-parts need no BFS of
+    their own when they equal the a-parts.
     """
     unit = spec.unit
-    zero = spec.zero()
-    T = _corner(spec, T)
-    off = [blk.idempotent for i, blk in enumerate(spec.blocks) if i not in T]
     h_set = set(h_elements(spec))
-
-    def inside(k, x):
-        if k == "t":
-            return x in h_set and all(spec.mul(f, x) == f for f in off)
-        y = spec.sub(x, unit)
-        return spec.in_radical(y) and all(
-            spec.mul(f, y) == zero and spec.mul(y, f) == zero for f in off)
-
     parts = {"t": set(), "a": set(), "b": set()}
     for g in gens:
         moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
         if len(moved) > 1:
             raise NotGenerating(f"triple {g.t, g.a, g.b} moves more than one part")
         for k, x in moved:
-            if not inside(k, x):
-                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'} "
-                                    f"of the corner of blocks {sorted(T)}")
+            if not (x in h_set if k == "t" else spec.in_radical(spec.sub(x, unit))):
+                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
             parts[k].add(x)
-    h_order = 1
-    for i in T:
-        h_order *= spec.block_orders[i]
-    n_order = spec.field.q ** len(corner_j_basis(spec, T))
-    checks = [("t", "H", h_order), ("a", "N", n_order)]
+    n_order = spec.field.q ** len(spec.radical_basis)
+    checks = [("t", "H", len(h_set)), ("a", "N", n_order)]
     if parts["b"] != parts["a"]:
         checks.append(("b", "N", n_order))
     for k, name, order in checks:
@@ -575,28 +538,25 @@ def certify_generators(spec: AlgebraSpec, gens, T: frozenset | None = None) -> N
                                 f"of {name}, which has order {order}")
 
 
-def certified_corner(spec: AlgebraSpec, T: frozenset | None = None) -> list:
-    """corner_generators(spec, T) for the corner e = e_T (default: every
-    block, so e = 1 and G~_e = G~), once certify_generators has proved that
-    they generate G~_e.  The proof runs once per T and spec."""
-    T = _corner(spec, T)
-    if T not in spec._corner_gens:
-        gens = corner_generators(spec, T)
-        certify_generators(spec, gens, T)
-        spec._corner_gens[T] = gens
-    return spec._corner_gens[T]
+def certified_generators(spec: AlgebraSpec) -> list:
+    """tilde_generators(spec), once certify_generators has proved that they
+    generate G~.  The proof runs once per spec."""
+    if spec._tilde_gens is None:
+        gens = tilde_generators(spec)
+        certify_generators(spec, gens)
+        spec._tilde_gens = gens
+    return spec._tilde_gens
 
 
-def corner_maps(spec: AlgebraSpec, T: frozenset | None, action: str) -> list:
-    """The compiled apply functions of certified_corner(spec, T) under action
+def generator_maps(spec: AlgebraSpec, action: str) -> list:
+    """The compiled apply functions of certified_generators(spec) under action
     "rho" (on full vectors of J) or "rho_dual" (on radical coordinates),
-    compiled once per (T, action) and spec."""
-    T = _corner(spec, T)
-    if (T, action) not in spec._corner_maps:
+    compiled once per action and spec."""
+    if action not in spec._generator_maps:
         compile_map = rho_map if action == "rho" else rho_dual_map
-        spec._corner_maps[T, action] = [compile_map(spec, g).apply
-                                        for g in certified_corner(spec, T)]
-    return spec._corner_maps[T, action]
+        spec._generator_maps[action] = [compile_map(spec, g).apply
+                                        for g in certified_generators(spec)]
+    return spec._generator_maps[action]
 
 
 def orbit_partition(points, maps) -> list[frozenset]:
@@ -614,20 +574,27 @@ def orbit_partition(points, maps) -> list[frozenset]:
     return sorted(orbits, key=min)
 
 
-def orbit(spec: AlgebraSpec, start, action: str, T: frozenset | None = None) -> OrbitRecord:
-    """The G~_e-orbit of `start` (action: "rho" or "rho_dual") for the corner
-    e = e_T (default: every block, so the G~-orbit), with start in J_e or J_e*.
+def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
+    """The G~-orbit of `start` in J (action "rho") or J* (action "rho_dual").
 
     A finite group is generated by any generating set as a semigroup, so the
-    BFS closure under certified generators (certified_corner), applied without
-    inverses, is exactly the orbit.  J is an ideal, so checking the start once
-    keeps the whole orbit inside J.
+    BFS closure under certified generators (certified_generators), applied
+    without inverses, is exactly the orbit.  J is an ideal, so checking the
+    start once keeps the whole orbit inside J.
+
+    The orbit of y in a corner J_e = e J e under the corner group
+    G~_e = H_e x| (N_e x N_e) is G~ y /\\ J_e: if t a y b^-1 t^-1 lies in J_e,
+    multiplying by e on both sides gives t_e a_e y b_e^-1 t_e^-1 with
+    t_e = t e + (1 - e), a_e = 1 + e (a - 1) e, b_e^-1 = 1 + e (b^-1 - 1) e, and
+    likewise on J*.  The members of G~ y of least support T lie in J_T, inside
+    J_e, so the corner orbit and the G~-orbit share their support and
+    canonical representative (orbit_support).
     """
     if action == "rho":
         start = tuple(start)
         if not spec.in_radical(start):
             raise NotInRadical(f"{start} has a nonzero S-component")
-    members = frozenset(closure(start, corner_maps(spec, T, action)))
+    members = frozenset(closure(start, generator_maps(spec, action)))
     return OrbitRecord(members, min(members), "J" if action == "rho" else "J*")
 
 
@@ -658,14 +625,20 @@ def form_support(spec: AlgebraSpec, lam) -> frozenset:
     return frozenset(out)
 
 
-def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> frozenset:
-    """The unique minimal support over the orbit (Peirce corner the orbit meets)."""
+def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple]:
+    """(T, w): the unique minimal support T over the orbit (the Peirce corner
+    the orbit meets) and the least member w with support T, the canonical
+    representative of the orbit's corner part."""
     supp = element_support if orb.space_tag == "J" else form_support
-    supports = {supp(spec, v) for v in orb.members}
-    minimal = [t for t in supports if not any(u < t for u in supports)]
+    least: dict = {}
+    for v in orb.members:
+        t = supp(spec, v)
+        if t not in least or v < least[t]:
+            least[t] = v
+    minimal = [t for t in least if not any(u < t for u in least)]
     if len(minimal) != 1:
         raise AssertionError(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
-    return minimal[0]
+    return minimal[0], least[minimal[0]]
 
 
 def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
@@ -700,6 +673,7 @@ class OrbitCensus:
     space: str
     orbits: list
     supports: list          # frozenset per orbit, aligned with orbits
+    corner_reps: list       # least member with that support, per orbit
     n: int
     n_e: int
     n_sub: dict             # frozenset T -> n(J_{e_T})
@@ -715,12 +689,12 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
         raise SpaceTooLarge(f"|{space}| = {size} exceeds bound {bound}")
     points = spec.j_vectors()
     if space == "J":
-        tag, maps = "J", corner_maps(spec, None, "rho")
+        tag, maps = "J", generator_maps(spec, "rho")
     else:
         points = [spec.j_coords(x) for x in points]     # J* in radical coordinates
-        tag, maps = "J*", corner_maps(spec, None, "rho_dual")
+        tag, maps = "J*", generator_maps(spec, "rho_dual")
     orbits = [OrbitRecord(m, min(m), tag) for m in orbit_partition(points, maps)]
-    supports = [orbit_support(spec, o) for o in orbits]
+    supports, corner_reps = map(list, zip(*(orbit_support(spec, o) for o in orbits)))
 
     nb = len(spec.blocks)
     all_blocks = frozenset(range(nb))
@@ -735,7 +709,7 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
         T = frozenset(i for i in range(nb) if mask >> i & 1)
         signed += (-1) ** len(T) * n_sub[all_blocks - T]
     residual = n_e - signed
-    return OrbitCensus(space, orbits, supports, len(orbits), n_e, n_sub, residual)
+    return OrbitCensus(space, orbits, supports, corner_reps, len(orbits), n_e, n_sub, residual)
 
 
 def regular_orbit_counts(census: OrbitCensus) -> dict:

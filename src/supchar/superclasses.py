@@ -10,8 +10,7 @@ from .algebra import (
     TildeTriple,
     associated_support,
     block_component,
-    certified_corner,
-    element_support,
+    certified_generators,
     g_elements,
     group_order,
     idempotent_of,
@@ -137,10 +136,7 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
         if spec.add(h, y) not in members:
             raise ReductionFailed("reduced element left the superclass")
 
-    fprime = frozenset(range(len(spec.blocks))) - fset
-    orb = orbit(spec, y, "rho", fprime)
-    T = orbit_support(spec, orb)
-    omega_rep = min(v for v in orb.members if element_support(spec, v) <= T)
+    T, omega_rep = orbit_support(spec, orbit(spec, y, "rho"))
     if spec.add(h, omega_rep) not in members:
         raise ReductionFailed("canonical corner representative left the superclass")
     return SuperclassLabel(T, fset, h, omega_rep)
@@ -150,11 +146,11 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     """All superclasses, labeled and sorted by representative.
 
     Each superclass is the BFS closure of an element under the certified
-    generators of G~ (certified_corner), so it is exactly one G~-orbit."""
+    generators of G~ (certified_generators), so it is exactly one G~-orbit."""
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    maps = [r_map(spec, tau).apply for tau in certified_corner(spec)]
+    maps = [r_map(spec, tau).apply for tau in certified_generators(spec)]
     records = [SuperclassRecord(classify(spec, m), m, min(m))
                for m in orbit_partition(g_elements(spec), maps)]
     labels = {r.label for r in records}

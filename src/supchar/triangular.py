@@ -350,8 +350,7 @@ def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
     if sizes is None:
         sizes = [None] * len(class_labels)
     return CharacterTable(char_labels, class_labels, sizes, values,
-                          group_order_tri(n, field), order,
-                          constancy="closed-form")
+                          group_order_tri(n, field), order)
 
 
 def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
@@ -370,7 +369,7 @@ def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
     values = [[row[mapping[c]] for c in range(len(class_labels))] for row in base.values]
     sizes = [partition[mapping[c]].size for c in range(len(class_labels))]
     return CharacterTable(char_labels, class_labels, sizes, values,
-                          base.group_order, base.cyclo_order, constancy=base.constancy)
+                          base.group_order, base.cyclo_order)
 
 
 def table(n: int, field: FieldSpec, mode: str = "closed",

@@ -46,11 +46,6 @@ def get_partition(n, p, k=1):
     return _partitions[key]
 
 
-def all_blocks(spec):
-    """The corner of every block, e = 1, whose corner group is G~ itself."""
-    return frozenset(range(len(spec.blocks)))
-
-
 def dual_vectors(spec):
     """All of J* in radical coordinates."""
     return [spec.j_coords(x) for x in spec.j_vectors()]

@@ -9,13 +9,13 @@ from supchar import algebra
 from supchar.algebra import (
     AlgebraSpec,
     Block,
+    block_component,
     certify_generators,
-    corner_generators,
-    corner_j_basis,
     element_support,
     form_support,
     g_elements,
     group_order,
+    h_elements,
     is_singular,
     load_algebra,
     load_algebra_file,
@@ -25,6 +25,7 @@ from supchar.algebra import (
     orbit_support,
     rho,
     rho_dual,
+    tilde_generators,
     validate_algebra,
 )
 from supchar.errors import (
@@ -44,7 +45,7 @@ from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
 from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
-from conftest import all_blocks, dual_vectors, get_field, get_spec, random_triple
+from conftest import dual_vectors, get_field, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -325,18 +326,18 @@ def _without_direction(s, gens, r, sides=("a", "b")):
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
 def test_certificate_accepts_tilde_generators(n, p, k):
     s = get_spec(n, p, k)
-    certify_generators(s, corner_generators(s, all_blocks(s)))
+    certify_generators(s, tilde_generators(s))
 
 
 def test_certificate_accepts_generators_without_a_commutator_direction():
     # 1 + E13 is the commutator of 1 + E12 and 1 + E23, so the rest still generate
     s = get_spec(3, 2)
-    certify_generators(s, _without_direction(s, corner_generators(s, all_blocks(s)), E13))
+    certify_generators(s, _without_direction(s, tilde_generators(s), E13))
 
 
 def test_certificate_rejects_a_missing_radical_direction():
     s = get_spec(3, 2)
-    gens = corner_generators(s, all_blocks(s))
+    gens = tilde_generators(s)
     with pytest.raises(NotGenerating, match="a-parts generate a subgroup of order 4 "):
         certify_generators(s, _without_direction(s, gens, E12))
     with pytest.raises(NotGenerating, match="b-parts generate a subgroup of order 4 "):
@@ -345,7 +346,7 @@ def test_certificate_rejects_a_missing_radical_direction():
 
 def test_certificate_rejects_a_missing_torus_generator():
     s = get_spec(2, 3)
-    gens = corner_generators(s, all_blocks(s))
+    gens = tilde_generators(s)
     torus = [g for g in gens if g.t != s.unit]
     assert len(torus) == 2
     with pytest.raises(NotGenerating, match="t-parts generate a subgroup of order 2 "):
@@ -356,86 +357,43 @@ def test_certificate_rejects_two_sided_triples():
     # (1, a, a) for every a: the a-parts and b-parts generate N, but the triples
     # generate only the diagonal of N x N
     s = get_spec(2, 3)
-    full = corner_generators(s, all_blocks(s))
+    full = tilde_generators(s)
     gens = [g for g in full if g.t != s.unit]
     gens += [make_triple(s, s.unit, g.a, g.a) for g in full if g.a != s.unit]
     with pytest.raises(NotGenerating, match="more than one part"):
         certify_generators(s, gens)
 
 
-def _drop_last_generator(monkeypatch):
-    full = algebra.corner_generators
-    monkeypatch.setattr(algebra, "corner_generators", lambda spec, T: full(spec, T)[:-1])
-
-
 def test_censuses_and_partition_run_the_certificate(monkeypatch):
-    _drop_last_generator(monkeypatch)
+    # with q = 2 the last generator (1, 1, 1 + E23) of T(3, 2) is the only
+    # b-part in the direction E23
+    full = algebra.tilde_generators
+    monkeypatch.setattr(algebra, "tilde_generators", lambda spec: full(spec)[:-1])
+    e12_dual = (1, 0, 0)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
             lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
             lambda s: InductionContext(s, 2 ** 17), lambda s: InductionContext(s, 2 ** 17, "N"),
-            lambda s: n_characters(s, 2 ** 17))
+            lambda s: n_characters(s, 2 ** 17),
+            lambda s: classify(s, frozenset({s.unit})),
+            lambda s: stabilizer_data(s, e12_dual, frozenset({0, 1})))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
         with pytest.raises(NotGenerating):
             run(s)
 
 
-def _corners(s):
-    nb = len(s.blocks)
-    return [frozenset(i for i in range(nb) if mask >> i & 1) for mask in range(2 ** nb)]
-
-
-@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (2, 2, 2), (3, 3, 1)])
-def test_certificate_accepts_every_corner(n, p, k):
-    s = get_spec(n, p, k)
-    for T in _corners(s):
-        certify_generators(s, corner_generators(s, T), T)
-
-
-def test_corner_certificate_rejects_a_missing_corner_direction():
-    # the corner of blocks 1, 2, 3 of T(4, 2) is T(3, 2): J_e = <E12, E13, E23>
-    s = get_spec(4, 2)
-    T = frozenset({0, 1, 2})
-    assert len(corner_j_basis(s, T)) == 3
-    gens = _without_direction(s, corner_generators(s, T), root_index(4, 1, 2))
-    with pytest.raises(NotGenerating,
-                       match="a-parts generate a subgroup of order 4 of N, which has order 8"):
-        certify_generators(s, gens, T)
-
-
-def test_corner_certificate_rejects_parts_off_the_corner():
-    # blocks 2 and 3 of T(3, 3) have tori of equal order, and E12, E23 span
-    # lines of equal size, so swapping one for the other keeps every closure
-    # size right: only the membership test sees that it left the corner {1, 2}
-    s = get_spec(3, 3)
-    T = frozenset({0, 1})
-    gens = corner_generators(s, T)
-    torus = [g for g in corner_generators(s, all_blocks(s)) if g.t != s.unit]
-    swapped_t = [torus[2] if g is gens[1] else g for g in gens]
-    assert gens[1].t == torus[1].t
-    with pytest.raises(NotGenerating, match="t-part .* lies outside H of the corner"):
-        certify_generators(s, swapped_t, T)
-    e23 = s.basis_vec(root_index(3, 2, 3))
-    off = [make_triple(s, s.unit, s.add(s.unit, s.smul(c, e23)), s.unit) for c in (1, 2)]
-    swapped_a = [g for g in gens if g.a == s.unit] + off
-    with pytest.raises(NotGenerating, match="a-part .* lies outside N of the corner"):
-        certify_generators(s, swapped_a, T)
-
-
-def test_corner_orbits_run_the_corner_certificate(monkeypatch):
-    # the corner of blocks 1, 2 of T(3, 2) is J_e = <E12>, so with q = 2 its
-    # last generator (1, 1, 1 + E12) is its only b-part
-    _drop_last_generator(monkeypatch)
-    corner = frozenset({0, 1})
-    e12_dual = (1, 0, 0)
-    runs = (lambda s: orbit(s, s.zero(), "rho", corner),
-            lambda s: orbit(s, e12_dual, "rho_dual", corner),
-            lambda s: classify(s, frozenset({s.unit})),
-            lambda s: stabilizer_data(s, e12_dual, corner))
-    for run in runs:
-        s = tri.make_triangular(3, get_field(2))    # fresh: no corner certified yet
-        with pytest.raises(NotGenerating):
-            run(s)
+def test_certificate_rejects_parts_outside_h_and_n():
+    # a t-part off H and an a-part off N, each added to a generating set: the
+    # membership tests reject them before any closure is counted
+    s = get_spec(3, 2)
+    one_plus_e12 = s.add(s.unit, s.basis_vec(E12))
+    with pytest.raises(NotGenerating, match="t-part .* lies outside H"):
+        certify_generators(s, tilde_generators(s) + [make_triple(s, one_plus_e12, s.unit, s.unit)])
+    s = get_spec(2, 3)
+    gens = tilde_generators(s)
+    torus = next(g.t for g in gens if g.t != s.unit)
+    with pytest.raises(NotGenerating, match="a-part .* lies outside N"):
+        certify_generators(s, gens + [make_triple(s, s.unit, torus, s.unit)])
 
 
 def test_censuses_compile_each_generator_once(monkeypatch):
@@ -449,7 +407,7 @@ def test_censuses_compile_each_generator_once(monkeypatch):
     for _ in range(2):
         orbit_census(s, "J")
         orbit_census(s, "J*")
-    n_gens = len(corner_generators(s, all_blocks(s)))
+    n_gens = len(tilde_generators(s))
     assert counts == {"rho_map": n_gens, "rho_dual_map": n_gens}
 
 
@@ -534,22 +492,42 @@ def test_support_set_closed_under_meet():
         for a in hit:
             for b in hit:
                 assert (a & b) in hit
-        assert min(hit, key=len) == orbit_support(s, orb)
+        assert min(hit, key=len) == orbit_support(s, orb)[0]
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3)])
-def test_corner_restriction_is_regular(n, p):
+def test_census_corner_reps_are_least_members_of_least_support(n, p):
     s = get_spec(n, p)
-    for space, action, supp in (("J", "rho", element_support),
-                                ("J*", "rho_dual", form_support)):
+    for space, supp in (("J", element_support), ("J*", form_support)):
         census = orbit_census(s, space)
-        for orb, T in zip(census.orbits, census.supports):
-            if not T:
-                continue
-            witness = min(v for v in orb.members if supp(s, v) <= T)
-            sub = orbit(s, witness, action, T)
-            assert orbit_support(s, sub) == T
-            assert sub.members <= orb.members
+        for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
+            assert rep == min(v for v in orb.members if supp(s, v) <= T)
+
+
+LEMMA_CASES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), "dual_numbers_q3.json", "triangular_2_3.json"]
+
+
+@pytest.mark.parametrize("case", LEMMA_CASES, ids=str)
+def test_corner_orbits_are_tilde_orbits_cut_to_the_corner(case):
+    """For every corner e = e_T and every y in J_e (or J_e*), the orbit of y
+    under G~_e = H_e x| (N_e x N_e), enumerated literally, is the set of
+    members of the G~-orbit of y with support inside T."""
+    s = load_algebra_file(os.path.join(DATA, case)) if isinstance(case, str) else get_spec(*case)
+    nb = len(s.blocks)
+    xs = s.j_vectors()
+    lams = dual_vectors(s)
+    for mask in range(2 ** nb):
+        T = frozenset(i for i in range(nb) if mask >> i & 1)
+        h_e = [h for h in h_elements(s) if all(
+            block_component(s, h, i) == s.blocks[i].idempotent for i in range(nb) if i not in T)]
+        n_e = [s.add(s.unit, x) for x in xs if element_support(s, x) <= T]
+        group = [make_triple(s, t, a, b) for t in h_e for a in n_e for b in n_e]
+        for action, act, supp, points in (("rho", rho, element_support, xs),
+                                          ("rho_dual", rho_dual, form_support, lams)):
+            for y in (v for v in points if supp(s, v) <= T):
+                literal = {act(s, tau, y) for tau in group}
+                cut = {v for v in orbit(s, y, action).members if supp(s, v) <= T}
+                assert literal == cut, (sorted(T), action, y)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +573,7 @@ def test_load_schema_error_names_field(mutate, field):
 
 def test_generator_closure_sanity():
     s = get_spec(3, 3)
-    gens = corner_generators(s, all_blocks(s))
+    gens = tilde_generators(s)
     # torus generators for each block plus two one-parameter families per
     # radical basis vector and nonzero scalar
     assert len(gens) == 3 + 2 * 3 * 2

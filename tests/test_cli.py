@@ -8,6 +8,8 @@ from supchar import cli
 from supchar import supercharacters as sc
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
+# the incidence algebra over GF(3) of the zigzag poset 0<1>2<3, |G| = 432
+ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
 
 
 def run(argv, capsys=None):
@@ -185,6 +187,9 @@ PINNED_STDOUT = [
      "7473cdd7661f831f9f48291d6b26bed5e54deb9e58ab5a9e9e6b610b85319e63"),
     (["algebra", "--spec", os.path.join(DATA, "triangular_2_3.json")],
      "a1013abcaa670955b5a279dc40837d64f26d3f47c23c6cd78d538ce812e17cdd"),
+    # four blocks: corner labels e={...} beyond the two-block bundled specs
+    (["algebra", "--spec", ZIGZAG],
+     "f08d4af9fd003d2e8ee8d462dae59581394767ab17b4b571a552bc806794fb73"),
 ]
 
 

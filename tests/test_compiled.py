@@ -10,7 +10,6 @@ import random
 import pytest
 
 from supchar.algebra import (
-    corner_generators,
     g_elements,
     load_algebra_file,
     orbit,
@@ -19,11 +18,12 @@ from supchar.algebra import (
     rho_dual_map,
     rho_map,
     sandwich_map,
+    tilde_generators,
 )
 from supchar.errors import NotInRadical
 from supchar.superclasses import r_act, r_map
 
-from conftest import ACCEPTANCE_CONFIGS, all_blocks, dual_vectors, get_spec, random_triple
+from conftest import ACCEPTANCE_CONFIGS, dual_vectors, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 SPEC_FILES = ["dual_numbers_q3.json", "triangular_2_3.json"]
@@ -38,7 +38,7 @@ def spec_for(case):
 
 def triples(spec):
     rng = random.Random(11)
-    return corner_generators(spec, all_blocks(spec)) + [random_triple(spec, rng) for _ in range(20)]
+    return tilde_generators(spec) + [random_triple(spec, rng) for _ in range(20)]
 
 
 @pytest.mark.parametrize("case", CASES)

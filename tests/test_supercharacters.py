@@ -8,7 +8,7 @@ from supchar import algebra, superclasses
 from supchar import supercharacters as sc
 from supchar import triangular as tri
 from supchar.algebra import (
-    certified_corner,
+    certified_generators,
     g_elements,
     group_order,
     load_algebra_file,
@@ -428,7 +428,7 @@ def test_inner_products_equal_the_literal_sum():
 def _perturbed(table):
     return CharacterTable(table.row_labels, table.col_labels, table.sizes,
                           [list(row) for row in table.values],
-                          table.group_order, table.cyclo_order, table.constancy)
+                          table.group_order, table.cyclo_order)
 
 
 def test_disjoint_fails_on_a_perturbed_value_with_the_literal_detail():
@@ -576,7 +576,7 @@ def test_axioms_negative_control():
     s, partition, table, classes = full_table(2, 2)
     bad = CharacterTable(table.row_labels, table.col_labels, table.sizes,
                          [list(row) for row in table.values],
-                         table.group_order, table.cyclo_order, table.constancy)
+                         table.group_order, table.cyclo_order)
     bad.values[1][1] = bad.values[1][1] + 1
     report = {r.name: r.passed for r in axioms_report(s, bad, partition, classes)}
     assert not (report["disjoint"] and report["regular-character"])
@@ -690,7 +690,7 @@ def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
     generators for G (not one per element, |G| = 216), and for n_characters one
     conjugation per a-part plus one R_tau and one rho*_tau per triple with t = 1."""
     s = tri.make_triangular(3, get_field(3))
-    gens = certified_corner(s)          # certify before counting
+    gens = certified_generators(s)      # certify before counting
     real = algebra.sandwich_map
     calls = []
     for mod in (algebra, superclasses, sc):
