@@ -364,27 +364,71 @@ def test_certificate_rejects_two_sided_triples():
         certify_generators(s, gens)
 
 
-def test_censuses_and_partition_run_the_certificate(monkeypatch):
+def _drop_last_generator(monkeypatch):
     # with q = 2 the last generator (1, 1, 1 + E23) of T(3, 2) is the only
     # b-part in the direction E23
     full = algebra.tilde_generators
     monkeypatch.setattr(algebra, "tilde_generators", lambda spec: full(spec)[:-1])
-    e12_dual = (1, 0, 0)
+
+
+def test_censuses_and_partition_run_the_certificate(monkeypatch):
+    _drop_last_generator(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
             lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
             lambda s: InductionContext(s, 2 ** 17), lambda s: InductionContext(s, 2 ** 17, "N"),
-            lambda s: n_characters(s, 2 ** 17),
-            lambda s: classify(s, frozenset({s.unit})),
-            lambda s: stabilizer_data(s, e12_dual, frozenset({0, 1})))
+            lambda s: n_characters(s, 2 ** 17))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
         with pytest.raises(NotGenerating):
             run(s)
 
 
-def test_certificate_rejects_parts_outside_h_and_n():
-    # a t-part off H and an a-part off N, each added to a generating set: the
-    # membership tests reject them before any closure is counted
+def _corners(s):
+    nb = len(s.blocks)
+    return [frozenset(i for i in range(nb) if mask >> i & 1) for mask in range(2 ** nb)]
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (2, 2, 2), (3, 3, 1)])
+def test_certificate_accepts_every_corner(n, p, k, monkeypatch):
+    """One certificate of G~ serves every corner: orbits started in each corner
+    e J e and e J* e, on J and on J*, run after exactly one certify_generators
+    call, and each cut to its corner keeps the start."""
+    s = tri.make_triangular(n, get_field(p, k))     # fresh: nothing certified yet
+    real = algebra.certify_generators
+    calls = []
+    monkeypatch.setattr(algebra, "certify_generators",
+                        lambda spec, gens: calls.append(1) or real(spec, gens))
+    xs = s.j_vectors()
+    lams = dual_vectors(s)
+    for T in _corners(s):
+        for action, supp, points in (("rho", element_support, xs),
+                                     ("rho_dual", form_support, lams)):
+            y = max(v for v in points if supp(s, v) <= T)
+            members = orbit(s, y, action).members
+            assert y in {v for v in members if supp(s, v) <= T}
+    assert len(calls) == 1
+
+
+def test_corner_certificate_rejects_a_missing_corner_direction(monkeypatch):
+    # the corner of blocks 1, 2, 3 of T(4, 2) is T(3, 2): J_e = <E12, E13, E23>.
+    # E12 is no commutator, so without its generators the a-parts span only
+    # {x : x_12 = 0}, and an orbit in that corner is refused
+    e12 = root_index(4, 1, 2)
+    full = algebra.tilde_generators
+    monkeypatch.setattr(algebra, "tilde_generators",
+                        lambda spec: _without_direction(spec, full(spec), e12))
+    s = tri.make_triangular(4, get_field(2))        # fresh: nothing certified yet
+    T = frozenset({0, 1, 2})
+    assert sum(element_support(s, s.basis_vec(r)) <= T for r in s.radical_basis) == 3
+    with pytest.raises(NotGenerating,
+                       match="a-parts generate a subgroup of order 32 of N, which has order 64"):
+        orbit(s, s.basis_vec(e12), "rho")
+
+
+def test_corner_certificate_rejects_parts_off_the_corner():
+    # the corner here is the whole algebra, e = 1: a t-part off H and an
+    # a-part off N, each added to a generating set, are rejected by the
+    # membership tests before any closure is counted
     s = get_spec(3, 2)
     one_plus_e12 = s.add(s.unit, s.basis_vec(E12))
     with pytest.raises(NotGenerating, match="t-part .* lies outside H"):
@@ -394,6 +438,23 @@ def test_certificate_rejects_parts_outside_h_and_n():
     torus = next(g.t for g in gens if g.t != s.unit)
     with pytest.raises(NotGenerating, match="a-part .* lies outside N"):
         certify_generators(s, gens + [make_triple(s, s.unit, torus, s.unit)])
+
+
+def test_corner_orbits_run_the_corner_certificate(monkeypatch):
+    # the corner of blocks 1, 2 of T(3, 2) is J_e = <E12>; its orbits are cut
+    # from G~-orbits, so they are refused when the dropped generator
+    # (1, 1, 1 + E23) lies outside the corner
+    _drop_last_generator(monkeypatch)
+    corner = frozenset({0, 1})
+    e12_dual = (1, 0, 0)
+    runs = (lambda s: orbit(s, s.basis_vec(E12), "rho"),
+            lambda s: orbit(s, e12_dual, "rho_dual"),
+            lambda s: classify(s, frozenset({s.unit})),
+            lambda s: stabilizer_data(s, e12_dual, corner))
+    for run in runs:
+        s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
+        with pytest.raises(NotGenerating):
+            run(s)
 
 
 def test_censuses_compile_each_generator_once(monkeypatch):
@@ -496,12 +557,19 @@ def test_support_set_closed_under_meet():
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3)])
-def test_census_corner_reps_are_least_members_of_least_support(n, p):
+def test_corner_restriction_is_regular(n, p):
+    """Each census orbit of support T, cut to its corner, is regular: every
+    member of the cut has support exactly T, and the census representative is
+    its least member."""
     s = get_spec(n, p)
-    for space, supp in (("J", element_support), ("J*", form_support)):
+    for space, action, supp in (("J", "rho", element_support),
+                                ("J*", "rho_dual", form_support)):
         census = orbit_census(s, space)
         for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
-            assert rep == min(v for v in orb.members if supp(s, v) <= T)
+            cut = {v for v in orb.members if supp(s, v) <= T}
+            assert rep == min(cut)
+            assert all(supp(s, v) == T for v in cut)
+            assert orbit(s, rep, action).members == orb.members
 
 
 LEMMA_CASES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), "dual_numbers_q3.json", "triangular_2_3.json"]
