@@ -9,7 +9,9 @@ range(dim), so S and J are coordinate subspaces.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
+from itertools import compress, islice, product
 from math import lcm
 
 from . import linalg
@@ -22,6 +24,7 @@ from .errors import (
     NotGenerating,
     NotInRadical,
     NotInvertible,
+    PointOutsideSet,
     RadicalNotNilpotent,
     SNotCommutative,
     SpaceTooLarge,
@@ -84,7 +87,9 @@ class AlgebraSpec:
         )
         self._inv_cache: dict = {}
         self._tilde_gens = None         # certified tilde_generators
-        self._generator_maps: dict = {}  # action -> their compiled actions
+        self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
+        self._orbit_of: dict = {}       # action -> {point: its orbit}
+        self._supports: dict = {}       # is_form -> support functionals
         self._torus_conj = None         # y -> t^-1 y t for every t in H
         self._validated = False
 
@@ -236,6 +241,138 @@ def sandwich_map(spec: AlgebraSpec, u, w, indices=None) -> LinearMap:
         image = spec.mul(spec.mul(u, spec.basis_vec(i)), w)
         cols[i] = tuple((l, c) for l, c in enumerate(image) if c)
     return LinearMap(spec.field, cols, spec.zero())
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernel: points as packed integers, compiled maps as image tables
+# ---------------------------------------------------------------------------
+
+class _Lanes:
+    """Vectors over F_q coded as packed ints: one lane of `width` bits per F_p
+    digit of each coordinate in `active`, digit j of the coordinate active[a]
+    in lane (len(active) - 1 - a) k + j.
+
+    fields.py codes an element of GF(p^k) by its base-p digits, so addition in
+    F_q is digit-wise mod p for every q.  A lane holds a digit below p, so the
+    sum of two lanes is at most 2p - 2 < 2^width, and adding 2^(width-1) - p
+    to that sum sets the lane's top bit exactly when the sum reaches p: sums()
+    adds lane-wise mod p in a few int operations, with no carry between lanes.
+    The first active coordinate and, within a coordinate, digit k - 1 hold the
+    most significant lanes, so codes order like the tuples they code.
+    """
+    __slots__ = ("p", "shifts", "digits", "ones", "bias", "top")
+
+    def __init__(self, field: FieldSpec, active):
+        p, k = field.p, field.k
+        width = (p - 1).bit_length() + 1
+        self.p = p
+        self.shifts = {i: width * k * (len(active) - 1 - a) for a, i in enumerate(active)}
+        self.digits = [sum((c // p ** j % p) << (width * j) for j in range(k))
+                       for c in range(field.q)]
+        self.ones = sum(1 << (width * lane) for lane in range(len(active) * k))
+        self.bias = ((1 << (width - 1)) - p) * self.ones
+        self.top = width - 1
+
+    def pack(self, pairs) -> int:
+        """The code of the vector with entry c at the active coordinate l for
+        each pair (l, c)."""
+        return sum(self.digits[c] << self.shifts[l] for l, c in pairs)
+
+    def sums(self, xs, ys) -> list[int]:
+        """[x + y for x in xs for y in ys], added lane-wise mod p."""
+        p, bias, top, ones = self.p, self.bias, self.top, self.ones
+        return [(s := x + y) - p * (((s + bias) >> top) & ones) for x in xs for y in ys]
+
+
+def _points(field: FieldSpec, translates, coords):
+    """The points h + sum of c_i e_i (i in coords), translate by translate and
+    lexicographic in the c_i: the numbering of orbit_partition."""
+    free = set(coords)
+    values = range(field.q)
+    for h in translates:
+        yield from product(*[values if i in free else (x,) for i, x in enumerate(h)])
+
+
+def orbit_partition(field: FieldSpec, translates, coords, maps) -> list[frozenset]:
+    """The orbits on P = union of the translates h + V, V = span(e_i : i in
+    coords), of the group the affine maps (LinearMap) generate, as frozensets
+    of tuples in order of their least member.
+
+    Every translate is zero on coords, and every map must permute P: a map
+    that sends a point out of P raises PointOutsideSet.  A finite group is
+    generated by any generating set as a semigroup, so the closures under the
+    maps, applied without inverses, are exactly the orbits.
+
+    Points are packed ints (_Lanes) over the active coordinates, those of V
+    and those where the translates differ; every point agrees with the first
+    translate h0 off them.  A map's image table comes from linearity:
+    x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum M (c_i e_i).
+    Off the active coordinates M h + shift must equal h0 and each M e_i must
+    vanish (else the image of h, or of h0 + e_i, leaves P).  From the q codes
+    of M (c e_i) per coordinate the table is then built coordinate by
+    coordinate, at about one packed add per point.  The closures are a BFS
+    over these int tables.
+    """
+    coords = sorted(coords)
+    h0 = translates[0]
+    lanes = _Lanes(field, sorted({*coords, *(i for h in translates
+                                             for i, x in enumerate(h) if x != h0[i])}))
+    fixed = [(i, x) for i, x in enumerate(h0) if i not in lanes.shifts]
+    values = range(field.q)
+
+    def pack(vec, x):
+        """The code of the image vec of the point x, which must agree with h0
+        off the active coordinates."""
+        if any(vec[i] != c for i, c in fixed):
+            raise PointOutsideSet(f"a map sends {x} outside its point set")
+        return lanes.pack((i, vec[i]) for i in lanes.shifts)
+
+    codes = [0]
+    for i in coords:
+        step = [lanes.pack([(i, c)]) for c in values]
+        codes = [a + b for a in codes for b in step]
+    codes = [base + v for h in translates for base in [pack(h, h)] for v in codes]
+    index = dict(zip(codes, range(len(codes))))
+    tables = []
+    for m in maps:
+        bases = [pack(m.apply(h), h) for h in translates]
+        steps = []
+        for i in coords:
+            if any(l not in lanes.shifts for l, _ in m.cols[i]):
+                x = tuple(1 if j == i else c for j, c in enumerate(h0))
+                raise PointOutsideSet(f"a map sends {x} outside its point set")
+            steps.append([lanes.pack((l, field.mul(c, v)) for l, v in m.cols[i])
+                          for c in values])
+        *head_steps, last = steps or [[0]]
+        head = [0]
+        for step in head_steps:
+            head = lanes.sums(head, step)
+        images = []
+        for base in bases:
+            images += lanes.sums(head, lanes.sums([base], last))
+        try:
+            tables.append(array("I", map(index.__getitem__, images)))
+        except KeyError:
+            n = next(n for n, c in enumerate(images) if c not in index)
+            x = next(islice(_points(field, translates, coords), n, None))
+            raise PointOutsideSet(f"a map sends {x} outside its point set") from None
+    seen = bytearray(len(codes))
+    orbits = []
+    for start in range(len(codes)):
+        if not seen[start]:
+            seen[start] = 1
+            members = [start]
+            for v in members:
+                for table in tables:
+                    w = table[v]
+                    if not seen[w]:
+                        seen[w] = 1
+                        members.append(w)
+            orbits.append(members)
+    orbits.sort(key=lambda o: min(map(codes.__getitem__, o)))
+    del tables, index, codes        # freed before the point tuples are built
+    points = list(_points(field, translates, coords))
+    return [frozenset(map(points.__getitem__, o)) for o in orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +529,6 @@ def group_order(spec: AlgebraSpec) -> int:
     return n * spec.field.q ** len(spec.radical_basis)
 
 
-def g_elements(spec: AlgebraSpec):
-    """All of G = H + J (every h + x with h in H is invertible)."""
-    return [spec.add(h, x) for h in h_elements(spec) for x in spec.j_vectors()]
-
-
 def block_component(spec: AlgebraSpec, x, i: int):
     """e_i x e_i restricted to nothing -- the full-dim projection onto block i."""
     e = spec.blocks[i].idempotent
@@ -510,10 +642,13 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
     Each triple must move one of t, a, b only, with t in H and a, b in
     N = 1 + J.  As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), gens then generate
     G~ exactly when their t-parts generate H and their a-parts and b-parts each
-    generate N.  Each of these is a BFS from the unit under right
-    multiplication, whose closure lies in H (or N) and so equals it exactly
-    when it has |H| (or |N| = q^{dim J}) elements.  The b-parts need no BFS of
-    their own when they equal the a-parts.
+    generate N.  Each of these is the closure of the unit under right
+    multiplication, which lies in H (or N) and so equals it exactly when it
+    has |H| (or |N| = q^{dim J}) elements.  The t-parts close by a BFS over
+    tuples.  Each a- or b-part lies in N, so right multiplication by it
+    permutes the box 1 + J, and the parts' closure of the unit is its orbit
+    in the kernel's partition of that box (orbit_partition).  The b-parts need
+    no closure of their own when they equal the a-parts.
     """
     unit = spec.unit
     h_set = set(h_elements(spec))
@@ -531,8 +666,12 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
     if parts["b"] != parts["a"]:
         checks.append(("b", "N", n_order))
     for k, name, order in checks:
-        maps = [sandwich_map(spec, unit, x).apply for x in sorted(parts[k])]
-        size = len(closure(unit, maps))
+        maps = [sandwich_map(spec, unit, x) for x in sorted(parts[k])]
+        if k == "t":
+            size = len(closure(unit, [m.apply for m in maps]))
+        else:
+            box = orbit_partition(spec.field, [unit], spec.radical_basis, maps)
+            size = len(next(o for o in box if unit in o))
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")
@@ -548,39 +687,28 @@ def certified_generators(spec: AlgebraSpec) -> list:
     return spec._tilde_gens
 
 
-def generator_maps(spec: AlgebraSpec, action: str) -> list:
-    """The compiled apply functions of certified_generators(spec) under action
-    "rho" (on full vectors of J) or "rho_dual" (on radical coordinates),
-    compiled once per action and spec."""
-    if action not in spec._generator_maps:
-        compile_map = rho_map if action == "rho" else rho_dual_map
-        spec._generator_maps[action] = [compile_map(spec, g).apply
-                                        for g in certified_generators(spec)]
-    return spec._generator_maps[action]
-
-
-def orbit_partition(points, maps) -> list[frozenset]:
-    """The closures of the points under the maps, in order of their least
-    member.  Under the compiled actions of certified generators these are
-    exactly the orbits of the group they generate (see orbit)."""
-    seen = set()
-    orbits = []
-    for v in points:
-        if v not in seen:
-            members = frozenset(closure(v, maps))
-            seen |= members
-            orbits.append(members)
-    assert len(seen) == len(points), "orbits do not partition the points"
-    return sorted(orbits, key=min)
+def space_orbits(spec: AlgebraSpec, action: str) -> list[OrbitRecord]:
+    """The G~-orbits on all of J (action "rho", full vectors) or of J*
+    ("rho_dual", radical coordinates), in order of their least member: the
+    kernel's closures (orbit_partition) under the certified generators,
+    compiled and partitioned once per action and spec."""
+    if action not in spec._orbits:
+        gens = certified_generators(spec)
+        nu = len(spec.radical_basis)
+        if action == "rho":
+            parts = orbit_partition(spec.field, [spec.zero()], spec.radical_basis,
+                                    [rho_map(spec, g) for g in gens])
+        else:
+            parts = orbit_partition(spec.field, [(0,) * nu], range(nu),
+                                    [rho_dual_map(spec, g) for g in gens])
+        tag = "J" if action == "rho" else "J*"
+        spec._orbits[action] = [OrbitRecord(m, min(m), tag) for m in parts]
+    return spec._orbits[action]
 
 
 def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
-    """The G~-orbit of `start` in J (action "rho") or J* (action "rho_dual").
-
-    A finite group is generated by any generating set as a semigroup, so the
-    BFS closure under certified generators (certified_generators), applied
-    without inverses, is exactly the orbit.  J is an ideal, so checking the
-    start once keeps the whole orbit inside J.
+    """The G~-orbit of `start` in J (action "rho") or J* (action "rho_dual"),
+    read off the partition of the whole space (space_orbits).
 
     The orbit of y in a corner J_e = e J e under the corner group
     G~_e = H_e x| (N_e x N_e) is G~ y /\\ J_e: if t a y b^-1 t^-1 lies in J_e,
@@ -590,39 +718,59 @@ def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
     J_e, so the corner orbit and the G~-orbit share their support and
     canonical representative (orbit_support).
     """
-    if action == "rho":
-        start = tuple(start)
-        if not spec.in_radical(start):
-            raise NotInRadical(f"{start} has a nonzero S-component")
-    members = frozenset(closure(start, generator_maps(spec, action)))
-    return OrbitRecord(members, min(members), "J" if action == "rho" else "J*")
+    start = tuple(start)
+    if action == "rho" and not spec.in_radical(start):
+        raise NotInRadical(f"{start} has a nonzero S-component")
+    if action not in spec._orbit_of:
+        spec._orbit_of[action] = {v: rec for rec in space_orbits(spec, action)
+                                  for v in rec.members}
+    return spec._orbit_of[action][start]
 
 
 # ---------------------------------------------------------------------------
 # supports and regularity
 # ---------------------------------------------------------------------------
 
+def _support_functionals(spec: AlgebraSpec, is_form: bool):
+    """(m, blocks): the LinearMap m stacks, block by block, the rref'd rows of
+    the maps that vanish exactly off block i's support: x -> e_i x and
+    x -> x e_i on J (full vectors), or lam -> lam(e_i b_r) and lam(b_r e_i) on
+    J* (radical coordinates); blocks[r] is the block of row r.  Built once
+    per spec and cached on it, so a support costs one apply and no mul."""
+    if is_form not in spec._supports:
+        F = spec.field
+        rad = spec.radical_basis
+        basis = [spec.basis_vec(r) for r in rad]
+        cols = [[] for _ in range(len(rad) if is_form else spec.dim)]
+        blocks = []
+        for i, blk in enumerate(spec.blocks):
+            left = [spec.j_coords(spec.mul(blk.idempotent, b)) for b in basis]
+            right = [spec.j_coords(spec.mul(b, blk.idempotent)) for b in basis]
+            # lam -> lam(e_i b_r) is the row j_coords(e_i b_r); x -> e_i x has
+            # those vectors as its columns
+            rows = left + right if is_form else [*zip(*left), *zip(*right)]
+            mat, pivots = linalg.rref(F, rows)
+            for row in mat[:len(pivots)]:
+                for s, c in enumerate(row):
+                    if c:
+                        cols[s if is_form else rad[s]].append((len(blocks), c))
+                blocks.append(i)
+        spec._supports[is_form] = (LinearMap(F, cols, [0] * len(blocks)), blocks)
+    return spec._supports[is_form]
+
+
 def element_support(spec: AlgebraSpec, x) -> frozenset:
-    """Minimal block set T with x in J_{e_T} (for x in J)."""
-    out = set()
-    for i, blk in enumerate(spec.blocks):
-        if spec.mul(blk.idempotent, x) != spec.zero() or spec.mul(x, blk.idempotent) != spec.zero():
-            out.add(i)
-    return frozenset(out)
+    """Minimal block set T with x in J_{e_T} (for x in J): the blocks i with
+    e_i x != 0 or x e_i != 0."""
+    m, blocks = _support_functionals(spec, False)
+    return frozenset(compress(blocks, m.apply(x)))
 
 
 def form_support(spec: AlgebraSpec, lam) -> frozenset:
-    """Minimal block set T with lam in J_{e_T}* (vanishing off e_T J e_T)."""
-    out = set()
-    for i, blk in enumerate(spec.blocks):
-        e = blk.idempotent
-        for r in spec.radical_basis:
-            b = spec.basis_vec(r)
-            if spec.form_eval(lam, spec.mul(e, b)) != 0 or \
-               spec.form_eval(lam, spec.mul(b, e)) != 0:
-                out.add(i)
-                break
-    return frozenset(out)
+    """Minimal block set T with lam in J_{e_T}* (vanishing off e_T J e_T): the
+    blocks i with lam(e_i b_r) != 0 or lam(b_r e_i) != 0 for some r."""
+    m, blocks = _support_functionals(spec, True)
+    return frozenset(compress(blocks, m.apply(lam)))
 
 
 def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple]:
@@ -657,10 +805,11 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
             x = basis[r]
             rows.append([spec.form_eval(v, spec.mul(x, basis[j])) for j in range(d)])
             rows.append([spec.form_eval(v, spec.mul(basis[j], x)) for j in range(d)])
-    full_dim = len(linalg.kernel_basis(F, rows))
+    # kernel dimensions as columns minus rank: with J = 0 a form has no
+    # rows, and its kernel is all of A
     rad = list(spec.radical_basis)
-    sub_rows = [[row[j] for j in rad] for row in rows]
-    rad_dim = len(linalg.kernel_basis(F, sub_rows))
+    full_dim = d - linalg.rank(F, rows)
+    rad_dim = len(rad) - linalg.rank(F, [[row[j] for j in rad] for row in rows])
     return full_dim > rad_dim
 
 
@@ -687,13 +836,7 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
     size = F.q ** len(spec.radical_basis)
     if size > bound:
         raise SpaceTooLarge(f"|{space}| = {size} exceeds bound {bound}")
-    points = spec.j_vectors()
-    if space == "J":
-        tag, maps = "J", generator_maps(spec, "rho")
-    else:
-        points = [spec.j_coords(x) for x in points]     # J* in radical coordinates
-        tag, maps = "J*", generator_maps(spec, "rho_dual")
-    orbits = [OrbitRecord(m, min(m), tag) for m in orbit_partition(points, maps)]
+    orbits = space_orbits(spec, "rho" if space == "J" else "rho_dual")
     supports, corner_reps = map(list, zip(*(orbit_support(spec, o) for o in orbits)))
 
     nb = len(spec.blocks)

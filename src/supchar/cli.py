@@ -21,6 +21,7 @@ from .errors import (
     DegreeTooLarge,
     GroupTooLarge,
     NotPrime,
+    OutputNotWritable,
     SpaceTooLarge,
     SupcharError,
 )
@@ -62,10 +63,13 @@ def _field(args):
     return field_make(args.p, 1 if args.k is None else args.k)
 
 
-def _write(path, text):
+def _write(path, text, flag="--out"):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputNotWritable(f"{flag} {path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -95,18 +99,17 @@ def cmd_table(args) -> int:
     lines += diffs
     text = "\n".join(lines) + "\n"
     if report:
-        _write(report, text)
+        _write(report, text, "--diff-out" if args.diff_out else "--out")
     else:
         sys.stderr.write(text)
     return EXIT_OK if not diffs else EXIT_CHECK_FAILED
 
 
-def _report(results) -> int:
-    ok = True
-    for r in results:
-        print(f"CHECK {r.name} {'PASS' if r.passed else 'FAIL'} {r.details}")
-        ok = ok and r.passed
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _report(results, path=None) -> int:
+    """Write one CHECK line per result to path (default stdout)."""
+    _write(path, "".join(f"CHECK {r.name} {'PASS' if r.passed else 'FAIL'} {r.details}\n"
+                         for r in results))
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 def _verify_checks(spec, n, F, selected, bound, space_bound):
@@ -187,7 +190,7 @@ def cmd_verify(args) -> int:
         F = _field(args)
         n = args.n
         spec = tri.make_triangular(n, F)
-    return _report(_verify_checks(spec, n, F, selected, bound, _space_bound(args)))
+    return _report(_verify_checks(spec, n, F, selected, bound, _space_bound(args)), args.out)
 
 
 def cmd_orbits(args) -> int:
@@ -305,8 +308,8 @@ def main(argv=None) -> int:
     except (GroupTooLarge, SpaceTooLarge) as exc:
         print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (AlgebraValidationError, NotPrime, DegreeTooLarge, BadSize, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (AlgebraValidationError, NotPrime, DegreeTooLarge, BadSize, OutputNotWritable,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SupcharError as exc:

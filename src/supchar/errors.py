@@ -75,6 +75,10 @@ class NotGenerating(SupcharError):
     pass
 
 
+class PointOutsideSet(SupcharError):
+    """A map handed to the orbit kernel sends a point out of its point set."""
+
+
 class SpaceTooLarge(SupcharError):
     pass
 
@@ -109,3 +113,7 @@ class PartitionMismatch(SupcharError):
 
 class BadSize(SupcharError):
     pass
+
+
+class OutputNotWritable(SupcharError):
+    """An output path given by --out or --diff-out cannot be written."""

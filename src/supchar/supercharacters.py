@@ -18,7 +18,6 @@ from .algebra import (
     block_component,
     certified_generators,
     form_support,
-    g_elements,
     group_order,
     h_elements,
     orbit,
@@ -148,11 +147,13 @@ class InductionContext:
     every induction of one run: the classes, the class index of each element,
     and the group order.
 
-    Each class is the BFS closure of an element under the conjugations
+    Each class is the closure of an element under the conjugations
     g -> s^-1 g s by the distinct t-parts and a-parts of certified_generators
     (only the a-parts for N).  The certificate proves that the t-parts generate
     H and the a-parts generate N, so the parts generate G = H N (or N) and each
-    closure is exactly one conjugacy class."""
+    closure is exactly one conjugacy class.  G = H + J and N = 1 + J are
+    unions of translates of J, so the orbit kernel computes every closure
+    (orbit_partition)."""
 
     def __init__(self, spec: AlgebraSpec, bound: int, group: str = "G"):
         self.order = group_order(spec) if group == "G" else \
@@ -162,10 +163,9 @@ class InductionContext:
         gens = certified_generators(spec)
         parts = {g.a for g in gens} | ({g.t for g in gens} if group == "G" else set())
         parts.discard(spec.unit)
-        maps = [sandwich_map(spec, spec.invert(s), s).apply for s in sorted(parts)]
-        elements = g_elements(spec) if group == "G" else \
-            [spec.add(spec.unit, x) for x in spec.j_vectors()]
-        self.classes = orbit_partition(elements, maps)
+        maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
+        translates = h_elements(spec) if group == "G" else [spec.unit]
+        self.classes = orbit_partition(spec.field, translates, spec.radical_basis, maps)
         self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
 
 
@@ -430,9 +430,10 @@ def nn_orbits(spec: AlgebraSpec):
 
     The certified generators of G~ with t = 1 generate 1 x (N x N): their
     a-parts and b-parts each generate N, which is what certified_generators proved."""
-    maps = [rho_dual_map(spec, g).apply for g in certified_generators(spec) if g.t == spec.unit]
-    points = [spec.j_coords(x) for x in spec.j_vectors()]
-    return [OrbitRecord(m, min(m), "J*") for m in orbit_partition(points, maps)]
+    maps = [rho_dual_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
+    nu = len(spec.radical_basis)
+    return [OrbitRecord(m, min(m), "J*")
+            for m in orbit_partition(spec.field, [(0,) * nu], range(nu), maps)]
 
 
 def n_characters(spec: AlgebraSpec, bound: int):
@@ -444,8 +445,9 @@ def n_characters(spec: AlgebraSpec, bound: int):
     The certified generators of G~ with t = 1 generate 1 x (N x N), so each
     closure under their R_tau is exactly one N-superclass."""
     ctx = InductionContext(spec, bound, group="N")
-    maps = [r_map(spec, g).apply for g in certified_generators(spec) if g.t == spec.unit]
-    n_part = [OrbitRecord(m, min(m), "N") for m in orbit_partition(list(ctx.class_of), maps)]
+    maps = [r_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
+    n_part = [OrbitRecord(m, min(m), "N")
+              for m in orbit_partition(spec.field, [spec.unit], spec.radical_basis, maps)]
     chars = []
     for orb in nn_orbits(spec):
         mu = orb.representative

@@ -11,8 +11,8 @@ from .algebra import (
     associated_support,
     block_component,
     certified_generators,
-    g_elements,
     group_order,
+    h_elements,
     idempotent_of,
     orbit,
     orbit_partition,
@@ -145,14 +145,16 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
 def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     """All superclasses, labeled and sorted by representative.
 
-    Each superclass is the BFS closure of an element under the certified
-    generators of G~ (certified_generators), so it is exactly one G~-orbit."""
+    Each superclass is the closure of an element of G = H + J under the
+    certified generators of G~ (certified_generators), so it is exactly one
+    G~-orbit; R_tau is affine, so the orbit kernel computes every closure
+    (orbit_partition)."""
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    maps = [r_map(spec, tau).apply for tau in certified_generators(spec)]
-    records = [SuperclassRecord(classify(spec, m), m, min(m))
-               for m in orbit_partition(g_elements(spec), maps)]
+    maps = [r_map(spec, tau) for tau in certified_generators(spec)]
+    records = [SuperclassRecord(classify(spec, m), m, min(m)) for m in
+               orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)]
     labels = {r.label for r in records}
     assert len(labels) == len(records), "distinct superclasses share a label"
     return records

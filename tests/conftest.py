@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from supchar.algebra import make_triple
+from supchar.algebra import h_elements, make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -49,6 +49,42 @@ def get_partition(n, p, k=1):
 def dual_vectors(spec):
     """All of J* in radical coordinates."""
     return [spec.j_coords(x) for x in spec.j_vectors()]
+
+
+def g_elements(spec):
+    """All of G = H + J (every h + x with h in H is invertible)."""
+    return [spec.add(h, x) for h in h_elements(spec) for x in spec.j_vectors()]
+
+
+def closure(start, maps) -> set:
+    """BFS closure of start under the maps (callables on tuples), applied
+    without inverses."""
+    members = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for v in frontier:
+            for f in maps:
+                w = f(v)
+                if w not in members:
+                    members.add(w)
+                    new.append(w)
+        frontier = new
+    return members
+
+
+def tuple_orbit_partition(points, maps) -> list[frozenset]:
+    """The oracle for algebra.orbit_partition: the tuple BFS closures of the
+    points under the maps (callables), in order of their least member."""
+    seen = set()
+    orbits = []
+    for v in points:
+        if v not in seen:
+            members = frozenset(closure(v, maps))
+            seen |= members
+            orbits.append(members)
+    assert len(seen) == len(points), "orbits do not partition the points"
+    return sorted(orbits, key=min)
 
 
 def random_triple(spec, rng):

@@ -13,7 +13,6 @@ from supchar.algebra import (
     certify_generators,
     element_support,
     form_support,
-    g_elements,
     group_order,
     h_elements,
     is_singular,
@@ -45,7 +44,7 @@ from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
 from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
-from conftest import dual_vectors, get_field, get_spec, random_triple
+from conftest import dual_vectors, g_elements, get_field, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 

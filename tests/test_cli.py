@@ -10,6 +10,8 @@ from supchar import supercharacters as sc
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 # the incidence algebra over GF(3) of the zigzag poset 0<1>2<3, |G| = 432
 ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
+# GF(3) as a one-block algebra with J = 0
+SEMISIMPLE = os.path.join(os.path.dirname(__file__), "semisimple_q3.json")
 
 
 def run(argv, capsys=None):
@@ -190,6 +192,13 @@ PINNED_STDOUT = [
     # four blocks: corner labels e={...} beyond the two-block bundled specs
     (["algebra", "--spec", ZIGZAG],
      "f08d4af9fd003d2e8ee8d462dae59581394767ab17b4b571a552bc806794fb73"),
+    # orbit censuses, with sizes and singular/regular tags per orbit
+    (["orbits", "--n", "4", "--p", "3", "--space", "both"],
+     "8be0582cf019200b9bd0a1a2a2532f928a0d6b92f36d23cb2f8f621f26c1c8f5"),
+    (["orbits", "--n", "3", "--p", "2", "--k", "2", "--space", "both"],
+     "0a5c2145d7398be28886acd8b217ed2dd20f4d3ddc6e00fbc34c0e8c8e0c3fc0"),
+    (["orbits", "--spec", os.path.join(DATA, "dual_numbers_q3.json"), "--space", "both"],
+     "185611cbc5b5d7e82c1889ec38268ddf3186d8e3a112c79438ae7c7543cdfc9c"),
 ]
 
 
@@ -267,3 +276,44 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, mutate, field):
         assert code == 2, command
         assert field in err, err
         assert "Traceback" not in err
+
+
+def test_orbits_zero_radical_is_singular_on_both_spaces(capsys):
+    # with J = 0 the unit kills the zero element and the zero form (the
+    # annihilator criterion), so both one-point orbits are singular
+    code, out, _ = run(["orbits", "--spec", SEMISIMPLE, "--space", "both"], capsys)
+    assert code == 0
+    reps = [l.strip() for l in out.splitlines() if "orbit rep" in l]
+    assert reps == ["orbit rep [0] size 1 singular", "orbit rep [] size 1 singular"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "2", "--p", "3"],
+    ["table", "--n", "2", "--p", "3", "--mode", "both"],
+    ["verify", "--n", "2", "--p", "3", "--checks", "counts"],
+    ["orbits", "--n", "2", "--p", "3"],
+    ["algebra", "--spec", os.path.join(DATA, "dual_numbers_q3.json")],
+], ids=["table", "table-both", "verify", "orbits", "algebra"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    path = str(tmp_path if target == "directory" else tmp_path / "no" / "such.csv")
+    code, _, err = run(argv + ["--out", path], capsys)
+    assert code == 2
+    assert "invalid configuration" in err and "--out" in err and path in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_diff_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, _, err = run(["table", "--n", "2", "--p", "3", "--mode", "both",
+                        "--out", str(out), "--diff-out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "invalid configuration" in err and "--diff-out" in err
+
+
+def test_verify_writes_report_to_out(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    code, stdout, _ = run(["verify", "--n", "2", "--p", "3", "--checks", "counts",
+                           "--out", str(out)], capsys)
+    assert code == 0 and stdout == ""
+    assert out.read_text().startswith("CHECK counts PASS")

@@ -10,7 +10,6 @@ import random
 import pytest
 
 from supchar.algebra import (
-    g_elements,
     load_algebra_file,
     orbit,
     rho,
@@ -23,7 +22,7 @@ from supchar.algebra import (
 from supchar.errors import NotInRadical
 from supchar.superclasses import r_act, r_map
 
-from conftest import ACCEPTANCE_CONFIGS, dual_vectors, get_spec, random_triple
+from conftest import ACCEPTANCE_CONFIGS, dual_vectors, g_elements, get_spec, random_triple
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 SPEC_FILES = ["dual_numbers_q3.json", "triangular_2_3.json"]

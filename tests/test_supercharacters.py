@@ -9,7 +9,6 @@ from supchar import supercharacters as sc
 from supchar import triangular as tri
 from supchar.algebra import (
     certified_generators,
-    g_elements,
     group_order,
     load_algebra_file,
     orbit,
@@ -48,7 +47,7 @@ from supchar.supercharacters import (
     xi,
 )
 
-from conftest import get_field, get_partition, get_spec
+from conftest import g_elements, get_field, get_partition, get_spec
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 

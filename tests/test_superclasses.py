@@ -3,7 +3,6 @@ import random
 import pytest
 
 from supchar.algebra import (
-    g_elements,
     group_order,
     make_triple,
     orbit_census,
@@ -22,7 +21,7 @@ from supchar.superclasses import (
 from supchar.supercharacters import InductionContext
 from supchar import triangular as tri
 
-from conftest import get_field, get_partition, get_spec, random_triple
+from conftest import g_elements, get_field, get_partition, get_spec, random_triple
 
 
 def test_r_act_identity_triple():
