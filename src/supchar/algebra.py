@@ -12,7 +12,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, product
-from math import lcm
+from math import lcm, prod
 
 from . import linalg
 from .errors import (
@@ -90,7 +90,8 @@ class AlgebraSpec:
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
         self._orbit_of: dict = {}       # action -> {point: its orbit}
         self._supports: dict = {}       # is_form -> support functionals
-        self._torus_conj = None         # y -> t^-1 y t for every t in H
+        self._torus_conj = None         # y -> t^-1 y t for each torus generator t
+        self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
         self._validated = False
 
     # -- linear helpers --------------------------------------------------
@@ -590,12 +591,32 @@ def rho_dual_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
     return LinearMap(spec.field, cols, [0] * len(rad))
 
 
+def torus_generators(spec: AlgebraSpec) -> list:
+    """One torus generator per block of order > 1: the block's multiplicative
+    generator, and 1 on every other block."""
+    return [spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
+            for i, blk in enumerate(spec.blocks) if spec.block_orders[i] > 1]
+
+
+def _generated_order(spec: AlgebraSpec, ts) -> int:
+    """The order of the subgroup of H that the elements ts generate: the BFS
+    closure of the unit under right multiplication by them."""
+    return len(closure(spec.unit, [sandwich_map(spec, spec.unit, t).apply for t in ts]))
+
+
 def torus_conjugations(spec: AlgebraSpec) -> list:
-    """The compiled apply functions of y -> t^-1 y t for every t in H, built
-    once per spec."""
+    """The compiled apply functions of y -> t^-1 y t for the torus generators
+    t (torus_generators), once the closure of the generators is proved to
+    have |H| elements; raises NotGenerating otherwise.  The closure of y
+    under these maps is then its orbit under conjugation by H.  Built and
+    proved once per spec."""
     if spec._torus_conj is None:
-        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t).apply
-                            for t in h_elements(spec)]
+        gens = torus_generators(spec)
+        size, order = _generated_order(spec, gens), prod(spec.block_orders)
+        if size != order:
+            raise NotGenerating(f"the torus generators generate a subgroup of order "
+                                f"{size} of H, which has order {order}")
+        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t).apply for t in gens]
     return spec._torus_conj
 
 
@@ -606,11 +627,7 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
 def tilde_generators(spec: AlgebraSpec):
     """Generator triples of G~: one torus generator per block, and (1, a, 1),
     (1, 1, a) with a = 1 + c b_r for every radical basis vector b_r and c != 0."""
-    gens = []
-    for i, blk in enumerate(spec.blocks):
-        if spec.block_orders[i] > 1:
-            t = spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
-            gens.append(make_triple(spec, t, spec.unit, spec.unit))
+    gens = [make_triple(spec, t, spec.unit, spec.unit) for t in torus_generators(spec)]
     for r in spec.radical_basis:
         for c in range(1, spec.field.q):
             a = spec.add(spec.unit, spec.smul(c, spec.basis_vec(r)))
@@ -666,10 +683,10 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
     if parts["b"] != parts["a"]:
         checks.append(("b", "N", n_order))
     for k, name, order in checks:
-        maps = [sandwich_map(spec, unit, x) for x in sorted(parts[k])]
         if k == "t":
-            size = len(closure(unit, [m.apply for m in maps]))
+            size = _generated_order(spec, sorted(parts[k]))
         else:
+            maps = [sandwich_map(spec, unit, x) for x in sorted(parts[k])]
             box = orbit_partition(spec.field, [unit], spec.radical_basis, maps)
             size = len(next(o for o in box if unit in o))
         if size != order:
@@ -793,18 +810,18 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
     """Annihilator criterion: singular iff some c in A \\ J kills v on both sides."""
     F = spec.field
     d = spec.dim
-    basis = [spec.basis_vec(i) for i in range(d)]
-    rows = []
     if not is_form:
-        for l in range(d):
-            rows.append([spec.mul(basis[j], v)[l] for j in range(d)])
-        for l in range(d):
-            rows.append([spec.mul(v, basis[j])[l] for j in range(d)])
+        # column j holds c_j v, then v c_j: one product each per basis vector
+        left = [spec.mul(spec.basis_vec(j), v) for j in range(d)]
+        right = [spec.mul(v, spec.basis_vec(j)) for j in range(d)]
+        rows = [*zip(*left), *zip(*right)]
     else:
+        # b_r c_j and c_j b_r are structure constants, with no product to take
+        table = spec.mul_table
+        rows = []
         for r in spec.radical_basis:
-            x = basis[r]
-            rows.append([spec.form_eval(v, spec.mul(x, basis[j])) for j in range(d)])
-            rows.append([spec.form_eval(v, spec.mul(basis[j], x)) for j in range(d)])
+            rows.append([spec.form_eval(v, table[r][j]) for j in range(d)])
+            rows.append([spec.form_eval(v, table[j][r]) for j in range(d)])
     # kernel dimensions as columns minus rank: with J = 0 a form has no
     # rows, and its kernel is all of A
     rad = list(spec.radical_basis)

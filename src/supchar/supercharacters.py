@@ -304,8 +304,12 @@ class CharacterTable:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["class"] + [l.render() for l in self.col_labels])
         w.writerow(["size"] + ["" if s is None else s for s in self.sizes])
+        # tables share value objects (closed_table builds each value once), so
+        # each distinct object is rendered once
+        text = {id(v): v for row in self.values for v in row}
+        text = {key: v.render() for key, v in text.items()}
         for lbl, row in zip(self.row_labels, self.values):
-            w.writerow([lbl.render()] + [v.render() for v in row])
+            w.writerow([lbl.render(), *map(text.__getitem__, map(id, row))])
         return buf.getvalue()
 
     def to_json(self) -> dict:

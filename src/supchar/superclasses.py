@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import linalg
 from .algebra import (
@@ -11,6 +12,7 @@ from .algebra import (
     associated_support,
     block_component,
     certified_generators,
+    closure,
     group_order,
     h_elements,
     idempotent_of,
@@ -65,39 +67,64 @@ def r_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
     return LinearMap(spec.field, m.cols, spec.sub(spec.unit, m.apply(spec.unit)))
 
 
+def _product_maps(spec: AlgebraSpec) -> tuple[LinearMap, LinearMap]:
+    """The linear maps y -> b_r y and y -> -(y b_r) for the radical basis
+    vectors b_r, stacked: entry l nu + r of an image is radical coordinate l
+    of the r-th product, so a slice of nu entries is row l of the u- or
+    v-columns of transporter_count's system.  Read off the structure
+    constants once per spec, with no mul."""
+    if spec._radical_products is None:
+        F = spec.field
+        rad = spec.radical_basis
+        nu = len(rad)
+        table = spec.mul_table
+        left = [[] for _ in range(spec.dim)]
+        right = [[] for _ in range(spec.dim)]
+        for i in range(spec.dim):
+            for l, bl in enumerate(rad):
+                for r, br in enumerate(rad):
+                    if table[br][i][bl]:
+                        left[i].append((l * nu + r, table[br][i][bl]))
+                    if table[i][br][bl]:
+                        right[i].append((l * nu + r, F.neg(table[i][br][bl])))
+        spec._radical_products = (LinearMap(F, left, [0] * nu * nu),
+                                  LinearMap(F, right, [0] * nu * nu))
+    return spec._radical_products
+
+
 def transporter_count(spec: AlgebraSpec, x, y) -> int:
     """#{(t, a, b) in H x N x N : t a x b^-1 t^-1 = y} for x, y in A, with no
-    enumeration of N.  With x = g - 1 and y = g' - 1 this counts the triples
-    with R_tau(g) = g'; it is nonzero exactly when g' lies in the superclass
-    of g, and for y = x it is |Stab(g)| in G~.
+    enumeration of N or of H.  With x = g - 1 and y = g' - 1 this counts the
+    triples with R_tau(g) = g'; it is nonzero exactly when g' lies in the
+    superclass of g, and for y = x it is |Stab(g)| in G~.
 
     For each t in H, with y_t = t^-1 y t, a = 1 + u and b = 1 + v, the
     equation reads u x - y_t v = y_t - x with (u, v) in J x J.  Both products
     lie in J, so y_t - x must have a zero S-part; the affine system then has
-    q^{dim ker} solutions if it is consistent and none otherwise.
+    q^{dim ker} solutions if it is consistent and none otherwise, which one
+    rref decides.  The y_t form the orbit O of y under conjugation by H, the
+    closure of y under the certified torus generators (torus_conjugations),
+    and each y' in O is y_t for |H| / |O| elements t (orbit-stabilizer), so
+    the count is (|H| / |O|) times the sum over O of the count for y'.
     """
     F = spec.field
     nu = len(spec.radical_basis)
-    basis = [spec.basis_vec(r) for r in spec.radical_basis]
-    left = [spec.j_coords(spec.mul(b, x)) for b in basis]   # u -> u x
-    counts: dict = {}
+    left_map, right_map = _product_maps(spec)
+    u_cols = left_map.apply(x)
+    conjugates = closure(y, torus_conjugations(spec))
     total = 0
-    for conj in torus_conjugations(spec):
-        yt = conj(y)
-        if yt not in counts:
-            rhs = spec.sub(yt, x)
-            if not spec.in_radical(rhs):
-                counts[yt] = 0
-            else:
-                # columns: u-coordinates, then v-coordinates (v -> -y_t v)
-                cols = left + [tuple(F.neg(c) for c in spec.j_coords(spec.mul(yt, b)))
-                               for b in basis]
-                aug = [list(row) + [c] for row, c in zip(zip(*cols), spec.j_coords(rhs))]
-                _, pivots = linalg.rref(F, aug)
-                consistent = not pivots or pivots[-1] < 2 * nu
-                counts[yt] = F.q ** (2 * nu - len(pivots)) if consistent else 0
-        total += counts[yt]
-    return total
+    for yt in conjugates:
+        rhs = spec.sub(yt, x)
+        if not spec.in_radical(rhs):
+            continue
+        v_cols = right_map.apply(yt)
+        # row l: the u-coordinates, then the v-coordinates, then rhs_l
+        aug = [u_cols[l * nu:(l + 1) * nu] + v_cols[l * nu:(l + 1) * nu] + (c,)
+               for l, c in enumerate(spec.j_coords(rhs))]
+        _, pivots = linalg.rref(F, aug)
+        if not pivots or pivots[-1] < 2 * nu:
+            total += F.q ** (2 * nu - len(pivots))
+    return prod(spec.block_orders) // len(conjugates) * total
 
 
 def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:

@@ -3,8 +3,8 @@ brute-force construction it is checked against."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .algebra import AlgebraSpec, Block, group_order, validate_algebra
@@ -118,12 +118,17 @@ def basic_subsets(n: int) -> list[BasicSubset]:
     """All non-attacking root placements, ordered by size then root list."""
     roots = [Root(i, j) for i, j in positive_roots(n)]
     out = []
-    for k in range(0, n):
-        for combo in combinations(roots, k):
-            rows = {r.row for r in combo}
-            cols = {r.col for r in combo}
-            if len(rows) == len(combo) and len(cols) == len(combo):
-                out.append(BasicSubset(combo))
+
+    def extend(combo, rows, cols, start):
+        """Record combo, then extend it by each later root off its rows and
+        columns."""
+        out.append(BasicSubset(combo))
+        for k in range(start, len(roots)):
+            r = roots[k]
+            if r.row not in rows and r.col not in cols:
+                extend(combo + (r,), rows | {r.row}, cols | {r.col}, k + 1)
+
+    extend((), frozenset(), frozenset(), 0)
     out.sort(key=lambda d: d.sort_key())
     return out
 
@@ -260,10 +265,63 @@ def _from_terms(order: int, exp: int, scalar: int) -> CycloNumber:
 
 def value(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSpec,
           order: int | None = None) -> CycloNumber:
-    """Closed-form supercharacter value on a superclass."""
+    """Closed-form supercharacter value on a superclass: the reference that
+    closed_table's per-label counting is tested against."""
     if order is None:
         order = cyclo_order_for(field)
     return _from_terms(order, *value_terms(char, cls, field, order))
+
+
+# ---------------------------------------------------------------------------
+# per-label shapes: the closed form by counting
+# ---------------------------------------------------------------------------
+
+def class_shape(lbl: TriSuperclassLabel) -> tuple:
+    """The nonzero positions (i, j), 1-based, of g_{h,D'} - 1: (i, i) for each
+    h_i != 1 and (i, j) for each root of D'.  Raises BadSize unless they form
+    a partial permutation, at most one per row and one per column: the shape
+    the window coranks and the rank profile are counted from."""
+    cells = [(i, i) for i, hi in enumerate(lbl.h, 1) if hi != 1]
+    cells += [(r.row, r.col) for r in lbl.dprime.roots]
+    if len({i for i, _ in cells}) < len(cells) or len({j for _, j in cells}) < len(cells):
+        raise BadSize(f"g - 1 of {lbl.render()} has two nonzero entries in one row "
+                      "or column")
+    return tuple(cells)
+
+
+def root_factors(n: int, q: int, cells) -> list[int]:
+    """Per positive root g = (r, c), in positive_roots order, the factor of g
+    in value_terms' scalar on a class of shape `cells` (class_shape).
+
+    The factor is 0 when delta' or delta'' fails at g, or h_r or h_c differs
+    from 1: delta_0 is the product of that test over the roots of D.  Else it
+    is -q^m_g if g lies in D' and (q - 1) q^m_g if not, with m_g the corank
+    of the window rows and columns r+1..c-1.  A submatrix of a partial
+    permutation is one, so its rank is its count of nonzero entries: m_g is
+    the window size minus the cells inside the window.  For a basic subset D
+    with s = |rowcol(D)| - |D /\\ D'| as in m_and_s, the scalar is then
+    (q - 1)^(|rowcol(D)| - |D|) times the product of the factors of D's roots.
+    """
+    diag = {i for i, j in cells if i == j}
+    dprime = {(i, j) for i, j in cells if i != j}
+    out = []
+    for r, c in positive_roots(n):
+        if r in diag or c in diag or any(i == r and j < c or j == c and i > r
+                                         for i, j in dprime):
+            out.append(0)
+            continue
+        corank = c - r - 1 - sum(1 for i, j in cells if r < i and j < c)
+        out.append(-q ** corank if (r, c) in dprime else (q - 1) * q ** corank)
+    return out
+
+
+def rank_profile(n: int, cells) -> tuple:
+    """(r_ij for 1 <= i <= j <= n): the rank of rows i..n x columns 1..j of a
+    partial permutation with nonzero `cells`, which is the count of its cells
+    in that block.  The blocks with i > j lie below the diagonal, and an
+    upper triangular matrix is zero there."""
+    return tuple(sum(1 for a, b in cells if a >= i and b <= j)
+                 for i in range(1, n + 1) for j in range(i, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +355,19 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
 
     Also proves that the labels biject onto the superclasses, and raises
     PartitionMismatch otherwise: every stabilizer order divides |G~|, the
-    sizes sum to |G|, and no two labels with equal S-part and equal size
-    share a superclass.  The S-part (R_tau fixes it, as S is commutative) and
-    the size are superclass invariants, so the labels lie in distinct
-    superclasses, and distinct superclasses whose sizes sum to |G| are all
-    of them.
+    sizes sum to |G|, and no two labels with equal S-part, equal size and
+    equal rank profile share a superclass (transporter_count on every such
+    pair).  These three are superclass invariants, so the labels lie in
+    distinct superclasses, and distinct superclasses whose sizes sum to |G|
+    are all of them.  R_tau fixes the S-part, as S is commutative.  The rank
+    profile (rank_profile) of x = g - 1 holds the ranks r_ij of its blocks
+    x[I, K] with rows I = i..n and columns K = 1..j.  R_tau sends x to U x V
+    with U = t a and V = b^-1 t^-1 upper triangular and invertible.  Rows I
+    of U vanish off the columns I, and columns K of V vanish off the rows K,
+    so (U x V)[I, K] = U[I, I] x[I, K] V[K, K], with both outer factors
+    triangular with a nonzero diagonal, so invertible: r_ij is unchanged
+    (Andre, J. Algebra 175 (1995); Yan, thesis, 2001).  The profile is
+    counted on the label's proved partial-permutation shape (class_shape).
     """
     order = group_order(spec)
     tilde = order * spec.field.q ** len(spec.radical_basis)
@@ -316,8 +382,9 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
     if sum(sizes) != order:
         raise PartitionMismatch(f"superclass sizes sum to {sum(sizes)}, not |G| = {order}")
     groups: dict = {}
-    for i, (x, size) in enumerate(zip(xs, sizes)):
-        groups.setdefault((spec.s_part(x), size), []).append(i)
+    for i, (lbl, x, size) in enumerate(zip(class_labels, xs, sizes)):
+        profile = rank_profile(n, class_shape(lbl))
+        groups.setdefault((spec.s_part(x), size, profile), []).append(i)
     for idx in groups.values():
         for a, i in enumerate(idx):
             for j in idx[a + 1:]:
@@ -334,19 +401,37 @@ def to_general_label(spec: AlgebraSpec, n: int, lbl: TriSupercharLabel) -> Super
 
 
 def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
+    """The closed-form table, value_terms by counting.  The scalars of each D
+    are (q - 1)^(|rowcol(D)| - |D|) times the product of the root_factors of
+    D's roots, over the classes; the exponent of zeta is step times
+    sum c_i dlog(h_i) mod q - 1, taken once per distinct h."""
     class_labels, char_labels = labels(n, field)
     order = cyclo_order_for(field)
+    q = field.q
+    step = order // (q - 1)
+    index = {root: k for k, root in enumerate(positive_roots(n))}
+    # per positive root, its factor on every class
+    factors = list(zip(*(root_factors(n, q, class_shape(cl)) for cl in class_labels)))
+    h_index: dict = {}
+    hid = [h_index.setdefault(cl.h, len(h_index)) for cl in class_labels]
+    dlogs = [[field.dlog(hi) for hi in h] for h in h_index]
     # few distinct (exp, scalar) pairs recur across the table: build each once
-    built: dict = {}
+    zero = _from_terms(order, 0, 0)
+    built = {(t * step, 0): zero for t in range(q - 1)}
+    scalars: dict = {}
     values = []
     for ch in char_labels:
-        row = []
-        for cl in class_labels:
-            terms = value_terms(ch, cl, field, order)
-            if terms not in built:
-                built[terms] = _from_terms(order, *terms)
-            row.append(built[terms])
-        values.append(row)
+        if ch.d not in scalars:
+            row = [(q - 1) ** (len(ch.d.rowcol()) - len(ch.d.roots))] * len(class_labels)
+            for r in ch.d.roots:
+                row = list(map(mul, row, factors[index[r.row, r.col]]))
+            scalars[ch.d] = row
+            for s in set(row):
+                if (0, s) not in built:
+                    for t in range(q - 1):
+                        built[t * step, s] = _from_terms(order, t * step, s)
+        exps = [sum(map(mul, ch.c, dl)) % (q - 1) * step for dl in dlogs]
+        values.append([built[exps[k], s] for k, s in zip(hid, scalars[ch.d])])
     if sizes is None:
         sizes = [None] * len(class_labels)
     return CharacterTable(char_labels, class_labels, sizes, values,

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from supchar import linalg
 from supchar.algebra import h_elements, make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
@@ -85,6 +86,28 @@ def tuple_orbit_partition(points, maps) -> list[frozenset]:
             orbits.append(members)
     assert len(seen) == len(points), "orbits do not partition the points"
     return sorted(orbits, key=min)
+
+
+def literal_transporter_count(spec, x, y) -> int:
+    """The oracle for superclasses.transporter_count: for every t in H, one
+    rref of the affine system u x - y_t v = y_t - x in (u, v) in J x J, with
+    y_t = t^-1 y t and every product taken by mul, summed literally over H."""
+    F = spec.field
+    nu = len(spec.radical_basis)
+    basis = [spec.basis_vec(r) for r in spec.radical_basis]
+    left = [spec.j_coords(spec.mul(b, x)) for b in basis]
+    total = 0
+    for t in h_elements(spec):
+        yt = spec.mul_many(spec.invert(t), y, t)
+        rhs = spec.sub(yt, x)
+        if not spec.in_radical(rhs):
+            continue
+        cols = left + [tuple(F.neg(c) for c in spec.j_coords(spec.mul(yt, b))) for b in basis]
+        aug = [list(row) + [c] for row, c in zip(zip(*cols), spec.j_coords(rhs))]
+        _, pivots = linalg.rref(F, aug)
+        if not pivots or pivots[-1] < 2 * nu:
+            total += F.q ** (2 * nu - len(pivots))
+    return total
 
 
 def random_triple(spec, rng):

@@ -526,6 +526,20 @@ def test_singularity_examples():
     assert not is_singular(s, e12_plus_e23)
 
 
+def test_is_singular_takes_one_product_per_side_and_basis_vector(monkeypatch):
+    """2 dim products c_j v and v c_j for an element; none for a form, whose
+    rows are read off the structure constants."""
+    s = get_spec(3, 3)
+    x = s.add(basis_vec(s, root_index(3, 1, 2)), basis_vec(s, root_index(3, 2, 3)))
+    calls = []
+    mul = AlgebraSpec.mul
+    monkeypatch.setattr(AlgebraSpec, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    assert not is_singular(s, x)
+    assert len(calls) == 2 * s.dim
+    assert not is_singular(s, s.j_coords(x), True)
+    assert len(calls) == 2 * s.dim
+
+
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_annihilator_agrees_with_combinatorial_regularity(n, p):
     s = get_spec(n, p)

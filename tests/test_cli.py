@@ -199,6 +199,18 @@ PINNED_STDOUT = [
      "0a5c2145d7398be28886acd8b217ed2dd20f4d3ddc6e00fbc34c0e8c8e0c3fc0"),
     (["orbits", "--spec", os.path.join(DATA, "dual_numbers_q3.json"), "--space", "both"],
      "185611cbc5b5d7e82c1889ec38268ddf3186d8e3a112c79438ae7c7543cdfc9c"),
+    # closed-form tables: with a size row (T(3,5), T(5,2), T(3,GF(4))), and
+    # without one, |G| being above the default bound (T(4,5))
+    (["table", "--n", "3", "--p", "5", "--mode", "closed"],
+     "1c29f1249cae4dfef74fb9c2be4743fd2de499bb5c79eb532e3fb6910f8d39f3"),
+    (["table", "--n", "5", "--p", "2", "--mode", "closed"],
+     "b0c8a0296cdd3cd407cf94163c8a53cbf049ffea7e0ea7f7a1722c5fd026840c"),
+    (["table", "--n", "4", "--p", "5", "--mode", "closed"],
+     "1f2717f8545b4fc058d41f3d682fcf005e8342af399a95d181c3c50e1eee2a6b"),
+    (["table", "--n", "3", "--p", "2", "--k", "2", "--mode", "closed"],
+     "3cfb136aaeb4c20ca7c4fc280af75d25eb0b0812a690aa240d33a5471c35d81b"),
+    (["table", "--n", "3", "--p", "3", "--mode", "closed", "--format", "json"],
+     "8808515e4e20b40659ab797ca3781a6eb461b2dcd731f072778e287dfac0c24b"),
 ]
 
 

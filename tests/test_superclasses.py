@@ -1,13 +1,16 @@
+import os
 import random
 
 import pytest
 
 from supchar.algebra import (
     group_order,
+    load_algebra_file,
     make_triple,
     orbit_census,
+    torus_conjugations,
 )
-from supchar.errors import GroupTooLarge, NotInH
+from supchar.errors import GroupTooLarge, NotGenerating, NotInH
 from supchar.superclasses import (
     associated_idempotent,
     classify,
@@ -21,7 +24,17 @@ from supchar.superclasses import (
 from supchar.supercharacters import InductionContext
 from supchar import triangular as tri
 
-from conftest import g_elements, get_field, get_partition, get_spec, random_triple
+from conftest import (
+    g_elements,
+    get_field,
+    get_partition,
+    get_spec,
+    literal_transporter_count,
+    random_triple,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
+ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
 
 
 def test_r_act_identity_triple():
@@ -197,6 +210,35 @@ def test_transporter_count_detects_superclass_membership(n, p, k):
         for h in gl:
             count = transporter_count(s, x, s.sub(h, s.unit))
             assert count == (want if class_of[h] == class_of[g] else 0), (g, h)
+
+
+@pytest.mark.parametrize("case", [(2, 3, 1), (3, 3, 1), (2, 2, 2),
+                                  os.path.join(DATA, "dual_numbers_q3.json"),
+                                  os.path.join(DATA, "triangular_2_3.json"), ZIGZAG],
+                         ids=["T(2,3)", "T(3,3)", "T(2,GF(4))", "dual_numbers_q3",
+                              "triangular_2_3", "zigzag"])
+def test_transporter_count_equals_the_sum_over_every_t(case):
+    """The torus-orbit count equals the literal sum over every t in H, for x
+    and y from every pair of superclass representatives, and for y from up to
+    three further members of x's own superclass."""
+    s = load_algebra_file(case) if isinstance(case, str) else get_spec(*case)
+    partition = superclass_partition(s)
+    reps = [rec.representative for rec in partition]
+    for rec in partition:
+        x = s.sub(rec.representative, s.unit)
+        for g in reps + sorted(rec.members)[1:4]:
+            y = s.sub(g, s.unit)
+            assert transporter_count(s, x, y) == literal_transporter_count(s, x, y), (x, y)
+
+
+def test_torus_conjugations_reject_a_torus_generator_of_order_2():
+    s = tri.make_triangular(2, get_field(5))    # not the shared spec: it is edited
+    x = s.sub(s.add(s.unit, s.basis_vec(2)), s.unit)
+    s.block_gen[0] = s.smul(4, s.blocks[0].idempotent)
+    with pytest.raises(NotGenerating, match="order 8 of H, which has order 16"):
+        torus_conjugations(s)
+    with pytest.raises(NotGenerating):
+        transporter_count(s, x, x)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3)])

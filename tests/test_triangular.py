@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from supchar import linalg
 from supchar.cli import main
 from supchar.cyclo import CycloNumber
 from supchar.errors import BadSize, PartitionMismatch
@@ -131,6 +132,50 @@ def test_value_examples():
     deg4 = tri.value(tri.TriSupercharLabel((0, 0, 0, 0), D((1, 4))),
                      tri.TriSuperclassLabel((1, 1, 1, 1), D()), F2)
     assert deg4 == CycloNumber.rational(m2, 4)
+
+
+@pytest.mark.parametrize("n,p,k", [(4, 3, 1), (3, 5, 1), (2, 2, 2), (3, 2, 2), (5, 2, 1)])
+def test_closed_table_equals_value_on_every_entry(n, p, k):
+    F = get_field(p, k)
+    table = tri.closed_table(n, F)
+    class_labels, char_labels = tri.labels(n, F)
+    for ch, row in zip(char_labels, table.values):
+        assert row == [tri.value(ch, cl, F) for cl in class_labels], ch.render()
+
+
+def test_class_shape_rejects_h_off_one_on_rowcol(monkeypatch):
+    """g - 1 of h = (2, 1, 1), D' = {(1,2)} has two nonzero entries in row 1."""
+    F = get_field(3)
+    class_labels, char_labels = tri.labels(3, F)
+    bad = tri.TriSuperclassLabel((2, 1, 1), D((1, 2)))
+    with pytest.raises(BadSize, match=r"h=\[2, 1, 1\];D'=\{\(1,2\)\}"):
+        tri.class_shape(bad)
+    assert tri.class_shape(tri.TriSuperclassLabel((1, 1, 2), D((1, 2)))) == ((3, 3), (1, 2))
+    monkeypatch.setattr(tri, "labels", lambda n, field: (class_labels + [bad], char_labels))
+    with pytest.raises(BadSize, match="two nonzero entries in one row or column"):
+        tri.closed_table(3, F)
+
+
+def _rank_profile(spec, n, g):
+    """(rank of rows i..n x columns 1..j of g - 1, for i <= j), by rref."""
+    x = spec.sub(g, spec.unit)
+    mat = [[x[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate(tri.positive_roots(n)):
+        mat[i - 1][j - 1] = x[n + k]
+    return tuple(linalg.rank(spec.field, [row[:j] for row in mat[i - 1:]])
+                 for i in range(1, n + 1) for j in range(i, n + 1))
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (2, 2, 2)])
+def test_rank_profile_is_a_superclass_invariant(n, p, k):
+    """The rank profile is constant on every superclass, and rank_profile
+    counts it right on every label's representative."""
+    s = get_spec(n, p, k)
+    for rec in get_partition(n, p, k):
+        assert len({_rank_profile(s, n, g) for g in rec.members}) == 1, rec.label.render()
+    for lbl in tri.labels(n, s.field)[0]:
+        assert tri.rank_profile(n, tri.class_shape(lbl)) == \
+            _rank_profile(s, n, tri.class_rep(s, n, lbl)), lbl.render()
 
 
 def test_group_order():
