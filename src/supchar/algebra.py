@@ -24,6 +24,7 @@ from .errors import (
     NotGenerating,
     NotInRadical,
     NotInvertible,
+    NotRegular,
     PointOutsideSet,
     RadicalNotNilpotent,
     SNotCommutative,
@@ -802,7 +803,7 @@ def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple
             least[t] = v
     minimal = [t for t in least if not any(u < t for u in least)]
     if len(minimal) != 1:
-        raise AssertionError(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
+        raise NotRegular(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
     return minimal[0], least[minimal[0]]
 
 

@@ -137,9 +137,9 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
                                    f"n(J*)={census_d.n} n_E(J*)={census_d.n_e} "
                                    f"residuals {census_j.residual},{census_d.residual}"))
 
-    # one set of conjugacy classes serves every induction and the axioms
+    # one induced table, and one set of conjugacy classes, serve every check
     ctx = table = None
-    if "axioms" in selected or "restriction" in selected:
+    if {"axioms", "restriction"} & set(selected) or (n is not None and "oracle" in selected):
         ctx = InductionContext(spec, bound)
         table = build_table(spec, partition, labels, bound, ctx=ctx)
 
@@ -150,12 +150,8 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
         if n is None:
             results.append(CheckResult("oracle", True, "skipped: no closed form for custom algebras"))
         else:
-            # the brute table induces again, from the closed form's lambda_D
-            # labels instead of the census representatives, so that the oracle
-            # does not rest on the table the axioms were checked on
-            diffs = tri.compare_tables(
-                tri.table(n, F, "closed", bound, spec=spec),
-                tri.table(n, F, "brute", bound, partition=partition, spec=spec, ctx=ctx))
+            diffs = tri.compare_tables(tri.table(n, F, "closed", bound, spec=spec),
+                                       tri.brute_table(spec, n, partition, table))
             results.append(CheckResult("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 
     if "restriction" in selected:

@@ -7,6 +7,7 @@ import io
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -85,7 +86,8 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
         left = tuple(spec.form_eval(lam, spec.mul(spec.basis_vec(r), h)) for r in rad)
         return right == lam and left == lam
     both = [h for h in h_elements(spec) if fixes(h)]
-    assert sorted(both) == sorted(hs), "H_{e'} != H_right /\\ H_left for a regular form"
+    if sorted(both) != sorted(hs):
+        raise NotInStabilizer(f"H_{{e'}} != H_right /\\ H_left for the regular form {lam}")
     return right_stabilizer(spec, lam, hs)
 
 
@@ -209,7 +211,8 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
     idx = identity_index(spec, partition)
     degree = values[idx]
     expected = Fraction(ctx.order, stab.size)
-    assert degree == expected, f"degree {degree} != |G|/|G_lambda| = {expected}"
+    if degree != expected:
+        raise NotInStabilizer(f"degree {degree.render()} != |G|/|G_lambda| = {expected}")
     return ClassFunction(tuple(values), degree)
 
 
@@ -267,21 +270,9 @@ def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
         rest = sorted(set(range(nb)) - supp)
         for fmask in range(2 ** len(rest)):
             fset = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
-            theta_lists = [[]]
-            ok = True
-            for i in range(nb):
-                if i in fset:
-                    opts = list(range(1, spec.block_orders[i]))
-                    if not opts:
-                        ok = False
-                        break
-                else:
-                    opts = [0]
-                theta_lists = [t + [o] for t in theta_lists for o in opts]
-            if not ok:
-                continue
-            for t in theta_lists:
-                labels.append(SupercharLabel(supp, fset, tuple(t), lam_rep))
+            # a block of f with a trivial torus part has no nontrivial theta
+            opts = [range(1, spec.block_orders[i]) if i in fset else [0] for i in range(nb)]
+            labels.extend(SupercharLabel(supp, fset, t, lam_rep) for t in product(*opts))
     labels.sort(key=lambda l: l.sort_key())
     return labels
 
@@ -338,15 +329,21 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
     InductionContext of spec is used instead of being built again."""
     if ctx is None:
         ctx = InductionContext(spec, bound)
-    # G_lambda depends on the orbit (lambda, e) only, not on (f, theta)
-    stabs = {key: stabilizer_data(spec, *key)
-             for key in dict.fromkeys((l.lambda_rep, l.e) for l in labels)}
-    funcs = [induce(spec, l, partition, ctx, stabs[l.lambda_rep, l.e]) for l in labels]
+    # G_lambda depends on the orbit (lambda, e) only, not on (f, theta): each
+    # is built once, induces every label of its orbit, and is dropped
+    orbits = defaultdict(list)
+    for r, l in enumerate(labels):
+        orbits[l.lambda_rep, l.e].append(r)
+    values = [None] * len(labels)
+    for key, rows in orbits.items():
+        stab = stabilizer_data(spec, *key)
+        for r in rows:
+            values[r] = list(induce(spec, labels[r], partition, ctx, stab).values)
     return CharacterTable(
         row_labels=list(labels),
         col_labels=[r.label for r in partition],
         sizes=[r.size for r in partition],
-        values=[list(f.values) for f in funcs],
+        values=values,
         group_order=ctx.order,
         cyclo_order=spec.cyclo_order,
     )

@@ -23,7 +23,7 @@ from .algebra import (
     sandwich_map,
     torus_conjugations,
 )
-from .errors import GroupTooLarge, NotInH, ReductionFailed
+from .errors import GroupTooLarge, NotInH, PartitionMismatch, ReductionFailed
 
 DEFAULT_GROUP_BOUND = 2 ** 17
 
@@ -182,8 +182,8 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     maps = [r_map(spec, tau) for tau in certified_generators(spec)]
     records = [SuperclassRecord(classify(spec, m), m, min(m)) for m in
                orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)]
-    labels = {r.label for r in records}
-    assert len(labels) == len(records), "distinct superclasses share a label"
+    if len({r.label for r in records}) != len(records):
+        raise PartitionMismatch("distinct superclasses share a label")
     return records
 
 
@@ -196,7 +196,7 @@ def identity_index(spec: AlgebraSpec, partition) -> int:
     for i, rec in enumerate(partition):
         if spec.unit in rec.members:
             return i
-    raise AssertionError("no superclass contains the identity")
+    raise PartitionMismatch("no superclass contains the identity")
 
 
 def m_factor(spec: AlgebraSpec, fset: frozenset) -> int:

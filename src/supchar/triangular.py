@@ -7,7 +7,7 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .algebra import AlgebraSpec, Block, group_order, validate_algebra
+from .algebra import AlgebraSpec, Block, group_order, orbit_census, validate_algebra
 from .cyclo import CycloNumber
 from .errors import BadSize, PartitionMismatch
 from .fields import FieldSpec
@@ -19,9 +19,9 @@ from .superclasses import (
 )
 from .supercharacters import (
     CharacterTable,
-    InductionContext,
     SupercharLabel,
     build_table,
+    enumerate_labels,
 )
 
 
@@ -138,19 +138,14 @@ def is_regular_D(d: BasicSubset, n: int) -> bool:
 
 
 def x_D(spec: AlgebraSpec, n: int, d: BasicSubset):
-    vec = [0] * spec.dim
-    roots = positive_roots(n)
-    for r in d.roots:
-        vec[n + roots.index((r.row, r.col))] = 1
-    return tuple(vec)
+    """x_D in make_triangular's basis: zero on E_11..E_nn, lambda_D's
+    coordinates on the roots."""
+    return (0,) * n + lambda_D(n, d)
 
 
 def lambda_D(n: int, d: BasicSubset) -> tuple:
-    roots = positive_roots(n)
-    coords = [0] * len(roots)
-    for r in d.roots:
-        coords[roots.index((r.row, r.col))] = 1
-    return tuple(coords)
+    roots = {(r.row, r.col) for r in d.roots}
+    return tuple(int(g in roots) for g in positive_roots(n))
 
 
 def labels(n: int, field: FieldSpec):
@@ -341,15 +336,17 @@ def class_rep(spec: AlgebraSpec, n: int, lbl: TriSuperclassLabel):
 
 
 def class_record_map(spec: AlgebraSpec, n: int, class_labels, partition):
-    """Bijection from (h, D') labels to superclass records via g_{h,D'}."""
+    """Bijection from (h, D') labels to superclass records via g_{h,D'};
+    PartitionMismatch unless each g_{h,D'} lies in a superclass (-1 marks one
+    that does not) and they meet every superclass once."""
     member_to_idx = superclass_index(partition)
-    mapping = [member_to_idx[class_rep(spec, n, lbl)] for lbl in class_labels]
-    assert sorted(mapping) == list(range(len(partition))), \
-        "triangular labels do not biject onto the superclass partition"
+    mapping = [member_to_idx.get(class_rep(spec, n, lbl), -1) for lbl in class_labels]
+    if sorted(mapping) != list(range(len(partition))):
+        raise PartitionMismatch("triangular labels do not biject onto the superclass partition")
     return mapping
 
 
-def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
+def superclass_sizes(spec: AlgebraSpec, n: int, class_labels, shapes) -> list[int]:
     """|superclass of g_{h,D'}| = |G~| / |Stab(g_{h,D'})| per label, by
     orbit-stabilizer (transporter_count), with no enumeration of G.
 
@@ -367,7 +364,7 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
     so (U x V)[I, K] = U[I, I] x[I, K] V[K, K], with both outer factors
     triangular with a nonzero diagonal, so invertible: r_ij is unchanged
     (Andre, J. Algebra 175 (1995); Yan, thesis, 2001).  The profile is
-    counted on the label's proved partial-permutation shape (class_shape).
+    counted on each label's proved partial-permutation shape (`shapes`).
     """
     order = group_order(spec)
     tilde = order * spec.field.q ** len(spec.radical_basis)
@@ -382,9 +379,8 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels) -> list[int]:
     if sum(sizes) != order:
         raise PartitionMismatch(f"superclass sizes sum to {sum(sizes)}, not |G| = {order}")
     groups: dict = {}
-    for i, (lbl, x, size) in enumerate(zip(class_labels, xs, sizes)):
-        profile = rank_profile(n, class_shape(lbl))
-        groups.setdefault((spec.s_part(x), size, profile), []).append(i)
+    for i, (x, size, shape) in enumerate(zip(xs, sizes, shapes)):
+        groups.setdefault((spec.s_part(x), size, rank_profile(n, shape)), []).append(i)
     for idx in groups.values():
         for a, i in enumerate(idx):
             for j in idx[a + 1:]:
@@ -400,18 +396,19 @@ def to_general_label(spec: AlgebraSpec, n: int, lbl: TriSupercharLabel) -> Super
     return SupercharLabel(e, f, lbl.c, lambda_D(n, lbl.d))
 
 
-def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
-    """The closed-form table, value_terms by counting.  The scalars of each D
-    are (q - 1)^(|rowcol(D)| - |D|) times the product of the root_factors of
-    D's roots, over the classes; the exponent of zeta is step times
-    sum c_i dlog(h_i) mod q - 1, taken once per distinct h."""
-    class_labels, char_labels = labels(n, field)
+def closed_table(n: int, field: FieldSpec, class_labels, char_labels, shapes,
+                 sizes) -> CharacterTable:
+    """The closed-form table on labels(n, field), with the class labels'
+    class_shape in `shapes` and the size row `sizes` (None: empty), value_terms
+    by counting.  The scalars of each D are (q - 1)^(|rowcol(D)| - |D|) times
+    the product of the root_factors of D's roots, over the classes; the
+    exponent of zeta is step times sum c_i dlog(h_i) mod q - 1, once per h."""
     order = cyclo_order_for(field)
     q = field.q
     step = order // (q - 1)
     index = {root: k for k, root in enumerate(positive_roots(n))}
     # per positive root, its factor on every class
-    factors = list(zip(*(root_factors(n, q, class_shape(cl)) for cl in class_labels)))
+    factors = list(zip(*(root_factors(n, q, shape) for shape in shapes)))
     h_index: dict = {}
     hid = [h_index.setdefault(cl.h, len(h_index)) for cl in class_labels]
     dlogs = [[field.dlog(hi) for hi in h] for h in h_index]
@@ -432,48 +429,56 @@ def closed_table(n: int, field: FieldSpec, sizes=None) -> CharacterTable:
                         built[t * step, s] = _from_terms(order, t * step, s)
         exps = [sum(map(mul, ch.c, dl)) % (q - 1) * step for dl in dlogs]
         values.append([built[exps[k], s] for k, s in zip(hid, scalars[ch.d])])
-    if sizes is None:
-        sizes = [None] * len(class_labels)
-    return CharacterTable(char_labels, class_labels, sizes, values,
-                          group_order_tri(n, field), order)
+    return CharacterTable(char_labels, class_labels, sizes or [None] * len(class_labels),
+                          values, group_order_tri(n, field), order)
 
 
-def brute_table(n: int, field: FieldSpec, bound: int = DEFAULT_GROUP_BOUND,
-                partition=None, spec: AlgebraSpec | None = None,
-                ctx: InductionContext | None = None) -> CharacterTable:
-    """The same table by literal induction over the whole group."""
-    if spec is None:
-        spec = make_triangular(n, field)
-    if partition is None:
-        partition = superclass_partition(spec, bound)
-    class_labels, char_labels = labels(n, field)
-    mapping = class_record_map(spec, n, class_labels, partition)
-    gen_labels = [to_general_label(spec, n, ch) for ch in char_labels]
-    base = build_table(spec, partition, gen_labels, bound, ctx=ctx)
-    # re-index columns by the triangular label order
-    values = [[row[mapping[c]] for c in range(len(class_labels))] for row in base.values]
-    sizes = [partition[mapping[c]].size for c in range(len(class_labels))]
-    return CharacterTable(char_labels, class_labels, sizes, values,
+def brute_table(spec: AlgebraSpec, n: int, partition, base: CharacterTable) -> CharacterTable:
+    """Re-index `base`, the table build_table induced on `partition` from the
+    census labels, into the closed form's (c, D) x (h, D') order.
+
+    Columns go through class_record_map.  Rows go through to_general_label,
+    which must send the (c, D) labels one-to-one onto base's census labels:
+    this proves that each lambda_D is its orbit's canonical representative,
+    and PartitionMismatch names the first (c, D) label without a match."""
+    class_labels, char_labels = labels(n, spec.field)
+    cols = class_record_map(spec, n, class_labels, partition)
+    row_of = {lbl: r for r, lbl in enumerate(base.row_labels)}
+    rows = []
+    for ch in char_labels:
+        r = row_of.pop(to_general_label(spec, n, ch), None)
+        if r is None:
+            raise PartitionMismatch(f"closed-form label {ch.render()} matches no census label")
+        rows.append(r)
+    if row_of:
+        raise PartitionMismatch(f"{len(row_of)} census labels match no closed-form label")
+    values = [[base.values[r][c] for c in cols] for r in rows]
+    return CharacterTable(char_labels, class_labels, [base.sizes[c] for c in cols], values,
                           base.group_order, base.cyclo_order)
 
 
 def table(n: int, field: FieldSpec, mode: str = "closed",
-          bound: int = DEFAULT_GROUP_BOUND, partition=None,
-          spec: AlgebraSpec | None = None,
-          ctx: InductionContext | None = None) -> CharacterTable:
+          bound: int = DEFAULT_GROUP_BOUND, spec: AlgebraSpec | None = None) -> CharacterTable:
     """The closed-form (mode "closed") or brute-force (mode "brute") table; a
-    given spec of T(n, field) is used instead of being built again, and so
-    are a given partition and InductionContext by the brute-force table.  The
-    closed form's size row is left empty when |G| exceeds bound."""
+    given spec of T(n, field) is used instead of being built again.  The
+    closed form's size row is left empty when |G| exceeds bound.  The
+    brute-force table is the one build_table induces from the census labels,
+    re-indexed by brute_table; |J*| <= |G|, so bound also bounds the census."""
     if mode == "closed":
+        class_labels, char_labels = labels(n, field)
+        shapes = [class_shape(lbl) for lbl in class_labels]
         sizes = None
         if group_order_tri(n, field) <= bound:
             if spec is None:
                 spec = make_triangular(n, field)
-            sizes = superclass_sizes(spec, n, labels(n, field)[0])
-        return closed_table(n, field, sizes)
+            sizes = superclass_sizes(spec, n, class_labels, shapes)
+        return closed_table(n, field, class_labels, char_labels, shapes, sizes)
     if mode == "brute":
-        return brute_table(n, field, bound, partition=partition, spec=spec, ctx=ctx)
+        if spec is None:
+            spec = make_triangular(n, field)
+        partition = superclass_partition(spec, bound)
+        census = enumerate_labels(spec, orbit_census(spec, "J*", bound))
+        return brute_table(spec, n, partition, build_table(spec, partition, census, bound))
     raise ValueError(f"unknown table mode {mode!r}")
 
 

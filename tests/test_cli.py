@@ -160,6 +160,12 @@ def test_algebra_pipeline(tmp_path, capsys):
     assert out.read_text().startswith("class,")
 
 
+def test_table_both_reports_to_stderr(capsys):
+    code, _, err = run(["table", "--n", "3", "--p", "3", "--mode", "both"], capsys)
+    assert code == 0
+    assert err == "CHECK oracle-equivalence PASS 0 mismatched entries of 225\n"
+
+
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_determinism_across_runs(tmp_path, n, p):
     outputs = []
@@ -211,6 +217,15 @@ PINNED_STDOUT = [
      "3cfb136aaeb4c20ca7c4fc280af75d25eb0b0812a690aa240d33a5471c35d81b"),
     (["table", "--n", "3", "--p", "3", "--mode", "closed", "--format", "json"],
      "8808515e4e20b40659ab797ca3781a6eb461b2dcd731f072778e287dfac0c24b"),
+    # brute-force tables, re-indexed into the closed form's label order
+    (["table", "--n", "3", "--p", "3", "--mode", "brute"],
+     "956f2f9dc9c81aa8a024fb20a31742ce8d53870972711a2a0318424c6b6a028f"),
+    (["table", "--n", "4", "--p", "2", "--mode", "brute", "--format", "json"],
+     "1c105d1596c81e56fde3668e984263e581641384eec91f3aad5e6711028111e3"),
+    (["table", "--n", "2", "--p", "2", "--k", "2", "--mode", "brute"],
+     "61ff8654899fc8e49db875680107caacfe87d542b68c9539614885109f3af2c5"),
+    (["verify", "--n", "3", "--p", "3", "--checks", "oracle"],
+     "67ff61cfd77fbe74d6fdc45bd3ef39b419b15396e1b248dfb68d02ad50259021"),
 ]
 
 

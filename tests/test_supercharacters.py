@@ -791,3 +791,24 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     cf = ClassFunction(funcs[0].values[:k + 1] + funcs[0].values[k:], funcs[0].degree)
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
         restriction_check(s, labels[0], cf, superclass_index(bad), n_chars)
+
+
+def test_induce_rejects_a_wrong_degree():
+    """With the identity dropped from G_lambda the induced degree is 0, not
+    |G| / |G_lambda|."""
+    s = get_spec(2, 3)
+    partition = get_partition(2, 3)
+    label = SupercharLabel(frozenset({0, 1}), frozenset(), (0, 0), (1,))
+    stab = stabilizer_data(s, label.lambda_rep, label.e)
+    del stab.g_lambda[s.unit][s.unit]
+    with pytest.raises(NotInStabilizer, match="degree"):
+        induce(s, label, partition, InductionContext(s, 2 ** 17), stab)
+
+
+def test_stabilizer_data_rejects_a_wrong_h_part(monkeypatch):
+    """H_{e'} built from a block_component that never matches is empty, while
+    the identity fixes lambda on both sides."""
+    s = get_spec(2, 3)
+    monkeypatch.setattr(sc, "block_component", lambda spec, h, i: None)
+    with pytest.raises(NotInStabilizer, match="H_right"):
+        stabilizer_data(s, (1,), frozenset({0, 1}))

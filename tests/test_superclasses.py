@@ -10,7 +10,8 @@ from supchar.algebra import (
     orbit_census,
     torus_conjugations,
 )
-from supchar.errors import GroupTooLarge, NotGenerating, NotInH
+from supchar import superclasses
+from supchar.errors import GroupTooLarge, NotGenerating, NotInH, PartitionMismatch
 from supchar.superclasses import (
     associated_idempotent,
     classify,
@@ -251,3 +252,18 @@ def test_sizes_divide_tilde_group_order(n, p):
     tilde = h_order * n_order * n_order
     for rec in get_partition(n, p):
         assert tilde % rec.size == 0
+
+
+def test_superclass_partition_rejects_a_shared_label(monkeypatch):
+    s = get_spec(2, 3)
+    monkeypatch.setattr(superclasses, "classify", lambda spec, members: "one label")
+    with pytest.raises(PartitionMismatch, match="distinct superclasses share a label"):
+        superclass_partition(s)
+
+
+def test_identity_index_rejects_a_partition_without_the_identity():
+    s = get_spec(2, 3)
+    partition = get_partition(2, 3)
+    idx = identity_index(s, partition)
+    with pytest.raises(PartitionMismatch, match="no superclass contains the identity"):
+        identity_index(s, partition[:idx] + partition[idx + 1:])

@@ -1,9 +1,13 @@
 import csv
 import io
+import re
+from dataclasses import replace
 
 import pytest
 
-from supchar import linalg
+from supchar import cli, linalg
+from supchar import supercharacters as sc
+from supchar.algebra import form_support, orbit, orbit_census
 from supchar.cli import main
 from supchar.cyclo import CycloNumber
 from supchar.errors import BadSize, PartitionMismatch
@@ -137,7 +141,7 @@ def test_value_examples():
 @pytest.mark.parametrize("n,p,k", [(4, 3, 1), (3, 5, 1), (2, 2, 2), (3, 2, 2), (5, 2, 1)])
 def test_closed_table_equals_value_on_every_entry(n, p, k):
     F = get_field(p, k)
-    table = tri.closed_table(n, F)
+    table = tri.table(n, F)
     class_labels, char_labels = tri.labels(n, F)
     for ch, row in zip(char_labels, table.values):
         assert row == [tri.value(ch, cl, F) for cl in class_labels], ch.render()
@@ -153,7 +157,7 @@ def test_class_shape_rejects_h_off_one_on_rowcol(monkeypatch):
     assert tri.class_shape(tri.TriSuperclassLabel((1, 1, 2), D((1, 2)))) == ((3, 3), (1, 2))
     monkeypatch.setattr(tri, "labels", lambda n, field: (class_labels + [bad], char_labels))
     with pytest.raises(BadSize, match="two nonzero entries in one row or column"):
-        tri.closed_table(3, F)
+        tri.table(3, F)
 
 
 def _rank_profile(spec, n, g):
@@ -205,6 +209,16 @@ def test_class_record_map_is_bijection():
     assert sorted(mapping) == list(range(len(partition)))
 
 
+def test_class_record_map_rejects_a_non_bijection():
+    s = get_spec(3, 3)
+    class_labels, _ = tri.labels(3, s.field)
+    partition = get_partition(3, 3)
+    with pytest.raises(PartitionMismatch, match="do not biject"):
+        tri.class_record_map(s, 3, class_labels, partition[1:])
+    with pytest.raises(PartitionMismatch, match="do not biject"):
+        tri.class_record_map(s, 3, class_labels + class_labels[:1], partition)
+
+
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2),
                                    (4, 2, 1), (5, 2, 1)])
 def test_closed_sizes_equal_partition_sizes(n, p, k):
@@ -219,7 +233,7 @@ def test_closed_sizes_equal_partition_sizes(n, p, k):
 def test_closed_sizes_reject_a_duplicated_label(monkeypatch):
     s = get_spec(3, 3)
     class_labels, char_labels = tri.labels(3, s.field)
-    sizes = tri.superclass_sizes(s, 3, class_labels)
+    sizes = tri.table(3, s.field, spec=s).sizes
     assert sum(sizes) == 216
 
     def closed_with(cls):
@@ -268,6 +282,38 @@ def test_closed_matches_brute_small(n, p, k):
     closed = tri.table(n, F, mode="closed")
     brute = tri.table(n, F, mode="brute")
     assert tri.compare_tables(closed, brute) == []
+
+
+def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
+    """A census label whose lambda is another member of its orbit induces the
+    same row, but no closed-form label maps onto it."""
+    s = get_spec(3, 3)
+    census = sc.enumerate_labels(s, orbit_census(s, "J*"))
+    i, lbl = next((i, l) for i, l in enumerate(census) if any(l.lambda_rep))
+    other = next(v for v in orbit(s, lbl.lambda_rep, "rho_dual").members
+                 if v != lbl.lambda_rep and form_support(s, v) == lbl.e)
+    swapped = census[:i] + [replace(lbl, lambda_rep=other)] + census[i + 1:]
+    want = next(ch for ch in tri.labels(3, s.field)[1] if tri.to_general_label(s, 3, ch) == lbl)
+    monkeypatch.setattr(tri, "enumerate_labels", lambda spec, dual_census: swapped)
+    with pytest.raises(PartitionMismatch, match=re.escape(f"label {want.render()} matches no")):
+        tri.table(3, s.field, "brute", spec=s)
+    monkeypatch.setattr(cli, "enumerate_labels", lambda spec, dual_census: swapped)
+    assert main(["verify", "--n", "3", "--p", "3", "--checks", "oracle"]) == 1
+    assert want.render() in capsys.readouterr().err
+
+
+def test_brute_table_carries_a_perturbed_entry_to_its_labels():
+    s = get_spec(3, 3)
+    partition = get_partition(3, 3)
+    base = sc.build_table(s, partition, sc.enumerate_labels(s, orbit_census(s, "J*")), 2 ** 17)
+    r, c = 7, 4
+    base.values[r][c] = base.values[r][c] + 1
+    class_labels, char_labels = tri.labels(3, s.field)
+    ch = next(ch for ch in char_labels if tri.to_general_label(s, 3, ch) == base.row_labels[r])
+    cl = class_labels[tri.class_record_map(s, 3, class_labels, partition).index(c)]
+    diffs = tri.compare_tables(tri.table(3, s.field, spec=s), tri.brute_table(s, 3, partition, base))
+    assert len(diffs) == 1
+    assert diffs[0].startswith(f"[{ch.render()} @ {cl.render()}] ")
 
 
 def test_table_row_column_order_stable():
