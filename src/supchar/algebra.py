@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import compress, islice, product
 from math import lcm, prod
 
@@ -22,6 +22,7 @@ from .errors import (
     NotAssociative,
     NotDirectSum,
     NotGenerating,
+    NotInH,
     NotInRadical,
     NotInvertible,
     NotRegular,
@@ -35,29 +36,17 @@ from .fields import FieldSpec, field_make
 DEFAULT_SPACE_BOUND = 2 ** 20
 
 
-@dataclass(frozen=True)
-class Block:
-    idempotent: tuple[int, ...]
-    degree: int
-    basis: tuple[int, ...]
+class Block(namedtuple("Block", "idempotent degree basis")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TildeTriple:
+class TildeTriple(namedtuple("TildeTriple", "t a b t_inv a_inv b_inv")):
     """A triple (t, a, b) with cached inverses; t in H, a and b in N = 1 + J."""
-    t: tuple[int, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    t_inv: tuple[int, ...]
-    a_inv: tuple[int, ...]
-    b_inv: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    members: frozenset
-    representative: tuple
-    space_tag: str  # "J", "J*" or "N"
+class OrbitRecord(namedtuple("OrbitRecord", "members representative space_tag")):
+    __slots__ = ()  # space_tag: "J", "J*" or "N"
 
 
 class AlgebraSpec:
@@ -91,6 +80,7 @@ class AlgebraSpec:
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
         self._orbit_of: dict = {}       # action -> {point: its orbit}
         self._supports: dict = {}       # is_form -> support functionals
+        self._orbit_supports: dict = {}  # orbit -> orbit_support(orbit)
         self._torus_conj = None         # y -> t^-1 y t for each torus generator t
         self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
         self._validated = False
@@ -382,9 +372,33 @@ def orbit_partition(field: FieldSpec, translates, coords, maps) -> list[frozense
 # ---------------------------------------------------------------------------
 
 def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
-    """Check every standing hypothesis on the input algebra; errors cite paths."""
+    """Check every standing hypothesis on the input algebra; errors cite paths.
+
+    Every product is read off the sparse structure constants, with vectors
+    as dicts {index: nonzero coefficient}: integer multiply-adds and one
+    reduction mod p for k = 1, the field's add and mul for k > 1."""
     F = spec.field
     d = spec.dim
+    sp = spec._sparse
+
+    def combo(pairs) -> dict:
+        """The sum of c v over the pairs (c, v), v a sparse cell of sp."""
+        out: dict = {}
+        if F.k == 1:
+            for c, cell in pairs:
+                for l, x in cell:
+                    out[l] = out.get(l, 0) + c * x
+            return {l: v % F.p for l, v in out.items() if v % F.p}
+        for c, cell in pairs:
+            for l, x in cell:
+                out[l] = F.add(out.get(l, 0), F.mul(c, x))
+        return {l: v for l, v in out.items() if v}
+
+    def times(x: dict, y: dict) -> dict:
+        return combo([(F.mul(a, b), sp[i][j]) for i, a in x.items() for j, b in y.items()])
+
+    def vec(x) -> dict:
+        return {i: v for i, v in enumerate(x) if v}
 
     block_idx = [i for b in spec.blocks for i in b.basis]
     if sorted(block_idx + list(spec.radical_basis)) != list(range(d)):
@@ -392,27 +406,27 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
             "blocks[*].basis and radical_basis must partition the basis indices 0..dim-1"
         )
 
-    basis = [spec.basis_vec(i) for i in range(d)]
+    # (b_i b_j) b_l = b_i (b_j b_l), skipping the l with b_i b_j = b_j b_l = 0
+    nonzero = [[l for l in range(d) if sp[j][l]] for j in range(d)]
     for i in range(d):
         for j in range(d):
-            for l in range(d):
-                left = spec.mul(spec.mul_table[i][j], basis[l])
-                right = spec.mul(basis[i], spec.mul_table[j][l])
-                if left != right:
+            ij = sp[i][j]
+            for l in range(d) if ij else nonzero[j]:
+                if combo([(c, sp[m][l]) for m, c in ij]) != \
+                        combo([(c, sp[i][m]) for m, c in sp[j][l]]):
                     raise NotAssociative(f"mul: (b{i}*b{j})*b{l} != b{i}*(b{j}*b{l})")
 
+    unit = vec(spec.unit)
     for i in range(d):
-        if spec.mul(spec.unit, basis[i]) != basis[i] or spec.mul(basis[i], spec.unit) != basis[i]:
+        if times(unit, {i: 1}) != {i: 1} or times({i: 1}, unit) != {i: 1}:
             raise BadUnit(f"unit: not a two-sided identity on basis index {i}")
 
-    idems = [b.idempotent for b in spec.blocks]
+    idems = [vec(b.idempotent) for b in spec.blocks]
     total = spec.zero()
     for bi, e in enumerate(idems):
-        total = spec.add(total, e)
+        total = spec.add(total, spec.blocks[bi].idempotent)
         for bj, f in enumerate(idems):
-            prod = spec.mul(e, f)
-            want = e if bi == bj else spec.zero()
-            if prod != want:
+            if times(e, f) != (e if bi == bj else {}):
                 raise BadIdempotents(f"blocks[{bi}].idempotent * blocks[{bj}].idempotent wrong")
     if total != spec.unit:
         raise BadIdempotents("blocks[*].idempotent do not sum to the unit")
@@ -420,7 +434,7 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     s_idx = spec.s_basis
     for i in s_idx:
         for j in s_idx:
-            if spec.mul(basis[i], basis[j]) != spec.mul(basis[j], basis[i]):
+            if sp[i][j] != sp[j][i]:
                 raise SNotCommutative(f"blocks: basis {i} and {j} do not commute")
 
     rad = set(spec.radical_basis)
@@ -429,18 +443,17 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
         # closure of the block span under multiplication
         for i in sub:
             for j in sub:
-                prod = spec.mul(basis[i], basis[j])
-                if any(v and l not in sub for l, v in enumerate(prod)):
+                if any(l not in sub for l, _ in sp[i][j]):
                     raise BadIdempotents(f"blocks[{bi}]: span not closed under multiplication")
         for i in sub:
-            if spec.mul(blk.idempotent, basis[i]) != basis[i] or \
-               spec.mul(basis[i], blk.idempotent) != basis[i]:
+            if times(idems[bi], {i: 1}) != {i: 1} or times({i: 1}, idems[bi]) != {i: 1}:
                 raise BadIdempotents(f"blocks[{bi}]: idempotent is not a unit of the block")
         # every nonzero block element must be invertible inside the block
-        for z in linalg.span(F, [basis[i] for i in sub], d):
+        for z in linalg.span(F, [spec.basis_vec(i) for i in sub], d):
             if z == spec.zero():
                 continue
-            rows = [[spec.mul(z, basis[j])[l] for j in sub] for l in sub]
+            cols = [times(vec(z), {j: 1}) for j in sub]
+            rows = [[col.get(l, 0) for col in cols] for l in sub]
             rhs = [blk.idempotent[l] for l in sub]
             if linalg.solve(F, rows, rhs) is None:
                 raise BadIdempotents(f"blocks[{bi}]: span is not a field (no inverse for {z})")
@@ -448,24 +461,22 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     # SJ, JS, JJ land in J
     for i in range(d):
         for j in spec.radical_basis:
-            for prod, path in ((spec.mul(basis[i], basis[j]), f"b{i}*b{j}"),
-                               (spec.mul(basis[j], basis[i]), f"b{j}*b{i}")):
-                if any(v and l not in rad for l, v in enumerate(prod)):
+            for cell, path in ((sp[i][j], f"b{i}*b{j}"), (sp[j][i], f"b{j}*b{i}")):
+                if any(l not in rad for l, _ in cell):
                     raise RadicalNotNilpotent(f"radical_basis: {path} leaves J")
 
     # nilpotency class by iterating spans of J^k
-    j_basis = [basis[i] for i in spec.radical_basis]
-    power = j_basis
+    power = [spec.basis_vec(i) for i in spec.radical_basis]
     k = 1
     while power:
         if k > d + 1:
             raise RadicalNotNilpotent("radical_basis: J is not nilpotent")
         nxt = []
         for x in power:
-            for b in j_basis:
-                v = spec.mul(x, b)
-                if v != spec.zero():
-                    nxt.append(list(v))
+            for r in spec.radical_basis:
+                v = combo([(c, sp[m][r]) for m, c in enumerate(x) if c])
+                if v:
+                    nxt.append([v.get(l, 0) for l in range(d)])
         if nxt:
             mat, pivots = linalg.rref(F, nxt)
             nxt = [tuple(mat[r]) for r in range(len(pivots))]
@@ -525,16 +536,18 @@ def h_elements(spec: AlgebraSpec):
 
 
 def group_order(spec: AlgebraSpec) -> int:
-    n = 1
-    for o in spec.block_orders:
-        n *= o
-    return n * spec.field.q ** len(spec.radical_basis)
+    return prod(spec.block_orders) * spec.field.q ** len(spec.radical_basis)
 
 
-def block_component(spec: AlgebraSpec, x, i: int):
-    """e_i x e_i restricted to nothing -- the full-dim projection onto block i."""
-    e = spec.blocks[i].idempotent
-    return spec.mul(e, spec.mul(x, e))
+def block_component(spec: AlgebraSpec, s, i: int):
+    """e_i s e_i for s in S: the coordinates of s on block i's basis, zero
+    elsewhere, with no mul.  S is the direct sum of the block spans, and e_i
+    is the unit of block i and kills every other block.  Raises NotInH if s
+    has a nonzero radical part."""
+    if any(s[r] for r in spec.radical_basis):
+        raise NotInH(f"{s} has a nonzero radical component")
+    basis = spec.blocks[i].basis
+    return tuple(v if j in basis else 0 for j, v in enumerate(s))
 
 
 def associated_support(spec: AlgebraSpec, s) -> frozenset:
@@ -794,17 +807,20 @@ def form_support(spec: AlgebraSpec, lam) -> frozenset:
 def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple]:
     """(T, w): the unique minimal support T over the orbit (the Peirce corner
     the orbit meets) and the least member w with support T, the canonical
-    representative of the orbit's corner part."""
-    supp = element_support if orb.space_tag == "J" else form_support
-    least: dict = {}
-    for v in orb.members:
-        t = supp(spec, v)
-        if t not in least or v < least[t]:
-            least[t] = v
-    minimal = [t for t in least if not any(u < t for u in least)]
-    if len(minimal) != 1:
-        raise NotRegular(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
-    return minimal[0], least[minimal[0]]
+    representative of the orbit's corner part.  Proved once per orbit and
+    spec: the census, classify and stabilizer_data share the result."""
+    if orb not in spec._orbit_supports:
+        supp = element_support if orb.space_tag == "J" else form_support
+        least: dict = {}
+        for v in orb.members:
+            t = supp(spec, v)
+            if t not in least or v < least[t]:
+                least[t] = v
+        minimal = [t for t in least if not any(u < t for u in least)]
+        if len(minimal) != 1:
+            raise NotRegular(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
+        spec._orbit_supports[orb] = minimal[0], least[minimal[0]]
+    return spec._orbit_supports[orb]
 
 
 def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
@@ -835,16 +851,11 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
 # censuses
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitCensus:
-    space: str
-    orbits: list
-    supports: list          # frozenset per orbit, aligned with orbits
-    corner_reps: list       # least member with that support, per orbit
-    n: int
-    n_e: int
-    n_sub: dict             # frozenset T -> n(J_{e_T})
-    residual: int
+class OrbitCensus(namedtuple("OrbitCensus",
+                             "space orbits supports corner_reps n n_e n_sub residual")):
+    """supports: frozenset per orbit, aligned with orbits; corner_reps: least
+    member with that support, per orbit; n_sub: frozenset T -> n(J_{e_T})."""
+    __slots__ = ()
 
 
 def orbit_census(spec: AlgebraSpec, space: str = "J",
@@ -875,10 +886,7 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
 
 def regular_orbit_counts(census: OrbitCensus) -> dict:
     """n_E(J_{e_T}) for every T: orbits whose minimal support is exactly T."""
-    out = {}
-    for s in census.supports:
-        out[s] = out.get(s, 0) + 1
-    return out
+    return dict(Counter(census.supports))
 
 
 # ---------------------------------------------------------------------------

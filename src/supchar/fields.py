@@ -6,7 +6,7 @@ of x^i modulo the field modulus.  For k = 1 this is the ordinary residue.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BadOrder, DegreeTooLarge, DivisionByZero, LogOfZero, NotPrime
 
@@ -24,16 +24,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    k: int
-    q: int
-    modulus: tuple[int, ...]        # k+1 coefficients, constant first, leading 1
-    generator: int
-    exp_table: tuple[int, ...]      # exp_table[j] = generator**j, length q-1
-    log_table: tuple[int, ...]      # log_table[a] = j, -1 for a == 0
-    _frob: tuple[int, ...] = field(repr=False, default=())  # a -> a**p
+class FieldSpec(namedtuple("FieldSpec", [
+        "p", "k", "q",
+        "modulus",      # k+1 coefficients, constant first, leading 1
+        "generator",
+        "exp_table",    # exp_table[j] = generator**j, length q-1
+        "log_table",    # log_table[a] = j, -1 for a == 0
+        "frob"],        # frob[a] = a**p
+        defaults=((),))):
+    __slots__ = ()
 
     # -- element encoding ----------------------------------------------
 
@@ -110,7 +109,7 @@ class FieldSpec:
         return self.log_table[a]
 
     def frobenius(self, a: int) -> int:
-        return self._frob[a]
+        return self.frob[a]
 
     def trace(self, a: int) -> int:
         """Absolute trace GF(q) -> GF(p), returned as a residue mod p."""
@@ -179,11 +178,7 @@ def _build_tables(p: int, k: int, modulus: tuple[int, ...], gen_digits: tuple[in
 def _finish(p, k, modulus, generator, exp, log):
     q = p ** k
     spec = FieldSpec(p, k, q, modulus, generator, exp, log)
-    frob = [0] * q
-    for a in range(q):
-        frob[a] = spec.pow(a, p) if a else 0
-    object.__setattr__(spec, "_frob", tuple(frob))
-    return spec
+    return spec._replace(frob=tuple(spec.pow(a, p) if a else 0 for a in range(q)))
 
 
 def field_make(p: int, k: int = 1, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldSpec:

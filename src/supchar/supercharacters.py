@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -40,12 +39,12 @@ from .fields import additive_char_exponent
 from .superclasses import identity_index, r_map, superclass_index
 
 
-@dataclass(frozen=True)
-class SupercharLabel:
-    e: frozenset                # blocks of the corner carrying the orbit
-    f: frozenset                # blocks where theta restricts nontrivially
-    theta: tuple[int, ...]      # one exponent per block, 0 on blocks of e
-    lambda_rep: tuple           # canonical form representative (radical coords)
+class SupercharLabel(namedtuple("SupercharLabel", [
+        "e",            # blocks of the corner carrying the orbit
+        "f",            # blocks where theta restricts nontrivially
+        "theta",        # one exponent per block, 0 on blocks of e
+        "lambda_rep"])):    # canonical form representative (radical coords)
+    __slots__ = ()
 
     def sort_key(self):
         return (tuple(sorted(self.e)), tuple(sorted(self.f)), self.theta, self.lambda_rep)
@@ -56,18 +55,16 @@ class SupercharLabel:
         return f"e={{{e}}};f={{{f}}};theta={list(self.theta)};l={list(self.lambda_rep)}"
 
 
-@dataclass
-class StabilizerData:
-    lam: tuple
-    j_right: set            # radical-coord tuples
-    g_lambda: dict          # h -> {h (1 + u): exponent of eps^{lam(h u)} as a power of zeta_m}
-    size: int
+class StabilizerData(namedtuple("StabilizerData", [
+        "lam",
+        "j_right",      # radical-coord tuples
+        "g_lambda",     # h -> {h (1 + u): exponent of eps^{lam(h u)} as a power of zeta_m}
+        "size"])):
+    __slots__ = ()
 
 
-@dataclass
-class ClassFunction:
-    values: tuple           # CycloNumbers aligned with the partition order
-    degree: CycloNumber
+class ClassFunction(namedtuple("ClassFunction", "values degree")):
+    __slots__ = ()  # values: CycloNumbers aligned with the partition order
 
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
@@ -120,14 +117,9 @@ def right_stabilizer(spec: AlgebraSpec, lam, hs) -> StabilizerData:
 def theta_exponent(spec: AlgebraSpec, theta, h) -> int:
     """Exponent j with theta(h) = zeta_m^j, multiplying over the torus blocks."""
     m = spec.cyclo_order
-    out = 0
-    for i, exp in enumerate(theta):
-        order = spec.block_orders[i]
-        if order == 1 or exp % order == 0:
-            continue
-        comp = block_component(spec, h, i)
-        out = (out + exp * spec.block_dlog[i][comp] * (m // order)) % m
-    return out
+    return sum(exp * spec.block_dlog[i][block_component(spec, h, i)] * (m // order)
+               for i, (exp, order) in enumerate(zip(theta, spec.block_orders))
+               if exp % order) % m
 
 
 def xi(spec: AlgebraSpec, label: SupercharLabel, g,
@@ -169,27 +161,50 @@ class InductionContext:
         translates = h_elements(spec) if group == "G" else [spec.unit]
         self.classes = orbit_partition(spec.field, translates, spec.radical_basis, maps)
         self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
+        self._meets = (None, None)
+
+    def meets(self, partition) -> list[set]:
+        """The set of conjugacy classes each superclass of partition meets, in
+        partition order: every element's class looked up once per partition."""
+        if self._meets[0] is not partition:
+            self._meets = partition, [{self.class_of[g] for g in rec.members}
+                                      for rec in partition]
+        return self._meets[1]
 
 
-def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
-           ctx: InductionContext, stab: StabilizerData | None = None) -> ClassFunction:
+def class_counts(stab: StabilizerData, ctx: InductionContext) -> dict:
+    """{h: [(ci, t, n)]}: n elements h (1 + u) of G_lambda lie in the
+    conjugacy class ci and have eps^{lam(h u)} = zeta_m^t.  Built once per
+    stabilizer; each label of its orbit only shifts t by theta(h)."""
+    out = {}
+    for h, part in stab.g_lambda.items():
+        cells = Counter((ctx.class_of[y], t) for y, t in part.items())
+        out[h] = [(ci, t, n) for (ci, t), n in cells.items()]
+    return out
+
+
+def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionContext,
+           stab: StabilizerData | None = None, counts: dict | None = None) -> ClassFunction:
     """ind(xi, G_lambda, G), evaluated once per conjugacy class by the averaging
     formula grouped by class, and checked constant on every superclass element:
 
         chi(g) = |G| / (|cl(g)| |G_lambda|) * sum of xi(y), y in cl(g) /\\ G_lambda.
 
     The exponent of xi(h (1 + u)) as a power of zeta_m is theta's exponent at
-    h plus the one stab recorded for h (1 + u).  Each class's sum is counted
-    per power of zeta_m and reduced mod Phi_m once."""
+    h plus the one stab recorded for h (1 + u), counted per class by counts
+    (class_counts of stab, built here if not given).  Each class's sum is
+    counted per power of zeta_m and reduced mod Phi_m once."""
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
+    if counts is None:
+        counts = class_counts(stab, ctx)
     m = spec.cyclo_order
     # the number of y in cl(g) /\ G_lambda with xi(y) = zeta_m^t, per class and t
-    counts = defaultdict(lambda: [0] * m)
-    for h, part in stab.g_lambda.items():
+    sums = defaultdict(lambda: [0] * m)
+    for h, cells in counts.items():
         th = theta_exponent(spec, label.theta, h)
-        for y, t in part.items():
-            counts[ctx.class_of[y]][(th + t) % m] += 1
+        for ci, t, n in cells:
+            sums[ci][(th + t) % m] += n
     class_values: dict = {}
 
     def value_of(ci) -> CycloNumber:
@@ -197,12 +212,12 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition,
         if got is None:
             scale = Fraction(ctx.order, len(ctx.classes[ci]) * stab.size)
             got = class_values[ci] = CycloNumber.from_int_poly(
-                m, [c * scale.numerator for c in counts.get(ci, [0])], scale.denominator)
+                m, [c * scale.numerator for c in sums.get(ci, [0])], scale.denominator)
         return got
 
     values = []
-    for rec in partition:
-        first, *rest = {ctx.class_of[g] for g in rec.members}
+    for rec, classes in zip(partition, ctx.meets(partition)):
+        first, *rest = classes
         val = value_of(first)
         if any(value_of(ci) != val for ci in rest):
             raise NotConstantOnSuperclass(f"induced character varies on {rec.representative}")
@@ -281,14 +296,11 @@ def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
 # the character table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CharacterTable:
-    row_labels: list
-    col_labels: list
-    sizes: list
-    values: list            # values[r][c]: CycloNumber
-    group_order: int
-    cyclo_order: int
+class CharacterTable(namedtuple("CharacterTable", [
+        "row_labels", "col_labels", "sizes",
+        "values",       # values[r][c]: CycloNumber
+        "group_order", "cyclo_order"])):
+    __slots__ = ()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -337,8 +349,9 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
     values = [None] * len(labels)
     for key, rows in orbits.items():
         stab = stabilizer_data(spec, *key)
+        counts = class_counts(stab, ctx)
         for r in rows:
-            values[r] = list(induce(spec, labels[r], partition, ctx, stab).values)
+            values[r] = list(induce(spec, labels[r], partition, ctx, stab, counts).values)
     return CharacterTable(
         row_labels=list(labels),
         col_labels=[r.label for r in partition],
@@ -353,11 +366,8 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
 # axiom checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed details", defaults=("",))):
+    __slots__ = ()
 
 
 def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,

@@ -1,7 +1,7 @@
 """The triple-group action on G, the superclass partition, and quadruple labels."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from . import linalg
@@ -28,12 +28,12 @@ from .errors import GroupTooLarge, NotInH, PartitionMismatch, ReductionFailed
 DEFAULT_GROUP_BOUND = 2 ** 17
 
 
-@dataclass(frozen=True)
-class SuperclassLabel:
-    e: frozenset            # block indices of the regular-orbit corner
-    f: frozenset            # blocks where the H-part differs from 1
-    h: tuple                # the common S-component of the class
-    omega_rep: tuple        # canonical representative of the corner orbit
+class SuperclassLabel(namedtuple("SuperclassLabel", [
+        "e",            # block indices of the regular-orbit corner
+        "f",            # blocks where the H-part differs from 1
+        "h",            # the common S-component of the class
+        "omega_rep"])):     # canonical representative of the corner orbit
+    __slots__ = ()
 
     def sort_key(self):
         return (tuple(sorted(self.e)), tuple(sorted(self.f)), self.h, self.omega_rep)
@@ -44,11 +44,8 @@ class SuperclassLabel:
         return f"e={{{e}}};f={{{f}}};h={list(self.h)};w={list(self.omega_rep)}"
 
 
-@dataclass(frozen=True)
-class SuperclassRecord:
-    label: SuperclassLabel
-    members: frozenset
-    representative: tuple
+class SuperclassRecord(namedtuple("SuperclassRecord", "label members representative")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -128,9 +125,8 @@ def transporter_count(spec: AlgebraSpec, x, y) -> int:
 
 
 def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:
-    """Blocks on which h - 1 is nonzero; requires h in H."""
-    if not all(v == 0 for v in spec.j_part(h)) or spec.s_part(h) != h:
-        raise NotInH(f"{h} has a nonzero radical component")
+    """Blocks on which h - 1 is nonzero; requires h in H (NotInH otherwise,
+    from block_component on a nonzero radical part)."""
     for i in range(len(spec.blocks)):
         if block_component(spec, h, i) == spec.zero():
             raise NotInH(f"{h} is not invertible on block {i}")
@@ -201,10 +197,7 @@ def identity_index(spec: AlgebraSpec, partition) -> int:
 
 def m_factor(spec: AlgebraSpec, fset: frozenset) -> int:
     """Number of H-parts (or torus characters) associated with f: prod (|H_i| - 1)."""
-    out = 1
-    for i in fset:
-        out *= spec.block_orders[i] - 1
-    return out
+    return prod(spec.block_orders[i] - 1 for i in fset)
 
 
 def predicted_count(spec: AlgebraSpec, census) -> int:

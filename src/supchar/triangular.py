@@ -2,7 +2,7 @@
 brute-force construction it is checked against."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from operator import mul
 
@@ -25,29 +25,27 @@ from .supercharacters import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    row: int    # 1-based
-    col: int
+class Root(namedtuple("Root", "row col")):    # 1-based
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.row < self.col:
-            raise BadSize(f"root ({self.row},{self.col}) needs 1 <= row < col")
+    def __new__(cls, row, col):
+        if not 1 <= row < col:
+            raise BadSize(f"root ({row},{col}) needs 1 <= row < col")
+        return super().__new__(cls, row, col)
 
     def render(self):
         return f"({self.row},{self.col})"
 
 
-@dataclass(frozen=True)
-class BasicSubset:
-    roots: tuple[Root, ...]
+class BasicSubset(namedtuple("BasicSubset", "roots")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = [r.row for r in self.roots]
-        cols = [r.col for r in self.roots]
+    def __new__(cls, roots):
+        rows = [r.row for r in roots]
+        cols = [r.col for r in roots]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise BadSize("basic subset has two roots in one row or column")
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
+        return super().__new__(cls, tuple(sorted(roots)))
 
     def rowcol(self) -> frozenset:
         return frozenset(r.row for r in self.roots) | frozenset(r.col for r in self.roots)
@@ -59,10 +57,8 @@ class BasicSubset:
         return "{" + ",".join(r.render() for r in self.roots) + "}"
 
 
-@dataclass(frozen=True)
-class TriSuperclassLabel:
-    h: tuple[int, ...]          # diagonal entries, field encodings
-    dprime: BasicSubset
+class TriSuperclassLabel(namedtuple("TriSuperclassLabel", "h dprime")):
+    __slots__ = ()  # h: diagonal entries, field encodings
 
     def sort_key(self):
         return (self.dprime.sort_key(), self.h)
@@ -71,10 +67,8 @@ class TriSuperclassLabel:
         return f"h={list(self.h)};D'={self.dprime.render()}"
 
 
-@dataclass(frozen=True)
-class TriSupercharLabel:
-    c: tuple[int, ...]          # torus character exponents mod q-1
-    d: BasicSubset
+class TriSupercharLabel(namedtuple("TriSupercharLabel", "c d")):
+    __slots__ = ()  # c: torus character exponents mod q-1
 
     def sort_key(self):
         return (self.d.sort_key(), self.c)

@@ -34,6 +34,7 @@ from supchar.errors import (
     NotAssociative,
     NotDirectSum,
     NotGenerating,
+    NotInH,
     NotInRadical,
     NotInvertible,
     RadicalNotNilpotent,
@@ -586,6 +587,23 @@ def test_corner_restriction_is_regular(n, p):
 
 
 LEMMA_CASES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), "dual_numbers_q3.json", "triangular_2_3.json"]
+
+
+@pytest.mark.parametrize("case", [(2, 3, 1), (3, 2, 2), "dual_numbers_q3.json",
+                                  "triangular_2_3.json"], ids=str)
+def test_block_component_is_the_two_sided_product(case):
+    """block_component(s, x, i), read off the coordinates, equals e_i x e_i
+    computed with mul for every x = h and x = h - 1, h in H; an element with
+    a nonzero radical part raises NotInH."""
+    s = load_algebra_file(os.path.join(DATA, case)) if isinstance(case, str) else get_spec(*case)
+    for h in h_elements(s):
+        for x in (h, s.sub(h, s.unit)):
+            for i, blk in enumerate(s.blocks):
+                e = blk.idempotent
+                assert block_component(s, x, i) == s.mul_many(e, x, e), (case, x, i)
+    if s.radical_basis:
+        with pytest.raises(NotInH, match="radical"):
+            block_component(s, s.add(s.unit, s.basis_vec(s.radical_basis[0])), 0)
 
 
 @pytest.mark.parametrize("case", LEMMA_CASES, ids=str)

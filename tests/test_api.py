@@ -4,9 +4,13 @@ A public module-level function that nothing in src/supchar refers to, and
 that supchar.__all__ does not export, is API that only the tests use.  The
 references are counted on the syntax tree (names read and attribute
 accesses), not by text search, and a function's own body does not count.
+Importing the CLI must also stay free of the modules that code generation
+for dataclasses loads.
 """
 import ast
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import supchar
@@ -54,3 +58,14 @@ def test_test_oracles_are_defined():
     defined = {fn.name for _, tree in _trees() for fn in tree.body
                if isinstance(fn, ast.FunctionDef)}
     assert set(TEST_ORACLES) <= defined
+
+
+def test_import_loads_no_code_generation_modules():
+    """Importing the CLI, with no site packages, loads none of the modules
+    that dataclass code generation pulls in."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, supchar.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

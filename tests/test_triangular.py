@@ -1,7 +1,6 @@
 import csv
 import io
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -45,6 +44,29 @@ def test_basic_subset_validation():
         D((1, 2), (1, 3))  # repeated row
     with pytest.raises(BadSize):
         D((1, 3), (2, 3))  # repeated column
+
+
+def test_records_keep_their_checks_order_and_defaults():
+    """The records are immutable named tuples: Root and BasicSubset still
+    validate (BadSize) and BasicSubset still sorts its roots; roots order by
+    (row, col); CheckResult's details default to ""; and a dict keyed by
+    labels finds every label and lists them back in sort_key order."""
+    with pytest.raises(BadSize):
+        tri.Root(2, 1)
+    with pytest.raises(BadSize):
+        tri.BasicSubset((tri.Root(1, 2), tri.Root(1, 3)))
+    assert D((2, 3), (1, 2)).roots == (tri.Root(1, 2), tri.Root(2, 3))
+    roots = [tri.Root(2, 4), tri.Root(1, 3), tri.Root(3, 4), tri.Root(1, 2)]
+    assert sorted(roots) == sorted(roots, key=lambda r: (r.row, r.col))
+    with pytest.raises(AttributeError):
+        roots[0].row = 1
+    assert sc.CheckResult("S1", True) == ("S1", True, "")
+    s = get_spec(3, 3)
+    class_labels, char_labels = tri.labels(3, s.field)
+    for lbls in (class_labels, char_labels, sc.enumerate_labels(s, orbit_census(s, "J*"))):
+        index = {lbl: i for i, lbl in enumerate(lbls)}
+        assert [index[lbl] for lbl in lbls] == list(range(len(lbls)))
+        assert sorted(index, key=lambda lbl: lbl.sort_key()) == lbls
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 5), (4, 15), (5, 52)])
@@ -292,7 +314,7 @@ def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
     i, lbl = next((i, l) for i, l in enumerate(census) if any(l.lambda_rep))
     other = next(v for v in orbit(s, lbl.lambda_rep, "rho_dual").members
                  if v != lbl.lambda_rep and form_support(s, v) == lbl.e)
-    swapped = census[:i] + [replace(lbl, lambda_rep=other)] + census[i + 1:]
+    swapped = census[:i] + [lbl._replace(lambda_rep=other)] + census[i + 1:]
     want = next(ch for ch in tri.labels(3, s.field)[1] if tri.to_general_label(s, 3, ch) == lbl)
     monkeypatch.setattr(tri, "enumerate_labels", lambda spec, dual_census: swapped)
     with pytest.raises(PartitionMismatch, match=re.escape(f"label {want.render()} matches no")):
