@@ -894,13 +894,19 @@ def regular_orbit_counts(census: OrbitCensus) -> dict:
 # ---------------------------------------------------------------------------
 
 def _coeff(field: FieldSpec, raw, path: str) -> int:
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         if field.k == 1:
             return raw % field.p
-        return raw % field.q
-    if isinstance(raw, list):
+        # for k > 1 an integer is an element code: its base-p digits as a number
+        if not 0 <= raw < field.q:
+            _fail(path, f"integer coefficient {raw} is not an element code "
+                        f"0..{field.q - 1} of GF({field.p}^{field.k})")
+        return raw
+    if isinstance(raw, list) and len(raw) <= field.k and all(
+            isinstance(d, int) and not isinstance(d, bool) for d in raw):
         return field.encode(raw)
-    raise AlgebraValidationError(f"{path}: bad coefficient {raw!r}")
+    _fail(path, f"bad coefficient {raw!r}: expected an integer or at most "
+                f"{field.k} base-{field.p} digits")
 
 
 def _fail(path: str, what: str):
@@ -966,7 +972,8 @@ def load_algebra(data: dict) -> AlgebraSpec:
     entries = []
     for idx, ent in enumerate(data["mul"]):
         i, j, terms = ent
-        entries.append((i, j, [(l, _coeff(field, c, f"mul[{idx}]")) for l, c in terms]))
+        entries.append((i, j, [(l, _coeff(field, c, f"mul[{idx}][2][{t}][1]"))
+                               for t, (l, c) in enumerate(terms)]))
     blocks = []
     for bi, blk in enumerate(data["blocks"]):
         idem = tuple(_coeff(field, c, f"blocks[{bi}].idempotent[{i}]")

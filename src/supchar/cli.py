@@ -29,18 +29,15 @@ from .fields import field_make
 from .superclasses import (
     DEFAULT_GROUP_BOUND,
     predicted_count,
-    superclass_index,
     superclass_partition,
 )
 from .supercharacters import (
     CheckResult,
-    ClassFunction,
     InductionContext,
     axioms_report,
     build_table,
     enumerate_labels,
-    n_characters,
-    restriction_check,
+    restriction_report,
 )
 
 EXIT_OK = 0
@@ -155,18 +152,7 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
             results.append(CheckResult("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 
     if "restriction" in selected:
-        ok = True
-        detail = f"{len(labels)} characters restricted to 1+J"
-        n_chars = n_characters(spec, bound)
-        index = superclass_index(partition)
-        for lbl, row in zip(labels, table.values):
-            cf = ClassFunction(tuple(row), None)
-            passed, _ = restriction_check(spec, lbl, cf, index, n_chars)
-            if not passed:
-                ok = False
-                detail = f"decomposition failed for {lbl.render()}"
-                break
-        results.append(CheckResult("restriction", ok, detail))
+        results.append(restriction_report(spec, labels, table, partition, bound))
     return results
 
 

@@ -181,15 +181,15 @@ def _finish(p, k, modulus, generator, exp, log):
     return spec._replace(frob=tuple(spec.pow(a, p) if a else 0 for a in range(q)))
 
 
-def field_make(p: int, k: int = 1, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldSpec:
+def field_make(p: int, k: int = 1) -> FieldSpec:
     """Build GF(p^k) with the smallest primitive modulus and its root as generator."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise DegreeTooLarge(f"extension degree must be >= 1, got {k}")
     q = p ** k
-    if q > size_bound:
-        raise DegreeTooLarge(f"field size {q} exceeds bound {size_bound}")
+    if q > DEFAULT_SIZE_BOUND:
+        raise DegreeTooLarge(f"field size {q} exceeds bound {DEFAULT_SIZE_BOUND}")
 
     if k == 1:
         for g in range(1, p):

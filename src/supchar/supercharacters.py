@@ -193,7 +193,8 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
     The exponent of xi(h (1 + u)) as a power of zeta_m is theta's exponent at
     h plus the one stab recorded for h (1 + u), counted per class by counts
     (class_counts of stab, built here if not given).  Each class's sum is
-    counted per power of zeta_m and reduced mod Phi_m once."""
+    counted per power of zeta_m; a value depends only on the class size and
+    those counts, so each distinct pair is reduced mod Phi_m once."""
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     if counts is None:
@@ -205,14 +206,15 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
         th = theta_exponent(spec, label.theta, h)
         for ci, t, n in cells:
             sums[ci][(th + t) % m] += n
-    class_values: dict = {}
+    key_values: dict = {}
 
     def value_of(ci) -> CycloNumber:
-        got = class_values.get(ci)
+        key = len(ctx.classes[ci]), tuple(sums.get(ci, (0,)))
+        got = key_values.get(key)
         if got is None:
-            scale = Fraction(ctx.order, len(ctx.classes[ci]) * stab.size)
-            got = class_values[ci] = CycloNumber.from_int_poly(
-                m, [c * scale.numerator for c in sums.get(ci, [0])], scale.denominator)
+            scale = Fraction(ctx.order, key[0] * stab.size)
+            got = key_values[key] = CycloNumber.from_int_poly(
+                m, [c * scale.numerator for c in key[1]], scale.denominator)
         return got
 
     values = []
@@ -468,47 +470,44 @@ def n_characters(spec: AlgebraSpec, bound: int):
     return n_part, chars
 
 
-def restriction_check(spec: AlgebraSpec, label: SupercharLabel, cf: ClassFunction,
-                      class_index: dict, n_chars):
-    """Weak form of the restriction formula: Res_N(chi) decomposes over the
-    N-supercharacters with nonnegative rational coefficients, supported on the
-    torus conjugates of lambda.  Returns (passed, coefficient map).
-
-    class_index (superclass_index of cf's partition) and n_chars
-    (n_characters(spec, bound)) are shared between labels.  Res_N(chi) is a
-    class function on its N-superclasses, each inside one superclass of G."""
-    n_part, chars = n_chars
-    values = []
+def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partition,
+                       bound: int) -> CheckResult:
+    """Weak form of the restriction formula, row by row (labels in row order),
+    stopping at the first failure: Res_N(chi) = sum of c_mu psi_mu over the
+    N-supercharacters (n_characters), every c_mu rational and >= 0, and
+    nonzero only on N x N-orbits inside the G~-orbit of lambda.  That orbit
+    is the union of the N x N-orbits of the torus conjugates lambda o c_t,
+    c_t(y) = t^-1 y t, t in H: (t, a, b) sends lambda to
+    x -> lambda(a^-1 t^-1 x t b) = (lambda o c_t)(a'^-1 x b'), with
+    a' = t a t^-1 and b' = t b t^-1 in N.  Each N-superclass is mapped once to
+    the superclass of G holding it, and one Gram call gives every c_mu."""
+    n_part, chars = n_characters(spec, bound)
+    index = superclass_index(partition)
+    cols = []
     for rec in n_part:
-        first, *rest = {class_index.get(g) for g in rec.members}
+        first, *rest = {index.get(g) for g in rec.members}
         if rest or first is None:
             raise PartitionMismatch(f"the N-superclass of {rec.representative} "
                                     "does not lie in one superclass of G")
-        values.append(cf.values[first])
-    res = ClassFunction(tuple(values), cf.degree)
-
-    lam = label.lambda_rep
-    rad = list(spec.radical_basis)
-    allowed = set()
-    for t in h_elements(spec):
-        t_inv = spec.invert(t)
-        conj_lam = tuple(spec.form_eval(lam, spec.mul_many(t_inv, spec.basis_vec(r), t))
-                         for r in rad)
-        for oi, (orb, _, _) in enumerate(chars):
-            if conj_lam in orb.members:
-                allowed.add(oi)
-
-    n_order = spec.field.q ** len(rad)
-    coeffs = {}
-    recon = [CycloNumber.zero(spec.cyclo_order)] * len(n_part)
-    ok = True
+        cols.append(first)
+    restrictions = [ClassFunction(tuple(row[c] for c in cols), None) for row in table.values]
     # <psi, res> = conj <res, psi> (equal when rational), so only res is conjugated
-    nums = inner_products(n_part, [psi for _, psi, _ in chars], [res], n_order)
-    for oi, ((orb, psi, den), (num,)) in enumerate(zip(chars, nums)):
-        if not (num.is_rational() and den.is_rational()):
-            return False, coeffs
-        c = coeffs[orb.representative] = num.rational_value() / den.rational_value()
-        ok = ok and c >= 0 and (c == 0 or oi in allowed)
-        if c:
-            recon = [r + v * c for r, v in zip(recon, psi.values)]
-    return ok and tuple(recon) == res.values, coeffs
+    nums = inner_products(n_part, [psi for _, psi, _ in chars], restrictions,
+                          spec.field.q ** len(spec.radical_basis))
+    for r, (lbl, res) in enumerate(zip(labels, restrictions)):
+        allowed = orbit(spec, lbl.lambda_rep, "rho_dual").members
+        recon = [CycloNumber.zero(spec.cyclo_order)] * len(n_part)
+        ok = True
+        for (orb, psi, den), row in zip(chars, nums):
+            num = row[r]
+            ok = num.is_rational() and den.is_rational()
+            if ok:
+                c = num.rational_value() / den.rational_value()
+                ok = c >= 0 and (c == 0 or orb.representative in allowed)
+            if not ok:
+                break
+            if c:
+                recon = [x + v * c for x, v in zip(recon, psi.values)]
+        if not ok or tuple(recon) != res.values:
+            return CheckResult("restriction", False, f"decomposition failed for {lbl.render()}")
+    return CheckResult("restriction", True, f"{len(labels)} characters restricted to 1+J")

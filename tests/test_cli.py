@@ -305,6 +305,40 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, mutate, field):
         assert "Traceback" not in err
 
 
+def _dual_numbers_gf4(coeff):
+    """The dual numbers over GF(4), with b1 * b0 = coeff * b1."""
+    data = _dual_numbers()
+    data["p"], data["k"] = 2, 2
+    data["mul"][2] = [1, 0, [[1, coeff]]]
+    return data
+
+
+@pytest.mark.parametrize("coeff,why", [
+    (-1, "integer coefficient -1 is not an element code 0..3 of GF(2^2)"),
+    (4, "integer coefficient 4 is not an element code 0..3 of GF(2^2)"),
+    ([1, 0, 1], "bad coefficient [1, 0, 1]"),
+    (["a"], "bad coefficient ['a']"),
+    (True, "bad coefficient True"),
+], ids=["minus-one", "code-q", "three-digits", "string-digit", "boolean"])
+def test_gf4_coefficient_outside_the_field_exits_2(coeff, why, tmp_path, capsys):
+    # -1 read mod 4 would be 1 + x, and the algebra would be refused as not
+    # associative; three digits would be code 5, no element of GF(4)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_dual_numbers_gf4(coeff)))
+    for command in ("algebra", "verify", "orbits"):
+        code, out, err = run([command, "--spec", str(path)], capsys)
+        assert code == 2 and out == "", command
+        assert f"mul[2][2][0][1]: {why}" in err, err
+
+
+@pytest.mark.parametrize("coeff", [1, [1], [1, 0]])
+def test_gf4_coefficient_written_as_code_or_digits(coeff, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_dual_numbers_gf4(coeff)))
+    code, out, _ = run(["verify", "--spec", str(path)], capsys)
+    assert code == 0 and "FAIL" not in out
+
+
 def test_orbits_zero_radical_is_singular_on_both_spaces(capsys):
     # with J = 0 the unit kills the zero element and the zero form (the
     # annihilator criterion), so both one-point orbits are singular

@@ -1,5 +1,6 @@
 import os
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from supchar import triangular as tri
 from supchar.algebra import (
     certified_generators,
     group_order,
+    h_elements,
     load_algebra_file,
     orbit,
     orbit_census,
@@ -26,11 +28,11 @@ from supchar.fields import additive_char_exponent
 from supchar.superclasses import (
     SuperclassRecord,
     identity_index,
-    superclass_index,
     superclass_partition,
 )
 from supchar.supercharacters import (
     CharacterTable,
+    CheckResult,
     ClassFunction,
     InductionContext,
     SupercharLabel,
@@ -42,7 +44,7 @@ from supchar.supercharacters import (
     inner_products,
     n_characters,
     nn_orbits,
-    restriction_check,
+    restriction_report,
     stabilizer_data,
     xi,
 )
@@ -715,72 +717,83 @@ def _restriction_setup(n, p):
     s = get_spec(n, p)
     partition = get_partition(n, p)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    table = build_table(s, partition, labels, 2 ** 17)
-    funcs = [ClassFunction(tuple(row), row[identity_index(s, partition)]) for row in table.values]
-    return s, partition, labels, funcs, n_characters(s, 2 ** 17)
+    return s, partition, labels, build_table(s, partition, labels, 2 ** 17)
+
+
+def _restrict(s, labels, table, partition, rows=None):
+    """restriction_report on labels with the given table rows (default the
+    table's own)."""
+    table = table._replace(values=table.values if rows is None else rows)
+    return restriction_report(s, labels, table, partition, 2 ** 17)
+
+
+def _failed_at(lbl):
+    return CheckResult("restriction", False, f"decomposition failed for {lbl.render()}")
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_decomposition(n, p):
-    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
-    for lbl, cf in zip(labels, funcs):
-        ok, coeffs = restriction_check(s, lbl, cf, superclass_index(partition), n_chars)
-        assert ok, f"restriction failed for {lbl.render()}: {coeffs}"
-        assert all(c >= 0 for c in coeffs.values())
-        assert any(c > 0 for c in coeffs.values())
+    s, partition, labels, table = _restriction_setup(n, p)
+    assert _restrict(s, labels, table, partition) == \
+        CheckResult("restriction", True, f"{len(labels)} characters restricted to 1+J")
+    for lbl, row in zip(labels, table.values):
+        assert _restrict(s, [lbl], table, partition, [row]).passed, lbl.render()
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_rejects_a_perturbed_value(n, p):
-    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
+    s, partition, labels, table = _restriction_setup(n, p)
     idx = identity_index(s, partition)
     # a superclass other than {1} that meets N, so that Res_N sees the change
     ci = next(i for i, rec in enumerate(partition)
               if i != idx and s.s_part(rec.representative) == s.unit)
-    for lbl, cf in zip(labels, funcs):
-        values = list(cf.values)
-        values[ci] = values[ci] + 1
-        ok, _ = restriction_check(s, lbl, ClassFunction(tuple(values), cf.degree),
-                                  superclass_index(partition), n_chars)
-        assert not ok, lbl.render()
+    for r, lbl in enumerate(labels):
+        rows = [list(row) for row in table.values]
+        rows[r][ci] = rows[r][ci] + 1
+        # every other row passes, so the report stops at this one
+        assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
 
 
 def test_restriction_rejects_a_lambda_outside_its_torus_conjugates():
-    s, partition, labels, funcs, n_chars = _restriction_setup(2, 3)
-    index = superclass_index(partition)
-    one = funcs[labels.index(principal_label(s))]
-    big = funcs[labels.index(e12_label(s))]
-    assert restriction_check(s, principal_label(s), one, index, n_chars)[0]
-    assert restriction_check(s, e12_label(s), big, index, n_chars)[0]
-    assert not restriction_check(s, e12_label(s), one, index, n_chars)[0]
-    assert not restriction_check(s, principal_label(s), big, index, n_chars)[0]
+    s, partition, labels, table = _restriction_setup(2, 3)
+    one = table.values[labels.index(principal_label(s))]
+    big = table.values[labels.index(e12_label(s))]
+    assert _restrict(s, [principal_label(s), e12_label(s)], table, partition, [one, big]).passed
+    # the two rows swapped: each decomposes, but on the other lambda's orbits
+    assert _restrict(s, [e12_label(s)], table, partition, [one]) == _failed_at(e12_label(s))
+    assert _restrict(s, [principal_label(s)], table, partition, [big]) == \
+        _failed_at(principal_label(s))
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_rejects_a_negated_row(n, p):
-    s, partition, labels, funcs, n_chars = _restriction_setup(n, p)
-    index = superclass_index(partition)
-    for lbl, cf in zip(labels, funcs):
-        neg = ClassFunction(tuple(v * -1 for v in cf.values), cf.degree * -1)
-        assert not restriction_check(s, lbl, neg, index, n_chars)[0], lbl.render()
+    s, partition, labels, table = _restriction_setup(n, p)
+    for r, lbl in enumerate(labels):
+        rows = list(table.values)
+        rows[r] = [v * -1 for v in rows[r]]
+        assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
 
 
-def test_restriction_rejects_a_missing_n_supercharacter():
+def test_restriction_rejects_a_missing_n_supercharacter(monkeypatch):
     # Res_N of the principal character is psi_0 alone, which is orthogonal to
     # every other psi: without psi_0 all coefficients are 0 and only the
     # reconstruction sees the gap
-    s, partition, labels, funcs, (n_part, chars) = _restriction_setup(3, 2)
+    s, partition, labels, table = _restriction_setup(3, 2)
+    n_part, chars = n_characters(s, 2 ** 17)
     rest = [c for c in chars if c[0].representative != (0, 0, 0)]
     assert len(rest) == len(chars) - 1
-    one = funcs[labels.index(principal_label(s))]
-    ok, coeffs = restriction_check(s, principal_label(s), one, superclass_index(partition),
-                                   (n_part, rest))
-    assert not ok and not any(coeffs.values())
+    one = ClassFunction(tuple(CycloNumber.rational(s.cyclo_order, 1) for _ in n_part), None)
+    nums = inner_products(n_part, [psi for _, psi, _ in rest], [one], 2 ** 3)
+    assert not any(num.rational_value() for (num,) in nums)
+    monkeypatch.setattr(sc, "n_characters", lambda spec, bound: (n_part, rest))
+    row = table.values[labels.index(principal_label(s))]
+    assert _restrict(s, [principal_label(s)], table, partition, [row]) == \
+        _failed_at(principal_label(s))
 
 
 def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
-    s, partition, labels, funcs, n_chars = _restriction_setup(3, 2)
-    n_part, _ = n_chars
+    s, partition, labels, table = _restriction_setup(3, 2)
+    n_part, _ = n_characters(s, 2 ** 17)
     orb = next(rec for rec in n_part if len(rec.members) > 1)
     k, rec = next((k, rec) for k, rec in enumerate(partition) if orb.representative in rec.members)
     g = max(orb.members)
@@ -788,9 +801,90 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     split = [SuperclassRecord(rec.label, frozenset({g}), g),
              SuperclassRecord(rec.label, rest, min(rest))]
     bad = partition[:k] + split + partition[k + 1:]
-    cf = ClassFunction(funcs[0].values[:k + 1] + funcs[0].values[k:], funcs[0].degree)
+    rows = [row[:k + 1] + row[k:] for row in table.values]
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
-        restriction_check(s, labels[0], cf, superclass_index(bad), n_chars)
+        _restrict(s, labels, table, bad, rows)
+
+
+def _torus_conjugate_orbits(spec, lam, chars) -> set:
+    """Indices of the N x N-orbits that hold a torus conjugate lambda o c_t,
+    c_t(y) = t^-1 y t: the literal loop over every t in H."""
+    out = set()
+    for t in h_elements(spec):
+        t_inv = spec.invert(t)
+        conj = tuple(spec.form_eval(lam, spec.mul_many(t_inv, spec.basis_vec(r), t))
+                     for r in spec.radical_basis)
+        out |= {oi for oi, (orb, _, _) in enumerate(chars) if conj in orb.members}
+    return out
+
+
+def _spec_named(name):
+    """T(n, q) for a triple (n, p, k), else the bundled or test spec file name."""
+    if isinstance(name, tuple):
+        return get_spec(*name)
+    here = os.path.dirname(__file__)
+    return load_algebra_file(os.path.join(here if name.startswith("zigzag") else DATA, name))
+
+
+@pytest.mark.parametrize("name", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2),
+                                  "dual_numbers_q3.json", "triangular_2_3.json",
+                                  "zigzag_poset_q3.json"], ids=str)
+def test_restriction_support_is_the_tilde_orbit_of_lambda(name):
+    """The N x N-orbits inside G~ lambda are exactly those of the torus
+    conjugates of lambda, for every label."""
+    s = _spec_named(name)
+    _, chars = n_characters(s, 2 ** 17)
+    for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+        members = orbit(s, lbl.lambda_rep, "rho_dual").members
+        support = {oi for oi, (orb, _, _) in enumerate(chars) if orb.representative in members}
+        assert support == _torus_conjugate_orbits(s, lbl.lambda_rep, chars), lbl.render()
+
+
+def test_restriction_pass_enumerates_no_h_and_makes_one_gram_call(monkeypatch):
+    s, partition, labels, table = _restriction_setup(3, 3)
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.update([name]) or fn(*a, **k)
+
+    real_n_characters = sc.n_characters
+
+    def then_count(*args):
+        out = real_n_characters(*args)
+        monkeypatch.setattr(sc, "inner_products", counted("inner_products", sc.inner_products))
+        for mod in (algebra, sc):
+            monkeypatch.setattr(mod, "h_elements", counted("h_elements", mod.h_elements))
+        monkeypatch.setattr(algebra.AlgebraSpec, "invert",
+                            counted("invert", algebra.AlgebraSpec.invert))
+        return out
+    monkeypatch.setattr(sc, "n_characters", then_count)
+    assert restriction_report(s, labels, table, partition, 2 ** 17).passed
+    assert calls == Counter(inner_products=1)
+
+
+@pytest.mark.parametrize("name", [(3, 3, 1), "zigzag_poset_q3.json"], ids=str)
+def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
+    """One from_int_poly call per distinct (|cl|, counts of xi's values on
+    cl /\\ G_lambda) pair, with the counts read off xi itself."""
+    s = _spec_named(name)
+    partition = superclass_partition(s)
+    ctx = InductionContext(s, 2 ** 17)
+    real = CycloNumber.from_int_poly
+    calls = []
+    monkeypatch.setattr(CycloNumber, "from_int_poly",
+                        staticmethod(lambda *a: calls.append(a) or real(*a)))
+    fewer = 0
+    for label in enumerate_labels(s, orbit_census(s, "J*")):
+        stab = stabilizer_data(s, label.lambda_rep, label.e)
+        members = {y for part in stab.g_lambda.values() for y in part}
+        keys = {(len(cls), frozenset(Counter(xi(s, label, y, stab)
+                                             for y in cls if y in members).items()))
+                for cls in ctx.classes}
+        calls.clear()
+        induce(s, label, partition, ctx, stab)
+        assert len(calls) == len(keys), label.render()
+        fewer += len(keys) < len(ctx.classes)
+    assert fewer     # some classes share a key, so a call per class is too many
 
 
 def test_induce_rejects_a_wrong_degree():
