@@ -24,7 +24,7 @@ from .supercharacters import (
     axioms_report,
     build_table,
     enumerate_labels,
-    inner_product,
+    inner_products,
 )
 from .triangular import (
     BasicSubset,
@@ -43,7 +43,7 @@ __all__ = [
     "SuperclassRecord", "TriSuperclassLabel", "TriSupercharLabel",
     "axioms_report", "basic_subsets", "build_table", "compare_tables",
     "cyclotomic_poly", "enumerate_labels", "field_make", "field_make_custom",
-    "inner_product", "load_algebra", "load_algebra_file", "make_triangular",
+    "inner_products", "load_algebra", "load_algebra_file", "make_triangular",
     "orbit_census", "predicted_count", "superclass_partition", "table",
     "validate_algebra",
 ]

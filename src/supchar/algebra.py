@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter, namedtuple
+from functools import reduce
 from itertools import compress, islice, product
 from math import lcm, prod
 
@@ -184,6 +185,13 @@ class AlgebraSpec:
             if c and x[i]:
                 out = F.add(out, F.mul(c, x[i]))
         return out
+
+    def form_products(self, lam):
+        """[[lam(b_i b_j) for j] for i] over every basis index, read off the
+        sparse structure constants with no mul."""
+        F, at = self.field, dict(zip(self.radical_basis, lam))
+        return [[reduce(F.add, (F.mul(at.get(l, 0), v) for l, v in cell), 0) for cell in row]
+                for row in self._sparse]
 
 
 def make_triple(spec: AlgebraSpec, t, a, b) -> TildeTriple:
@@ -833,12 +841,10 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
         right = [spec.mul(v, spec.basis_vec(j)) for j in range(d)]
         rows = [*zip(*left), *zip(*right)]
     else:
-        # b_r c_j and c_j b_r are structure constants, with no product to take
-        table = spec.mul_table
-        rows = []
-        for r in spec.radical_basis:
-            rows.append([spec.form_eval(v, table[r][j]) for j in range(d)])
-            rows.append([spec.form_eval(v, table[j][r]) for j in range(d)])
+        # v(b_r c_j) and v(c_j b_r), read off the table of v's products
+        products = spec.form_products(v)
+        rows = [row for r in spec.radical_basis
+                for row in (products[r], [products[j][r] for j in range(d)])]
     # kernel dimensions as columns minus rank: with J = 0 a form has no
     # rows, and its kernel is all of A
     rad = list(spec.radical_basis)

@@ -1,11 +1,12 @@
 """Stabilizers G_lambda, the linear character xi, literal induction, inner
-products, and the supercharacter-theory axiom report."""
+products, the supercharacter-theory axiom report, and the restriction to N."""
 from __future__ import annotations
 
 import csv
 import io
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 from operator import mul
@@ -68,38 +69,29 @@ class ClassFunction(namedtuple("ClassFunction", "values degree")):
 
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
-    """J_{lam,right}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right}), for a form
-    lam regular in the corner of e (NotRegular otherwise)."""
+    """J_{lam,right} = {u in J : lam(u J) = 0}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right})
+    for a form lam regular in the corner of e (NotRegular otherwise).  One table
+    of lam(b_i b_j) (form_products) gives the rows of J_{lam,right} and the
+    cross-check H_{e'} = H_{lam,right} /\\ H_{lam,left}, by lam(h b_r) = sum of
+    h_i lam(b_i b_r).  Each h (1 + u) is recorded under h with the exponent of
+    eps^{lam(h u)}, xi's additive part.  One check per h, h J_{lam,right} = J_{lam,right},
+    puts each element in xi's domain and makes u -> h (1 + u) one-to-one."""
     if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "rho_dual"))[0] != e:
         raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
-
-    rad = list(spec.radical_basis)
+    F, rad, products = spec.field, spec.radical_basis, spec.form_products(lam)
     hs = [h for h in h_elements(spec)
           if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e)]
 
-    # cross-check: H_{e'} = H_{lam,right} /\ H_{lam,left}
-    def fixes(h):
-        right = tuple(spec.form_eval(lam, spec.mul(h, spec.basis_vec(r))) for r in rad)
-        left = tuple(spec.form_eval(lam, spec.mul(spec.basis_vec(r), h)) for r in rad)
-        return right == lam and left == lam
+    def fixes(h):   # lam(h b_r) = lam(b_r) = lam(b_r h) for every radical b_r
+        coords = [(i, c) for i, c in enumerate(h) if c]
+        return all(reduce(F.add, (F.mul(c, products[i][r]) for i, c in coords), 0) == lam_r ==
+                   reduce(F.add, (F.mul(c, products[r][i]) for i, c in coords), 0)
+                   for r, lam_r in zip(rad, lam))
     both = [h for h in h_elements(spec) if fixes(h)]
     if sorted(both) != sorted(hs):
         raise NotInStabilizer(f"H_{{e'}} != H_right /\\ H_left for the regular form {lam}")
-    return right_stabilizer(spec, lam, hs)
 
-
-def right_stabilizer(spec: AlgebraSpec, lam, hs) -> StabilizerData:
-    """hs (1 + J_{lam,right}) with J_{lam,right} = {u in J : lam(u J) = 0}: G_lam
-    for hs = H_{e'}, and N_{lam,right} in N = 1 + J for hs = [1].
-
-    Each element h (1 + u) = h + h u is recorded under h with the exponent of
-    eps^{lam(h u)}, the additive part of xi there.  One check per h, that
-    h J_{lam,right} = J_{lam,right}, puts every element in the domain of xi and
-    shows that u -> h (1 + u) is one-to-one, so |G_lam| = |hs| |J_{lam,right}|."""
-    F = spec.field
-    rad = spec.radical_basis
-    rows = [[spec.form_eval(lam, spec.mul(spec.basis_vec(c), spec.basis_vec(r))) for c in rad]
-            for r in rad]
+    rows = [[products[c][r] for c in rad] for r in rad]
     j_right = set(linalg.span(F, linalg.kernel_basis(F, rows), dim=len(rad)))
     eps = [additive_char_exponent(F, c, spec.cyclo_order) for c in F.elements()]
     g_lam = {}
@@ -137,29 +129,22 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 
 class InductionContext:
-    """The conjugacy classes of G, or with group="N" of N = 1 + J, shared by
-    every induction of one run: the classes, the class index of each element,
-    and the group order.
+    """The conjugacy classes of G, shared by every induction of one run: the
+    classes, the class index of each element, and the group order.  Each class
+    is the closure of an element under g -> s^-1 g s for the distinct t-parts
+    and a-parts of certified_generators, which generate H and N and so G = H N;
+    G = H + J is a union of translates of J, so the orbit kernel computes every
+    closure (orbit_partition)."""
 
-    Each class is the closure of an element under the conjugations
-    g -> s^-1 g s by the distinct t-parts and a-parts of certified_generators
-    (only the a-parts for N).  The certificate proves that the t-parts generate
-    H and the a-parts generate N, so the parts generate G = H N (or N) and each
-    closure is exactly one conjugacy class.  G = H + J and N = 1 + J are
-    unions of translates of J, so the orbit kernel computes every closure
-    (orbit_partition)."""
-
-    def __init__(self, spec: AlgebraSpec, bound: int, group: str = "G"):
-        self.order = group_order(spec) if group == "G" else \
-            spec.field.q ** len(spec.radical_basis)
+    def __init__(self, spec: AlgebraSpec, bound: int):
+        self.order = group_order(spec)
         if self.order > bound:
-            raise GroupTooLarge(f"|{group}| = {self.order} exceeds bound {bound}")
+            raise GroupTooLarge(f"|G| = {self.order} exceeds bound {bound}")
         gens = certified_generators(spec)
-        parts = {g.a for g in gens} | ({g.t for g in gens} if group == "G" else set())
+        parts = {g.a for g in gens} | {g.t for g in gens}
         parts.discard(spec.unit)
         maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
-        translates = h_elements(spec) if group == "G" else [spec.unit]
-        self.classes = orbit_partition(spec.field, translates, spec.radical_basis, maps)
+        self.classes = orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)
         self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
         self._meets = (None, None)
 
@@ -272,10 +257,18 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
             for da, a in left]
 
 
-def inner_product(partition, phi: ClassFunction, psi: ClassFunction,
-                  order: int) -> CycloNumber:
-    """<phi, psi>: the one-pair call of inner_products."""
-    return inner_products(partition, [phi], [psi], order)[0][0]
+def _first_nonzero_class(terms, ncols: int):
+    """The first class K where the sum of w * values(K) over the terms
+    (w rational, _integer_rows of values) is not 0, or None: exact, in Python
+    ints over one common denominator."""
+    weights = [Fraction(w) / d for w, (d, _) in terms]
+    big = lcm(*(w.denominator for w in weights))
+    total: dict = {}
+    for w, (_, (_, rows)) in zip(weights, terms):
+        k = w.numerator * (big // w.denominator)
+        for t, col in rows:
+            total[t] = [x + k * y for x, y in zip(total.get(t, [0] * ncols), col)]
+    return next((ci for ci in range(ncols) if any(col[ci] for col in total.values())), None)
 
 
 def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
@@ -400,37 +393,22 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
                            f"{len(conj_classes)} conjugacy classes"))
 
     # regular character: rho = sum a_alpha chi_alpha with a_alpha > 0 rational
-    m = table.cyclo_order
-    ok = True
-    details = []
-    coeffs = []
+    ok, coeffs, ci = True, [], None
     for i, f in enumerate(funcs):
         norm = gram[i][i]
-        if not (norm.is_rational() and norm.rational_value() > 0 and f.degree.is_rational()):
-            ok = False
+        ok = norm.is_rational() and norm.rational_value() > 0 and f.degree.is_rational() \
+            and f.degree.rational_value() > 0
+        if not ok:
             break
-        a = f.degree.rational_value() / norm.rational_value()
-        if a <= 0:
-            ok = False
-            break
-        coeffs.append(a)
+        coeffs.append(f.degree.rational_value() / norm.rational_value())
     if ok:
-        # L sum a chi = L |G| at the identity and 0 elsewhere, on integer rows
-        rows = [_integer_rows(f.values, [1] * ncols) for f in funcs]
-        weights = [a / d for a, (d, _) in zip(coeffs, rows)]
-        big = lcm(*(w.denominator for w in weights))
-        total = [[0] * ncols for _ in range(len(cyclotomic_poly(m)) - 1)]
-        total[0][idx] = -big * table.group_order
-        for w, (_, r) in zip(weights, rows):
-            for t, col in r:
-                total[t] = [x + w.numerator * (big // w.denominator) * y
-                            for x, y in zip(total[t], col)]
-        ci = next((ci for ci in range(ncols) if any(col[ci] for col in total)), None)
-        if ci is not None:
-            ok = False
-            details.append(f"reconstruction off at class {ci}")
-    out.append(CheckResult("regular-character", ok,
-                           "; ".join(details) or f"coefficients {sorted(set(map(str, coeffs)))}"))
+        # sum a chi = |G| at the identity and 0 elsewhere, on integer rows
+        regular = (1, [(0, [int(k == idx) for k in range(ncols)])])
+        terms = [(a, _integer_rows(f.values, [1] * ncols)) for a, f in zip(coeffs, funcs)]
+        ci = _first_nonzero_class(terms + [(-table.group_order, regular)], ncols)
+    detail = f"coefficients {sorted(set(map(str, coeffs)))}" if ci is None else \
+        f"reconstruction off at class {ci}"
+    out.append(CheckResult("regular-character", ok and ci is None, detail))
     return out
 
 
@@ -450,37 +428,50 @@ def nn_orbits(spec: AlgebraSpec):
 
 
 def n_characters(spec: AlgebraSpec, bound: int):
-    """(N-superclasses, characters): the N-superclasses 1 + N x N of N = 1 + J,
-    and for every orbit of nn_orbits the triple (orbit, psi, <psi, psi>_N) with
-    psi = ind(xi_mu, N_{mu,right}, N) on the N-superclasses; the norm depends
-    only on the orbit, not on the label.
-
-    The certified generators of G~ with t = 1 generate 1 x (N x N), so each
-    closure under their R_tau is exactly one N-superclass."""
-    ctx = InductionContext(spec, bound, group="N")
+    """(N-superclasses, characters): the N-superclasses 1 + N x N of N = 1 + J
+    (closures under the certified triples with t = 1), and for every orbit
+    O = N mu N of nn_orbits the triple (O, psi, <psi, psi>_N) of the orbit sum
+    psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in O (Diaconis &
+    Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) -> mu(b_r b_c)), with norm
+    psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is additive in nu, so one table
+    per representative 1 + x holds it for every nu in J* (lexicographic)."""
+    F, rad, m = spec.field, spec.radical_basis, spec.cyclo_order
+    if F.q ** len(rad) > bound:
+        raise GroupTooLarge(f"|N| = {F.q ** len(rad)} exceeds bound {bound}")
     maps = [r_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
-    n_part = [OrbitRecord(m, min(m), "N")
-              for m in orbit_partition(spec.field, [spec.unit], spec.radical_basis, maps)]
-    chars = []
-    for orb in nn_orbits(spec):
-        mu = orb.representative
-        label = SupercharLabel(frozenset(), frozenset(), (0,) * len(spec.blocks), mu)
-        psi = induce(spec, label, n_part, ctx, right_stabilizer(spec, mu, [spec.unit]))
-        chars.append((orb, psi, inner_product(n_part, psi, psi, ctx.order)))
-    return n_part, chars
+    n_part = [OrbitRecord(c, min(c), "N") for c in orbit_partition(F, [spec.unit], rad, maps)]
+    orbits = nn_orbits(spec)
+    index = {v: i for i, v in enumerate(product(range(F.q), repeat=len(rad)))}
+    members = [[index[v] for v in orb.members] for orb in orbits]
+    degrees = [F.q ** linalg.rank(F, [[lam_b[r][c] for c in rad] for r in rad])
+               for lam_b in (spec.form_products(orb.representative) for orb in orbits)]
+    values, reduced = [[] for _ in orbits], {}      # each distinct value reduced once
+    for rec in n_part:
+        traces = [0]    # Tr nu(x) for every nu on the coordinates done so far
+        for x in reversed(spec.j_coords(rec.representative)):
+            steps = [F.trace(F.mul(c, x)) for c in range(F.q)]
+            traces = [s + t for s in steps for t in traces] if x else traces * F.q
+        for vals, mem, degree in zip(values, members, degrees):
+            poly = [0] * m
+            for t, n in Counter(map(traces.__getitem__, mem)).items():
+                poly[t % F.p * (m // F.p)] += n * degree
+            if (key := (tuple(poly), len(mem))) not in reduced:
+                reduced[key] = CycloNumber.from_int_poly(m, *key)
+            vals.append(reduced[key])
+    return n_part, [(orb, ClassFunction(tuple(vals), CycloNumber.rational(m, degree)),
+                     CycloNumber.rational(m, Fraction(degree ** 2, len(orb.members))))
+                    for orb, vals, degree in zip(orbits, values, degrees)]
 
 
 def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partition,
                        bound: int) -> CheckResult:
     """Weak form of the restriction formula, row by row (labels in row order),
     stopping at the first failure: Res_N(chi) = sum of c_mu psi_mu over the
-    N-supercharacters (n_characters), every c_mu rational and >= 0, and
-    nonzero only on N x N-orbits inside the G~-orbit of lambda.  That orbit
-    is the union of the N x N-orbits of the torus conjugates lambda o c_t,
-    c_t(y) = t^-1 y t, t in H: (t, a, b) sends lambda to
-    x -> lambda(a^-1 t^-1 x t b) = (lambda o c_t)(a'^-1 x b'), with
-    a' = t a t^-1 and b' = t b t^-1 in N.  Each N-superclass is mapped once to
-    the superclass of G holding it, and one Gram call gives every c_mu."""
+    N-supercharacters (n_characters), every c_mu rational, >= 0, and nonzero
+    only on N x N-orbits inside the G~-orbit of lambda: those of the torus
+    conjugates lambda o c_t, c_t(y) = t^-1 y t, as (t, a, b) sends lambda to
+    (lambda o c_t)(a'^-1 x b') with a' = t a t^-1, b' = t b t^-1 in N.  One Gram
+    call gives every c_mu; the sum is rebuilt exactly on integer rows."""
     n_part, chars = n_characters(spec, bound)
     index = superclass_index(partition)
     cols = []
@@ -494,20 +485,21 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
     # <psi, res> = conj <res, psi> (equal when rational), so only res is conjugated
     nums = inner_products(n_part, [psi for _, psi, _ in chars], restrictions,
                           spec.field.q ** len(spec.radical_basis))
+    ones = [1] * len(n_part)
+    psi_rows = [_integer_rows(psi.values, ones) for _, psi, _ in chars]
     for r, (lbl, res) in enumerate(zip(labels, restrictions)):
         allowed = orbit(spec, lbl.lambda_rep, "rho_dual").members
-        recon = [CycloNumber.zero(spec.cyclo_order)] * len(n_part)
-        ok = True
-        for (orb, psi, den), row in zip(chars, nums):
-            num = row[r]
-            ok = num.is_rational() and den.is_rational()
-            if ok:
-                c = num.rational_value() / den.rational_value()
-                ok = c >= 0 and (c == 0 or orb.representative in allowed)
-            if not ok:
+        terms = [(-1, _integer_rows(res.values, ones))]
+        for (orb, _, den), row, rows in zip(chars, nums, psi_rows):
+            if not row[r].is_rational():
+                break
+            c = row[r].rational_value() / den.rational_value()     # den = psi(1)^2 / |O|
+            if c < 0 or (c and orb.representative not in allowed):
                 break
             if c:
-                recon = [x + v * c for x, v in zip(recon, psi.values)]
-        if not ok or tuple(recon) != res.values:
-            return CheckResult("restriction", False, f"decomposition failed for {lbl.render()}")
+                terms.append((c, rows))
+        else:   # every c_mu passed: the row passes if sum c_mu psi_mu - res is 0
+            if _first_nonzero_class(terms, len(n_part)) is None:
+                continue
+        return CheckResult("restriction", False, f"decomposition failed for {lbl.render()}")
     return CheckResult("restriction", True, f"{len(labels)} characters restricted to 1+J")

@@ -375,8 +375,7 @@ def test_censuses_and_partition_run_the_certificate(monkeypatch):
     _drop_last_generator(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
             lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
-            lambda s: InductionContext(s, 2 ** 17), lambda s: InductionContext(s, 2 ** 17, "N"),
-            lambda s: n_characters(s, 2 ** 17))
+            lambda s: InductionContext(s, 2 ** 17), lambda s: n_characters(s, 2 ** 17))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
         with pytest.raises(NotGenerating):

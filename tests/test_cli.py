@@ -191,6 +191,12 @@ PINNED_STDOUT = [
      "de9c7b1b606eb6e3118c0f721cc0f1f6b0ee356b63f6a6994d71a41629d1d109"),
     (["verify", "--n", "4", "--p", "2", "--checks", "all"],
      "a4ea44473d11089358e081e7078195a7356bff1e92d7dab28cc6ee2ca32ce05e"),
+    # the restriction check on a k = 2 field above T(2,GF(4)), and on a spec
+    # file with four blocks
+    (["verify", "--n", "3", "--p", "2", "--k", "2", "--checks", "all"],
+     "e1380df09f63549ceed3eefdae695f88e581ceabb5deb3f147779937a8882e11"),
+    (["verify", "--spec", ZIGZAG, "--checks", "all"],
+     "88fd5164ae235953c832daa387c2cff3048da6695aba7dcb4d1081a163cf48c6"),
     (["algebra", "--spec", os.path.join(DATA, "dual_numbers_q3.json")],
      "7473cdd7661f831f9f48291d6b26bed5e54deb9e58ab5a9e9e6b610b85319e63"),
     (["algebra", "--spec", os.path.join(DATA, "triangular_2_3.json")],

@@ -40,7 +40,6 @@ from supchar.supercharacters import (
     build_table,
     enumerate_labels,
     induce,
-    inner_product,
     inner_products,
     n_characters,
     nn_orbits,
@@ -109,7 +108,7 @@ def _literal_right_stabilizer(s, lam, hs):
 
 
 def _elements(stab):
-    """The elements of G_lambda (or N_{mu,right}), over every h."""
+    """The elements of G_lambda, over every h."""
     return {g for part in stab.g_lambda.values() for g in part}
 
 
@@ -123,17 +122,33 @@ def _assert_recorded_exponents(s, stab):
 
 
 def test_g_lambda_and_n_right_equal_the_literal_products():
+    # G_lambda only: N_{mu,right} is built by the literal oracle of
+    # test_n_characters_match_literal_average_over_n alone
     for name, s, _ in _literal_specs():
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
             want = _literal_right_stabilizer(s, lbl.lambda_rep, list(stab.g_lambda))
             assert _elements(stab) == want and stab.size == len(want), (name, lbl.render())
             _assert_recorded_exponents(s, stab)
-        for orb in nn_orbits(s):
-            mu = orb.representative
-            stab = sc.right_stabilizer(s, mu, [s.unit])
-            assert _elements(stab) == _literal_right_stabilizer(s, mu, [s.unit]), (name, mu)
-            _assert_recorded_exponents(s, stab)
+
+
+def test_form_products_are_lam_of_the_basis_products():
+    for name, s, _ in _literal_specs():
+        for orb in orbit_census(s, "J*").orbits:
+            for lam in (orb.representative, max(orb.members)):
+                want = [[s.form_eval(lam, s.mul(s.basis_vec(i), s.basis_vec(j)))
+                         for j in range(s.dim)] for i in range(s.dim)]
+                assert s.form_products(lam) == want, (name, lam)
+
+
+def test_stabilizer_data_rejects_an_h_wrongly_added_to_h_e(monkeypatch):
+    """With a block_component that matches every h, H_{e'} would be all of H;
+    but only h = 1 fixes lam = E12* of T(2,3) on both sides, which the
+    cross-check reads off the lam(b_i b_j) table."""
+    s = get_spec(2, 3)
+    monkeypatch.setattr(sc, "block_component", lambda spec, h, i: spec.blocks[i].idempotent)
+    with pytest.raises(NotInStabilizer, match="H_right"):
+        stabilizer_data(s, (1,), frozenset({0, 1}))
 
 
 def test_right_stabilizer_rejects_h_moving_j_right(monkeypatch):
@@ -360,9 +375,9 @@ def test_inner_products_t22():
     one = induce(s, principal_label(s), partition, ctx)
     big = induce(s, e12_label(s), partition, ctx)
     m = s.cyclo_order
-    assert inner_product(partition, one, one, 2) == CycloNumber.rational(m, 1)
-    assert inner_product(partition, big, big, 2) == CycloNumber.rational(m, 1)
-    assert inner_product(partition, one, big, 2).is_zero()
+    gram = inner_products(partition, [one, big], [one, big], 2)
+    assert gram[0][0] == gram[1][1] == CycloNumber.rational(m, 1)
+    assert gram[0][1].is_zero() and gram[1][0].is_zero()
 
 
 def test_inner_product_partition_mismatch():
@@ -370,7 +385,7 @@ def test_inner_product_partition_mismatch():
     partition = get_partition(2, 2)
     cf = ClassFunction((CycloNumber.rational(2, 1),), CycloNumber.rational(2, 1))
     with pytest.raises(PartitionMismatch):
-        inner_product(partition, cf, cf, 2)
+        inner_products(partition, [cf], [cf], 2)
     ok = induce(s, principal_label(s), partition, InductionContext(s, 2 ** 17))
     for phis, psis in (([ok], [ok, cf]), ([cf, ok], [ok])):
         with pytest.raises(PartitionMismatch):
@@ -641,41 +656,60 @@ def _literal_classes(s, group):
 
 
 def test_classes_of_g_and_n_equal_literal_conjugation():
+    # the classes of G only: no step computes the conjugacy classes of N
     for name, s, _ in _literal_specs():
-        n_group = [s.add(s.unit, x) for x in s.j_vectors()]
-        for group, elements in (("G", g_elements(s)), ("N", n_group)):
-            ctx = InductionContext(s, 2 ** 17, group)
-            assert set(ctx.classes) == _literal_classes(s, elements), (name, group)
-            assert ctx.order == len(elements) and len(ctx.class_of) == len(elements)
+        elements = g_elements(s)
+        ctx = InductionContext(s, 2 ** 17)
+        assert set(ctx.classes) == _literal_classes(s, elements), name
+        assert ctx.order == len(elements) and len(ctx.class_of) == len(elements)
 
 
 def test_n_characters_match_literal_average_over_n():
     """psi_mu(g) = (1/|N_{mu,right}|) sum over u in N of xi°(u^-1 g u) at every g in N,
     with J_{mu,right} = {u in J : mu(u v) = 0 for every v in J} found by enumeration,
-    and <psi, psi>_N summed over the elements of N."""
-    for name, s, _ in _literal_specs():
+    and <psi, psi>_N summed over the elements of N; also on T(3,2), T(2,GF(4))
+    and T(4,2) (|N| <= 64)."""
+    small = [(f"T{key}", get_spec(*key), None) for key in ((3, 2, 1), (2, 2, 2), (4, 2, 1))]
+    for name, s, _ in [*_literal_specs(), *small]:
         F, m = s.field, s.cyclo_order
         radical = s.j_vectors()
         group = [s.add(s.unit, x) for x in radical]
         inverses = {u: s.invert(u) for u in group}
+        # every u^-1 g u - 1 and every u v, computed once for all mu
+        conjugates = {g: [s.sub(s.mul_many(inverses[u], g, u), s.unit) for u in group]
+                      for g in group}
+        products = [[s.mul(u, v) for v in radical] for u in radical]
         n_part, chars = n_characters(s, 2 ** 17)
         assert sorted(g for rec in n_part for g in rec.members) == sorted(group)
         for orb, psi, norm in chars:
             mu = orb.representative
-            right = {s.j_coords(u) for u in radical
-                     if all(s.form_eval(mu, s.mul(u, v)) == 0 for v in radical)}
+            right = {s.j_coords(u) for u, row in zip(radical, products)
+                     if all(s.form_eval(mu, uv) == 0 for uv in row)}
             square = CycloNumber.zero(m)
             for rec, value in zip(n_part, psi.values):
                 for g in rec.members:
+                    exps = Counter(additive_char_exponent(F, s.form_eval(mu, y), m)
+                                   for y in conjugates[g] if s.j_coords(y) in right)
                     total = CycloNumber.zero(m)
-                    for u in group:
-                        y = s.j_coords(s.sub(s.mul_many(inverses[u], g, u), s.unit))
-                        if y in right:
-                            exp = additive_char_exponent(F, s.form_eval(mu, s.j_embed(y)), m)
-                            total = total + CycloNumber.root(m, exp)
+                    for exp, count in exps.items():
+                        total = total + CycloNumber.root(m, exp) * count
                     assert value == total / len(right), (name, mu, g)
                     square = square + value * value.conj()
+            assert psi.degree == psi.values[0] == len(group) // len(right), (name, mu)
             assert norm == square / len(group), (name, mu)
+
+
+def test_n_characters_neither_induce_nor_take_inner_products(monkeypatch):
+    """The orbit sums need no conjugacy classes of N, no stabilizer, no
+    induction and no Gram call."""
+    s = get_spec(3, 3)
+    calls = Counter()
+    for name in ("InductionContext", "stabilizer_data", "induce", "inner_products"):
+        real = getattr(sc, name)
+        monkeypatch.setattr(sc, name, lambda *a, _n=name, _f=real, **k:
+                            calls.update([_n]) or _f(*a, **k))
+    n_characters(s, 2 ** 17)
+    assert calls == Counter()
 
 
 def test_n_characters_respect_the_bound():
@@ -689,7 +723,7 @@ def test_n_characters_respect_the_bound():
 def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
     """One conjugation per distinct non-unit t-part and a-part of the certified
     generators for G (not one per element, |G| = 216), and for n_characters one
-    conjugation per a-part plus one R_tau and one rho*_tau per triple with t = 1."""
+    R_tau and one rho*_tau per triple with t = 1 and no conjugation."""
     s = tri.make_triangular(3, get_field(3))
     gens = certified_generators(s)      # certify before counting
     real = algebra.sandwich_map
@@ -703,7 +737,7 @@ def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
     calls.clear()
     n_characters(s, 2 ** 17)
     n_triples = sum(1 for g in gens if g.t == s.unit)
-    assert len(calls) == len(a_parts) + 2 * n_triples == 30
+    assert len(calls) == 2 * n_triples == 24
 
 
 def test_nn_orbit_count_t32():
@@ -772,6 +806,32 @@ def test_restriction_rejects_a_negated_row(n, p):
         rows = list(table.values)
         rows[r] = [v * -1 for v in rows[r]]
         assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_restriction_rebuild_rejects_a_perturbed_value_and_a_negated_row(n, p, monkeypatch):
+    """With the coefficients pinned to those of the true rows, every
+    coefficient test passes, so only the integer-row rebuild of
+    sum c_mu psi_mu can see a perturbed value or a negated row."""
+    s, partition, labels, table = _restriction_setup(n, p)
+    real, gram = sc.inner_products, []
+
+    def pinned(*args):
+        if not gram:
+            gram.append(real(*args))
+        return gram[0]
+    monkeypatch.setattr(sc, "inner_products", pinned)
+    assert _restrict(s, labels, table, partition).passed
+    idx = identity_index(s, partition)
+    ci = next(i for i, rec in enumerate(partition)
+              if i != idx and s.s_part(rec.representative) == s.unit)
+    for r, lbl in enumerate(labels):
+        perturbed = [list(row) for row in table.values]
+        perturbed[r][ci] = perturbed[r][ci] + 1
+        negated = list(table.values)
+        negated[r] = [-v for v in negated[r]]
+        for rows in (perturbed, negated):
+            assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
 
 
 def test_restriction_rejects_a_missing_n_supercharacter(monkeypatch):
