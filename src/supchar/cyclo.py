@@ -1,14 +1,18 @@
 """Exact arithmetic in Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
 
-Numbers are stored in canonical form: a tuple of Fractions of length
-deg Phi_m, so equality is coefficientwise.  Phi_m is obtained by exact
-division of x^m - 1 by Phi_d over the proper divisors d of m, which keeps
-everything integral and tolerance-free.
+Numbers are stored in canonical form: integer numerators, one per power
+zeta_m^t with t < deg Phi_m, over one positive denominator, in lowest terms
+(gcd(den, *nums) = 1), so equality is componentwise and every operation
+runs on Python ints.  Phi_m is obtained by exact division of x^m - 1 by
+Phi_d over the proper divisors d of m, which keeps everything integral and
+tolerance-free; it is monic, so reducing an integer polynomial by it stays
+integral.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import OrderMismatch
 
@@ -45,71 +49,78 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_basis(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_m^j in canonical form for 0 <= j < m."""
+def _power_basis(m: int) -> tuple[tuple[int, ...], ...]:
+    """The integer numerators of zeta_m^j for 0 <= j < m."""
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
     rows = []
-    cur = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    cur = [1] + [0] * (deg - 1)
     for _ in range(m):
         rows.append(tuple(cur))
-        nxt = [Fraction(0)] + cur[:-1]
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
             for t in range(deg):
-                nxt[t] -= lead * phi[t]
-        cur = nxt
+                cur[t] -= lead * phi[t]
     return tuple(rows)
 
 
-class CycloNumber:
-    """An element of Q(zeta_m) in canonical (fully reduced) form."""
+def _lowest(order: int, nums, den: int) -> "CycloNumber":
+    """sum of nums[t] zeta^t / den in lowest terms with den > 0
+    (ZeroDivisionError for den = 0, as Fraction)."""
+    if den <= 0:
+        if den == 0:
+            raise ZeroDivisionError(f"CycloNumber({order}) with denominator 0")
+        nums, den = [-a for a in nums], -den
+    g = gcd(den, *nums)
+    out = object.__new__(CycloNumber)
+    out.order, out.den = order, den // g
+    out.nums = tuple(nums) if g == 1 else tuple(a // g for a in nums)
+    return out
 
-    __slots__ = ("order", "coeffs")
+
+class CycloNumber:
+    """An element of Q(zeta_m) in canonical (fully reduced) form: the value
+    is sum of nums[t] zeta_m^t / den."""
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
         deg = len(cyclotomic_poly(order)) - 1
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != deg:
             raise OrderMismatch(f"expected {deg} coefficients for order {order}, got {len(cs)}")
-        self.order = order
-        self.coeffs = cs
+        den = lcm(*(c.denominator for c in cs))
+        made = _lowest(order, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.order, self.nums, self.den = made.order, made.nums, made.den
 
-    @classmethod
-    def _make(cls, order: int, coeffs: tuple) -> "CycloNumber":
-        """Wrap a tuple that is already all Fractions, as arithmetic results
-        are, without converting each coefficient again."""
-        deg = len(cyclotomic_poly(order)) - 1
-        if len(coeffs) != deg:
-            raise OrderMismatch(f"expected {deg} coefficients for order {order}, got {len(coeffs)}")
-        out = object.__new__(cls)
-        out.order = order
-        out.coeffs = coeffs
-        return out
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(m: int) -> "CycloNumber":
-        deg = len(cyclotomic_poly(m)) - 1
-        return CycloNumber._make(m, (Fraction(0),) * deg)
+        return _lowest(m, (0,) * (len(cyclotomic_poly(m)) - 1), 1)
 
     @staticmethod
     def rational(m: int, value) -> "CycloNumber":
+        if not isinstance(value, int):
+            value = Fraction(value)
         deg = len(cyclotomic_poly(m)) - 1
-        return CycloNumber._make(m, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        return _lowest(m, (value.numerator,) + (0,) * (deg - 1), value.denominator)
 
     @staticmethod
     def root(m: int, j: int) -> "CycloNumber":
         """zeta_m^j."""
-        return CycloNumber._make(m, _power_basis(m)[j % m])
+        return _lowest(m, _power_basis(m)[j % m], 1)
 
     @staticmethod
     def from_int_poly(m: int, poly, den: int) -> "CycloNumber":
         """(poly mod Phi_m) / den, for integer coefficients poly (constant first)."""
         _, rem = _poly_divmod_int(poly, cyclotomic_poly(m))
-        rem += [0] * (len(cyclotomic_poly(m)) - 1 - len(rem))
-        return CycloNumber._make(m, tuple(Fraction(c, den) for c in rem))
+        return _lowest(m, rem + [0] * (len(cyclotomic_poly(m)) - 1 - len(rem)), den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -121,12 +132,13 @@ class CycloNumber:
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.rational(self.order, other)
         self._check(other)
-        return CycloNumber._make(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _lowest(self.order, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber._make(self.order, tuple(-a for a in self.coeffs))
+        return _lowest(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,25 +147,16 @@ class CycloNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloNumber._make(self.order, tuple(a * other for a in self.coeffs))
+            return _lowest(self.order, [a * other.numerator for a in self.nums],
+                           self.den * other.denominator)
         self._check(other)
-        deg = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        phi = cyclotomic_poly(self.order)
-        for d in range(len(prod) - 1, deg - 1, -1):
-            c = prod[d]
-            if not c:
-                continue
-            prod[d] = Fraction(0)
-            for t in range(deg + 1):
-                prod[d - deg + t] -= c * phi[t]
-        return CycloNumber._make(self.order, tuple(prod[:deg]))
+        prod = [0] * (2 * len(self.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    if b:
+                        prod[i + j] += a * b
+        return CycloNumber.from_int_poly(self.order, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -165,15 +168,13 @@ class CycloNumber:
     def conj(self) -> "CycloNumber":
         """Complex conjugation, zeta |-> zeta^{m-1}."""
         basis = _power_basis(self.order)
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            row = basis[(-i) % self.order]
-            for t in range(deg):
-                out[t] += a * row[t]
-        return CycloNumber._make(self.order, tuple(out))
+        out = [0] * len(self.nums)
+        for i, a in enumerate(self.nums):
+            if a:
+                for t, b in enumerate(basis[-i % self.order]):
+                    if b:
+                        out[t] += a * b
+        return _lowest(self.order, out, self.den)
 
     # -- predicates --------------------------------------------------------
 
@@ -182,31 +183,33 @@ class CycloNumber:
             other = CycloNumber.rational(self.order, other)
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        """Text form "a_0 + a_1*z + ..." with zero terms suppressed."""
+        """Text form "a_0 + a_1*z + ..." with zero terms suppressed; each
+        coefficient in lowest terms, as "a" or "a/b"."""
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, a in enumerate(self.nums):
+            if a == 0:
                 continue
-            num = str(c) if c.denominator != 1 else str(c.numerator)
+            g = gcd(a, self.den)
+            num = str(a // g) if g == self.den else f"{a // g}/{self.den // g}"
             if i == 0:
                 parts.append(num)
             elif i == 1:

@@ -65,7 +65,7 @@ class StabilizerData(namedtuple("StabilizerData", [
 
 
 class ClassFunction(namedtuple("ClassFunction", "values degree")):
-    __slots__ = ()  # values: CycloNumbers aligned with the partition order
+    __slots__ = ()  # values: CycloNumbers in partition order (equal ones may be one object)
 
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
@@ -130,11 +130,11 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 class InductionContext:
     """The conjugacy classes of G, shared by every induction of one run: the
-    classes, the class index of each element, and the group order.  Each class
-    is the closure of an element under g -> s^-1 g s for the distinct t-parts
-    and a-parts of certified_generators, which generate H and N and so G = H N;
-    G = H + J is a union of translates of J, so the orbit kernel computes every
-    closure (orbit_partition)."""
+    classes, the class index of each element, the group order, and every induced
+    value (one object per distinct value).  Each class is the closure of an
+    element under g -> s^-1 g s for the distinct t-parts and a-parts of
+    certified_generators, which generate H and N and so G = H N; G = H + J is a
+    union of translates of J, so orbit_partition computes every closure."""
 
     def __init__(self, spec: AlgebraSpec, bound: int):
         self.order = group_order(spec)
@@ -146,6 +146,7 @@ class InductionContext:
         maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
         self.classes = orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)
         self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
+        self.values: dict = {}
         self._meets = (None, None)
 
     def meets(self, partition) -> list[set]:
@@ -197,16 +198,16 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
         key = len(ctx.classes[ci]), tuple(sums.get(ci, (0,)))
         got = key_values.get(key)
         if got is None:
-            scale = Fraction(ctx.order, key[0] * stab.size)
-            got = key_values[key] = CycloNumber.from_int_poly(
-                m, [c * scale.numerator for c in key[1]], scale.denominator)
+            got = CycloNumber.from_int_poly(m, [c * ctx.order for c in key[1]],
+                                            key[0] * stab.size)
+            got = key_values[key] = ctx.values.setdefault(got, got)
         return got
 
     values = []
     for rec, classes in zip(partition, ctx.meets(partition)):
         first, *rest = classes
         val = value_of(first)
-        if any(value_of(ci) != val for ci in rest):
+        if any(value_of(ci) is not val for ci in rest):
             raise NotConstantOnSuperclass(f"induced character varies on {rec.representative}")
         values.append(val)
 
@@ -221,10 +222,10 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
 def _integer_rows(values, weights):
     """(d, rows) with weights[K] * values[K] = sum of col[K] z^t / d over the
     pairs (t, col) of rows: one Python-int column per power z^t that is not
-    all zero, over the common denominator d of every coefficient."""
-    d = lcm(*(c.denominator for v in values for c in v.coeffs))
-    cols = ((t, [v.coeffs[t].numerator * (d // v.coeffs[t].denominator) * w
-                 for v, w in zip(values, weights)]) for t in range(len(values[0].coeffs)))
+    all zero, over the common denominator d of every value."""
+    d = lcm(*(v.den for v in values))
+    cols = ((t, [v.nums[t] * (d // v.den) * w for v, w in zip(values, weights)])
+            for t in range(len(values[0].nums)))
     return d, [(t, col) for t, col in cols if any(col)]
 
 
@@ -232,9 +233,12 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
     """[[<phi, psi> for psi in psis] for phi in phis], exactly, where
     <phi, psi> = (1/order) sum over the classes K of |K| phi(K) conj(psi(K)).
 
-    Each phi becomes |K|-weighted integer rows and each psi, conjugated once
-    per value, plain integer rows (_integer_rows).  A pair is then a sum of
-    integer dot products per degree s + t, reduced mod Phi_m once."""
+    Each phi becomes |K|-weighted integer rows and each psi plain integer
+    rows of its conjugate (_integer_rows), each distinct value conjugated
+    once.  A pair is then a sum of integer dot products per degree s + t,
+    and each distinct (polynomial, denominator) is reduced mod Phi_m once.
+    When phis is psis (a Gram) only i <= j is summed: <psi_j, psi_i> is
+    conj <psi_i, psi_j>, the same polynomial with z^k read as z^(-k mod m)."""
     sizes = [len(rec.members) for rec in partition]
     funcs = [*phis, *psis]
     if any(len(f.values) != len(sizes) for f in funcs):
@@ -244,8 +248,15 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
         raise OrderMismatch(f"orders differ: {sorted(orders)}")
     m = orders.pop()
     width = 2 * len(cyclotomic_poly(m)) - 3
+    conj = {v: v.conj() for v in {v for f in psis for v in f.values}}
     left = [_integer_rows(f.values, sizes) for f in phis]
-    right = [_integer_rows([v.conj() for v in f.values], [1] * len(sizes)) for f in psis]
+    right = [_integer_rows([conj[v] for v in f.values], [1] * len(sizes)) for f in psis]
+    reduced: dict = {}
+
+    def value(poly, den) -> CycloNumber:
+        if (key := (tuple(poly), den)) not in reduced:
+            reduced[key] = CycloNumber.from_int_poly(m, poly, den)
+        return reduced[key]
 
     def pair(a, b):
         acc = [0] * width
@@ -253,8 +264,17 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
             for t, y in b:
                 acc[s + t] += sum(map(mul, x, y))
         return acc
-    return [[CycloNumber.from_int_poly(m, pair(a, b), da * db * order) for db, b in right]
-            for da, a in left]
+    out = [[None] * len(right) for _ in left]
+    for i, (da, a) in enumerate(left):
+        for j, (db, b) in enumerate(right):
+            if out[i][j] is None:
+                out[i][j] = value(acc := pair(a, b), da * db * order)
+                if phis is psis and j > i:
+                    flipped = [0] * m
+                    for k, c in enumerate(acc):
+                        flipped[-k % m] += c
+                    out[j][i] = value(flipped, da * db * order)
+    return out
 
 
 def _first_nonzero_class(terms, ncols: int):
@@ -293,7 +313,7 @@ def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
 
 class CharacterTable(namedtuple("CharacterTable", [
         "row_labels", "col_labels", "sizes",
-        "values",       # values[r][c]: CycloNumber
+        "values",       # values[r][c]: CycloNumber; equal values may share one object
         "group_order", "cyclo_order"])):
     __slots__ = ()
 

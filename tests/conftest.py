@@ -1,11 +1,13 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from supchar import linalg
+from supchar.cyclo import cyclotomic_poly
 from supchar.algebra import h_elements, make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
@@ -124,3 +126,68 @@ def random_triple(spec, rng):
 @pytest.fixture(scope="session")
 def acceptance_configs():
     return list(ACCEPTANCE_CONFIGS)
+
+
+class FractionCyclo:
+    """The oracle for cyclo.CycloNumber: an element of Q(zeta_m) kept as one
+    Fraction per power zeta_m^t, t < deg Phi_m, reduced mod Phi_m by Fraction
+    arithmetic throughout."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        self.order = order
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == len(cyclotomic_poly(order)) - 1
+
+    @staticmethod
+    def from_int_poly(m: int, poly, den: int) -> "FractionCyclo":
+        """(poly mod Phi_m) / den, each x^d with d >= deg Phi_m replaced by
+        x^d - x^(d - deg) Phi_m from the top down."""
+        deg = len(cyclotomic_poly(m)) - 1
+        coeffs = [Fraction(c, den) for c in poly] + [Fraction(0)] * deg
+        for d in range(len(coeffs) - 1, deg - 1, -1):
+            c, coeffs[d] = coeffs[d], Fraction(0)
+            for t, phi_t in enumerate(cyclotomic_poly(m)):
+                coeffs[d - deg + t] -= c * phi_t
+        return FractionCyclo(m, coeffs[:deg])
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCyclo(self.order, [other] + [0] * (len(self.coeffs) - 1))
+        return FractionCyclo(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FractionCyclo(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclo(self.order, [a * other for a in self.coeffs])
+        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        return FractionCyclo.from_int_poly(self.order, prod, 1)
+
+    def __truediv__(self, other):
+        return self * (1 / Fraction(other))
+
+    def conj(self) -> "FractionCyclo":
+        """zeta -> zeta^(m-1), coefficient by coefficient through zeta^(-i)."""
+        m = self.order
+        out = FractionCyclo(m, [0] * len(self.coeffs))
+        for i, a in enumerate(self.coeffs):
+            out = out + FractionCyclo.from_int_poly(m, [0] * (-i % m) + [1], 1) * a
+        return out
+
+    def render(self) -> str:
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            num = str(c) if c.denominator != 1 else str(c.numerator)
+            parts.append(num if i == 0 else f"{num}*z" if i == 1 else f"{num}*z^{i}")
+        return " + ".join(parts) if parts else "0"

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supchar.cyclo import CycloNumber, cyclotomic_poly
 from supchar.errors import OrderMismatch
+
+from conftest import FractionCyclo
 
 
 @pytest.mark.parametrize("m", range(1, 37))
@@ -93,3 +98,76 @@ def test_hash_consistency():
     a = CycloNumber.root(6, 2)
     b = CycloNumber.root(6, 1) - CycloNumber.rational(6, 1)
     assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form: integer numerators over one positive denominator
+# ---------------------------------------------------------------------------
+
+def test_canonical_form_is_lowest_terms():
+    a = CycloNumber(6, [Fraction(2, 4), 0])
+    b = CycloNumber.rational(6, Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == ((1, 0), 2)
+    c = CycloNumber(12, [Fraction(1, 6), Fraction(1, 4), 0, Fraction(-5, 12)])
+    assert (c.nums, c.den) == ((2, 3, 0, -5), 12)
+    assert CycloNumber.zero(5).den == 1 and (CycloNumber.root(5, 1) * 0).den == 1
+
+
+def test_from_int_poly_negative_denominator():
+    poly = [3, -6, 9, 0, 12, 5]
+    for m in (3, 5, 8):
+        neg = CycloNumber.from_int_poly(m, poly, -6)
+        assert neg == CycloNumber.from_int_poly(m, [-c for c in poly], 6)
+        assert neg.den > 0
+
+
+def test_zero_denominator_raises_like_fraction():
+    with pytest.raises(ZeroDivisionError):
+        CycloNumber.from_int_poly(5, [1, 2], 0)
+    with pytest.raises(ZeroDivisionError):
+        CycloNumber.root(5, 1) / 0
+
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12)
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _two_numbers(draw):
+    """(m, [x, y]): the coefficient lists of two numbers of Q(zeta_m)."""
+    m = draw(st.sampled_from(ORDERS))
+    deg = len(cyclotomic_poly(m)) - 1
+    return m, [draw(st.lists(_fractions, min_size=deg, max_size=deg)) for _ in range(2)]
+
+
+def _same(got, want):
+    assert got.order == want.order and got.coeffs == want.coeffs
+    assert got.render() == want.render()
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_two_numbers(), _fractions.filter(bool), st.integers(-7, 7))
+def test_arithmetic_matches_the_fraction_oracle(pair, r, k):
+    m, (x, y) = pair
+    a, b = CycloNumber(m, x), CycloNumber(m, y)
+    fa, fb = FractionCyclo(m, x), FractionCyclo(m, y)
+    _same(a, fa)
+    _same(a + b, fa + fb)
+    _same(a - b, fa - fb)
+    _same(a * b, fa * fb)
+    _same(a + k, fa + k)
+    _same(a * r, fa * r)
+    _same(a / r, fa / r)
+    _same(a.conj(), fa.conj())
+    assert (a == b) == (fa.coeffs == fb.coeffs)
+    assert a.is_zero() == (not any(fa.coeffs))
+    assert a.is_rational() == (not any(fa.coeffs[1:]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(ORDERS), st.lists(st.integers(-50, 50), max_size=30),
+       st.integers(-40, 40).filter(bool))
+def test_from_int_poly_matches_the_fraction_oracle(m, poly, den):
+    _same(CycloNumber.from_int_poly(m, poly, den), FractionCyclo.from_int_poly(m, poly, den))

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from supchar import linalg
+from supchar.fields import FieldSpec
 
 from conftest import get_field
 
@@ -98,6 +101,36 @@ def test_span_of_unit_vectors_is_product_order():
             units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             want = list(itertools.product(range(F.q), repeat=n))
             assert list(linalg.span(F, units, dim=n)) == want
+
+
+def _field_span(F, basis):
+    """The FieldSpec path of linalg.span: every vector v + c b, c in F, from
+    FieldSpec.mul and FieldSpec.add, in the same order."""
+    vecs = [tuple([0] * len(basis[0]))]
+    for b in basis:
+        scaled = [tuple(F.mul(c, x) for x in b) for c in range(F.q)]
+        vecs = [tuple(F.add(a, x) for a, x in zip(v, s)) for v in vecs for s in scaled]
+    return vecs
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_span_equals_the_field_path_in_order(p, k, monkeypatch):
+    """Prime fields take the integer path, with no FieldSpec.mul or add call;
+    GF(4) and GF(9) keep the FieldSpec path.  Both list the same vectors in
+    the same order (validate_algebra names the first failing one)."""
+    F = get_field(p, k)
+    rng = random.Random(p * 10 + k)
+    cases = [[tuple(rng.randrange(F.q) for _ in range(4)) for _ in range(r)]
+             for r in (1, 2, 3) for _ in range(4)]
+    wants = [_field_span(F, basis) for basis in cases]
+    calls = []
+    for name in ("mul", "add"):
+        real = getattr(FieldSpec, name)
+        monkeypatch.setattr(FieldSpec, name,
+                            lambda self, a, b, real=real: calls.append(1) or real(self, a, b))
+    for basis, want in zip(cases, wants):
+        assert list(linalg.span(F, basis, dim=4)) == want
+    assert bool(calls) == (k > 1)
 
 
 def test_rref_idempotent():

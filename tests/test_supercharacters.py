@@ -441,6 +441,38 @@ def test_inner_products_equal_the_literal_sum():
     assert inner_products(n_part, psis[:1], psis, 27) == gram[:1]
 
 
+def _gram_tables():
+    for name in [(3, 3, 1), (2, 2, 2), "zigzag_poset_q3.json", "dual_numbers_q3.json",
+                 "triangular_2_3.json"]:
+        s = _spec_named(name)
+        partition = superclass_partition(s)
+        yield name, partition, build_table(s, partition, enumerate_labels(
+            s, orbit_census(s, "J*")), 2 ** 17)
+
+
+def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
+    """inner_products(fs, fs) sums only i <= j and conjugates each distinct
+    table value once; every entry, the j > i ones filled by conjugation
+    included, equals the literal sum.  A row twisted by zeta gives entries
+    that are not real, so the filled half is not all zeros."""
+    for name, partition, table in _gram_tables():
+        fs = [ClassFunction(tuple(row), None) for row in table.values]
+        calls = Counter()
+        real = CycloNumber.conj
+        monkeypatch.setattr(CycloNumber, "conj", lambda self: calls.update([self]) or real(self))
+        inner_products(partition, fs, fs, table.group_order)
+        monkeypatch.undo()
+        assert set(calls) == {v for row in table.values for v in row}, name
+        assert set(calls.values()) == {1}, name
+        zeta = CycloNumber.root(table.cyclo_order, 1)
+        fs.append(ClassFunction(tuple(a * zeta + b for a, b in zip(*table.values[-2:])), None))
+        gram = inner_products(partition, fs, fs, table.group_order)
+        full = [[_literal_inner(partition, phi, psi, table.group_order) for psi in fs]
+                for phi in fs]
+        assert gram == full, name
+        assert any(not v.is_rational() for v in gram[-1]), name
+
+
 def _perturbed(table):
     return CharacterTable(table.row_labels, table.col_labels, table.sizes,
                           [list(row) for row in table.values],
@@ -555,6 +587,17 @@ def test_table_exports():
     data = table.to_json()
     assert data["group_order"] == 2
     assert len(data["rows"]) == 2 and len(data["columns"]) == 2
+
+
+def test_equal_induced_values_are_one_object():
+    """induce interns every value on its InductionContext, so equal entries
+    of a table (and the constancy check's comparisons) are identities."""
+    _, _, table, _ = full_table(3, 3)
+    first = {}
+    for row in table.values:
+        for v in row:
+            assert first.setdefault(v, v) is v
+    assert len(first) < sum(map(len, table.values))
 
 
 def test_table_deterministic_across_runs():
