@@ -8,7 +8,6 @@ range(dim), so S and J are coordinate subspaces.
 """
 from __future__ import annotations
 
-import json
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
@@ -34,7 +33,8 @@ from .errors import (
 )
 from .fields import FieldSpec, field_make
 
-DEFAULT_SPACE_BOUND = 2 ** 20
+DEFAULT_GROUP_BOUND = 2 ** 17     # on |G|
+DEFAULT_SPACE_BOUND = 2 ** 20     # on |J| and |J*|
 
 
 class Block(namedtuple("Block", "idempotent degree basis")):
@@ -990,5 +990,21 @@ def load_algebra(data: dict) -> AlgebraSpec:
 
 
 def load_algebra_file(path: str) -> AlgebraSpec:
-    with open(path) as fh:
-        return load_algebra(json.load(fh))
+    """Build and validate an AlgebraSpec from a UTF-8 JSON spec file.  A file
+    that cannot be read as UTF-8 raises AlgebraValidationError naming --spec
+    and the path, and one that is not JSON raises it with json's text; a
+    missing file raises FileNotFoundError."""
+    import json
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise AlgebraValidationError(f"--spec {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise AlgebraValidationError(f"--spec {path!r}: not UTF-8 text "
+                                     f"(byte {exc.start}: {exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise AlgebraValidationError(str(exc)) from None
+    return load_algebra(data)

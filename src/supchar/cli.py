@@ -1,14 +1,14 @@
 """Command-line surface: build tables, run verification suites, inspect orbits,
-and process custom algebra spec files."""
+and process custom algebra spec files.  Only the errors, fields and algebra
+layers load with this module; each command imports the layers it runs."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import triangular as tri
 from .algebra import (
+    DEFAULT_GROUP_BOUND,
     DEFAULT_SPACE_BOUND,
     is_singular,
     load_algebra_file,
@@ -26,19 +26,6 @@ from .errors import (
     SupcharError,
 )
 from .fields import field_make
-from .superclasses import (
-    DEFAULT_GROUP_BOUND,
-    predicted_count,
-    superclass_partition,
-)
-from .supercharacters import (
-    CheckResult,
-    InductionContext,
-    axioms_report,
-    build_table,
-    enumerate_labels,
-    restriction_report,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,11 +60,13 @@ def _write(path, text, flag="--out"):
 
 def _render_table(table, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(table.to_json(), indent=2, sort_keys=True) + "\n"
     return table.to_csv()
 
 
 def cmd_table(args) -> int:
+    from . import triangular as tri
     bound = _bound(args)
     F = _field(args)
     if args.mode != "both":
@@ -110,6 +99,10 @@ def _report(results, path=None) -> int:
 
 
 def _verify_checks(spec, n, F, selected, bound, space_bound):
+    from . import triangular as tri
+    from .superclasses import predicted_count, superclass_partition
+    from .supercharacters import (CheckResult, InductionContext, axioms_report, build_table,
+                                  enumerate_labels, restriction_report)
     results = []
     partition = superclass_partition(spec, bound)
     census_j = orbit_census(spec, "J", space_bound)
@@ -169,9 +162,10 @@ def cmd_verify(args) -> int:
         spec = load_algebra_file(args.spec)
         n = F = None
     else:
+        from .triangular import make_triangular
         F = _field(args)
         n = args.n
-        spec = tri.make_triangular(n, F)
+        spec = make_triangular(n, F)
     return _report(_verify_checks(spec, n, F, selected, bound, _space_bound(args)), args.out)
 
 
@@ -179,7 +173,8 @@ def cmd_orbits(args) -> int:
     if args.spec:
         spec = load_algebra_file(args.spec)
     else:
-        spec = tri.make_triangular(args.n, _field(args))
+        from .triangular import make_triangular
+        spec = make_triangular(args.n, _field(args))
     spaces = ["J", "J*"] if args.space == "both" else \
         (["J*"] if args.space == "dual" else ["J"])
     lines = []
@@ -199,6 +194,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    from .superclasses import superclass_partition
+    from .supercharacters import InductionContext, axioms_report, build_table, enumerate_labels
     bound = _bound(args)
     spec = load_algebra_file(args.spec)
     partition = superclass_partition(spec, bound)
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
         print(f"enumeration bound exceeded: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (AlgebraValidationError, NotPrime, DegreeTooLarge, BadSize, OutputNotWritable,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SupcharError as exc:

@@ -10,7 +10,7 @@ integral.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -65,6 +65,32 @@ def _power_basis(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def ratio(a: int, b: int) -> tuple[int, int]:
+    """(numerator, denominator) of a / b in lowest terms with a positive
+    denominator, as Fraction(a, b) has them (ZeroDivisionError for b = 0)."""
+    if b == 0:
+        raise ZeroDivisionError(f"ratio {a}/0")
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    return a // g, b // g
+
+
+def ratio_text(a: int, b: int) -> str:
+    """str(Fraction(a, b)): "n" or "n/d" in lowest terms."""
+    n, d = ratio(a, b)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _rational_operand(x):
+    """(numerator, denominator) of an int or Fraction operand, else None.  A
+    Fraction can exist only once fractions is loaded, so it is not imported."""
+    if isinstance(x, int):
+        return x, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
 def _lowest(order: int, nums, den: int) -> "CycloNumber":
     """sum of nums[t] zeta^t / den in lowest terms with den > 0
     (ZeroDivisionError for den = 0, as Fraction)."""
@@ -86,6 +112,7 @@ class CycloNumber:
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
+        from fractions import Fraction
         deg = len(cyclotomic_poly(order)) - 1
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != deg:
@@ -95,7 +122,9 @@ class CycloNumber:
         self.order, self.nums, self.den = made.order, made.nums, made.den
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- constructors ----------------------------------------------------
@@ -107,6 +136,7 @@ class CycloNumber:
     @staticmethod
     def rational(m: int, value) -> "CycloNumber":
         if not isinstance(value, int):
+            from fractions import Fraction
             value = Fraction(value)
         deg = len(cyclotomic_poly(m)) - 1
         return _lowest(m, (value.numerator,) + (0,) * (deg - 1), value.denominator)
@@ -129,8 +159,10 @@ class CycloNumber:
             raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.rational(self.order, other)
+        if (r := _rational_operand(other)) is not None:
+            nums = [a * r[1] for a in self.nums]
+            nums[0] += r[0] * self.den
+            return _lowest(self.order, nums, self.den * r[1])
         self._check(other)
         a, b = self.den, other.den
         return _lowest(self.order, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
@@ -141,14 +173,11 @@ class CycloNumber:
         return _lowest(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.rational(self.order, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _lowest(self.order, [a * other.numerator for a in self.nums],
-                           self.den * other.denominator)
+        if (r := _rational_operand(other)) is not None:
+            return _lowest(self.order, [a * r[0] for a in self.nums], self.den * r[1])
         self._check(other)
         prod = [0] * (2 * len(self.nums) - 1)
         for i, a in enumerate(self.nums):
@@ -161,8 +190,8 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
+        if (r := _rational_operand(other)) is not None:
+            return _lowest(self.order, [a * r[1] for a in self.nums], self.den * r[0])
         raise TypeError("division only by rationals")
 
     def conj(self) -> "CycloNumber":
@@ -179,8 +208,8 @@ class CycloNumber:
     # -- predicates --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.rational(self.order, other)
+        if (r := _rational_operand(other)) is not None:
+            return self.is_rational() and (self.nums[0], self.den) == r
         if not isinstance(other, CycloNumber):
             return NotImplemented
         return self.order == other.order and self.den == other.den and self.nums == other.nums
@@ -194,9 +223,11 @@ class CycloNumber:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
+        """The value as a Fraction (ValueError unless rational)."""
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
+        from fractions import Fraction
         return Fraction(self.nums[0], self.den)
 
     # -- rendering ---------------------------------------------------------
@@ -208,8 +239,7 @@ class CycloNumber:
         for i, a in enumerate(self.nums):
             if a == 0:
                 continue
-            g = gcd(a, self.den)
-            num = str(a // g) if g == self.den else f"{a // g}/{self.den // g}"
+            num = ratio_text(a, self.den)
             if i == 0:
                 parts.append(num)
             elif i == 1:

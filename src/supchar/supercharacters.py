@@ -2,10 +2,7 @@
 products, the supercharacter-theory axiom report, and the restriction to N."""
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter, defaultdict, namedtuple
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
@@ -27,7 +24,7 @@ from .algebra import (
     rho_dual_map,
     sandwich_map,
 )
-from .cyclo import CycloNumber, cyclotomic_poly
+from .cyclo import CycloNumber, cyclotomic_poly, ratio, ratio_text
 from .errors import (
     GroupTooLarge,
     NotConstantOnSuperclass,
@@ -213,9 +210,9 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
 
     idx = identity_index(spec, partition)
     degree = values[idx]
-    expected = Fraction(ctx.order, stab.size)
-    if degree != expected:
-        raise NotInStabilizer(f"degree {degree.render()} != |G|/|G_lambda| = {expected}")
+    if not degree.is_rational() or degree.nums[0] * stab.size != ctx.order * degree.den:
+        raise NotInStabilizer(f"degree {degree.render()} != |G|/|G_lambda| = "
+                              f"{ratio_text(ctx.order, stab.size)}")
     return ClassFunction(tuple(values), degree)
 
 
@@ -278,14 +275,14 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
 
 
 def _first_nonzero_class(terms, ncols: int):
-    """The first class K where the sum of w * values(K) over the terms
-    (w rational, _integer_rows of values) is not 0, or None: exact, in Python
+    """The first class K where the sum of (a / b) * values(K) over the terms
+    ((a, b), _integer_rows of values) is not 0, or None: exact, in Python
     ints over one common denominator."""
-    weights = [Fraction(w) / d for w, (d, _) in terms]
-    big = lcm(*(w.denominator for w in weights))
+    dens = [b * d for (_, b), (d, _) in terms]
+    big = lcm(*dens)
     total: dict = {}
-    for w, (_, (_, rows)) in zip(weights, terms):
-        k = w.numerator * (big // w.denominator)
+    for ((a, _), (_, rows)), den in zip(terms, dens):
+        k = a * (big // den)
         for t, col in rows:
             total[t] = [x + k * y for x, y in zip(total.get(t, [0] * ncols), col)]
     return next((ci for ci in range(ncols) if any(col[ci] for col in total.values())), None)
@@ -318,6 +315,8 @@ class CharacterTable(namedtuple("CharacterTable", [
     __slots__ = ()
 
     def to_csv(self) -> str:
+        import csv
+        import io
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["class"] + [l.render() for l in self.col_labels])
@@ -412,21 +411,21 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     out.append(CheckResult("conjugacy-refinement", refines,
                            f"{len(conj_classes)} conjugacy classes"))
 
-    # regular character: rho = sum a_alpha chi_alpha with a_alpha > 0 rational
+    # regular character: rho = sum a_alpha chi_alpha with a_alpha > 0 rational,
+    # a_alpha = chi(1) / <chi, chi> as (numerator, denominator) ints
     ok, coeffs, ci = True, [], None
     for i, f in enumerate(funcs):
-        norm = gram[i][i]
-        ok = norm.is_rational() and norm.rational_value() > 0 and f.degree.is_rational() \
-            and f.degree.rational_value() > 0
+        norm, deg = gram[i][i], f.degree
+        ok = norm.is_rational() and norm.nums[0] > 0 and deg.is_rational() and deg.nums[0] > 0
         if not ok:
             break
-        coeffs.append(f.degree.rational_value() / norm.rational_value())
+        coeffs.append(ratio(deg.nums[0] * norm.den, deg.den * norm.nums[0]))
     if ok:
         # sum a chi = |G| at the identity and 0 elsewhere, on integer rows
         regular = (1, [(0, [int(k == idx) for k in range(ncols)])])
         terms = [(a, _integer_rows(f.values, [1] * ncols)) for a, f in zip(coeffs, funcs)]
-        ci = _first_nonzero_class(terms + [(-table.group_order, regular)], ncols)
-    detail = f"coefficients {sorted(set(map(str, coeffs)))}" if ci is None else \
+        ci = _first_nonzero_class(terms + [((-table.group_order, 1), regular)], ncols)
+    detail = f"coefficients {sorted({ratio_text(*a) for a in coeffs})}" if ci is None else \
         f"reconstruction off at class {ci}"
     out.append(CheckResult("regular-character", ok and ci is None, detail))
     return out
@@ -479,7 +478,7 @@ def n_characters(spec: AlgebraSpec, bound: int):
                 reduced[key] = CycloNumber.from_int_poly(m, *key)
             vals.append(reduced[key])
     return n_part, [(orb, ClassFunction(tuple(vals), CycloNumber.rational(m, degree)),
-                     CycloNumber.rational(m, Fraction(degree ** 2, len(orb.members))))
+                     CycloNumber.from_int_poly(m, [degree ** 2], len(orb.members)))
                     for orb, vals, degree in zip(orbits, values, degrees)]
 
 
@@ -509,15 +508,16 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
     psi_rows = [_integer_rows(psi.values, ones) for _, psi, _ in chars]
     for r, (lbl, res) in enumerate(zip(labels, restrictions)):
         allowed = orbit(spec, lbl.lambda_rep, "rho_dual").members
-        terms = [(-1, _integer_rows(res.values, ones))]
-        for (orb, _, den), row, rows in zip(chars, nums, psi_rows):
+        terms = [((-1, 1), _integer_rows(res.values, ones))]
+        for (orb, _, norm), row, rows in zip(chars, nums, psi_rows):
             if not row[r].is_rational():
                 break
-            c = row[r].rational_value() / den.rational_value()     # den = psi(1)^2 / |O|
-            if c < 0 or (c and orb.representative not in allowed):
+            # c_mu = <res, psi> / <psi, psi>, both rational; norm = psi(1)^2 / |O| > 0
+            cn, cd = ratio(row[r].nums[0] * norm.den, row[r].den * norm.nums[0])
+            if cn < 0 or (cn and orb.representative not in allowed):
                 break
-            if c:
-                terms.append((c, rows))
+            if cn:
+                terms.append(((cn, cd), rows))
         else:   # every c_mu passed: the row passes if sum c_mu psi_mu - res is 0
             if _first_nonzero_class(terms, len(n_part)) is None:
                 continue

@@ -6,6 +6,7 @@ from math import prod
 
 from . import linalg
 from .algebra import (
+    DEFAULT_GROUP_BOUND,
     AlgebraSpec,
     LinearMap,
     TildeTriple,
@@ -24,8 +25,6 @@ from .algebra import (
     torus_conjugations,
 )
 from .errors import GroupTooLarge, NotInH, PartitionMismatch, ReductionFailed
-
-DEFAULT_GROUP_BOUND = 2 ** 17
 
 
 class SuperclassLabel(namedtuple("SuperclassLabel", [

@@ -7,22 +7,13 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .algebra import AlgebraSpec, Block, group_order, orbit_census, validate_algebra
-from .cyclo import CycloNumber
+from .algebra import (DEFAULT_GROUP_BOUND, AlgebraSpec, Block, group_order, orbit_census,
+                      validate_algebra)
 from .errors import BadSize, PartitionMismatch
 from .fields import FieldSpec
-from .superclasses import (
-    DEFAULT_GROUP_BOUND,
-    superclass_index,
-    superclass_partition,
-    transporter_count,
-)
-from .supercharacters import (
-    CharacterTable,
-    SupercharLabel,
-    build_table,
-    enumerate_labels,
-)
+
+# make_triangular, labels and basic_subsets need no table layer: the cyclo,
+# superclasses and supercharacters modules are imported by the table functions
 
 
 class Root(namedtuple("Root", "row col")):    # 1-based
@@ -247,6 +238,7 @@ def value_terms(char: TriSupercharLabel, cls: TriSuperclassLabel, field: FieldSp
 
 
 def _from_terms(order: int, exp: int, scalar: int) -> CycloNumber:
+    from .cyclo import CycloNumber
     if scalar == 0:
         return CycloNumber.zero(order)
     return CycloNumber.root(order, exp) * scalar
@@ -333,6 +325,7 @@ def class_record_map(spec: AlgebraSpec, n: int, class_labels, partition):
     """Bijection from (h, D') labels to superclass records via g_{h,D'};
     PartitionMismatch unless each g_{h,D'} lies in a superclass (-1 marks one
     that does not) and they meet every superclass once."""
+    from .superclasses import superclass_index
     member_to_idx = superclass_index(partition)
     mapping = [member_to_idx.get(class_rep(spec, n, lbl), -1) for lbl in class_labels]
     if sorted(mapping) != list(range(len(partition))):
@@ -360,6 +353,7 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels, shapes) -> list[in
     (Andre, J. Algebra 175 (1995); Yan, thesis, 2001).  The profile is
     counted on each label's proved partial-permutation shape (`shapes`).
     """
+    from .superclasses import transporter_count
     order = group_order(spec)
     tilde = order * spec.field.q ** len(spec.radical_basis)
     xs = [spec.sub(class_rep(spec, n, lbl), spec.unit) for lbl in class_labels]
@@ -385,6 +379,7 @@ def superclass_sizes(spec: AlgebraSpec, n: int, class_labels, shapes) -> list[in
 
 
 def to_general_label(spec: AlgebraSpec, n: int, lbl: TriSupercharLabel) -> SupercharLabel:
+    from .supercharacters import SupercharLabel
     e = frozenset(i - 1 for i in lbl.d.rowcol())
     f = frozenset(i for i, c in enumerate(lbl.c) if c % max(spec.field.q - 1, 1) != 0)
     return SupercharLabel(e, f, lbl.c, lambda_D(n, lbl.d))
@@ -397,6 +392,7 @@ def closed_table(n: int, field: FieldSpec, class_labels, char_labels, shapes,
     by counting.  The scalars of each D are (q - 1)^(|rowcol(D)| - |D|) times
     the product of the root_factors of D's roots, over the classes; the
     exponent of zeta is step times sum c_i dlog(h_i) mod q - 1, once per h."""
+    from .supercharacters import CharacterTable
     order = cyclo_order_for(field)
     q = field.q
     step = order // (q - 1)
@@ -435,6 +431,7 @@ def brute_table(spec: AlgebraSpec, n: int, partition, base: CharacterTable) -> C
     which must send the (c, D) labels one-to-one onto base's census labels:
     this proves that each lambda_D is its orbit's canonical representative,
     and PartitionMismatch names the first (c, D) label without a match."""
+    from .supercharacters import CharacterTable
     class_labels, char_labels = labels(n, spec.field)
     cols = class_record_map(spec, n, class_labels, partition)
     row_of = {lbl: r for r, lbl in enumerate(base.row_labels)}
@@ -458,6 +455,8 @@ def table(n: int, field: FieldSpec, mode: str = "closed",
     closed form's size row is left empty when |G| exceeds bound.  The
     brute-force table is the one build_table induces from the census labels,
     re-indexed by brute_table; |J*| <= |G|, so bound also bounds the census."""
+    from .superclasses import superclass_partition
+    from .supercharacters import build_table, enumerate_labels
     if mode == "closed":
         class_labels, char_labels = labels(n, field)
         shapes = [class_shape(lbl) for lbl in class_labels]

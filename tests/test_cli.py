@@ -135,7 +135,7 @@ def test_verify_detects_perturbed_table(monkeypatch, capsys):
         table.values[0][0] = table.values[0][0] + 1
         return table
 
-    monkeypatch.setattr(cli, "build_table", tampered)
+    monkeypatch.setattr(sc, "build_table", tampered)
     code, out, _ = run(["verify", "--n", "2", "--p", "2",
                         "--checks", "axioms"], capsys)
     assert code == 1
@@ -296,18 +296,36 @@ def _mul_index_out_of_range(data):
     return data
 
 
-@pytest.mark.parametrize("mutate,field", [
-    (_without_blocks, "blocks"),
-    (_mul_index_out_of_range, "mul[4][0]"),
-    (lambda data: [data], "top level"),
-], ids=["missing-blocks", "mul-index-out-of-range", "top-level-array"])
-def test_malformed_spec_file_exits_2(tmp_path, capsys, mutate, field):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(mutate(_dual_numbers())))
+def _spec_file(mutate):
+    """Writes the dual numbers, changed by mutate, to a spec file."""
+    def write(tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(mutate(_dual_numbers())))
+        return str(path)
+    return write
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_dual_numbers()).encode()[:-1] + b', "name": "\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("make,field", [
+    (_spec_file(_without_blocks), "blocks"),
+    (_spec_file(_mul_index_out_of_range), "mul[4][0]"),
+    (_spec_file(lambda data: [data]), "top level"),
+    (lambda tmp_path: str(tmp_path / "nope.json"), "[Errno 2] No such file or directory: {path!r}"),
+    (str, "--spec {path!r}: Is a directory"),
+    (_not_utf8, "--spec {path!r}: not UTF-8 text"),
+], ids=["missing-blocks", "mul-index-out-of-range", "top-level-array", "missing", "directory",
+        "not-utf8"])
+def test_malformed_spec_file_exits_2(tmp_path, capsys, make, field):
+    path = make(tmp_path)
     for command in ("algebra", "verify", "orbits"):
-        code, _, err = run([command, "--spec", str(path)], capsys)
+        code, _, err = run([command, "--spec", path], capsys)
         assert code == 2, command
-        assert field in err, err
+        assert field.format(path=path) in err, err
         assert "Traceback" not in err
 
 

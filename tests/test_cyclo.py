@@ -3,10 +3,10 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supchar.cyclo import CycloNumber, cyclotomic_poly
+from supchar.cyclo import CycloNumber, cyclotomic_poly, ratio, ratio_text
 from supchar.errors import OrderMismatch
 
 from conftest import FractionCyclo
@@ -171,3 +171,66 @@ def test_arithmetic_matches_the_fraction_oracle(pair, r, k):
        st.integers(-40, 40).filter(bool))
 def test_from_int_poly_matches_the_fraction_oracle(m, poly, den):
     _same(CycloNumber.from_int_poly(m, poly, den), FractionCyclo.from_int_poly(m, poly, den))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(-6, 4)
+@example(6, -4)
+@example(-6, -4)
+def test_ratio_and_its_text_match_fraction(a, b):
+    """The int ratio behind the regular-character coefficients and the c_mu of
+    the restriction check, and its text, against Fraction."""
+    f = Fraction(a, b)
+    assert ratio(a, b) == (f.numerator, f.denominator)
+    assert ratio_text(a, b) == str(f)
+
+
+def test_ratio_by_zero_raises_like_fraction():
+    with pytest.raises(ZeroDivisionError):
+        ratio(3, 0)
+
+
+def _rational(m, r) -> FractionCyclo:
+    return FractionCyclo(m, [r] + [0] * (len(cyclotomic_poly(m)) - 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_two_numbers(), st.one_of(st.integers(-7, 7), _fractions))
+def test_rational_operands_match_the_fraction_oracle(pair, r):
+    """int and Fraction operands, with no Fraction built for them: either side
+    of + and *, the right of - and /, and == from both sides."""
+    m, (x, _) = pair
+    a, fa = CycloNumber(m, x), FractionCyclo(m, x)
+    _same(a + r, fa + r)
+    _same(r + a, fa + r)
+    _same(a - r, fa - r)
+    _same(a * r, fa * r)
+    _same(r * a, fa * r)
+    if r:
+        _same(a / r, fa / r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / r
+    assert (a == r) == (r == a) == (fa.coeffs == _rational(m, r).coeffs)
+    assert CycloNumber.rational(m, r) == r == CycloNumber.rational(m, r)
+    assert (a + r) - r == a
+
+
+@pytest.mark.parametrize("op,exc", [
+    (lambda a: a + 0.5, AttributeError),
+    (lambda a: 0.5 + a, AttributeError),
+    (lambda a: a - 0.5, AttributeError),
+    (lambda a: 0.5 - a, TypeError),
+    (lambda a: a * 0.5, AttributeError),
+    (lambda a: 0.5 * a, AttributeError),
+    (lambda a: a / 0.5, TypeError),
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"])
+def test_float_operands_are_refused(op, exc):
+    """A float is no exact operand: each operator raises the exception type it
+    raised when int and Fraction operands were matched with isinstance."""
+    with pytest.raises(exc):
+        op(CycloNumber.root(3, 1))
+    assert CycloNumber.rational(3, 1) != 1.0

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from supchar import cli, linalg
+from supchar import linalg
 from supchar import supercharacters as sc
 from supchar.algebra import form_support, orbit, orbit_census
 from supchar.cli import main
@@ -316,10 +316,10 @@ def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
                  if v != lbl.lambda_rep and form_support(s, v) == lbl.e)
     swapped = census[:i] + [lbl._replace(lambda_rep=other)] + census[i + 1:]
     want = next(ch for ch in tri.labels(3, s.field)[1] if tri.to_general_label(s, 3, ch) == lbl)
-    monkeypatch.setattr(tri, "enumerate_labels", lambda spec, dual_census: swapped)
+    # the table functions and the CLI import enumerate_labels from its home module
+    monkeypatch.setattr(sc, "enumerate_labels", lambda spec, dual_census: swapped)
     with pytest.raises(PartitionMismatch, match=re.escape(f"label {want.render()} matches no")):
         tri.table(3, s.field, "brute", spec=s)
-    monkeypatch.setattr(cli, "enumerate_labels", lambda spec, dual_census: swapped)
     assert main(["verify", "--n", "3", "--p", "3", "--checks", "oracle"]) == 1
     assert want.render() in capsys.readouterr().err
 
