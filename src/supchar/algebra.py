@@ -448,6 +448,9 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     rad = set(spec.radical_basis)
     for bi, blk in enumerate(spec.blocks):
         sub = list(blk.basis)
+        if blk.degree != len(sub):
+            raise BadIdempotents(f"blocks[{bi}].degree is {blk.degree}, not "
+                                 f"len(blocks[{bi}].basis) = {len(sub)}")
         # closure of the block span under multiplication
         for i in sub:
             for j in sub:
@@ -498,37 +501,26 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def _build_block_data(spec: AlgebraSpec):
-    """Per-block unit sets, multiplicative generators and discrete logs."""
-    F = spec.field
-    spec.block_units = []
-    spec.block_gen = []
-    spec.block_dlog = []
+    """Per-block unit sets, multiplicative generators, discrete logs and
+    orders |H_i|."""
+    spec.block_units, spec.block_gen, spec.block_dlog = [], [], []
     for blk in spec.blocks:
-        elems = linalg.span(F, [spec.basis_vec(i) for i in blk.basis], spec.dim)
+        elems = linalg.span(spec.field, [spec.basis_vec(i) for i in blk.basis], spec.dim)
         units = sorted(z for z in elems if z != spec.zero())
-        order = F.q ** blk.degree - 1
-        gen = None
-        dlog = None
-        for cand in units:
-            seen = {}
-            cur = blk.idempotent
-            ok = True
-            for e in range(order):
-                if cur in seen:
-                    ok = False
-                    break
-                seen[cur] = e
-                cur = spec.mul(cur, cand)
-            if ok and cur == blk.idempotent and len(seen) == order:
-                gen, dlog = cand, seen
+        for gen in units:   # the powers of a unit of the block field return to its 1
+            dlog, cur = {}, blk.idempotent
+            while cur not in dlog:
+                dlog[cur] = len(dlog)
+                cur = spec.mul(cur, gen)
+            if len(dlog) == len(units):
                 break
-        if gen is None:
+        else:
             raise BadIdempotents("block span has no multiplicative generator")
         spec.block_units.append(tuple(units))
         spec.block_gen.append(gen)
         spec.block_dlog.append(dlog)
-    spec.block_orders = tuple(F.q ** b.degree - 1 for b in spec.blocks)
-    spec.cyclo_order = lcm(F.p, *[max(o, 1) for o in spec.block_orders])
+    spec.block_orders = tuple(map(len, spec.block_units))
+    spec.cyclo_order = lcm(spec.field.p, *[max(o, 1) for o in spec.block_orders])
 
 
 # ---------------------------------------------------------------------------
@@ -949,12 +941,20 @@ def _check_schema(data) -> None:
     _int(data.get("k", 1), "k", 1)
     dim = _int(data["dim"], "dim", 1)
     _list(data["unit"], "unit", dim)
+    seen: dict = {}     # (i, j) -> the mul entry that gives b_i b_j
     for idx, ent in enumerate(_list(data["mul"], "mul")):
         i, j, terms = _list(ent, f"mul[{idx}]", 3)
-        _int(i, f"mul[{idx}][0]", 0, dim)
-        _int(j, f"mul[{idx}][1]", 0, dim)
+        ij = _int(i, f"mul[{idx}][0]", 0, dim), _int(j, f"mul[{idx}][1]", 0, dim)
+        if ij in seen:
+            _fail(f"mul[{idx}]", f"repeats b{i}*b{j}, given by mul[{seen[ij]}]: "
+                                  "each (i, j) at most once")
+        seen[ij], ls = idx, {}
         for t, term in enumerate(_list(terms, f"mul[{idx}][2]")):
-            _int(_list(term, f"mul[{idx}][2][{t}]", 2)[0], f"mul[{idx}][2][{t}][0]", 0, dim)
+            l = _int(_list(term, f"mul[{idx}][2][{t}]", 2)[0], f"mul[{idx}][2][{t}][0]", 0, dim)
+            if l in ls:
+                _fail(f"mul[{idx}][2][{t}]", f"repeats the b{l} term of mul[{idx}][2][{ls[l]}]: "
+                                              "each l at most once per entry")
+            ls[l] = t
     for bi, blk in enumerate(_list(data["blocks"], "blocks")):
         if not isinstance(blk, dict):
             _fail(f"blocks[{bi}]", f"expected an object, got {blk!r}")

@@ -215,7 +215,14 @@ class CycloNumber:
         return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.nums, self.den))
+        if not self.is_rational():
+            return hash((self.order, self.nums, self.den))
+        # as hash(Fraction(n, d)), so that equal ints and Fractions hash alike
+        n, d = self.nums[0], self.den
+        modulus = sys.hash_info.modulus
+        h = hash(hash(abs(n)) * pow(d, -1, modulus)) if d % modulus else sys.hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def is_zero(self) -> bool:
         return not any(self.nums)

@@ -6,12 +6,11 @@ from collections import Counter, defaultdict, namedtuple
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .algebra import (
     AlgebraSpec,
-    LinearMap,
     OrbitRecord,
     block_component,
     certified_generators,
@@ -55,9 +54,9 @@ class SupercharLabel(namedtuple("SupercharLabel", [
 
 class StabilizerData(namedtuple("StabilizerData", [
         "lam",
-        "j_right",      # radical-coord tuples
-        "g_lambda",     # h -> {h (1 + u): exponent of eps^{lam(h u)} as a power of zeta_m}
-        "size"])):
+        "h_part",       # H_{e'}, sorted
+        "basis",        # a basis of J_{lam,right}, radical-coord tuples
+        "size"])):      # |G_lam| = |H_{e'}| q^len(basis)
     __slots__ = ()
 
 
@@ -66,13 +65,13 @@ class ClassFunction(namedtuple("ClassFunction", "values degree")):
 
 
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
-    """J_{lam,right} = {u in J : lam(u J) = 0}, H_{e'}, and G_lam = H_{e'} (1 + J_{lam,right})
-    for a form lam regular in the corner of e (NotRegular otherwise).  One table
-    of lam(b_i b_j) (form_products) gives the rows of J_{lam,right} and the
+    """H_{e'} and a basis of J_{lam,right} = {u in J : lam(u J) = 0}, for a
+    form lam regular in the corner of e (NotRegular otherwise).  One table of
+    lam(b_i b_j) (form_products) gives J_{lam,right} as a kernel and the
     cross-check H_{e'} = H_{lam,right} /\\ H_{lam,left}, by lam(h b_r) = sum of
-    h_i lam(b_i b_r).  Each h (1 + u) is recorded under h with the exponent of
-    eps^{lam(h u)}, xi's additive part.  One check per h, h J_{lam,right} = J_{lam,right},
-    puts each element in xi's domain and makes u -> h (1 + u) one-to-one."""
+    h_i lam(b_i b_r).  One product h b per h and basis vector b checks
+    h J_{lam,right} = J_{lam,right} (u -> h u is one-to-one), so xi's domain
+    is G_lam = H_{e'} (1 + J_{lam,right}) = H_{e'} + J_{lam,right}."""
     if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "rho_dual"))[0] != e:
         raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
     F, rad, products = spec.field, spec.radical_basis, spec.form_products(lam)
@@ -88,27 +87,27 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     if sorted(both) != sorted(hs):
         raise NotInStabilizer(f"H_{{e'}} != H_right /\\ H_left for the regular form {lam}")
 
-    rows = [[products[c][r] for c in rad] for r in rad]
-    j_right = set(linalg.span(F, linalg.kernel_basis(F, rows), dim=len(rad)))
-    eps = [additive_char_exponent(F, c, spec.cyclo_order) for c in F.elements()]
-    g_lam = {}
+    rows = [[products[c][r] for c in rad] for r in rad]     # u -> (lam(u b_r))_r
+    basis = linalg.kernel_basis(F, rows)
     for h in hs:
-        # u -> h (1 + u) = h + h u on radical coordinates, compiled once per h != 1
-        cols = [((r, 1),) for r in range(spec.dim)] if h == spec.unit else \
-            sandwich_map(spec, h, spec.unit, rad).cols
-        part = g_lam[h] = {g: eps[spec.form_eval(lam, g)]
-                           for g in map(LinearMap(F, [cols[r] for r in rad], h).apply, j_right)}
-        if {spec.j_coords(g) for g in part} != j_right:
-            raise NotInStabilizer(f"{h} (1 + J_lambda,right) does not lie in G_lambda")
-    return StabilizerData(tuple(lam), j_right, g_lam, len(hs) * len(j_right))
+        for b in basis:
+            hb = spec.j_coords(spec.mul(h, spec.j_embed(b)))
+            if any(reduce(F.add, map(F.mul, row, hb), 0) for row in rows):
+                raise NotInStabilizer(f"{h} (1 + J_lambda,right) does not lie in G_lambda")
+    return StabilizerData(tuple(lam), tuple(hs), tuple(basis), len(hs) * F.q ** len(basis))
+
+
+def _theta_weights(spec: AlgebraSpec, h) -> tuple:
+    """(w_i): theta(h) = zeta_m^(sum of theta_i w_i) for every torus character
+    theta, w_i = m / |H_i| times the discrete log of h on block i."""
+    m = spec.cyclo_order
+    return tuple(spec.block_dlog[i][block_component(spec, h, i)] * (m // order)
+                 for i, order in enumerate(spec.block_orders))
 
 
 def theta_exponent(spec: AlgebraSpec, theta, h) -> int:
-    """Exponent j with theta(h) = zeta_m^j, multiplying over the torus blocks."""
-    m = spec.cyclo_order
-    return sum(exp * spec.block_dlog[i][block_component(spec, h, i)] * (m // order)
-               for i, (exp, order) in enumerate(zip(theta, spec.block_orders))
-               if exp % order) % m
+    """Exponent j with theta(h) = zeta_m^j."""
+    return sum(map(mul, theta, _theta_weights(spec, h))) % spec.cyclo_order
 
 
 def xi(spec: AlgebraSpec, label: SupercharLabel, g,
@@ -118,7 +117,8 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     h, x = spec.s_part(g), spec.j_part(g)
-    if h not in stab.g_lambda or spec.j_coords(x) not in stab.j_right:
+    if h not in stab.h_part or any(spec.form_eval(stab.lam, spec.mul(x, spec.basis_vec(r)))
+                                   for r in spec.radical_basis):   # x not in J_{lam,right}
         raise NotInStabilizer(f"{g} does not lie in G_lambda")
     m = spec.cyclo_order
     return CycloNumber.root(m, theta_exponent(spec, label.theta, h) + additive_char_exponent(
@@ -155,14 +155,21 @@ class InductionContext:
         return self._meets[1]
 
 
-def class_counts(stab: StabilizerData, ctx: InductionContext) -> dict:
-    """{h: [(ci, t, n)]}: n elements h (1 + u) of G_lambda lie in the
-    conjugacy class ci and have eps^{lam(h u)} = zeta_m^t.  Built once per
-    stabilizer; each label of its orbit only shifts t by theta(h)."""
+def class_counts(spec: AlgebraSpec, stab: StabilizerData, ctx: InductionContext) -> dict:
+    """{w: [(ci, t, n)]}: n elements h + x of G_lambda (x in J_{lam,right}) lie
+    in the conjugacy class ci and have eps^{lam(x)} = zeta_m^t, for the h of
+    theta weights w.  As h fixes lam, xi(h + x) = theta(h) eps^{lam(x)}: the x
+    and the exponents of lam(x) are two spans in one coefficient order, shared
+    by every h.  Built once per stabilizer; a label shifts t by theta(h)."""
+    F, m, class_of = spec.field, spec.cyclo_order, ctx.class_of
+    eps = [additive_char_exponent(F, c, m) for c in F.elements()]
+    basis = [spec.j_embed(b) for b in stab.basis]
+    xs = list(linalg.span(F, basis, spec.dim))
+    ts = [eps[v] for v, in linalg.span(F, [(spec.form_eval(stab.lam, b),) for b in basis], 1)]
     out = {}
-    for h, part in stab.g_lambda.items():
-        cells = Counter((ctx.class_of[y], t) for y, t in part.items())
-        out[h] = [(ci, t, n) for (ci, t), n in cells.items()]
+    for h in stab.h_part:   # h and x have disjoint supports, so h + x adds as ints
+        cells = Counter(zip([class_of[tuple(map(add, h, x))] for x in xs], ts))
+        out[_theta_weights(spec, h)] = [(ci, t, n) for (ci, t), n in cells.items()]
     return out
 
 
@@ -173,20 +180,20 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
 
         chi(g) = |G| / (|cl(g)| |G_lambda|) * sum of xi(y), y in cl(g) /\\ G_lambda.
 
-    The exponent of xi(h (1 + u)) as a power of zeta_m is theta's exponent at
-    h plus the one stab recorded for h (1 + u), counted per class by counts
-    (class_counts of stab, built here if not given).  Each class's sum is
-    counted per power of zeta_m; a value depends only on the class size and
-    those counts, so each distinct pair is reduced mod Phi_m once."""
+    The exponent of xi(h + x) as a power of zeta_m is theta's exponent at h
+    (one dot product with h's theta weights) plus that of eps^{lam(x)},
+    counted per class by counts (class_counts, built here if not given).  Each
+    class's sum is counted per power of zeta_m; a value depends only on the
+    class size and those counts, so each distinct pair is reduced once."""
     if stab is None:
         stab = stabilizer_data(spec, label.lambda_rep, label.e)
     if counts is None:
-        counts = class_counts(stab, ctx)
+        counts = class_counts(spec, stab, ctx)
     m = spec.cyclo_order
     # the number of y in cl(g) /\ G_lambda with xi(y) = zeta_m^t, per class and t
     sums = defaultdict(lambda: [0] * m)
-    for h, cells in counts.items():
-        th = theta_exponent(spec, label.theta, h)
+    for w, cells in counts.items():
+        th = sum(map(mul, label.theta, w))
         for ci, t, n in cells:
             sums[ci][(th + t) % m] += n
     key_values: dict = {}
@@ -290,16 +297,14 @@ def _first_nonzero_class(terms, ncols: int):
 
 def enumerate_labels(spec: AlgebraSpec, dual_census) -> list[SupercharLabel]:
     """All quadruples (e, f, theta, orbit): one per regular corner orbit in J*
-    and torus character associated with an orthogonal idempotent f."""
-    nb = len(spec.blocks)
+    and torus character theta trivial on the blocks of e, with f the blocks
+    where theta is not: the f orthogonal to e, each with its nontrivial
+    characters, are together every theta on the blocks off e."""
     labels = []
     for supp, lam_rep in zip(dual_census.supports, dual_census.corner_reps):
-        rest = sorted(set(range(nb)) - supp)
-        for fmask in range(2 ** len(rest)):
-            fset = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
-            # a block of f with a trivial torus part has no nontrivial theta
-            opts = [range(1, spec.block_orders[i]) if i in fset else [0] for i in range(nb)]
-            labels.extend(SupercharLabel(supp, fset, t, lam_rep) for t in product(*opts))
+        opts = [[0] if i in supp else range(order) for i, order in enumerate(spec.block_orders)]
+        labels.extend(SupercharLabel(supp, frozenset(i for i, t in enumerate(theta) if t),
+                                     theta, lam_rep) for theta in product(*opts))
     labels.sort(key=lambda l: l.sort_key())
     return labels
 
@@ -363,7 +368,7 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
     values = [None] * len(labels)
     for key, rows in orbits.items():
         stab = stabilizer_data(spec, *key)
-        counts = class_counts(stab, ctx)
+        counts = class_counts(spec, stab, ctx)
         for r in rows:
             values[r] = list(induce(spec, labels[r], partition, ctx, stab, counts).values)
     return CharacterTable(

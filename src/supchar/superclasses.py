@@ -194,22 +194,9 @@ def identity_index(spec: AlgebraSpec, partition) -> int:
     raise PartitionMismatch("no superclass contains the identity")
 
 
-def m_factor(spec: AlgebraSpec, fset: frozenset) -> int:
-    """Number of H-parts (or torus characters) associated with f: prod (|H_i| - 1)."""
-    return prod(spec.block_orders[i] - 1 for i in fset)
-
-
 def predicted_count(spec: AlgebraSpec, census) -> int:
-    """Superclass count from the orbit census: sum over e _|_ f of n_E(J_e) m(f)."""
-    n_e = regular_orbit_counts(census)
-    nb = len(spec.blocks)
-    total = 0
-    for emask in range(2 ** nb):
-        T = frozenset(i for i in range(nb) if emask >> i & 1)
-        if T not in n_e:
-            continue
-        rest = [i for i in range(nb) if i not in T]
-        for fmask in range(2 ** len(rest)):
-            U = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
-            total += n_e[T] * m_factor(spec, U)
-    return total
+    """Superclass count from the orbit census: sum over e of n_E(J_e) times
+    prod of |H_i| over the blocks i off e, since the f _|_ e with their
+    prod of (|H_i| - 1) over i in f sum to that product."""
+    return sum(n * prod(order for i, order in enumerate(spec.block_orders) if i not in e)
+               for e, n in regular_orbit_counts(census).items())

@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from supchar import linalg
 from supchar.cyclo import cyclotomic_poly
-from supchar.algebra import h_elements, make_triple
+from supchar.algebra import h_elements, load_algebra_file, make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -22,6 +22,12 @@ ACCEPTANCE_CONFIGS = [
     (3, 3, 1),
     (4, 2, 1),
 ]
+
+# the acceptance configurations, T(2, 5), and every spec file: the oracles of
+# enumerate_labels and predicted_count run on each
+LABEL_SPECS = ACCEPTANCE_CONFIGS + [(2, 5, 1), "dual_numbers_q3.json", "triangular_2_3.json",
+                                    "semisimple_q3.json", "zigzag_poset_q3.json"]
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
 _fields = {}
 _specs = {}
@@ -47,6 +53,15 @@ def get_partition(n, p, k=1):
     if key not in _partitions:
         _partitions[key] = superclass_partition(get_spec(n, p, k))
     return _partitions[key]
+
+
+def spec_named(name):
+    """T(n, q) for a triple (n, p, k), else a spec file of tests/ or of the
+    bundled data."""
+    if isinstance(name, tuple):
+        return get_spec(*name)
+    here = os.path.join(os.path.dirname(__file__), name)
+    return load_algebra_file(here if os.path.exists(here) else os.path.join(DATA, name))
 
 
 def dual_vectors(spec):

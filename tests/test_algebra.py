@@ -151,8 +151,8 @@ def test_block_span_must_be_a_field():
     F = get_field(3)
     # GF(3) x GF(3) declared as a single block: (1,0) has no inverse
     entries = [(0, 0, [(0, 1)]), (1, 1, [(1, 1)])]
-    raw = AlgebraSpec(F, 2, entries, [1, 1], [Block((1, 1), 1, (0, 1))], ())
-    with pytest.raises(BadIdempotents):
+    raw = AlgebraSpec(F, 2, entries, [1, 1], [Block((1, 1), 2, (0, 1))], ())
+    with pytest.raises(BadIdempotents, match="not a field"):
         validate_algebra(raw)
 
 
@@ -657,9 +657,12 @@ def test_load_error_cites_path():
     (lambda d: d["blocks"][0].__setitem__("degree", 0), "blocks[0].degree"),
     (lambda d: d["blocks"][0].__setitem__("basis", [2]), "blocks[0].basis[0]"),
     (lambda d: d["radical_basis"].append(7), "radical_basis[1]"),
+    (lambda d: d["mul"].append([1, 1, [[1, 1]]]), "mul[4]: repeats b1*b1, given by mul[3]"),
+    (lambda d: d["mul"][1][2].append([1, 1]), "mul[1][2][1]: repeats the b1 term of mul[1][2][0]"),
+    (lambda d: d["blocks"][0].__setitem__("degree", 2), "blocks[0].degree is 2, not len"),
 ], ids=["missing-radical-basis", "short-unit", "dim-not-int", "short-mul-entry",
         "negative-term-index", "zero-degree", "block-index-out-of-range",
-        "radical-index-out-of-range"])
+        "radical-index-out-of-range", "repeated-product", "repeated-term", "degree-not-basis"])
 def test_load_schema_error_names_field(mutate, field):
     with open(os.path.join(DATA, "dual_numbers_q3.json")) as fh:
         data = json.load(fh)

@@ -296,6 +296,30 @@ def _mul_index_out_of_range(data):
     return data
 
 
+def _gf9_block_of_degree_1(data):
+    """GF(9) = GF(3)[x] / (x^2 + 1) as one block of two basis vectors, J = 0,
+    declared of degree 1."""
+    data.update(dim=2, unit=[1, 0], radical_basis=[], mul=[
+        [0, 0, [[0, 1]]], [0, 1, [[1, 1]]], [1, 0, [[1, 1]]], [1, 1, [[0, 2]]]])
+    data["blocks"] = [{"idempotent": [1, 0], "degree": 1, "basis": [0, 1]}]
+    return data
+
+
+def _degree_2(data):
+    data["blocks"][0]["degree"] = 2
+    return data
+
+
+def _repeated_product(data):
+    data["mul"].append([1, 1, []])
+    return data
+
+
+def _repeated_term(data):
+    data["mul"][1] = [0, 1, [[1, 5], [1, 1]]]
+    return data
+
+
 def _spec_file(mutate):
     """Writes the dual numbers, changed by mutate, to a spec file."""
     def write(tmp_path):
@@ -318,8 +342,13 @@ def _not_utf8(tmp_path):
     (lambda tmp_path: str(tmp_path / "nope.json"), "[Errno 2] No such file or directory: {path!r}"),
     (str, "--spec {path!r}: Is a directory"),
     (_not_utf8, "--spec {path!r}: not UTF-8 text"),
+    (_spec_file(_gf9_block_of_degree_1), "blocks[0].degree is 1, not len(blocks[0].basis) = 2"),
+    (_spec_file(_degree_2), "blocks[0].degree is 2, not len(blocks[0].basis) = 1"),
+    (_spec_file(_repeated_product), "mul[4]: repeats b1*b1, given by mul[3]"),
+    (_spec_file(_repeated_term), "mul[1][2][1]: repeats the b1 term of mul[1][2][0]"),
 ], ids=["missing-blocks", "mul-index-out-of-range", "top-level-array", "missing", "directory",
-        "not-utf8"])
+        "not-utf8", "gf9-block-of-degree-1", "degree-2-block-of-dimension-1",
+        "repeated-product", "repeated-term"])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, make, field):
     path = make(tmp_path)
     for command in ("algebra", "verify", "orbits"):

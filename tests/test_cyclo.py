@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -217,6 +218,20 @@ def test_rational_operands_match_the_fraction_oracle(pair, r):
     assert (a == r) == (r == a) == (fa.coeffs == _rational(m, r).coeffs)
     assert CycloNumber.rational(m, r) == r == CycloNumber.rational(m, r)
     assert (a + r) - r == a
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), st.one_of(st.integers(), _fractions, st.fractions()))
+@example(3, 1)
+@example(6, Fraction(1, 2))
+@example(4, -1)
+@example(5, Fraction(-3, sys.hash_info.modulus))
+def test_rational_values_hash_as_their_int_or_fraction(m, r):
+    """hash agrees with ==: a rational value hashes as the int or Fraction it
+    equals, so either finds the other in a set or as a dict key."""
+    for a in (CycloNumber.rational(m, r), CycloNumber.root(m, 1) * 0 + r):
+        assert a == r and hash(a) == hash(r) == hash(Fraction(r))
+        assert len({a, r}) == 1 and {a: "x"}.get(r) == "x" and {r: "y"}.get(a) == "y"
 
 
 @pytest.mark.parametrize("op,exc", [

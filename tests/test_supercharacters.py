@@ -2,10 +2,11 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from supchar import algebra, superclasses
+from supchar import algebra, linalg, superclasses
 from supchar import supercharacters as sc
 from supchar import triangular as tri
 from supchar.algebra import (
@@ -48,9 +49,15 @@ from supchar.supercharacters import (
     xi,
 )
 
-from conftest import g_elements, get_field, get_partition, get_spec
-
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
+from conftest import (
+    DATA,
+    LABEL_SPECS,
+    g_elements,
+    get_field,
+    get_partition,
+    get_spec,
+    spec_named,
+)
 
 
 def principal_label(spec):
@@ -78,8 +85,8 @@ def test_stabilizer_e12():
     for p in (2, 3):
         s = get_spec(2, p)
         stab = stabilizer_data(s, (1,), frozenset({0, 1}))
-        assert len(stab.j_right) == p      # J_right = J since J^2 = 0
-        assert len(stab.g_lambda) == 1     # H_{e'} = {1}
+        assert stab.basis == ((1,),)       # J_right = J since J^2 = 0
+        assert stab.h_part == (s.unit,)    # H_{e'} = {1}
         assert stab.size == p
 
 
@@ -107,29 +114,64 @@ def _literal_right_stabilizer(s, lam, hs):
     return {s.mul(h, s.add(s.unit, u)) for h in hs for u in right}
 
 
-def _elements(stab):
-    """The elements of G_lambda, over every h."""
-    return {g for part in stab.g_lambda.values() for g in part}
+def _elements(s, stab):
+    """The elements h + x of G_lambda, h in H_{e'} and x in J_{lambda,right}."""
+    rad = [s.j_embed(b) for b in stab.basis]
+    return {s.add(h, x) for h in stab.h_part for x in linalg.span(s.field, rad, s.dim)}
 
 
-def _assert_recorded_exponents(s, stab):
-    """Each h (1 + u) carries the exponent of eps^{lam(h u)}, under its own h."""
+def _assert_counts_are_xi(s, stab, ctx):
+    """class_counts, shifted by theta's exponent at each h, counts the
+    elements of G_lambda per class and exponent of xi, for every theta."""
     m = s.cyclo_order
-    for h, part in stab.g_lambda.items():
-        for g, t in part.items():
-            assert s.s_part(g) == h
-            assert t == additive_char_exponent(s.field, s.form_eval(stab.lam, g), m)
+    counts = sc.class_counts(s, stab, ctx)
+    assert sorted(counts) == sorted(sc._theta_weights(s, h) for h in stab.h_part)
+    for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+        if lbl.lambda_rep != stab.lam:
+            continue
+        got = Counter()
+        for w, cells in counts.items():
+            th = sum(a * b for a, b in zip(lbl.theta, w))
+            got.update({(ci, (th + t) % m): n for ci, t, n in cells})
+        want = Counter()
+        for y in _literal_right_stabilizer(s, stab.lam, stab.h_part):
+            j = (sc.theta_exponent(s, lbl.theta, s.s_part(y)) +
+                 additive_char_exponent(s.field, s.form_eval(stab.lam, y), m)) % m
+            assert xi(s, lbl, y, stab) == CycloNumber.root(m, j)
+            want[ctx.class_of[y], j] += 1
+        assert got == want, lbl.render()
 
 
 def test_g_lambda_and_n_right_equal_the_literal_products():
     # G_lambda only: N_{mu,right} is built by the literal oracle of
     # test_n_characters_match_literal_average_over_n alone
     for name, s, _ in _literal_specs():
+        ctx = InductionContext(s, 2 ** 17)
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-            want = _literal_right_stabilizer(s, lbl.lambda_rep, list(stab.g_lambda))
-            assert _elements(stab) == want and stab.size == len(want), (name, lbl.render())
-            _assert_recorded_exponents(s, stab)
+            want = _literal_right_stabilizer(s, lbl.lambda_rep, stab.h_part)
+            assert _elements(s, stab) == want and stab.size == len(want), (name, lbl.render())
+            if lbl.theta == (0,) * len(s.blocks):
+                _assert_counts_are_xi(s, stab, ctx)
+
+
+def test_stabilizer_data_builds_no_element_of_g_lambda(monkeypatch):
+    """One product h b per h in H_{e'} and basis vector b of J_{lambda,right},
+    and no LinearMap.apply beyond the one that reads lambda's support."""
+    for name, s, _ in _literal_specs():
+        for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+            stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)    # orbits cached
+            calls = Counter()
+            for cls, fn in ((algebra.AlgebraSpec, "mul"), (algebra.LinearMap, "apply")):
+                real = getattr(cls, fn)
+                monkeypatch.setattr(cls, fn, lambda *a, _f=real, _n=fn:
+                                    calls.update([_n]) or _f(*a))
+            algebra.form_support(s, lbl.lambda_rep)
+            support_applies, calls["apply"] = calls["apply"], 0
+            stabilizer_data(s, lbl.lambda_rep, lbl.e)
+            monkeypatch.undo()
+            assert calls["apply"] == support_applies == 1, (name, lbl.render())
+            assert calls["mul"] <= len(stab.h_part) * len(stab.basis), (name, lbl.render())
 
 
 def test_form_products_are_lam_of_the_basis_products():
@@ -153,16 +195,39 @@ def test_stabilizer_data_rejects_an_h_wrongly_added_to_h_e(monkeypatch):
 
 def test_right_stabilizer_rejects_h_moving_j_right(monkeypatch):
     # lam = E13* on T(3,3) in the corner of blocks 1, 3: J_right = <E13, E23>
-    # and H_{e'} holds diag(1, 2, 1).  A left multiplication compiled wrongly,
-    # every basis vector to E12, moves J_right off itself.
-    s = get_spec(3, 3)
-    e12 = s.radical_basis[0]
+    # and H_{e'} holds diag(1, 2, 1).  A left multiplication by h != 1 computed
+    # wrongly, every radical vector to E12, moves J_right off itself.
+    s = tri.make_triangular(3, get_field(3))
+    lam, corner = (0, 1, 0), frozenset({0, 2})
+    stabilizer_data(s, lam, corner)     # orbits and supports cached
+    e12, real = s.basis_vec(s.radical_basis[0]), s.mul
 
-    def broken(spec, u, w, indices=None):
-        return algebra.LinearMap(spec.field, [((e12, 1),)] * spec.dim, spec.zero())
-    monkeypatch.setattr(sc, "sandwich_map", broken)
-    with pytest.raises(NotInStabilizer):
-        stabilizer_data(s, (0, 1, 0), frozenset({0, 2}))
+    def broken(x, y):
+        return e12 if x != s.unit and not s.in_radical(x) and s.in_radical(y) else real(x, y)
+    monkeypatch.setattr(s, "mul", broken)
+    with pytest.raises(NotInStabilizer, match="does not lie in G_lambda"):
+        stabilizer_data(s, lam, corner)
+
+
+def _literal_labels(s, dual_census):
+    """For each regular corner orbit with support e, each f _|_ e and each
+    theta nontrivial exactly on the blocks of f, sorted."""
+    nb = len(s.blocks)
+    labels = []
+    for supp, lam_rep in zip(dual_census.supports, dual_census.corner_reps):
+        rest = sorted(set(range(nb)) - supp)
+        for fmask in range(2 ** len(rest)):
+            fset = frozenset(rest[i] for i in range(len(rest)) if fmask >> i & 1)
+            opts = [range(1, s.block_orders[i]) if i in fset else [0] for i in range(nb)]
+            labels.extend(SupercharLabel(supp, fset, t, lam_rep) for t in product(*opts))
+    return sorted(labels, key=SupercharLabel.sort_key)
+
+
+@pytest.mark.parametrize("name", LABEL_SPECS, ids=str)
+def test_enumerate_labels_is_the_sum_over_f(name):
+    s = spec_named(name)
+    census = orbit_census(s, "J*")
+    assert enumerate_labels(s, census) == _literal_labels(s, census)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +259,8 @@ def test_xi_multiplicative_exhaustive():
     s = get_spec(2, 3)
     lbl = e12_label(s)
     stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-    for g1 in sorted(_elements(stab)):
-        for g2 in sorted(_elements(stab)):
+    for g1 in sorted(_elements(s, stab)):
+        for g2 in sorted(_elements(s, stab)):
             assert xi(s, lbl, s.mul(g1, g2), stab) == \
                 xi(s, lbl, g1, stab) * xi(s, lbl, g2, stab)
 
@@ -300,7 +365,7 @@ def test_induce_matches_literal_average_over_g():
         m = s.cyclo_order
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-            elements = _elements(stab)
+            elements = _elements(s, stab)
             cf = induce(s, lbl, partition, ctx, stab=stab)
             for rec, value in zip(partition, cf.values):
                 for g in rec.members:
@@ -444,7 +509,7 @@ def test_inner_products_equal_the_literal_sum():
 def _gram_tables():
     for name in [(3, 3, 1), (2, 2, 2), "zigzag_poset_q3.json", "dual_numbers_q3.json",
                  "triangular_2_3.json"]:
-        s = _spec_named(name)
+        s = spec_named(name)
         partition = superclass_partition(s)
         yield name, partition, build_table(s, partition, enumerate_labels(
             s, orbit_census(s, "J*")), 2 ** 17)
@@ -921,21 +986,13 @@ def _torus_conjugate_orbits(spec, lam, chars) -> set:
     return out
 
 
-def _spec_named(name):
-    """T(n, q) for a triple (n, p, k), else the bundled or test spec file name."""
-    if isinstance(name, tuple):
-        return get_spec(*name)
-    here = os.path.dirname(__file__)
-    return load_algebra_file(os.path.join(here if name.startswith("zigzag") else DATA, name))
-
-
 @pytest.mark.parametrize("name", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2),
                                   "dual_numbers_q3.json", "triangular_2_3.json",
                                   "zigzag_poset_q3.json"], ids=str)
 def test_restriction_support_is_the_tilde_orbit_of_lambda(name):
     """The N x N-orbits inside G~ lambda are exactly those of the torus
     conjugates of lambda, for every label."""
-    s = _spec_named(name)
+    s = spec_named(name)
     _, chars = n_characters(s, 2 ** 17)
     for lbl in enumerate_labels(s, orbit_census(s, "J*")):
         members = orbit(s, lbl.lambda_rep, "rho_dual").members
@@ -969,7 +1026,7 @@ def test_restriction_pass_enumerates_no_h_and_makes_one_gram_call(monkeypatch):
 def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
     """One from_int_poly call per distinct (|cl|, counts of xi's values on
     cl /\\ G_lambda) pair, with the counts read off xi itself."""
-    s = _spec_named(name)
+    s = spec_named(name)
     partition = superclass_partition(s)
     ctx = InductionContext(s, 2 ** 17)
     real = CycloNumber.from_int_poly
@@ -979,7 +1036,7 @@ def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
     fewer = 0
     for label in enumerate_labels(s, orbit_census(s, "J*")):
         stab = stabilizer_data(s, label.lambda_rep, label.e)
-        members = {y for part in stab.g_lambda.values() for y in part}
+        members = _elements(s, stab)
         keys = {(len(cls), frozenset(Counter(xi(s, label, y, stab)
                                              for y in cls if y in members).items()))
                 for cls in ctx.classes}
@@ -991,13 +1048,14 @@ def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
 
 
 def test_induce_rejects_a_wrong_degree():
-    """With the identity dropped from G_lambda the induced degree is 0, not
-    |G| / |G_lambda|."""
+    """With G_lambda = 1 + J moved to the coset diag(2, 1) + J, which misses
+    the identity, the induced degree is 0, not |G| / |G_lambda|."""
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
     label = SupercharLabel(frozenset({0, 1}), frozenset(), (0, 0), (1,))
     stab = stabilizer_data(s, label.lambda_rep, label.e)
-    del stab.g_lambda[s.unit][s.unit]
+    assert stab.h_part == (s.unit,)
+    stab = stab._replace(h_part=(s.add(s.unit, s.basis_vec(0)),))
     with pytest.raises(NotInStabilizer, match="degree"):
         induce(s, label, partition, InductionContext(s, 2 ** 17), stab)
 

@@ -1,5 +1,6 @@
 import os
 import random
+from math import prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from supchar.algebra import (
     load_algebra_file,
     make_triple,
     orbit_census,
+    regular_orbit_counts,
     torus_conjugations,
 )
 from supchar import superclasses
@@ -16,7 +18,6 @@ from supchar.superclasses import (
     associated_idempotent,
     classify,
     identity_index,
-    m_factor,
     predicted_count,
     r_act,
     superclass_partition,
@@ -26,15 +27,17 @@ from supchar.supercharacters import InductionContext
 from supchar import triangular as tri
 
 from conftest import (
+    DATA,
+    LABEL_SPECS,
     g_elements,
     get_field,
     get_partition,
     get_spec,
     literal_transporter_count,
     random_triple,
+    spec_named,
 )
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
 
 
@@ -112,16 +115,23 @@ def test_predicted_count_matches_partition(n, p):
     assert predicted_count(s, census) == len(get_partition(n, p))
 
 
-def test_m_factor():
-    s = get_spec(3, 3)
-    # per block of f: the number of unit-group elements different from 1
-    assert m_factor(s, frozenset()) == 1
-    assert m_factor(s, frozenset({0})) == 1
-    assert m_factor(s, frozenset({0, 1, 2})) == 1
-    s5 = tri.make_triangular(2, get_field(5))
-    assert m_factor(s5, frozenset({0})) == 3
-    s4 = get_spec(2, 2, 2)
-    assert m_factor(s4, frozenset({0, 1})) == 4
+def _literal_count(s, census) -> int:
+    """The sum over e _|_ f of n_E(J_e) m(f), m(f) = prod of (|H_i| - 1) over
+    the blocks i of f."""
+    total = 0
+    for e, n in regular_orbit_counts(census).items():
+        rest = [i for i in range(len(s.blocks)) if i not in e]
+        for fmask in range(2 ** len(rest)):
+            total += n * prod(s.block_orders[i] - 1
+                              for k, i in enumerate(rest) if fmask >> k & 1)
+    return total
+
+
+@pytest.mark.parametrize("name", LABEL_SPECS, ids=str)
+def test_predicted_count_is_the_sum_over_f(name):
+    s = spec_named(name)
+    census = orbit_census(s, "J")
+    assert predicted_count(s, census) == _literal_count(s, census)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3)])
