@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import compress, islice, product
+from itertools import compress
 from math import lcm, prod
 
 from . import linalg
@@ -64,24 +64,19 @@ class AlgebraSpec:
         self.blocks = tuple(blocks)
         self.radical_basis = tuple(radical_basis)
         self.nilpotency_class = None
-        # dense structure tensor from sparse entries [i, j, [(l, c), ...]]
-        table = [[tuple([0] * dim) for _ in range(dim)] for _ in range(dim)]
+        # _sparse[i][j]: the pairs (l, c), c != 0, of b_i b_j (entries [i, j, [(l, c)...]])
+        sparse = [[()] * dim for _ in range(dim)]
         for i, j, terms in mul_entries:
-            vec = [0] * dim
-            for l, c in terms:
-                vec[l] = c % field.p if field.k == 1 else c
-            table[i][j] = tuple(vec)
-        self.mul_table = tuple(tuple(row) for row in table)
-        self._sparse = tuple(
-            tuple(tuple((l, v) for l, v in enumerate(cell) if v) for cell in row)
-            for row in self.mul_table
-        )
+            cell = {l: c % field.p if field.k == 1 else c for l, c in terms}
+            sparse[i][j] = tuple(sorted((l, c) for l, c in cell.items() if c))
+        self._sparse = tuple(map(tuple, sparse))
         self._inv_cache: dict = {}
         self._tilde_gens = None         # certified tilde_generators
+        self._boxes: dict = {}          # tag -> its point set (box)
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
-        self._orbit_of: dict = {}       # action -> {point: its orbit}
+        self._orbit_of: dict = {}       # action -> the orbit id of each point (orbit_ids)
         self._supports: dict = {}       # is_form -> support functionals
-        self._orbit_supports: dict = {}  # orbit -> orbit_support(orbit)
+        self._orbit_supports: dict = {}  # (space, least point) -> orbit_support
         self._torus_conj = None         # y -> t^-1 y t for each torus generator t
         self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
         self._validated = False
@@ -154,12 +149,6 @@ class AlgebraSpec:
         for i, c in zip(self.radical_basis, coords):
             vec[i] = c
         return tuple(vec)
-
-    def j_vectors(self):
-        """All elements of J as full-dimension vectors, lexicographic in the
-        radical coordinates."""
-        basis = [self.basis_vec(i) for i in self.radical_basis]
-        return list(linalg.span(self.field, basis, self.dim))
 
     # -- inversion ---------------------------------------------------------
 
@@ -284,36 +273,56 @@ class _Lanes:
         return [(s := x + y) - p * (((s + bias) >> top) & ones) for x in xs for y in ys]
 
 
-def _points(field: FieldSpec, translates, coords):
-    """The points h + sum of c_i e_i (i in coords), translate by translate and
-    lexicographic in the c_i: the numbering of orbit_partition."""
-    free = set(coords)
-    values = range(field.q)
-    for h in translates:
-        yield from product(*[values if i in free else (x,) for i, x in enumerate(h)])
+class Box:
+    """The points h + sum of c_i e_i (h in translates, each zero on coords; c_i
+    in F_q), numbered as orbit_partition numbers them: point n is translate
+    n // q^len(coords) plus the base-q digits of the rest, first coordinate
+    most significant; the digits' value is the point's dot product with weights."""
+    __slots__ = ("field", "translates", "coords", "size", "weights", "_at")
+
+    def __init__(self, field: FieldSpec, translates, coords):
+        self.field, self.translates, self.coords = field, tuple(translates), tuple(sorted(coords))
+        width = field.q ** len(self.coords)
+        self.size = len(self.translates) * width
+        self.weights = tuple(width // field.q ** (self.coords.index(i) + 1) if i in self.coords
+                             else 0 for i in range(len(self.translates[0])))
+        self._at = {h: t * width for t, h in enumerate(self.translates)}
+
+    def number(self, x) -> int:
+        """The number of the point x; PointOutsideSet if x is no point."""
+        h = tuple(0 if w else c for c, w in zip(x, self.weights))
+        if h not in self._at or len(x) != len(h):
+            raise PointOutsideSet(f"{tuple(x)} is not a point of the set")
+        return self._at[h] + sum(c * w for c, w in zip(x, self.weights))
+
+    def point(self, n: int) -> tuple:
+        t, n = divmod(n, self.field.q ** len(self.coords))
+        x = list(self.translates[t])
+        for i in reversed(self.coords):
+            n, x[i] = divmod(n, self.field.q)
+        return tuple(x)
 
 
-def orbit_partition(field: FieldSpec, translates, coords, maps) -> list[frozenset]:
-    """The orbits on P = union of the translates h + V, V = span(e_i : i in
-    coords), of the group the affine maps (LinearMap) generate, as frozensets
-    of tuples in order of their least member.
+def orbit_partition(box: Box, maps) -> list[array]:
+    """The orbits on the points of box of the group the affine maps
+    (LinearMap) generate, each an array('I') of point numbers (Box) with its
+    least point first, in order of their least point.
 
-    Every translate is zero on coords, and every map must permute P: a map
-    that sends a point out of P raises PointOutsideSet.  A finite group is
-    generated by any generating set as a semigroup, so the closures under the
-    maps, applied without inverses, are exactly the orbits.
+    Every map must permute the points (else PointOutsideSet).  A finite group
+    is generated by any generating set as a semigroup, so the closures under
+    the maps, applied without inverses, are exactly the orbits.
 
-    Points are packed ints (_Lanes) over the active coordinates, those of V
-    and those where the translates differ; every point agrees with the first
-    translate h0 off them.  A map's image table comes from linearity:
+    Points are coded as packed ints (_Lanes) over the active coordinates, the
+    coords and those where the translates differ; every point agrees with the
+    first translate h0 off them.  A map's image table comes from linearity:
     x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum M (c_i e_i).
     Off the active coordinates M h + shift must equal h0 and each M e_i must
-    vanish (else the image of h, or of h0 + e_i, leaves P).  From the q codes
-    of M (c e_i) per coordinate the table is then built coordinate by
+    vanish (else the image of h, or of h0 + e_i, leaves the box).  From the q
+    codes of M (c e_i) per coordinate the table is then built coordinate by
     coordinate, at about one packed add per point.  The closures are a BFS
     over these int tables.
     """
-    coords = sorted(coords)
+    field, translates, coords = box.field, box.translates, box.coords
     h0 = translates[0]
     lanes = _Lanes(field, sorted({*coords, *(i for h in translates
                                              for i, x in enumerate(h) if x != h0[i])}))
@@ -354,25 +363,46 @@ def orbit_partition(field: FieldSpec, translates, coords, maps) -> list[frozense
             tables.append(array("I", map(index.__getitem__, images)))
         except KeyError:
             n = next(n for n, c in enumerate(images) if c not in index)
-            x = next(islice(_points(field, translates, coords), n, None))
-            raise PointOutsideSet(f"a map sends {x} outside its point set") from None
+            raise PointOutsideSet(f"a map sends {box.point(n)} outside its point set") from None
+    del index
     seen = bytearray(len(codes))
     orbits = []
     for start in range(len(codes)):
         if not seen[start]:
             seen[start] = 1
-            members = [start]
+            members = array("I", [start])
             for v in members:
                 for table in tables:
                     w = table[v]
                     if not seen[w]:
                         seen[w] = 1
                         members.append(w)
+            least = members.index(min(members, key=codes.__getitem__))
+            members[0], members[least] = members[least], members[0]
             orbits.append(members)
-    orbits.sort(key=lambda o: min(map(codes.__getitem__, o)))
-    del tables, index, codes        # freed before the point tuples are built
-    points = list(_points(field, translates, coords))
-    return [frozenset(map(points.__getitem__, o)) for o in orbits]
+    orbits.sort(key=lambda o: codes[o[0]])
+    return orbits
+
+
+def orbit_ids(orbits, size: int) -> array:
+    """The position in orbits of the orbit of every point number below size,
+    -1 for a point in none: the one reverse index of a partition."""
+    ids = array("i", [-1]) * size
+    for i, o in enumerate(orbits):
+        for n in o:
+            ids[n] = i
+    return ids
+
+
+def box(spec: AlgebraSpec, tag: str) -> Box:
+    """The point set tag of spec, built once: "G" = H + J, "H", "N" = 1 + J and
+    "J" as full vectors, "J*" in radical coordinates."""
+    if tag not in spec._boxes:
+        hs, nu = h_elements(spec) if tag in ("G", "H") else None, len(spec.radical_basis)
+        spec._boxes[tag] = Box(spec.field, *{
+            "G": (hs, spec.radical_basis), "H": (hs, ()), "N": ([spec.unit], spec.radical_basis),
+            "J": ([spec.zero()], spec.radical_basis), "J*": ([(0,) * nu], range(nu))}[tag])
+    return spec._boxes[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +489,6 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
         for i in sub:
             if times(idems[bi], {i: 1}) != {i: 1} or times({i: 1}, idems[bi]) != {i: 1}:
                 raise BadIdempotents(f"blocks[{bi}]: idempotent is not a unit of the block")
-        # every nonzero block element must be invertible inside the block
-        for z in linalg.span(F, [spec.basis_vec(i) for i in sub], d):
-            if z == spec.zero():
-                continue
-            cols = [times(vec(z), {j: 1}) for j in sub]
-            rows = [[col.get(l, 0) for col in cols] for l in sub]
-            rhs = [blk.idempotent[l] for l in sub]
-            if linalg.solve(F, rows, rhs) is None:
-                raise BadIdempotents(f"blocks[{bi}]: span is not a field (no inverse for {z})")
 
     # SJ, JS, JJ land in J
     for i in range(d):
@@ -502,20 +523,21 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 
 def _build_block_data(spec: AlgebraSpec):
     """Per-block unit sets, multiplicative generators, discrete logs and
-    orders |H_i|."""
+    orders |H_i|.  A block's span is a field (else BadIdempotents) exactly when
+    the powers of one element pass every nonzero element and return to its unit."""
     spec.block_units, spec.block_gen, spec.block_dlog = [], [], []
-    for blk in spec.blocks:
+    for bi, blk in enumerate(spec.blocks):
         elems = linalg.span(spec.field, [spec.basis_vec(i) for i in blk.basis], spec.dim)
         units = sorted(z for z in elems if z != spec.zero())
-        for gen in units:   # the powers of a unit of the block field return to its 1
+        for gen in units:
             dlog, cur = {}, blk.idempotent
             while cur not in dlog:
                 dlog[cur] = len(dlog)
                 cur = spec.mul(cur, gen)
-            if len(dlog) == len(units):
+            if cur == blk.idempotent and len(dlog) == len(units):
                 break
         else:
-            raise BadIdempotents("block span has no multiplicative generator")
+            raise BadIdempotents(f"blocks[{bi}]: span is not a field")
         spec.block_units.append(tuple(units))
         spec.block_gen.append(gen)
         spec.block_dlog.append(dlog)
@@ -612,10 +634,11 @@ def torus_generators(spec: AlgebraSpec) -> list:
             for i, blk in enumerate(spec.blocks) if spec.block_orders[i] > 1]
 
 
-def _generated_order(spec: AlgebraSpec, ts) -> int:
-    """The order of the subgroup of H that the elements ts generate: the BFS
-    closure of the unit under right multiplication by them."""
-    return len(closure(spec.unit, [sandwich_map(spec, spec.unit, t).apply for t in ts]))
+def _generated_order(spec: AlgebraSpec, tag: str, xs) -> int:
+    """The order of the subgroup of H (tag "H") or N ("N") that xs generate: the
+    orbit of the unit under right multiplication by them, which permutes the box."""
+    unit, maps = box(spec, tag).number(spec.unit), [sandwich_map(spec, spec.unit, x) for x in xs]
+    return len(next(o for o in orbit_partition(box(spec, tag), maps) if unit in o))
 
 
 def torus_conjugations(spec: AlgebraSpec) -> list:
@@ -626,7 +649,7 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
     proved once per spec."""
     if spec._torus_conj is None:
         gens = torus_generators(spec)
-        size, order = _generated_order(spec, gens), prod(spec.block_orders)
+        size, order = _generated_order(spec, "H", gens), prod(spec.block_orders)
         if size != order:
             raise NotGenerating(f"the torus generators generate a subgroup of order "
                                 f"{size} of H, which has order {order}")
@@ -675,14 +698,14 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
     G~ exactly when their t-parts generate H and their a-parts and b-parts each
     generate N.  Each of these is the closure of the unit under right
     multiplication, which lies in H (or N) and so equals it exactly when it
-    has |H| (or |N| = q^{dim J}) elements.  The t-parts close by a BFS over
-    tuples.  Each a- or b-part lies in N, so right multiplication by it
-    permutes the box 1 + J, and the parts' closure of the unit is its orbit
-    in the kernel's partition of that box (orbit_partition).  The b-parts need
-    no closure of their own when they equal the a-parts.
+    has |H| (or |N| = q^{dim J}) elements.  Right multiplication by a part
+    permutes the box H (or 1 + J) that the part lies in, so the closure is
+    the orbit of the unit in the kernel's partition of that box
+    (_generated_order).  The b-parts need no closure of their own when they
+    equal the a-parts.
     """
     unit = spec.unit
-    h_set = set(h_elements(spec))
+    h_set = set(box(spec, "H").translates)
     parts = {"t": set(), "a": set(), "b": set()}
     for g in gens:
         moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
@@ -692,17 +715,8 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
             if not (x in h_set if k == "t" else spec.in_radical(spec.sub(x, unit))):
                 raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
             parts[k].add(x)
-    n_order = spec.field.q ** len(spec.radical_basis)
-    checks = [("t", "H", len(h_set)), ("a", "N", n_order)]
-    if parts["b"] != parts["a"]:
-        checks.append(("b", "N", n_order))
-    for k, name, order in checks:
-        if k == "t":
-            size = _generated_order(spec, sorted(parts[k]))
-        else:
-            maps = [sandwich_map(spec, unit, x) for x in sorted(parts[k])]
-            box = orbit_partition(spec.field, [unit], spec.radical_basis, maps)
-            size = len(next(o for o in box if unit in o))
+    for k, name in [("t", "H"), ("a", "N")] + [("b", "N")] * (parts["b"] != parts["a"]):
+        size, order = _generated_order(spec, name, sorted(parts[k])), box(spec, name).size
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")
@@ -724,16 +738,11 @@ def space_orbits(spec: AlgebraSpec, action: str) -> list[OrbitRecord]:
     kernel's closures (orbit_partition) under the certified generators,
     compiled and partitioned once per action and spec."""
     if action not in spec._orbits:
-        gens = certified_generators(spec)
-        nu = len(spec.radical_basis)
-        if action == "rho":
-            parts = orbit_partition(spec.field, [spec.zero()], spec.radical_basis,
-                                    [rho_map(spec, g) for g in gens])
-        else:
-            parts = orbit_partition(spec.field, [(0,) * nu], range(nu),
-                                    [rho_dual_map(spec, g) for g in gens])
-        tag = "J" if action == "rho" else "J*"
-        spec._orbits[action] = [OrbitRecord(m, min(m), tag) for m in parts]
+        tag, compile_map = ("J", rho_map) if action == "rho" else ("J*", rho_dual_map)
+        points = box(spec, tag)
+        parts = orbit_partition(points, [compile_map(spec, g) for g in certified_generators(spec)])
+        spec._orbits[action] = [OrbitRecord(m, points.point(m[0]), tag) for m in parts]
+        spec._orbit_of[action] = orbit_ids(parts, points.size)
     return spec._orbits[action]
 
 
@@ -749,13 +758,10 @@ def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
     J_e, so the corner orbit and the G~-orbit share their support and
     canonical representative (orbit_support).
     """
-    start = tuple(start)
     if action == "rho" and not spec.in_radical(start):
-        raise NotInRadical(f"{start} has a nonzero S-component")
-    if action not in spec._orbit_of:
-        spec._orbit_of[action] = {v: rec for rec in space_orbits(spec, action)
-                                  for v in rec.members}
-    return spec._orbit_of[action][start]
+        raise NotInRadical(f"{tuple(start)} has a nonzero S-component")
+    orbits, points = space_orbits(spec, action), box(spec, "J" if action == "rho" else "J*")
+    return orbits[spec._orbit_of[action][points.number(start)]]
 
 
 # ---------------------------------------------------------------------------
@@ -809,18 +815,16 @@ def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple
     the orbit meets) and the least member w with support T, the canonical
     representative of the orbit's corner part.  Proved once per orbit and
     spec: the census, classify and stabilizer_data share the result."""
-    if orb not in spec._orbit_supports:
+    if (key := (orb.space_tag, orb.members[0])) not in spec._orbit_supports:
         supp = element_support if orb.space_tag == "J" else form_support
-        least: dict = {}
-        for v in orb.members:
-            t = supp(spec, v)
-            if t not in least or v < least[t]:
-                least[t] = v
+        least: dict = {}    # on J and J*, number order is point order
+        for v in map(box(spec, orb.space_tag).point, sorted(orb.members)):
+            least.setdefault(supp(spec, v), v)
         minimal = [t for t in least if not any(u < t for u in least)]
         if len(minimal) != 1:
             raise NotRegular(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
-        spec._orbit_supports[orb] = minimal[0], least[minimal[0]]
-    return spec._orbit_supports[orb]
+        spec._orbit_supports[key] = minimal[0], least[minimal[0]]
+    return spec._orbit_supports[key]
 
 
 def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:

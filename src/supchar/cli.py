@@ -44,7 +44,7 @@ def _space_bound(args) -> int:
 
 
 def _field(args):
-    return field_make(args.p, 1 if args.k is None else args.k)
+    return field_make(args.p, 1 if args.k is None else args.k, ("--p", "--k"))
 
 
 def _write(path, text, flag="--out"):

@@ -181,15 +181,15 @@ def _finish(p, k, modulus, generator, exp, log):
     return spec._replace(frob=tuple(spec.pow(a, p) if a else 0 for a in range(q)))
 
 
-def field_make(p: int, k: int = 1) -> FieldSpec:
-    """Build GF(p^k) with the smallest primitive modulus and its root as generator."""
+def field_make(p: int, k: int = 1, names=("p", "k")) -> FieldSpec:
+    """GF(p^k), smallest primitive modulus, its root the generator; errors name p, k by names."""
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{names[0]}: {p} is not prime")
     if k < 1:
-        raise DegreeTooLarge(f"extension degree must be >= 1, got {k}")
+        raise DegreeTooLarge(f"{names[1]}: extension degree must be >= 1, got {k}")
     q = p ** k
     if q > DEFAULT_SIZE_BOUND:
-        raise DegreeTooLarge(f"field size {q} exceeds bound {DEFAULT_SIZE_BOUND}")
+        raise DegreeTooLarge(f"{names[k > 1]}: field size {q} exceeds bound {DEFAULT_SIZE_BOUND}")
 
     if k == 1:
         for g in range(1, p):

@@ -6,18 +6,20 @@ from collections import Counter, defaultdict, namedtuple
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .algebra import (
     AlgebraSpec,
     OrbitRecord,
     block_component,
+    box,
     certified_generators,
     form_support,
     group_order,
     h_elements,
     orbit,
+    orbit_ids,
     orbit_partition,
     orbit_support,
     rho_dual_map,
@@ -33,7 +35,7 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import identity_index, r_map, superclass_index
+from .superclasses import identity_index, r_map
 
 
 class SupercharLabel(namedtuple("SupercharLabel", [
@@ -138,37 +140,39 @@ class InductionContext:
         if self.order > bound:
             raise GroupTooLarge(f"|G| = {self.order} exceeds bound {bound}")
         gens = certified_generators(spec)
-        parts = {g.a for g in gens} | {g.t for g in gens}
-        parts.discard(spec.unit)
+        parts = {x for g in gens for x in (g.a, g.t)} - {spec.unit}
         maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
-        self.classes = orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)
-        self.class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls}
+        self.classes = orbit_partition(box(spec, "G"), maps)
+        self.class_of = orbit_ids(self.classes, self.order)
         self.values: dict = {}
-        self._meets = (None, None)
+        self._meets = (None, None, None)
 
-    def meets(self, partition) -> list[set]:
+    def meets(self, spec: AlgebraSpec, partition) -> tuple[list[set], int]:
         """The set of conjugacy classes each superclass of partition meets, in
-        partition order: every element's class looked up once per partition."""
+        partition order, and identity_index: both looked up once per partition."""
         if self._meets[0] is not partition:
             self._meets = partition, [{self.class_of[g] for g in rec.members}
-                                      for rec in partition]
-        return self._meets[1]
+                                      for rec in partition], identity_index(spec, partition)
+        return self._meets[1:]
 
 
 def class_counts(spec: AlgebraSpec, stab: StabilizerData, ctx: InductionContext) -> dict:
     """{w: [(ci, t, n)]}: n elements h + x of G_lambda (x in J_{lam,right}) lie
     in the conjugacy class ci and have eps^{lam(x)} = zeta_m^t, for the h of
-    theta weights w.  As h fixes lam, xi(h + x) = theta(h) eps^{lam(x)}: the x
-    and the exponents of lam(x) are two spans in one coefficient order, shared
-    by every h.  Built once per stabilizer; a label shifts t by theta(h)."""
+    theta weights w.  As h fixes lam, xi(h + x) = theta(h) eps^{lam(x)}: one span
+    of the (x, lam(x)) in radical coordinates gives each x's point number in J
+    and exponent, shared by every h.  Built once per stabilizer; a label
+    shifts t by theta(h)."""
     F, m, class_of = spec.field, spec.cyclo_order, ctx.class_of
     eps = [additive_char_exponent(F, c, m) for c in F.elements()]
-    basis = [spec.j_embed(b) for b in stab.basis]
-    xs = list(linalg.span(F, basis, spec.dim))
-    ts = [eps[v] for v, in linalg.span(F, [(spec.form_eval(stab.lam, b),) for b in basis], 1)]
+    rows = [(*b, spec.form_eval(stab.lam, spec.j_embed(b))) for b in stab.basis]
+    weights = [box(spec, "J").weights[i] for i in spec.radical_basis]   # map stops at lam(x)
+    xs, ts = zip(*[(sum(map(mul, v, weights)), eps[v[-1]])
+                   for v in linalg.span(F, rows, len(weights) + 1)])
     out = {}
-    for h in stab.h_part:   # h and x have disjoint supports, so h + x adds as ints
-        cells = Counter(zip([class_of[tuple(map(add, h, x))] for x in xs], ts))
+    for h in stab.h_part:   # point h + x of G is number(h) plus the number of x in J
+        base = box(spec, "G").number(h)
+        cells = Counter(zip([class_of[base + x] for x in xs], ts))
         out[_theta_weights(spec, h)] = [(ci, t, n) for (ci, t), n in cells.items()]
     return out
 
@@ -208,14 +212,14 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
         return got
 
     values = []
-    for rec, classes in zip(partition, ctx.meets(partition)):
+    meets, idx = ctx.meets(spec, partition)
+    for rec, classes in zip(partition, meets):
         first, *rest = classes
         val = value_of(first)
         if any(value_of(ci) is not val for ci in rest):
             raise NotConstantOnSuperclass(f"induced character varies on {rec.representative}")
         values.append(val)
 
-    idx = identity_index(spec, partition)
     degree = values[idx]
     if not degree.is_rational() or degree.nums[0] * stab.size != ctx.order * degree.den:
         raise NotInStabilizer(f"degree {degree.render()} != |G|/|G_lambda| = "
@@ -411,7 +415,7 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
                 for j in range(i + 1, nrows) if not gram[i][j].is_zero()), "")
     out.append(CheckResult("disjoint", not bad, bad or "all off-diagonal inner products 0"))
 
-    member_to_class = superclass_index(partition)
+    member_to_class = orbit_ids([r.members for r in partition], table.group_order)
     refines = all(len({member_to_class[g] for g in cls}) == 1 for cls in conj_classes)
     out.append(CheckResult("conjugacy-refinement", refines,
                            f"{len(conj_classes)} conjugacy classes"))
@@ -446,9 +450,8 @@ def nn_orbits(spec: AlgebraSpec):
     The certified generators of G~ with t = 1 generate 1 x (N x N): their
     a-parts and b-parts each generate N, which is what certified_generators proved."""
     maps = [rho_dual_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
-    nu = len(spec.radical_basis)
-    return [OrbitRecord(m, min(m), "J*")
-            for m in orbit_partition(spec.field, [(0,) * nu], range(nu), maps)]
+    return [OrbitRecord(m, box(spec, "J*").point(m[0]), "J*")
+            for m in orbit_partition(box(spec, "J*"), maps)]
 
 
 def n_characters(spec: AlgebraSpec, bound: int):
@@ -458,15 +461,14 @@ def n_characters(spec: AlgebraSpec, bound: int):
     psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in O (Diaconis &
     Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) -> mu(b_r b_c)), with norm
     psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is additive in nu, so one table
-    per representative 1 + x holds it for every nu in J* (lexicographic)."""
+    per representative 1 + x holds it for every nu in J* (by point number)."""
     F, rad, m = spec.field, spec.radical_basis, spec.cyclo_order
     if F.q ** len(rad) > bound:
         raise GroupTooLarge(f"|N| = {F.q ** len(rad)} exceeds bound {bound}")
     maps = [r_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
-    n_part = [OrbitRecord(c, min(c), "N") for c in orbit_partition(F, [spec.unit], rad, maps)]
+    n_part = [OrbitRecord(c, box(spec, "N").point(c[0]), "N")
+              for c in orbit_partition(box(spec, "N"), maps)]
     orbits = nn_orbits(spec)
-    index = {v: i for i, v in enumerate(product(range(F.q), repeat=len(rad)))}
-    members = [[index[v] for v in orb.members] for orb in orbits]
     degrees = [F.q ** linalg.rank(F, [[lam_b[r][c] for c in rad] for r in rad])
                for lam_b in (spec.form_products(orb.representative) for orb in orbits)]
     values, reduced = [[] for _ in orbits], {}      # each distinct value reduced once
@@ -475,11 +477,11 @@ def n_characters(spec: AlgebraSpec, bound: int):
         for x in reversed(spec.j_coords(rec.representative)):
             steps = [F.trace(F.mul(c, x)) for c in range(F.q)]
             traces = [s + t for s in steps for t in traces] if x else traces * F.q
-        for vals, mem, degree in zip(values, members, degrees):
+        for vals, orb, degree in zip(values, orbits, degrees):
             poly = [0] * m
-            for t, n in Counter(map(traces.__getitem__, mem)).items():
+            for t, n in Counter(map(traces.__getitem__, orb.members)).items():
                 poly[t % F.p * (m // F.p)] += n * degree
-            if (key := (tuple(poly), len(mem))) not in reduced:
+            if (key := (tuple(poly), len(orb.members))) not in reduced:
                 reduced[key] = CycloNumber.from_int_poly(m, *key)
             vals.append(reduced[key])
     return n_part, [(orb, ClassFunction(tuple(vals), CycloNumber.rational(m, degree)),
@@ -497,11 +499,12 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
     (lambda o c_t)(a'^-1 x b') with a' = t a t^-1, b' = t b t^-1 in N.  One Gram
     call gives every c_mu; the sum is rebuilt exactly on integer rows."""
     n_part, chars = n_characters(spec, bound)
-    index = superclass_index(partition)
+    G = box(spec, "G")
+    index, base = orbit_ids([r.members for r in partition], G.size), G.number(spec.unit)
     cols = []
-    for rec in n_part:
-        first, *rest = {index.get(g) for g in rec.members}
-        if rest or first is None:
+    for rec in n_part:   # point n of N = 1 + J is point base + n of G
+        first, *rest = {index[base + n] for n in rec.members}
+        if rest or first < 0:
             raise PartitionMismatch(f"the N-superclass of {rec.representative} "
                                     "does not lie in one superclass of G")
         cols.append(first)
@@ -512,14 +515,14 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
     ones = [1] * len(n_part)
     psi_rows = [_integer_rows(psi.values, ones) for _, psi, _ in chars]
     for r, (lbl, res) in enumerate(zip(labels, restrictions)):
-        allowed = orbit(spec, lbl.lambda_rep, "rho_dual").members
+        allowed = set(orbit(spec, lbl.lambda_rep, "rho_dual").members)    # J* numbers
         terms = [((-1, 1), _integer_rows(res.values, ones))]
         for (orb, _, norm), row, rows in zip(chars, nums, psi_rows):
             if not row[r].is_rational():
                 break
             # c_mu = <res, psi> / <psi, psi>, both rational; norm = psi(1)^2 / |O| > 0
             cn, cd = ratio(row[r].nums[0] * norm.den, row[r].den * norm.nums[0])
-            if cn < 0 or (cn and orb.representative not in allowed):
+            if cn < 0 or (cn and orb.members[0] not in allowed):
                 break
             if cn:
                 terms.append(((cn, cd), rows))

@@ -12,10 +12,10 @@ from .algebra import (
     TildeTriple,
     associated_support,
     block_component,
+    box,
     certified_generators,
     closure,
     group_order,
-    h_elements,
     idempotent_of,
     orbit,
     orbit_partition,
@@ -70,19 +70,15 @@ def _product_maps(spec: AlgebraSpec) -> tuple[LinearMap, LinearMap]:
     v-columns of transporter_count's system.  Read off the structure
     constants once per spec, with no mul."""
     if spec._radical_products is None:
-        F = spec.field
-        rad = spec.radical_basis
-        nu = len(rad)
-        table = spec.mul_table
+        F, sp = spec.field, spec._sparse
+        rad, nu = spec.radical_basis, len(spec.radical_basis)
+        pos = {b: l for l, b in enumerate(rad)}     # J is an ideal: b_r y, y b_r lie in J
         left = [[] for _ in range(spec.dim)]
         right = [[] for _ in range(spec.dim)]
         for i in range(spec.dim):
-            for l, bl in enumerate(rad):
-                for r, br in enumerate(rad):
-                    if table[br][i][bl]:
-                        left[i].append((l * nu + r, table[br][i][bl]))
-                    if table[i][br][bl]:
-                        right[i].append((l * nu + r, F.neg(table[i][br][bl])))
+            for r, br in enumerate(rad):
+                left[i] += [(pos[l] * nu + r, c) for l, c in sp[br][i]]
+                right[i] += [(pos[l] * nu + r, F.neg(c)) for l, c in sp[i][br]]
         spec._radical_products = (LinearMap(F, left, [0] * nu * nu),
                                   LinearMap(F, right, [0] * nu * nu))
     return spec._radical_products
@@ -133,8 +129,10 @@ def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:
 
 
 def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
-    """Quadruple label of a superclass, via the constructive two-step reduction."""
-    g = min(members)
+    """Quadruple label of a superclass, via the constructive two-step
+    reduction; members are the class's point numbers in box G, least first."""
+    G = box(spec, "G")
+    g = G.point(members[0])
     h = spec.s_part(g)
     x = spec.j_part(g)
     fset = associated_idempotent(spec, h)
@@ -155,11 +153,11 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
         y = spec.mul(u, y1)
         if spec.mul(f, y) != spec.zero() or spec.mul(y, f) != spec.zero():
             raise ReductionFailed("reduced part is not in the f' corner")
-        if spec.add(h, y) not in members:
+        if G.number(spec.add(h, y)) not in members:
             raise ReductionFailed("reduced element left the superclass")
 
     T, omega_rep = orbit_support(spec, orbit(spec, y, "rho"))
-    if spec.add(h, omega_rep) not in members:
+    if G.number(spec.add(h, omega_rep)) not in members:
         raise ReductionFailed("canonical corner representative left the superclass")
     return SuperclassLabel(T, fset, h, omega_rep)
 
@@ -174,22 +172,18 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    maps = [r_map(spec, tau) for tau in certified_generators(spec)]
-    records = [SuperclassRecord(classify(spec, m), m, min(m)) for m in
-               orbit_partition(spec.field, h_elements(spec), spec.radical_basis, maps)]
+    maps, G = [r_map(spec, tau) for tau in certified_generators(spec)], box(spec, "G")
+    records = [SuperclassRecord(classify(spec, m), m, G.point(m[0]))
+               for m in orbit_partition(G, maps)]
     if len({r.label for r in records}) != len(records):
         raise PartitionMismatch("distinct superclasses share a label")
     return records
 
 
-def superclass_index(partition) -> dict:
-    """{g: i} for every element g of the superclass partition[i]."""
-    return {g: ci for ci, rec in enumerate(partition) for g in rec.members}
-
-
 def identity_index(spec: AlgebraSpec, partition) -> int:
+    unit = box(spec, "G").number(spec.unit)
     for i, rec in enumerate(partition):
-        if spec.unit in rec.members:
+        if unit in rec.members:
             return i
     raise PartitionMismatch("no superclass contains the identity")
 

@@ -7,8 +7,8 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .algebra import (DEFAULT_GROUP_BOUND, AlgebraSpec, Block, group_order, orbit_census,
-                      validate_algebra)
+from .algebra import (DEFAULT_GROUP_BOUND, AlgebraSpec, Block, box, group_order, orbit_census,
+                      orbit_ids, validate_algebra)
 from .errors import BadSize, PartitionMismatch
 from .fields import FieldSpec
 
@@ -325,9 +325,8 @@ def class_record_map(spec: AlgebraSpec, n: int, class_labels, partition):
     """Bijection from (h, D') labels to superclass records via g_{h,D'};
     PartitionMismatch unless each g_{h,D'} lies in a superclass (-1 marks one
     that does not) and they meet every superclass once."""
-    from .superclasses import superclass_index
-    member_to_idx = superclass_index(partition)
-    mapping = [member_to_idx.get(class_rep(spec, n, lbl), -1) for lbl in class_labels]
+    index = orbit_ids([r.members for r in partition], box(spec, "G").size)
+    mapping = [index[box(spec, "G").number(class_rep(spec, n, lbl))] for lbl in class_labels]
     if sorted(mapping) != list(range(len(partition))):
         raise PartitionMismatch("triangular labels do not biject onto the superclass partition")
     return mapping

@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from supchar import linalg
 from supchar.cyclo import cyclotomic_poly
-from supchar.algebra import h_elements, load_algebra_file, make_triple
+from supchar.algebra import box, h_elements, load_algebra_file, make_triple
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -64,14 +64,29 @@ def spec_named(name):
     return load_algebra_file(here if os.path.exists(here) else os.path.join(DATA, name))
 
 
+def j_vectors(spec):
+    """All of J as full vectors, lexicographic in the radical coordinates,
+    spanned from the radical basis independently of the package's Box."""
+    basis = [spec.basis_vec(i) for i in spec.radical_basis]
+    return list(linalg.span(spec.field, basis, spec.dim))
+
+
 def dual_vectors(spec):
     """All of J* in radical coordinates."""
-    return [spec.j_coords(x) for x in spec.j_vectors()]
+    return [spec.j_coords(x) for x in j_vectors(spec)]
 
 
 def g_elements(spec):
     """All of G = H + J (every h + x with h in H is invertible)."""
-    return [spec.add(h, x) for h in h_elements(spec) for x in spec.j_vectors()]
+    return [spec.add(h, x) for h in h_elements(spec) for x in j_vectors(spec)]
+
+
+def points_of(spec, rec, tag=None) -> frozenset:
+    """The members of a record, or an array of point numbers, as the set of
+    their points, decoded by box(spec, tag): tag defaults to the record's
+    space_tag, else "G" (superclasses and conjugacy classes)."""
+    tag = tag or getattr(rec, "space_tag", "G")
+    return frozenset(map(box(spec, tag).point, getattr(rec, "members", rec)))
 
 
 def closure(start, maps) -> set:

@@ -25,7 +25,7 @@ from supchar.supercharacters import (
 )
 from supchar import triangular as tri
 
-from conftest import get_field, get_partition, get_spec
+from conftest import get_field, get_partition, get_spec, points_of
 
 CONFIGS = [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1)]
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
@@ -96,7 +96,7 @@ def test_ac4_orbit_theory():
         assert cj.residual == 0 and cd.residual == 0
         for census, is_form in ((cj, False), (cd, True)):
             for orb in census.orbits:
-                flags = {is_singular(spec, v, is_form) for v in orb.members}
+                flags = {is_singular(spec, v, is_form) for v in points_of(spec, orb)}
                 assert len(flags) == 1, f"t({n},{p}): singularity not orbit-constant"
         for d in tri.basic_subsets(n):
             want = tri.is_regular_D(d, n)

@@ -1,4 +1,5 @@
 import copy
+from array import array
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from supchar.algebra import (
     AlgebraSpec,
     Block,
     block_component,
+    box,
     certify_generators,
     element_support,
     form_support,
@@ -45,7 +47,8 @@ from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
 from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
-from conftest import dual_vectors, g_elements, get_field, get_spec, random_triple
+from conftest import (dual_vectors, g_elements, get_field, get_spec, j_vectors, points_of,
+                      random_triple)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -156,6 +159,18 @@ def test_block_span_must_be_a_field():
         validate_algebra(raw)
 
 
+def test_block_span_with_a_nilpotent_must_be_refused():
+    # F_2[x]/(x^2) declared as one degree-2 block: the powers 1, x, 0 of x
+    # number the three nonzero elements' count but never return to 1
+    F = get_field(2)
+    entries = [(0, 0, [(0, 1)]), (0, 1, [(1, 1)]), (1, 0, [(1, 1)])]
+    raw = AlgebraSpec(F, 2, entries, [1, 0], [Block((1, 0), 2, (0, 1))], ())
+    with pytest.raises(BadIdempotents, match=r"blocks\[0\]: span is not a field"):
+        algebra._build_block_data(raw)
+    with pytest.raises(BadIdempotents, match=r"blocks\[0\]: span is not a field"):
+        validate_algebra(raw)
+
+
 def test_gf4_block_torus():
     """A block that is a genuine quadratic extension: A = GF(4) (+) 0."""
     F = get_field(2, 2)
@@ -198,7 +213,7 @@ def test_invert_whole_group():
 def test_rho_identity_triple():
     s = get_spec(3, 2)
     tau = make_triple(s, s.unit, s.unit, s.unit)
-    for x in s.j_vectors():
+    for x in j_vectors(s):
         assert rho(s, tau, x) == x
     for lam in dual_vectors(s):
         assert rho_dual(s, tau, lam) == lam
@@ -241,7 +256,7 @@ def _triple_product(s, t1, t2):
 def test_rho_is_a_group_action(n, p, k):
     s = get_spec(n, p, k)
     rng = random.Random(5)
-    xs = s.j_vectors()
+    xs = j_vectors(s)
     lams = dual_vectors(s)
     for _ in range(1000):
         t1 = random_triple(s, rng)
@@ -259,7 +274,7 @@ def test_rho_dual_pairing():
     rng = random.Random(9)
     for _ in range(200):
         tau = random_triple(s, rng)
-        for x in s.j_vectors():
+        for x in j_vectors(s):
             lam = tuple(rng.randrange(2) for _ in s.radical_basis)
             lhs = s.form_eval(rho_dual(s, tau, lam), s.j_embed(s.j_coords(rho(s, tau, x))))
             assert lhs == s.form_eval(lam, x)
@@ -271,16 +286,16 @@ def test_rho_dual_pairing():
 
 def test_orbit_of_zero():
     s = get_spec(2, 2)
-    assert orbit(s, s.zero(), "rho").members == {s.zero()}
+    assert points_of(s, orbit(s, s.zero(), "rho")) == {s.zero()}
 
 
 def test_orbit_examples():
     s22 = get_spec(2, 2)
     e12 = basis_vec(s22, 2)
-    assert orbit(s22, e12, "rho").members == {e12}
+    assert points_of(s22, orbit(s22, e12, "rho")) == {e12}
     s23 = get_spec(2, 3)
     e12 = basis_vec(s23, 2)
-    got = orbit(s23, e12, "rho").members
+    got = points_of(s23, orbit(s23, e12, "rho"))
     assert got == {e12, s23.smul(2, e12)}
 
 
@@ -288,15 +303,14 @@ def test_orbit_representative_is_minimal():
     s = get_spec(3, 3)
     census = orbit_census(s, "J")
     for orb in census.orbits:
-        assert orb.representative == min(orb.members)
+        assert orb.representative == min(points_of(s, orb))
 
 
 def test_orbits_come_in_representative_order_for_any_radical_basis_order():
     # listing the radical basis backwards makes J enumerate out of vector
     # order, so the orbits and superclasses must still be sorted afterwards
     s = get_spec(3, 3)
-    entries = [(i, j, [(l, c) for l, c in enumerate(cell) if c])
-               for i, row in enumerate(s.mul_table) for j, cell in enumerate(row)]
+    entries = [(i, j, list(cell)) for i, row in enumerate(s._sparse) for j, cell in enumerate(row)]
     rev = validate_algebra(AlgebraSpec(s.field, s.dim, entries, s.unit, s.blocks,
                                        tuple(reversed(s.radical_basis))))
     for space in ("J", "J*"):
@@ -397,13 +411,13 @@ def test_certificate_accepts_every_corner(n, p, k, monkeypatch):
     calls = []
     monkeypatch.setattr(algebra, "certify_generators",
                         lambda spec, gens: calls.append(1) or real(spec, gens))
-    xs = s.j_vectors()
+    xs = j_vectors(s)
     lams = dual_vectors(s)
     for T in _corners(s):
         for action, supp, points in (("rho", element_support, xs),
                                      ("rho_dual", form_support, lams)):
             y = max(v for v in points if supp(s, v) <= T)
-            members = orbit(s, y, action).members
+            members = points_of(s, orbit(s, y, action))
             assert y in {v for v in members if supp(s, v) <= T}
     assert len(calls) == 1
 
@@ -448,7 +462,7 @@ def test_corner_orbits_run_the_corner_certificate(monkeypatch):
     e12_dual = (1, 0, 0)
     runs = (lambda s: orbit(s, s.basis_vec(E12), "rho"),
             lambda s: orbit(s, e12_dual, "rho_dual"),
-            lambda s: classify(s, frozenset({s.unit})),
+            lambda s: classify(s, array("I", [box(s, "G").number(s.unit)])),
             lambda s: stabilizer_data(s, e12_dual, corner))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
@@ -512,7 +526,7 @@ def test_singularity_constant_on_orbits(n, p):
     s = get_spec(n, p)
     for space, form in (("J", False), ("J*", True)):
         for orb in orbit_census(s, space).orbits:
-            vals = {is_singular(s, v, form) for v in orb.members}
+            vals = {is_singular(s, v, form) for v in points_of(s, orb)}
             assert len(vals) == 1
 
 
@@ -561,7 +575,7 @@ def test_support_set_closed_under_meet():
         hit = set()
         for mask in range(2 ** nb):
             T = frozenset(i for i in range(nb) if mask >> i & 1)
-            if any(element_support(s, v) <= T for v in orb.members):
+            if any(element_support(s, v) <= T for v in points_of(s, orb)):
                 hit.add(T)
         for a in hit:
             for b in hit:
@@ -579,7 +593,7 @@ def test_corner_restriction_is_regular(n, p):
                                 ("J*", "rho_dual", form_support)):
         census = orbit_census(s, space)
         for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
-            cut = {v for v in orb.members if supp(s, v) <= T}
+            cut = {v for v in points_of(s, orb) if supp(s, v) <= T}
             assert rep == min(cut)
             assert all(supp(s, v) == T for v in cut)
             assert orbit(s, rep, action).members == orb.members
@@ -612,7 +626,7 @@ def test_corner_orbits_are_tilde_orbits_cut_to_the_corner(case):
     members of the G~-orbit of y with support inside T."""
     s = load_algebra_file(os.path.join(DATA, case)) if isinstance(case, str) else get_spec(*case)
     nb = len(s.blocks)
-    xs = s.j_vectors()
+    xs = j_vectors(s)
     lams = dual_vectors(s)
     for mask in range(2 ** nb):
         T = frozenset(i for i in range(nb) if mask >> i & 1)
@@ -624,7 +638,7 @@ def test_corner_orbits_are_tilde_orbits_cut_to_the_corner(case):
                                           ("rho_dual", rho_dual, form_support, lams)):
             for y in (v for v in points if supp(s, v) <= T):
                 literal = {act(s, tau, y) for tau in group}
-                cut = {v for v in orbit(s, y, action).members if supp(s, v) <= T}
+                cut = {v for v in points_of(s, orbit(s, y, action)) if supp(s, v) <= T}
                 assert literal == cut, (sorted(T), action, y)
 
 

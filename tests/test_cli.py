@@ -232,6 +232,13 @@ PINNED_STDOUT = [
      "61ff8654899fc8e49db875680107caacfe87d542b68c9539614885109f3af2c5"),
     (["verify", "--n", "3", "--p", "3", "--checks", "oracle"],
      "67ff61cfd77fbe74d6fdc45bd3ef39b419b15396e1b248dfb68d02ad50259021"),
+    # the shared gate: every check on T(4,3), T(5,2) and T(3,5)
+    (["verify", "--n", "4", "--p", "3", "--checks", "all"],
+     "17fbfc7526c3aa73d69399dae2c68c56f1dd8ec0beac3522d2641d2f5dca503c"),
+    (["verify", "--n", "5", "--p", "2", "--checks", "all"],
+     "754612ac396e1f980068bf6f86d4dd63911919c4687cbe22d2ad0f6eba83156c"),
+    (["verify", "--n", "3", "--p", "5", "--checks", "all"],
+     "5ac91ec2a1b801a72a415321cd7def49b95760f23d5e38344656b8314e5ac37b"),
 ]
 
 
@@ -267,6 +274,32 @@ def test_zero_field_degree(capsys):
     code, _, err = run(["table", "--n", "2", "--p", "3", "--k", "0"], capsys)
     assert code == 2
     assert "degree" in err
+
+
+@pytest.mark.parametrize("command", ["table", "verify", "orbits"])
+@pytest.mark.parametrize("flags,why", [
+    (["--p", "4"], "--p: 4 is not prime"),
+    (["--p", "2", "--k", "20"], "--k: field size 1048576 exceeds bound 65536"),
+    (["--p", "65537"], "--p: field size 65537 exceeds bound 65536"),
+    (["--p", "3", "--k", "0"], "--k: extension degree must be >= 1, got 0"),
+], ids=["composite-p", "k-too-large", "p-too-large", "k-zero"])
+def test_field_errors_name_the_flag(command, flags, why, capsys):
+    code, out, err = run([command, "--n", "2", *flags], capsys)
+    assert code == 2 and out == ""
+    assert err == f"invalid configuration: {why}\n"
+
+
+@pytest.mark.parametrize("field,why", [
+    ({"p": 4}, "p: 4 is not prime"),
+    ({"p": 2, "k": 20}, "k: field size 1048576 exceeds bound 65536"),
+], ids=["composite-p", "k-too-large"])
+def test_spec_field_errors_name_the_field(field, why, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_dual_numbers(), **field}))
+    for command in ("algebra", "verify", "orbits"):
+        code, out, err = run([command, "--spec", str(path)], capsys)
+        assert code == 2 and out == "", command
+        assert err == f"invalid configuration: {why}\n", command
 
 
 def test_orbits_bound_exceeded(monkeypatch):

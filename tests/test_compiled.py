@@ -22,7 +22,8 @@ from supchar.algebra import (
 from supchar.errors import NotInRadical
 from supchar.superclasses import r_act, r_map
 
-from conftest import ACCEPTANCE_CONFIGS, dual_vectors, g_elements, get_spec, random_triple
+from conftest import (ACCEPTANCE_CONFIGS, dual_vectors, g_elements, get_spec, j_vectors,
+                      random_triple)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 SPEC_FILES = ["dual_numbers_q3.json", "triangular_2_3.json"]
@@ -44,7 +45,7 @@ def triples(spec):
 def test_triple_maps_match_literal_actions(case):
     s = spec_for(case)
     gl = g_elements(s)
-    xs = s.j_vectors()
+    xs = j_vectors(s)
     lams = dual_vectors(s)
     for tau in triples(s):
         f = r_map(s, tau).apply

@@ -8,6 +8,8 @@ conjugations.  The cases cover prime fields, GF(4), the bundled specs, a
 four-block poset, J = 0, and a radical basis listed out of order.
 """
 import os
+from array import array
+from itertools import product
 
 import pytest
 
@@ -15,7 +17,9 @@ from supchar import algebra
 from supchar import triangular as tri
 from supchar.algebra import (
     AlgebraSpec,
+    Block,
     LinearMap,
+    box,
     certified_generators,
     element_support,
     form_support,
@@ -32,7 +36,8 @@ from supchar.errors import PointOutsideSet
 from supchar.superclasses import r_map, superclass_partition
 from supchar.supercharacters import InductionContext, nn_orbits
 
-from conftest import dual_vectors, g_elements, get_field, get_spec, tuple_orbit_partition
+from conftest import (LABEL_SPECS, dual_vectors, g_elements, get_field, get_spec, j_vectors,
+                      points_of, spec_named, tuple_orbit_partition)
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "..", "src", "supchar", "data")
@@ -44,17 +49,33 @@ FILES = {
 }
 TRIANGULAR = {"T2-3": (2, 3, 1), "T3-2": (3, 2, 1), "T3-3": (3, 3, 1),
               "T2-GF4": (2, 2, 2), "T3-GF4": (3, 2, 2)}
-CASES = [*TRIANGULAR, *FILES, "T3-3-reversed-radical"]
+CASES = [*TRIANGULAR, *FILES, "T3-3-reversed-radical", "T3-3-radical-first"]
 
 
 def _reversed_radical(n, p):
     """T(n, p) with the same structure constants and its radical basis listed
     backwards, so radical order and coordinate order differ."""
     s = tri.make_triangular(n, get_field(p))
-    entries = [(i, j, [(l, c) for l, c in enumerate(cell) if c])
-               for i, row in enumerate(s.mul_table) for j, cell in enumerate(row)]
+    entries = [(i, j, list(cell)) for i, row in enumerate(s._sparse) for j, cell in enumerate(row)]
     return validate_algebra(AlgebraSpec(s.field, s.dim, entries, s.unit, s.blocks,
                                         s.radical_basis[::-1]))
+
+
+def _radical_first(n, p):
+    """T(n, p) with its basis relabelled so that the radical coordinates come
+    before the diagonal ones: point numbers (translate first) then no longer
+    order like the points (radical coordinates most significant) on G."""
+    s = tri.make_triangular(n, get_field(p))
+    new = {i: k for k, i in enumerate([*s.radical_basis, *s.s_basis])}
+    entries = [(new[i], new[j], [(new[l], c) for l, c in cell])
+               for i, row in enumerate(s._sparse) for j, cell in enumerate(row)]
+
+    def moved(x):
+        return tuple(x[i] for i in sorted(new, key=new.get))
+    blocks = [Block(moved(b.idempotent), b.degree, tuple(new[i] for i in b.basis))
+              for b in s.blocks]
+    return validate_algebra(AlgebraSpec(s.field, s.dim, entries, moved(s.unit), blocks,
+                                        tuple(new[i] for i in s.radical_basis)))
 
 
 def spec_for(case):
@@ -62,11 +83,23 @@ def spec_for(case):
         return get_spec(*TRIANGULAR[case])
     if case in FILES:
         return load_algebra_file(FILES[case])
-    return _reversed_radical(3, 3)
+    return _reversed_radical(3, 3) if case == "T3-3-reversed-radical" else _radical_first(3, 3)
 
 
 def _oracle(points, maps):
     return tuple_orbit_partition(points, [m.apply for m in maps])
+
+
+def _sets(s, tag, orbits):
+    """Kernel orbits (records or arrays of point numbers of box tag) as sets
+    of points, each checked to be an array('I') with its least point first."""
+    out = []
+    for o in orbits:
+        members = getattr(o, "members", o)
+        assert isinstance(members, array) and members.typecode == "I"
+        out.append(points_of(s, members, tag))
+        assert box(s, tag).point(members[0]) == min(out[-1])
+    return out
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -75,7 +108,7 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     F, rad, unit = s.field, s.radical_basis, s.unit
     gens = certified_generators(s)
     n_gens = [g for g in gens if g.t == unit]
-    xs = s.j_vectors()
+    xs = j_vectors(s)
     lams = dual_vectors(s)
     n_points = [s.add(unit, x) for x in xs]
     g_points = g_elements(s)
@@ -83,20 +116,26 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     # J under rho and J* under rho*, as the censuses and nn_orbits see them
     for space, points, compile_map in (("J", xs, rho_map), ("J*", lams, rho_dual_map)):
         want = _oracle(points, [compile_map(s, g) for g in gens])
-        assert [o.members for o in orbit_census(s, space).orbits] == want, space
+        assert _sets(s, space, orbit_census(s, space).orbits) == want, space
     want = _oracle(lams, [rho_dual_map(s, g) for g in n_gens])
-    assert [o.members for o in nn_orbits(s)] == want
+    assert _sets(s, "J*", nn_orbits(s)) == want
 
     # N and G under R_tau: the N-superclasses of n_characters and the superclasses
     maps = [r_map(s, g) for g in n_gens]
-    assert orbit_partition(F, [unit], rad, maps) == _oracle(n_points, maps)
+    assert _sets(s, "N", orbit_partition(box(s, "N"), maps)) == _oracle(n_points, maps)
     want = _oracle(g_points, [r_map(s, g) for g in gens])
-    assert [rec.members for rec in superclass_partition(s)] == want
+    assert _sets(s, "G", superclass_partition(s)) == want
 
     # G under the conjugations by the a-parts and t-parts: the conjugacy classes
     parts = {g.a for g in gens} | {g.t for g in gens}
     maps = [sandwich_map(s, s.invert(x), x) for x in sorted(parts - {unit})]
-    assert InductionContext(s, 2 ** 17).classes == _oracle(g_points, maps)
+    assert _sets(s, "G", InductionContext(s, 2 ** 17).classes) == _oracle(g_points, maps)
+
+    # G under right multiplication by the t-parts, whose orbits cross
+    # translates: on T3-3-radical-first an orbit's least point is not always
+    # its least number
+    maps = [sandwich_map(s, unit, t) for t in sorted({g.t for g in gens} - {unit})]
+    assert _sets(s, "G", orbit_partition(box(s, "G"), maps)) == _oracle(g_points, maps)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
@@ -127,7 +166,7 @@ def test_map_leaving_the_point_set_is_refused():
              (h_elements(s), LinearMap(F, [()] * s.dim, s.zero()), r"\(1, 1, 0\)")]
     for translates, m, point in cases:
         with pytest.raises(PointOutsideSet, match=f"sends {point} outside"):
-            orbit_partition(F, translates, rad, [m])
+            orbit_partition(algebra.Box(F, translates, rad), [m])
 
 
 def _literal_element_support(s, x):
@@ -150,13 +189,53 @@ def _literal_form_support(s, lam):
 @pytest.mark.parametrize("case", CASES)
 def test_cached_supports_equal_the_definition(case):
     s = spec_for(case)
-    assert all(element_support(s, x) == _literal_element_support(s, x) for x in s.j_vectors())
+    assert all(element_support(s, x) == _literal_element_support(s, x) for x in j_vectors(s))
     assert all(form_support(s, lam) == _literal_form_support(s, lam) for lam in dual_vectors(s))
+    # each census orbit's canonical representative is its least member of
+    # least support, in whatever order the kernel lists the other members
+    for space, supp in (("J", _literal_element_support), ("J*", _literal_form_support)):
+        census = orbit_census(s, space)
+        for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
+            assert rep == min(v for v in points_of(s, orb) if supp(s, v) == T), (space, rep)
 
 
 def test_kernel_without_maps_lists_every_point_alone():
     # no maps: each point of G = H + J is an orbit of its own, in sorted order
     s = get_spec(2, 3)
-    parts = orbit_partition(s.field, h_elements(s), s.radical_basis, [])
+    parts = orbit_partition(box(s, "G"), [])
     assert all(len(o) == 1 for o in parts)
-    assert [min(o) for o in parts] == sorted(g_elements(s))
+    assert [box(s, "G").point(o[0]) for o in parts] == sorted(g_elements(s))
+
+
+@pytest.mark.parametrize("name", [*LABEL_SPECS, "T3-3-reversed-radical", "T3-3-radical-first"],
+                         ids=str)
+def test_box_numbers_points_translate_by_translate(name):
+    """point and number are inverse on every box, and number the points
+    translate by translate, lexicographically in the free coordinates."""
+    s = spec_named(name) if name in LABEL_SPECS else spec_for(name)
+    for tag in ("G", "H", "N", "J", "J*"):
+        b = box(s, tag)
+        values = range(s.field.q)
+        want = [v for h in b.translates for v in product(
+            *[values if i in b.coords else (x,) for i, x in enumerate(h)])]
+        assert [b.point(n) for n in range(b.size)] == want, tag
+        assert [b.number(v) for v in want] == list(range(b.size)), tag
+    for tag, outside in (("G", s.zero()), ("H", s.zero()), ("N", s.zero()),
+                         ("J", s.unit), ("J*", (0,) * (len(s.radical_basis) + 1))):
+        with pytest.raises(PointOutsideSet, match="not a point"):
+            box(s, tag).number(outside)
+
+
+@pytest.mark.parametrize("name", LABEL_SPECS, ids=str)
+def test_certificate_and_torus_conjugations_close_on_the_kernel(name, monkeypatch):
+    """The t-parts close in the kernel's box H, as the a- and b-parts do in
+    1 + J: no tuple closure runs."""
+    def refuse(*args):
+        raise AssertionError("a tuple closure ran")
+    monkeypatch.setattr(algebra, "closure", refuse)
+    if isinstance(name, tuple):     # fresh: nothing certified yet
+        s = tri.make_triangular(name[0], get_field(*name[1:]))
+    else:
+        s = spec_named(name)
+    algebra.certify_generators(s, algebra.tilde_generators(s))
+    assert len(algebra.torus_conjugations(s)) == sum(o > 1 for o in s.block_orders)

@@ -1,5 +1,6 @@
 import os
 import re
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from supchar import algebra, linalg, superclasses
 from supchar import supercharacters as sc
 from supchar import triangular as tri
 from supchar.algebra import (
+    box,
     certified_generators,
     group_order,
     h_elements,
@@ -56,6 +58,8 @@ from conftest import (
     get_field,
     get_partition,
     get_spec,
+    j_vectors,
+    points_of,
     spec_named,
 )
 
@@ -109,7 +113,7 @@ def test_stabilizer_rejects_irregular():
 def _literal_right_stabilizer(s, lam, hs):
     """{h (1 + u) : h in hs, u in J with lam(u v) = 0 for every v in J}, by
     enumeration and spec.mul."""
-    radical = s.j_vectors()
+    radical = j_vectors(s)
     right = [u for u in radical if all(s.form_eval(lam, s.mul(u, v)) == 0 for v in radical)]
     return {s.mul(h, s.add(s.unit, u)) for h in hs for u in right}
 
@@ -138,7 +142,7 @@ def _assert_counts_are_xi(s, stab, ctx):
             j = (sc.theta_exponent(s, lbl.theta, s.s_part(y)) +
                  additive_char_exponent(s.field, s.form_eval(stab.lam, y), m)) % m
             assert xi(s, lbl, y, stab) == CycloNumber.root(m, j)
-            want[ctx.class_of[y], j] += 1
+            want[ctx.class_of[box(s, "G").number(y)], j] += 1
         assert got == want, lbl.render()
 
 
@@ -177,7 +181,7 @@ def test_stabilizer_data_builds_no_element_of_g_lambda(monkeypatch):
 def test_form_products_are_lam_of_the_basis_products():
     for name, s, _ in _literal_specs():
         for orb in orbit_census(s, "J*").orbits:
-            for lam in (orb.representative, max(orb.members)):
+            for lam in (orb.representative, max(points_of(s, orb))):
                 want = [[s.form_eval(lam, s.mul(s.basis_vec(i), s.basis_vec(j)))
                          for j in range(s.dim)] for i in range(s.dim)]
                 assert s.form_products(lam) == want, (name, lam)
@@ -322,7 +326,7 @@ def test_induce_independent_of_orbit_representative():
     orb = orbit(s, (1,), "rho_dual")
     assert len(orb.members) >= 2
     results = []
-    for lam in sorted(orb.members):
+    for lam in sorted(points_of(s, orb)):
         lbl = SupercharLabel(frozenset({0, 1}), frozenset(), (0, 0), lam)
         results.append(induce(s, lbl, partition, ctx).values)
     assert all(vals == results[0] for vals in results[1:])
@@ -335,7 +339,7 @@ def test_induce_independent_of_orbit_representative():
         orb = orbit(s33, lbl.lambda_rep, "rho_dual")
         if len(orb.members) < 2:
             continue
-        reps = sorted(orb.members)[:2]
+        reps = sorted(points_of(s33, orb))[:2]
         vals = []
         for lam in reps:
             alt = SupercharLabel(lbl.e, lbl.f, lbl.theta, lam)
@@ -368,7 +372,7 @@ def test_induce_matches_literal_average_over_g():
             elements = _elements(s, stab)
             cf = induce(s, lbl, partition, ctx, stab=stab)
             for rec, value in zip(partition, cf.values):
-                for g in rec.members:
+                for g in points_of(s, rec):
                     total = CycloNumber.zero(m)
                     for u in group:
                         y = s.mul_many(inverses[u], g, u)
@@ -416,7 +420,7 @@ def test_induce_rejects_value_varying_on_a_superclass():
     i, j = next((i, j) for i in range(len(partition)) for j in range(i + 1, len(partition))
                 if idx not in (i, j) and values[i] != values[j])
     a, b = partition[i], partition[j]
-    merged = SuperclassRecord(a.label, a.members | b.members, min(a.representative,
+    merged = SuperclassRecord(a.label, a.members + b.members, min(a.representative,
                                                                   b.representative))
     bad = [r for k, r in enumerate(partition) if k not in (i, j)] + [merged]
     with pytest.raises(NotConstantOnSuperclass):
@@ -565,9 +569,9 @@ def test_disjoint_fails_on_a_perturbed_value_with_the_literal_detail():
 
 def test_disjoint_fails_on_a_perturbed_class_size():
     s, partition, table, classes = full_table(3, 3)
-    k = next(k for k, rec in enumerate(partition) if s.unit not in rec.members)
-    rec = partition[k]
-    grown = SuperclassRecord(rec.label, rec.members | {("not in G",)}, rec.representative)
+    k = next(k for k, rec in enumerate(partition) if s.unit not in points_of(s, rec))
+    rec = partition[k]      # one member listed twice: the size grows by one
+    grown = SuperclassRecord(rec.label, rec.members + rec.members[:1], rec.representative)
     bad = partition[:k] + [grown] + partition[k + 1:]
     funcs = [ClassFunction(tuple(row), None) for row in table.values]
     want = _literal_disjoint_detail(bad, funcs, table.group_order)
@@ -713,8 +717,8 @@ def test_axioms_negative_control():
 def n_values(spec, mu):
     """The N-supercharacter of the N x N-orbit of mu, as {g: value} over N."""
     n_part, chars = n_characters(spec, 2 ** 17)
-    psi = next(psi for orb, psi, _ in chars if mu in orb.members)
-    return {g: v for rec, v in zip(n_part, psi.values) for g in rec.members}
+    psi = next(psi for orb, psi, _ in chars if mu in points_of(spec, orb))
+    return {g: v for rec, v in zip(n_part, psi.values) for g in points_of(spec, rec)}
 
 
 def test_n_supercharacter_trivial():
@@ -768,7 +772,7 @@ def test_classes_of_g_and_n_equal_literal_conjugation():
     for name, s, _ in _literal_specs():
         elements = g_elements(s)
         ctx = InductionContext(s, 2 ** 17)
-        assert set(ctx.classes) == _literal_classes(s, elements), name
+        assert {points_of(s, c) for c in ctx.classes} == _literal_classes(s, elements), name
         assert ctx.order == len(elements) and len(ctx.class_of) == len(elements)
 
 
@@ -780,7 +784,7 @@ def test_n_characters_match_literal_average_over_n():
     small = [(f"T{key}", get_spec(*key), None) for key in ((3, 2, 1), (2, 2, 2), (4, 2, 1))]
     for name, s, _ in [*_literal_specs(), *small]:
         F, m = s.field, s.cyclo_order
-        radical = s.j_vectors()
+        radical = j_vectors(s)
         group = [s.add(s.unit, x) for x in radical]
         inverses = {u: s.invert(u) for u in group}
         # every u^-1 g u - 1 and every u v, computed once for all mu
@@ -788,14 +792,14 @@ def test_n_characters_match_literal_average_over_n():
                       for g in group}
         products = [[s.mul(u, v) for v in radical] for u in radical]
         n_part, chars = n_characters(s, 2 ** 17)
-        assert sorted(g for rec in n_part for g in rec.members) == sorted(group)
+        assert sorted(g for rec in n_part for g in points_of(s, rec)) == sorted(group)
         for orb, psi, norm in chars:
             mu = orb.representative
             right = {s.j_coords(u) for u, row in zip(radical, products)
                      if all(s.form_eval(mu, uv) == 0 for uv in row)}
             square = CycloNumber.zero(m)
             for rec, value in zip(n_part, psi.values):
-                for g in rec.members:
+                for g in points_of(s, rec):
                     exps = Counter(additive_char_exponent(F, s.form_eval(mu, y), m)
                                    for y in conjugates[g] if s.j_coords(y) in right)
                     total = CycloNumber.zero(m)
@@ -963,15 +967,21 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     s, partition, labels, table = _restriction_setup(3, 2)
     n_part, _ = n_characters(s, 2 ** 17)
     orb = next(rec for rec in n_part if len(rec.members) > 1)
-    k, rec = next((k, rec) for k, rec in enumerate(partition) if orb.representative in rec.members)
-    g = max(orb.members)
-    rest = rec.members - {g}
-    split = [SuperclassRecord(rec.label, frozenset({g}), g),
-             SuperclassRecord(rec.label, rest, min(rest))]
+    k, rec = next((k, rec) for k, rec in enumerate(partition)
+                  if orb.representative in points_of(s, rec))
+    g = max(points_of(s, orb))
+    rest = points_of(s, rec) - {g}
+    split = [SuperclassRecord(rec.label, array("I", [box(s, "G").number(g)]), g),
+             SuperclassRecord(rec.label, array("I", sorted(map(box(s, "G").number, rest))),
+                              min(rest))]
     bad = partition[:k] + split + partition[k + 1:]
     rows = [row[:k + 1] + row[k:] for row in table.values]
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
         _restrict(s, labels, table, bad, rows)
+    # without the superclass, the N-superclass lies in none
+    rows = [row[:k] + row[k + 1:] for row in table.values]
+    with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
+        _restrict(s, labels, table, partition[:k] + partition[k + 1:], rows)
 
 
 def _torus_conjugate_orbits(spec, lam, chars) -> set:
@@ -982,7 +992,7 @@ def _torus_conjugate_orbits(spec, lam, chars) -> set:
         t_inv = spec.invert(t)
         conj = tuple(spec.form_eval(lam, spec.mul_many(t_inv, spec.basis_vec(r), t))
                      for r in spec.radical_basis)
-        out |= {oi for oi, (orb, _, _) in enumerate(chars) if conj in orb.members}
+        out |= {oi for oi, (orb, _, _) in enumerate(chars) if conj in points_of(spec, orb)}
     return out
 
 
@@ -995,7 +1005,7 @@ def test_restriction_support_is_the_tilde_orbit_of_lambda(name):
     s = spec_named(name)
     _, chars = n_characters(s, 2 ** 17)
     for lbl in enumerate_labels(s, orbit_census(s, "J*")):
-        members = orbit(s, lbl.lambda_rep, "rho_dual").members
+        members = points_of(s, orbit(s, lbl.lambda_rep, "rho_dual"))
         support = {oi for oi, (orb, _, _) in enumerate(chars) if orb.representative in members}
         assert support == _torus_conjugate_orbits(s, lbl.lambda_rep, chars), lbl.render()
 
@@ -1038,7 +1048,7 @@ def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
         stab = stabilizer_data(s, label.lambda_rep, label.e)
         members = _elements(s, stab)
         keys = {(len(cls), frozenset(Counter(xi(s, label, y, stab)
-                                             for y in cls if y in members).items()))
+                                             for y in points_of(s, cls) if y in members).items()))
                 for cls in ctx.classes}
         calls.clear()
         induce(s, label, partition, ctx, stab)

@@ -1,10 +1,12 @@
 import os
 import random
+from array import array
 from math import prod
 
 import pytest
 
 from supchar.algebra import (
+    box,
     group_order,
     load_algebra_file,
     make_triple,
@@ -13,7 +15,8 @@ from supchar.algebra import (
     torus_conjugations,
 )
 from supchar import superclasses
-from supchar.errors import GroupTooLarge, NotGenerating, NotInH, PartitionMismatch
+from supchar.errors import (GroupTooLarge, NotGenerating, NotInH, PartitionMismatch,
+                            ReductionFailed)
 from supchar.superclasses import (
     associated_idempotent,
     classify,
@@ -34,6 +37,7 @@ from conftest import (
     get_partition,
     get_spec,
     literal_transporter_count,
+    points_of,
     random_triple,
     spec_named,
 )
@@ -89,8 +93,8 @@ def test_partition_covers_group():
     partition = get_partition(2, 3)
     members = set()
     for rec in partition:
-        assert not (members & rec.members)
-        members |= rec.members
+        assert not (members & points_of(s, rec))
+        members |= points_of(s, rec)
     assert len(members) == group_order(s) == 12
 
 
@@ -99,7 +103,7 @@ def test_identity_singleton():
         s = get_spec(n, p)
         partition = get_partition(n, p)
         idx = identity_index(s, partition)
-        assert partition[idx].members == {s.unit}
+        assert points_of(s, partition[idx]) == {s.unit}
 
 
 def test_group_too_large():
@@ -140,10 +144,10 @@ def test_refines_conjugacy(n, p):
     partition = get_partition(n, p)
     member_to_class = {}
     for ci, rec in enumerate(partition):
-        for g in rec.members:
+        for g in points_of(s, rec):
             member_to_class[g] = ci
     for cls in InductionContext(s, 2 ** 17).classes:
-        assert len({member_to_class[g] for g in cls}) == 1
+        assert len({member_to_class[g] for g in points_of(s, cls)}) == 1
 
 
 def test_classify_identity():
@@ -170,7 +174,7 @@ def test_classify_unipotent_regular():
     s = get_spec(2, 3)
     g = s.add(s.unit, s.basis_vec(2))
     for rec in get_partition(2, 3):
-        if g in rec.members:
+        if g in points_of(s, rec):
             assert rec.label.e == frozenset({0, 1})
             assert rec.label.f == frozenset()
             assert rec.label.omega_rep == s.basis_vec(2)
@@ -185,8 +189,23 @@ def test_classify_constant_on_superclass(n, p):
     for rec in get_partition(n, p):
         members = sorted(rec.members)
         picks = members if len(members) <= 3 else rng.sample(members, 3)
-        for g in picks:
-            assert classify(s, {g} | rec.members) == rec.label
+        for g in picks:     # the reduction started from g instead of the least member
+            rest = [m for m in rec.members if m != g]
+            assert classify(s, array("I", [g, *rest])) == rec.label
+
+
+def test_classify_checks_membership_on_point_numbers(monkeypatch):
+    """A class given without its reduced element, or a canonical corner
+    representative outside the class, raises ReductionFailed."""
+    s = get_spec(2, 3)
+    g = s.add((2, 1, 0), s.basis_vec(2))      # diag(2, 1) + E12, reduced to diag(2, 1)
+    with pytest.raises(ReductionFailed, match="reduced element left the superclass"):
+        classify(s, array("I", [box(s, "G").number(g)]))
+    rec = next(r for r in get_partition(2, 3) if r.representative == s.add(s.unit, s.basis_vec(2)))
+    monkeypatch.setattr(superclasses, "orbit_support",
+                        lambda spec, orb: (frozenset({0, 1}), s.zero()))
+    with pytest.raises(ReductionFailed, match="canonical corner representative left"):
+        classify(s, rec.members)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3)])
@@ -200,7 +219,7 @@ def test_labels_distinct_and_mapping_consistent(n, p):
     # omega_rep inside the orbit of x_{D'}
     for lbl_cls in tri.labels(n, F)[0]:
         g = s.add(tri.diag_embed(s, n, lbl_cls.h), tri.x_D(s, n, lbl_cls.dprime))
-        rec = next(r for r in partition if g in r.members)
+        rec = next(r for r in partition if g in points_of(s, r))
         want_e = frozenset(i - 1 for i in lbl_cls.dprime.rowcol())
         assert rec.label.e == want_e
 
@@ -213,7 +232,7 @@ def test_transporter_count_detects_superclass_membership(n, p, k):
     s = get_spec(n, p, k)
     tilde = group_order(s) * s.field.q ** len(s.radical_basis)
     partition = get_partition(n, p, k)
-    class_of = {g: ci for ci, rec in enumerate(partition) for g in rec.members}
+    class_of = {g: ci for ci, rec in enumerate(partition) for g in points_of(s, rec)}
     gl = g_elements(s)
     for g in gl:
         x = s.sub(g, s.unit)
@@ -237,7 +256,7 @@ def test_transporter_count_equals_the_sum_over_every_t(case):
     reps = [rec.representative for rec in partition]
     for rec in partition:
         x = s.sub(rec.representative, s.unit)
-        for g in reps + sorted(rec.members)[1:4]:
+        for g in reps + sorted(points_of(s, rec))[1:4]:
             y = s.sub(g, s.unit)
             assert transporter_count(s, x, y) == literal_transporter_count(s, x, y), (x, y)
 

@@ -12,7 +12,7 @@ from supchar.cyclo import CycloNumber
 from supchar.errors import BadSize, PartitionMismatch
 from supchar import triangular as tri
 
-from conftest import get_field, get_partition, get_spec
+from conftest import get_field, get_partition, get_spec, points_of
 
 
 def D(*pairs):
@@ -198,7 +198,7 @@ def test_rank_profile_is_a_superclass_invariant(n, p, k):
     counts it right on every label's representative."""
     s = get_spec(n, p, k)
     for rec in get_partition(n, p, k):
-        assert len({_rank_profile(s, n, g) for g in rec.members}) == 1, rec.label.render()
+        assert len({_rank_profile(s, n, g) for g in points_of(s, rec)}) == 1, rec.label.render()
     for lbl in tri.labels(n, s.field)[0]:
         assert tri.rank_profile(n, tri.class_shape(lbl)) == \
             _rank_profile(s, n, tri.class_rep(s, n, lbl)), lbl.render()
@@ -312,7 +312,7 @@ def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
     s = get_spec(3, 3)
     census = sc.enumerate_labels(s, orbit_census(s, "J*"))
     i, lbl = next((i, l) for i, l in enumerate(census) if any(l.lambda_rep))
-    other = next(v for v in orbit(s, lbl.lambda_rep, "rho_dual").members
+    other = next(v for v in sorted(points_of(s, orbit(s, lbl.lambda_rep, "rho_dual")))
                  if v != lbl.lambda_rep and form_support(s, v) == lbl.e)
     swapped = census[:i] + [lbl._replace(lambda_rep=other)] + census[i + 1:]
     want = next(ch for ch in tri.labels(3, s.field)[1] if tri.to_general_label(s, 3, ch) == lbl)
