@@ -11,7 +11,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import compress
 from math import lcm, prod
 
 from . import linalg
@@ -75,7 +74,7 @@ class AlgebraSpec:
         self._boxes: dict = {}          # tag -> its point set (box)
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
         self._orbit_of: dict = {}       # action -> the orbit id of each point (orbit_ids)
-        self._supports: dict = {}       # is_form -> support functionals
+        self._supports: dict = {}       # space -> support_table
         self._orbit_supports: dict = {}  # (space, least point) -> orbit_support
         self._torus_conj = None         # y -> t^-1 y t for each torus generator t
         self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
@@ -247,20 +246,22 @@ class _Lanes:
     to that sum sets the lane's top bit exactly when the sum reaches p: sums()
     adds lane-wise mod p in a few int operations, with no carry between lanes.
     The first active coordinate and, within a coordinate, digit k - 1 hold the
-    most significant lanes, so codes order like the tuples they code.
+    most significant lanes, so codes order like the tuples they code; the
+    bits of one coordinate are `mask` shifted by its entry of `shifts`.
     """
-    __slots__ = ("p", "shifts", "digits", "ones", "bias", "top")
+    __slots__ = ("field", "shifts", "digits", "ones", "bias", "top", "mask")
 
     def __init__(self, field: FieldSpec, active):
         p, k = field.p, field.k
         width = (p - 1).bit_length() + 1
-        self.p = p
+        self.field = field
         self.shifts = {i: width * k * (len(active) - 1 - a) for a, i in enumerate(active)}
         self.digits = [sum((c // p ** j % p) << (width * j) for j in range(k))
                        for c in range(field.q)]
         self.ones = sum(1 << (width * lane) for lane in range(len(active) * k))
         self.bias = ((1 << (width - 1)) - p) * self.ones
         self.top = width - 1
+        self.mask = (1 << width * k) - 1
 
     def pack(self, pairs) -> int:
         """The code of the vector with entry c at the active coordinate l for
@@ -269,8 +270,18 @@ class _Lanes:
 
     def sums(self, xs, ys) -> list[int]:
         """[x + y for x in xs for y in ys], added lane-wise mod p."""
-        p, bias, top, ones = self.p, self.bias, self.top, self.ones
+        p, bias, top, ones = self.field.p, self.bias, self.top, self.ones
         return [(s := x + y) - p * (((s + bias) >> top) & ones) for x in xs for y in ys]
+
+    def span(self, vectors) -> list[int]:
+        """The codes of sum c_j v_j over every coefficient tuple (c_j) in F_q,
+        the last coefficient varying fastest; each v_j is given by its pairs
+        (l, c) (pack).  No vectors span [0]."""
+        F, codes = self.field, [0]
+        for v in vectors:
+            codes = self.sums(codes, [self.pack((l, F.mul(c, x)) for l, x in v)
+                                      for c in range(F.q)])
+        return codes
 
 
 class Box:
@@ -317,17 +328,16 @@ def orbit_partition(box: Box, maps) -> list[array]:
     first translate h0 off them.  A map's image table comes from linearity:
     x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum M (c_i e_i).
     Off the active coordinates M h + shift must equal h0 and each M e_i must
-    vanish (else the image of h, or of h0 + e_i, leaves the box).  From the q
-    codes of M (c e_i) per coordinate the table is then built coordinate by
-    coordinate, at about one packed add per point.  The closures are a BFS
-    over these int tables.
+    vanish (else the image of h, or of h0 + e_i, leaves the box).  The table
+    is then one span (_Lanes.span) of the columns M e_i, all but the last
+    spanned once and the last added per translate, at about one packed add
+    per point.  The closures are a BFS over these int tables.
     """
     field, translates, coords = box.field, box.translates, box.coords
     h0 = translates[0]
     lanes = _Lanes(field, sorted({*coords, *(i for h in translates
                                              for i, x in enumerate(h) if x != h0[i])}))
     fixed = [(i, x) for i, x in enumerate(h0) if i not in lanes.shifts]
-    values = range(field.q)
 
     def pack(vec, x):
         """The code of the image vec of the point x, which must agree with h0
@@ -336,26 +346,18 @@ def orbit_partition(box: Box, maps) -> list[array]:
             raise PointOutsideSet(f"a map sends {x} outside its point set")
         return lanes.pack((i, vec[i]) for i in lanes.shifts)
 
-    codes = [0]
-    for i in coords:
-        step = [lanes.pack([(i, c)]) for c in values]
-        codes = [a + b for a in codes for b in step]
+    codes = lanes.span([[(i, 1)] for i in coords])
     codes = [base + v for h in translates for base in [pack(h, h)] for v in codes]
     index = dict(zip(codes, range(len(codes))))
     tables = []
     for m in maps:
         bases = [pack(m.apply(h), h) for h in translates]
-        steps = []
         for i in coords:
             if any(l not in lanes.shifts for l, _ in m.cols[i]):
                 x = tuple(1 if j == i else c for j, c in enumerate(h0))
                 raise PointOutsideSet(f"a map sends {x} outside its point set")
-            steps.append([lanes.pack((l, field.mul(c, v)) for l, v in m.cols[i])
-                          for c in values])
-        *head_steps, last = steps or [[0]]
-        head = [0]
-        for step in head_steps:
-            head = lanes.sums(head, step)
+        cols = [m.cols[i] for i in coords]
+        head, last = lanes.span(cols[:-1]), lanes.span(cols[-1:])
         images = []
         for base in bases:
             images += lanes.sums(head, lanes.sums([base], last))
@@ -527,8 +529,8 @@ def _build_block_data(spec: AlgebraSpec):
     the powers of one element pass every nonzero element and return to its unit."""
     spec.block_units, spec.block_gen, spec.block_dlog = [], [], []
     for bi, blk in enumerate(spec.blocks):
-        elems = linalg.span(spec.field, [spec.basis_vec(i) for i in blk.basis], spec.dim)
-        units = sorted(z for z in elems if z != spec.zero())
+        points = Box(spec.field, [spec.zero()], blk.basis)
+        units = list(map(points.point, range(1, points.size)))     # every point but 0
         for gen in units:
             dlog, cur = {}, blk.idempotent
             while cur not in dlog:
@@ -768,62 +770,62 @@ def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
 # supports and regularity
 # ---------------------------------------------------------------------------
 
-def _support_functionals(spec: AlgebraSpec, is_form: bool):
-    """(m, blocks): the LinearMap m stacks, block by block, the rref'd rows of
-    the maps that vanish exactly off block i's support: x -> e_i x and
-    x -> x e_i on J (full vectors), or lam -> lam(e_i b_r) and lam(b_r e_i) on
-    J* (radical coordinates); blocks[r] is the block of row r.  Built once
-    per spec and cached on it, so a support costs one apply and no mul."""
-    if is_form not in spec._supports:
-        F = spec.field
-        rad = spec.radical_basis
-        basis = [spec.basis_vec(r) for r in rad]
-        cols = [[] for _ in range(len(rad) if is_form else spec.dim)]
-        blocks = []
-        for i, blk in enumerate(spec.blocks):
-            left = [spec.j_coords(spec.mul(blk.idempotent, b)) for b in basis]
-            right = [spec.j_coords(spec.mul(b, blk.idempotent)) for b in basis]
+def support_table(spec: AlgebraSpec, space: str) -> list[frozenset]:
+    """The minimal block set T with x in J_{e_T} (space "J") or x in J_{e_T}*
+    ("J*", vanishing off e_T J e_T), for every point x of box(spec, space) by
+    number: the blocks i with e_i x != 0 or x e_i != 0 on J, and with
+    x(e_i b_r) != 0 or x(b_r e_i) != 0 for some radical b_r on J*.
+
+    Block i's maps x -> e_i x and x -> x e_i (full vectors), or
+    lam -> lam(e_i b_r) and lam(b_r e_i) (radical coordinates), give its
+    rref'd rows; the rows of every block are the lanes of one _Lanes, and one
+    span of their columns, in box order, codes every point's images.  Equal
+    supports are one frozenset.  Built once per spec and space."""
+    if space not in spec._supports:
+        F, rad = spec.field, spec.radical_basis
+        rows, lane_sets = [], []
+        for blk in spec.blocks:
+            left = [spec.j_coords(spec.mul(blk.idempotent, spec.basis_vec(r))) for r in rad]
+            right = [spec.j_coords(spec.mul(spec.basis_vec(r), blk.idempotent)) for r in rad]
             # lam -> lam(e_i b_r) is the row j_coords(e_i b_r); x -> e_i x has
             # those vectors as its columns
-            rows = left + right if is_form else [*zip(*left), *zip(*right)]
-            mat, pivots = linalg.rref(F, rows)
-            for row in mat[:len(pivots)]:
-                for s, c in enumerate(row):
-                    if c:
-                        cols[s if is_form else rad[s]].append((len(blocks), c))
-                blocks.append(i)
-        spec._supports[is_form] = (LinearMap(F, cols, [0] * len(blocks)), blocks)
-    return spec._supports[is_form]
-
-
-def element_support(spec: AlgebraSpec, x) -> frozenset:
-    """Minimal block set T with x in J_{e_T} (for x in J): the blocks i with
-    e_i x != 0 or x e_i != 0."""
-    m, blocks = _support_functionals(spec, False)
-    return frozenset(compress(blocks, m.apply(x)))
+            mat, pivots = linalg.rref(F, left + right if space == "J*" else
+                                      [*zip(*left), *zip(*right)])
+            lane_sets.append(range(len(rows), len(rows) + len(pivots)))
+            rows += mat[:len(pivots)]
+        lanes = _Lanes(F, range(len(rows)))
+        masks = [sum(lanes.mask << lanes.shifts[r] for r in rs) for rs in lane_sets]
+        # a row's entry s is at radical coordinate s; box J lists J's
+        # coordinates by basis index, box J* in radical order
+        order = sorted(range(len(rad)), key=rad.__getitem__) if space == "J" else range(len(rad))
+        codes = lanes.span([[(r, row[s]) for r, row in enumerate(rows) if row[s]]
+                            for s in order])
+        keys = [sum(1 << i for i, m in enumerate(masks) if c & m) for c in codes]
+        shared = {key: frozenset(i for i in range(len(masks)) if key >> i & 1)
+                  for key in set(keys)}
+        spec._supports[space] = list(map(shared.__getitem__, keys))
+    return spec._supports[space]
 
 
 def form_support(spec: AlgebraSpec, lam) -> frozenset:
-    """Minimal block set T with lam in J_{e_T}* (vanishing off e_T J e_T): the
-    blocks i with lam(e_i b_r) != 0 or lam(b_r e_i) != 0 for some r."""
-    m, blocks = _support_functionals(spec, True)
-    return frozenset(compress(blocks, m.apply(lam)))
+    """Minimal block set T with lam in J_{e_T}* (support_table)."""
+    return support_table(spec, "J*")[box(spec, "J*").number(lam)]
 
 
 def orbit_support(spec: AlgebraSpec, orb: OrbitRecord) -> tuple[frozenset, tuple]:
     """(T, w): the unique minimal support T over the orbit (the Peirce corner
     the orbit meets) and the least member w with support T, the canonical
     representative of the orbit's corner part.  Proved once per orbit and
-    spec: the census, classify and stabilizer_data share the result."""
+    spec, from support_table: the census, classify and stabilizer_data share
+    the result, and only w is decoded."""
     if (key := (orb.space_tag, orb.members[0])) not in spec._orbit_supports:
-        supp = element_support if orb.space_tag == "J" else form_support
-        least: dict = {}    # on J and J*, number order is point order
-        for v in map(box(spec, orb.space_tag).point, sorted(orb.members)):
-            least.setdefault(supp(spec, v), v)
+        table, least = support_table(spec, orb.space_tag), {}
+        for n in sorted(orb.members):   # on J and J*, number order is point order
+            least.setdefault(table[n], n)
         minimal = [t for t in least if not any(u < t for u in least)]
         if len(minimal) != 1:
             raise NotRegular(f"orbit support is not unique: {sorted(map(sorted, minimal))}")
-        spec._orbit_supports[key] = minimal[0], least[minimal[0]]
+        spec._orbit_supports[key] = minimal[0], box(spec, orb.space_tag).point(least[minimal[0]])
     return spec._orbit_supports[key]
 
 

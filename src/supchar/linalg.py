@@ -1,8 +1,6 @@
 """Small dense linear algebra over GF(p^k) (Gaussian elimination)."""
 from __future__ import annotations
 
-from operator import add, mul
-
 from .fields import FieldSpec
 
 
@@ -69,17 +67,3 @@ def solve(spec: FieldSpec, rows: list[list[int]], rhs: list[int]):
         v[pc] = mat[r][ncols]
     return tuple(v)
 
-
-def span(spec: FieldSpec, basis: list[tuple[int, ...]], dim: int | None = None):
-    """All vectors in the span of a basis (exhaustive; sizes are desk-scale),
-    the coefficient of the last basis vector varying fastest.  Over a prime
-    field the sums are integer multiply-adds with one % p per coordinate."""
-    if not basis:
-        yield tuple([0] * (dim or 0))
-        return
-    p, times, plus = (spec.p, mul, add) if spec.k == 1 else (None, spec.mul, spec.add)
-    vecs = [(0,) * len(basis[0])]
-    for b in basis:
-        scaled = [[times(c, x) for x in b] for c in range(spec.q)]
-        vecs = [list(map(plus, v, s)) for v in vecs for s in scaled]
-    yield from (tuple([x % p for x in v] if p else v) for v in vecs)

@@ -12,6 +12,7 @@ from . import linalg
 from .algebra import (
     AlgebraSpec,
     OrbitRecord,
+    _Lanes,
     block_component,
     box,
     certified_generators,
@@ -129,11 +130,13 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 class InductionContext:
     """The conjugacy classes of G, shared by every induction of one run: the
-    classes, the class index of each element, the group order, and every induced
-    value (one object per distinct value).  Each class is the closure of an
-    element under g -> s^-1 g s for the distinct t-parts and a-parts of
-    certified_generators, which generate H and N and so G = H N; G = H + J is a
-    union of translates of J, so orbit_partition computes every closure."""
+    classes, the class index of each element, the group order, the point
+    number in box J of each code of J (_Lanes over its coordinates), and
+    every induced value (one object per distinct value).  Each class is the
+    closure of an element under g -> s^-1 g s for the distinct t-parts and
+    a-parts of certified_generators, which generate H and N and so G = H N;
+    G = H + J is a union of translates of J, so orbit_partition computes every
+    closure."""
 
     def __init__(self, spec: AlgebraSpec, bound: int):
         self.order = group_order(spec)
@@ -144,6 +147,9 @@ class InductionContext:
         maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
         self.classes = orbit_partition(box(spec, "G"), maps)
         self.class_of = orbit_ids(self.classes, self.order)
+        coords = box(spec, "J").coords
+        self.j_number = {c: n for n, c in enumerate(
+            _Lanes(spec.field, coords).span([[(i, 1)] for i in coords]))}
         self.values: dict = {}
         self._meets = (None, None, None)
 
@@ -159,16 +165,21 @@ class InductionContext:
 def class_counts(spec: AlgebraSpec, stab: StabilizerData, ctx: InductionContext) -> dict:
     """{w: [(ci, t, n)]}: n elements h + x of G_lambda (x in J_{lam,right}) lie
     in the conjugacy class ci and have eps^{lam(x)} = zeta_m^t, for the h of
-    theta weights w.  As h fixes lam, xi(h + x) = theta(h) eps^{lam(x)}: one span
-    of the (x, lam(x)) in radical coordinates gives each x's point number in J
-    and exponent, shared by every h.  Built once per stabilizer; a label
-    shifts t by theta(h)."""
+    theta weights w.  As h fixes lam, xi(h + x) = theta(h) eps^{lam(x)}: one
+    span (_Lanes.span) of the rows (lam(b), b) over the basis of J_{lam,right},
+    lam in the most significant lane and b on box J's coordinates, codes every
+    (lam(x), x).  One shift gives lam(x)'s digits and so t, one mask x's code
+    in box J and so its number (ctx.j_number); both are shared by every h.
+    Built once per stabilizer; a label shifts t by theta(h)."""
     F, m, class_of = spec.field, spec.cyclo_order, ctx.class_of
-    eps = [additive_char_exponent(F, c, m) for c in F.elements()]
-    rows = [(*b, spec.form_eval(stab.lam, spec.j_embed(b))) for b in stab.basis]
-    weights = [box(spec, "J").weights[i] for i in spec.radical_basis]   # map stops at lam(x)
-    xs, ts = zip(*[(sum(map(mul, v, weights)), eps[v[-1]])
-                   for v in linalg.span(F, rows, len(weights) + 1)])
+    lanes = _Lanes(F, ["lam", *box(spec, "J").coords])
+    shift = lanes.shifts["lam"]
+    eps = {lanes.digits[c]: additive_char_exponent(F, c, m) for c in F.elements()}
+    rows = [[("lam", spec.form_eval(stab.lam, x)), *((i, c) for i, c in enumerate(x) if c)]
+            for x in map(spec.j_embed, stab.basis)]
+    codes, low = lanes.span(rows), (1 << shift) - 1
+    xs = [ctx.j_number[c & low] for c in codes]
+    ts = [eps[c >> shift] for c in codes]
     out = {}
     for h in stab.h_part:   # point h + x of G is number(h) plus the number of x in J
         base = box(spec, "G").number(h)

@@ -8,7 +8,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from supchar import linalg
 from supchar.cyclo import cyclotomic_poly
-from supchar.algebra import box, h_elements, load_algebra_file, make_triple
+from supchar.algebra import (AlgebraSpec, box, h_elements, load_algebra_file, make_triple,
+                             validate_algebra)
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -64,11 +65,31 @@ def spec_named(name):
     return load_algebra_file(here if os.path.exists(here) else os.path.join(DATA, name))
 
 
+def field_span(F, basis, dim):
+    """The oracle for algebra._Lanes.span: every vector sum of c_j b_j with
+    dim entries, from FieldSpec.mul and FieldSpec.add, in the same order (the
+    last coefficient varying fastest)."""
+    vecs = [(0,) * dim]
+    for b in basis:
+        scaled = [tuple(F.mul(c, x) for x in b) for c in range(F.q)]
+        vecs = [tuple(F.add(a, x) for a, x in zip(v, s)) for v in vecs for s in scaled]
+    return vecs
+
+
+def reversed_radical(n, p):
+    """T(n, p) with the same structure constants and its radical basis listed
+    backwards, so radical order and coordinate order differ."""
+    s = tri.make_triangular(n, get_field(p))
+    entries = [(i, j, list(cell)) for i, row in enumerate(s._sparse) for j, cell in enumerate(row)]
+    return validate_algebra(AlgebraSpec(s.field, s.dim, entries, s.unit, s.blocks,
+                                        s.radical_basis[::-1]))
+
+
 def j_vectors(spec):
     """All of J as full vectors, lexicographic in the radical coordinates,
     spanned from the radical basis independently of the package's Box."""
     basis = [spec.basis_vec(i) for i in spec.radical_basis]
-    return list(linalg.span(spec.field, basis, spec.dim))
+    return field_span(spec.field, basis, spec.dim)
 
 
 def dual_vectors(spec):

@@ -239,6 +239,16 @@ PINNED_STDOUT = [
      "754612ac396e1f980068bf6f86d4dd63911919c4687cbe22d2ad0f6eba83156c"),
     (["verify", "--n", "3", "--p", "5", "--checks", "all"],
      "5ac91ec2a1b801a72a415321cd7def49b95760f23d5e38344656b8314e5ac37b"),
+    # odd p with k > 1, and k = 3, through the whole pipeline
+    (["verify", "--n", "2", "--p", "3", "--k", "2", "--checks", "all"],
+     "ced48c446c8b726c7ed92ba39c49c74e781d984ec8178e03ec89e8fa3b39805b"),
+    (["verify", "--n", "2", "--p", "2", "--k", "3", "--checks", "all"],
+     "29cc750c98f161eefcc7cd40c7d1e15ff89dc6ae2135a285e9a1268b53e80b37"),
+    # J = 0: spans of no vectors, support tables with no coordinates
+    (["verify", "--spec", SEMISIMPLE, "--checks", "all"],
+     "7574e9b0254729c769623130c9f5dfa431729fddae894fc5cafe05fc5c27489f"),
+    (["orbits", "--spec", SEMISIMPLE, "--space", "both"],
+     "a84a0b809fe2f6fda74b16d3debdda3cb7f547c3857c0ff1bca2b3cfbab07db8"),
 ]
 
 

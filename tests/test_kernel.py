@@ -21,15 +21,17 @@ from supchar.algebra import (
     LinearMap,
     box,
     certified_generators,
-    element_support,
     form_support,
     h_elements,
     load_algebra_file,
     orbit_census,
     orbit_partition,
+    orbit_support,
     rho_dual_map,
     rho_map,
     sandwich_map,
+    space_orbits,
+    support_table,
     validate_algebra,
 )
 from supchar.errors import PointOutsideSet
@@ -37,7 +39,7 @@ from supchar.superclasses import r_map, superclass_partition
 from supchar.supercharacters import InductionContext, nn_orbits
 
 from conftest import (LABEL_SPECS, dual_vectors, g_elements, get_field, get_spec, j_vectors,
-                      points_of, spec_named, tuple_orbit_partition)
+                      points_of, reversed_radical, spec_named, tuple_orbit_partition)
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "..", "src", "supchar", "data")
@@ -48,17 +50,8 @@ FILES = {
     "semisimple_q3": os.path.join(HERE, "semisimple_q3.json"),
 }
 TRIANGULAR = {"T2-3": (2, 3, 1), "T3-2": (3, 2, 1), "T3-3": (3, 3, 1),
-              "T2-GF4": (2, 2, 2), "T3-GF4": (3, 2, 2)}
+              "T2-GF4": (2, 2, 2), "T3-GF4": (3, 2, 2), "T2-GF9": (2, 3, 2), "T2-GF8": (2, 2, 3)}
 CASES = [*TRIANGULAR, *FILES, "T3-3-reversed-radical", "T3-3-radical-first"]
-
-
-def _reversed_radical(n, p):
-    """T(n, p) with the same structure constants and its radical basis listed
-    backwards, so radical order and coordinate order differ."""
-    s = tri.make_triangular(n, get_field(p))
-    entries = [(i, j, list(cell)) for i, row in enumerate(s._sparse) for j, cell in enumerate(row)]
-    return validate_algebra(AlgebraSpec(s.field, s.dim, entries, s.unit, s.blocks,
-                                        s.radical_basis[::-1]))
 
 
 def _radical_first(n, p):
@@ -83,7 +76,7 @@ def spec_for(case):
         return get_spec(*TRIANGULAR[case])
     if case in FILES:
         return load_algebra_file(FILES[case])
-    return _reversed_radical(3, 3) if case == "T3-3-reversed-radical" else _radical_first(3, 3)
+    return reversed_radical(3, 3) if case == "T3-3-reversed-radical" else _radical_first(3, 3)
 
 
 def _oracle(points, maps):
@@ -189,7 +182,12 @@ def _literal_form_support(s, lam):
 @pytest.mark.parametrize("case", CASES)
 def test_cached_supports_equal_the_definition(case):
     s = spec_for(case)
-    assert all(element_support(s, x) == _literal_element_support(s, x) for x in j_vectors(s))
+    for space, supp, points in (("J", _literal_element_support, j_vectors(s)),
+                                ("J*", _literal_form_support, dual_vectors(s))):
+        table, number = support_table(s, space), box(s, space).number
+        assert len(table) == len(points), space
+        assert all(table[number(v)] == supp(s, v) for v in points), space
+        assert len(set(map(id, table))) == len(set(table)), space   # equal ones are one object
     assert all(form_support(s, lam) == _literal_form_support(s, lam) for lam in dual_vectors(s))
     # each census orbit's canonical representative is its least member of
     # least support, in whatever order the kernel lists the other members
@@ -197,6 +195,26 @@ def test_cached_supports_equal_the_definition(case):
         census = orbit_census(s, space)
         for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
             assert rep == min(v for v in points_of(s, orb) if supp(s, v) == T), (space, rep)
+
+
+@pytest.mark.parametrize("name", [(3, 3, 1), (3, 2, 2), "zigzag_poset_q3.json"], ids=str)
+def test_orbit_support_decodes_only_its_representative(name, monkeypatch):
+    """orbit_support reads support_table by point number: one Box.point call
+    per orbit, for the representative it returns, and no LinearMap.apply."""
+    if isinstance(name, tuple):     # fresh: no orbit support proved yet
+        s = tri.make_triangular(name[0], get_field(*name[1:]))
+    else:
+        s = spec_named(name)
+    for space, action in (("J", "rho"), ("J*", "rho_dual")):
+        orbits = space_orbits(s, action)
+        calls = []
+        for cls, fn in ((algebra.Box, "point"), (LinearMap, "apply")):
+            real = getattr(cls, fn)
+            monkeypatch.setattr(cls, fn, lambda *a, _f=real, _n=fn: calls.append(_n) or _f(*a))
+        for o in orbits:
+            orbit_support(s, o)
+        monkeypatch.undo()
+        assert calls == ["point"] * len(orbits), space
 
 
 def test_kernel_without_maps_lists_every_point_alone():

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from supchar import algebra, linalg, superclasses
+from supchar import algebra, superclasses
 from supchar import supercharacters as sc
 from supchar import triangular as tri
 from supchar.algebra import (
@@ -27,7 +27,7 @@ from supchar.errors import (
     NotRegular,
     PartitionMismatch,
 )
-from supchar.fields import additive_char_exponent
+from supchar.fields import FieldSpec, additive_char_exponent
 from supchar.superclasses import (
     SuperclassRecord,
     identity_index,
@@ -54,12 +54,14 @@ from supchar.supercharacters import (
 from conftest import (
     DATA,
     LABEL_SPECS,
+    field_span,
     g_elements,
     get_field,
     get_partition,
     get_spec,
     j_vectors,
     points_of,
+    reversed_radical,
     spec_named,
 )
 
@@ -121,7 +123,7 @@ def _literal_right_stabilizer(s, lam, hs):
 def _elements(s, stab):
     """The elements h + x of G_lambda, h in H_{e'} and x in J_{lambda,right}."""
     rad = [s.j_embed(b) for b in stab.basis]
-    return {s.add(h, x) for h in stab.h_part for x in linalg.span(s.field, rad, s.dim)}
+    return {s.add(h, x) for h in stab.h_part for x in field_span(s.field, rad, s.dim)}
 
 
 def _assert_counts_are_xi(s, stab, ctx):
@@ -148,8 +150,10 @@ def _assert_counts_are_xi(s, stab, ctx):
 
 def test_g_lambda_and_n_right_equal_the_literal_products():
     # G_lambda only: N_{mu,right} is built by the literal oracle of
-    # test_n_characters_match_literal_average_over_n alone
-    for name, s, _ in _literal_specs():
+    # test_n_characters_match_literal_average_over_n alone.  With the radical
+    # basis listed backwards, box J's coordinate order (sorted basis indices)
+    # is not radical order, and class_counts must number x in the former
+    for name, s, _ in [*_literal_specs(), ("T(3,3) reversed", reversed_radical(3, 3), None)]:
         ctx = InductionContext(s, 2 ** 17)
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
@@ -161,7 +165,8 @@ def test_g_lambda_and_n_right_equal_the_literal_products():
 
 def test_stabilizer_data_builds_no_element_of_g_lambda(monkeypatch):
     """One product h b per h in H_{e'} and basis vector b of J_{lambda,right},
-    and no LinearMap.apply beyond the one that reads lambda's support."""
+    and no LinearMap.apply: once the census has run, lambda's support is read
+    off the support table."""
     for name, s, _ in _literal_specs():
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)    # orbits cached
@@ -174,8 +179,32 @@ def test_stabilizer_data_builds_no_element_of_g_lambda(monkeypatch):
             support_applies, calls["apply"] = calls["apply"], 0
             stabilizer_data(s, lbl.lambda_rep, lbl.e)
             monkeypatch.undo()
-            assert calls["apply"] == support_applies == 1, (name, lbl.render())
+            assert calls["apply"] == support_applies == 0, (name, lbl.render())
             assert calls["mul"] <= len(stab.h_part) * len(stab.basis), (name, lbl.render())
+
+
+def test_class_counts_decode_no_point_and_apply_no_map(monkeypatch):
+    """class_counts reads each x of J_{lambda,right} off one span of codes:
+    no Box.point and no LinearMap.apply call, and field arithmetic per basis
+    vector of J_{lambda,right} (lambda(b) and the q multiples of each row)
+    and per field element (eps), none per element of G_lambda."""
+    for name, s, _ in [*_literal_specs(), ("T(3,GF(4))", get_spec(3, 2, 2), None)]:
+        ctx = InductionContext(s, 2 ** 17)
+        F, nu = s.field, len(s.radical_basis)
+        for lbl in enumerate_labels(s, orbit_census(s, "J*")):
+            stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
+            calls = Counter()
+            for cls, fn in ((algebra.Box, "point"), (algebra.LinearMap, "apply"),
+                            (FieldSpec, "add"), (FieldSpec, "mul")):
+                real = getattr(cls, fn)
+                monkeypatch.setattr(cls, fn, lambda *a, _f=real, _n=fn:
+                                    calls.update([_n]) or _f(*a))
+            sc.class_counts(s, stab, ctx)
+            monkeypatch.undo()
+            field_calls = calls.pop("add", 0) + calls.pop("mul", 0)
+            assert calls == Counter(), (name, lbl.render())
+            bound = F.q * F.k + len(stab.basis) * (2 * nu + F.q * (nu + 1))
+            assert field_calls <= bound, (name, lbl.render(), field_calls)
 
 
 def test_form_products_are_lam_of_the_basis_products():
