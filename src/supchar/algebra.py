@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, namedtuple
-from functools import reduce
 from math import lcm, prod
 
 from . import linalg
@@ -167,18 +166,13 @@ class AlgebraSpec:
 
     def form_eval(self, lam, x):
         """lambda(x); only the J-component of x contributes."""
-        F = self.field
-        out = 0
-        for c, i in zip(lam, self.radical_basis):
-            if c and x[i]:
-                out = F.add(out, F.mul(c, x[i]))
-        return out
+        return self.field.dot(zip(lam, (x[i] for i in self.radical_basis)))
 
     def form_products(self, lam):
         """[[lam(b_i b_j) for j] for i] over every basis index, read off the
         sparse structure constants with no mul."""
-        F, at = self.field, dict(zip(self.radical_basis, lam))
-        return [[reduce(F.add, (F.mul(at.get(l, 0), v) for l, v in cell), 0) for cell in row]
+        F, full = self.field, self.j_embed(lam)
+        return [[F.dot((full[l], v) for l, v in cell) if cell else 0 for cell in row]
                 for row in self._sparse]
 
 
@@ -319,70 +313,54 @@ def orbit_partition(box: Box, maps) -> list[array]:
     (LinearMap) generate, each an array('I') of point numbers (Box) with its
     least point first, in order of their least point.
 
-    Every map must permute the points (else PointOutsideSet).  A finite group
-    is generated by any generating set as a semigroup, so the closures under
-    the maps, applied without inverses, are exactly the orbits.
+    Every map must send each translate h + V (V spanned by the e_i, i in
+    coords) onto itself, else PointOutsideSet: the orbits are found one
+    translate at a time.  A finite group is generated by any generating set
+    as a semigroup, so the closures under the maps, applied without inverses,
+    are exactly the orbits.
 
-    Points are coded as packed ints (_Lanes) over the active coordinates, the
-    coords and those where the translates differ; every point agrees with the
-    first translate h0 off them.  A map's image table comes from linearity:
-    x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum M (c_i e_i).
-    Off the active coordinates M h + shift must equal h0 and each M e_i must
-    vanish (else the image of h, or of h0 + e_i, leaves the box).  The table
-    is then one span (_Lanes.span) of the columns M e_i, all but the last
-    spanned once and the last added per translate, at about one packed add
-    per point.  The closures are a BFS over these int tables.
+    The points of a translate are coded as packed ints (_Lanes) over the
+    coords, and one index of q^len(coords) codes numbers them.  By linearity
+    x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum c_i M e_i,
+    so M h + shift must agree with h off V and each M e_i lie in V; a map's
+    table on h + V then adds the q multiples of each column M e_i, coded once
+    per map, to the image of h: about one packed add per point.  The closures
+    are a BFS over these tables; in a translate, number order is point order,
+    so each BFS starts at the least point of its orbit.
     """
-    field, translates, coords = box.field, box.translates, box.coords
-    h0 = translates[0]
-    lanes = _Lanes(field, sorted({*coords, *(i for h in translates
-                                             for i, x in enumerate(h) if x != h0[i])}))
-    fixed = [(i, x) for i, x in enumerate(h0) if i not in lanes.shifts]
-
-    def pack(vec, x):
-        """The code of the image vec of the point x, which must agree with h0
-        off the active coordinates."""
-        if any(vec[i] != c for i, c in fixed):
-            raise PointOutsideSet(f"a map sends {x} outside its point set")
-        return lanes.pack((i, vec[i]) for i in lanes.shifts)
-
-    codes = lanes.span([[(i, 1)] for i in coords])
-    codes = [base + v for h in translates for base in [pack(h, h)] for v in codes]
-    index = dict(zip(codes, range(len(codes))))
-    tables = []
+    field, coords, translates = box.field, box.coords, box.translates
+    lanes, width = _Lanes(field, coords), field.q ** len(coords)
+    index = dict(zip(lanes.span([[(i, 1)] for i in coords]), range(width)))
+    lines = []
     for m in maps:
-        bases = [pack(m.apply(h), h) for h in translates]
         for i in coords:
-            if any(l not in lanes.shifts for l, _ in m.cols[i]):
-                x = tuple(1 if j == i else c for j, c in enumerate(h0))
-                raise PointOutsideSet(f"a map sends {x} outside its point set")
-        cols = [m.cols[i] for i in coords]
-        head, last = lanes.span(cols[:-1]), lanes.span(cols[-1:])
-        images = []
-        for base in bases:
-            images += lanes.sums(head, lanes.sums([base], last))
-        try:
-            tables.append(array("I", map(index.__getitem__, images)))
-        except KeyError:
-            n = next(n for n, c in enumerate(images) if c not in index)
-            raise PointOutsideSet(f"a map sends {box.point(n)} outside its point set") from None
-    del index
-    seen = bytearray(len(codes))
+            if any(l not in lanes.shifts for l, _ in m.cols[i]):    # h0 + e_i is weights[i]
+                raise PointOutsideSet(f"a map sends {box.point(box.weights[i])} outside its point set")
+        lines.append([lanes.span([m.cols[i]]) for i in coords])
     orbits = []
-    for start in range(len(codes)):
-        if not seen[start]:
-            seen[start] = 1
-            members = array("I", [start])
-            for v in members:
-                for table in tables:
-                    w = table[v]
-                    if not seen[w]:
-                        seen[w] = 1
-                        members.append(w)
-            least = members.index(min(members, key=codes.__getitem__))
-            members[0], members[least] = members[least], members[0]
-            orbits.append(members)
-    orbits.sort(key=lambda o: codes[o[0]])
+    for t, h in enumerate(translates):
+        tables = []
+        for m, columns in zip(maps, lines):
+            image = m.apply(h)
+            if any(image[i] != c for i, c in enumerate(h) if i not in lanes.shifts):
+                raise PointOutsideSet(f"a map sends {h} outside its point set")
+            codes = [lanes.pack((i, image[i]) for i in coords)]
+            for line in columns:
+                codes = lanes.sums(codes, line)
+            tables.append(array("I", map(index.__getitem__, codes)))
+        seen, offset = bytearray(width), t * width
+        for start in range(width):
+            if not seen[start]:
+                seen[start] = 1
+                members = array("I", [start])
+                for v in members:
+                    for table in tables:
+                        w = table[v]
+                        if not seen[w]:
+                            seen[w] = 1
+                            members.append(w)
+                orbits.append(array("I", map(offset.__add__, members)) if offset else members)
+    orbits.sort(key=lambda o: box.point(o[0]))
     return orbits
 
 
@@ -397,12 +375,12 @@ def orbit_ids(orbits, size: int) -> array:
 
 
 def box(spec: AlgebraSpec, tag: str) -> Box:
-    """The point set tag of spec, built once: "G" = H + J, "H", "N" = 1 + J and
-    "J" as full vectors, "J*" in radical coordinates."""
+    """The point set tag of spec, built once: "G" = H + J, "N" = 1 + J and "J"
+    as full vectors, "J*" in radical coordinates."""
     if tag not in spec._boxes:
-        hs, nu = h_elements(spec) if tag in ("G", "H") else None, len(spec.radical_basis)
+        hs, nu = h_elements(spec) if tag == "G" else None, len(spec.radical_basis)
         spec._boxes[tag] = Box(spec.field, *{
-            "G": (hs, spec.radical_basis), "H": (hs, ()), "N": ([spec.unit], spec.radical_basis),
+            "G": (hs, spec.radical_basis), "N": ([spec.unit], spec.radical_basis),
             "J": ([spec.zero()], spec.radical_basis), "J*": ([(0,) * nu], range(nu))}[tag])
     return spec._boxes[tag]
 
@@ -637,8 +615,18 @@ def torus_generators(spec: AlgebraSpec) -> list:
 
 
 def _generated_order(spec: AlgebraSpec, tag: str, xs) -> int:
-    """The order of the subgroup of H (tag "H") or N ("N") that xs generate: the
-    orbit of the unit under right multiplication by them, which permutes the box."""
+    """The order of the subgroup of H (tag "H") or N ("N") that xs generate.
+    H is the product of the cyclic H_i, and each block's discrete log is a
+    bijection onto Z/|H_i| (_build_block_data), so on H it is the closure of
+    the zero vector under adding each x's vector of block logs mod |H_i|.  On
+    N it is the orbit of the unit under right multiplication by the xs, which
+    permutes the box 1 + J."""
+    if tag == "H":
+        orders = spec.block_orders
+        steps = [[spec.block_dlog[i][block_component(spec, x, i)] for i in range(len(orders))]
+                 for x in xs]
+        return len(closure((0,) * len(orders), [
+            lambda v, s=s: tuple((a + b) % n for a, b, n in zip(v, s, orders)) for s in steps]))
     unit, maps = box(spec, tag).number(spec.unit), [sandwich_map(spec, spec.unit, x) for x in xs]
     return len(next(o for o in orbit_partition(box(spec, tag), maps) if unit in o))
 
@@ -700,14 +688,13 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
     G~ exactly when their t-parts generate H and their a-parts and b-parts each
     generate N.  Each of these is the closure of the unit under right
     multiplication, which lies in H (or N) and so equals it exactly when it
-    has |H| (or |N| = q^{dim J}) elements.  Right multiplication by a part
-    permutes the box H (or 1 + J) that the part lies in, so the closure is
-    the orbit of the unit in the kernel's partition of that box
-    (_generated_order).  The b-parts need no closure of their own when they
-    equal the a-parts.
+    has |H| (or |N| = q^{dim J}) elements: on H a closure of block discrete
+    logs, on N the orbit of the unit in the kernel's partition of the box
+    1 + J (_generated_order).  The b-parts need no closure of their own when
+    they equal the a-parts.
     """
     unit = spec.unit
-    h_set = set(box(spec, "H").translates)
+    h_set = set(box(spec, "G").translates)
     parts = {"t": set(), "a": set(), "b": set()}
     for g in gens:
         moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
@@ -718,7 +705,8 @@ def certify_generators(spec: AlgebraSpec, gens) -> None:
                 raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
             parts[k].add(x)
     for k, name in [("t", "H"), ("a", "N")] + [("b", "N")] * (parts["b"] != parts["a"]):
-        size, order = _generated_order(spec, name, sorted(parts[k])), box(spec, name).size
+        size = _generated_order(spec, name, sorted(parts[k]))
+        order = prod(spec.block_orders) if name == "H" else box(spec, "N").size
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")

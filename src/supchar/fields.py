@@ -6,7 +6,9 @@ of x^i modulo the field modulus.  For k = 1 this is the ordinary residue.
 """
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from itertools import starmap
 
 from .errors import BadOrder, DegreeTooLarge, DivisionByZero, LogOfZero, NotPrime
 
@@ -83,6 +85,16 @@ class FieldSpec(namedtuple("FieldSpec", [
             return 0
         n = self.q - 1
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % n]
+
+    def dot(self, pairs) -> int:
+        """The sum of a b over the pairs (a, b): integer products and one
+        reduction mod p on a prime field, field operations otherwise."""
+        if self.k == 1:
+            return sum(starmap(operator.mul, pairs)) % self.p
+        out = 0
+        for a, b in pairs:
+            out = self.add(out, self.mul(a, b))
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -3,7 +3,6 @@ products, the supercharacter-theory axiom report, and the restriction to N."""
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from functools import reduce
 from itertools import product
 from math import lcm
 from operator import mul
@@ -81,10 +80,10 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     hs = [h for h in h_elements(spec)
           if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e)]
 
+    columns = [*zip(*products)]
+
     def fixes(h):   # lam(h b_r) = lam(b_r) = lam(b_r h) for every radical b_r
-        coords = [(i, c) for i, c in enumerate(h) if c]
-        return all(reduce(F.add, (F.mul(c, products[i][r]) for i, c in coords), 0) == lam_r ==
-                   reduce(F.add, (F.mul(c, products[r][i]) for i, c in coords), 0)
+        return all(F.dot(zip(h, columns[r])) == lam_r == F.dot(zip(h, products[r]))
                    for r, lam_r in zip(rad, lam))
     both = [h for h in h_elements(spec) if fixes(h)]
     if sorted(both) != sorted(hs):
@@ -95,7 +94,7 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     for h in hs:
         for b in basis:
             hb = spec.j_coords(spec.mul(h, spec.j_embed(b)))
-            if any(reduce(F.add, map(F.mul, row, hb), 0) for row in rows):
+            if any(F.dot(zip(row, hb)) for row in rows):
                 raise NotInStabilizer(f"{h} (1 + J_lambda,right) does not lie in G_lambda")
     return StabilizerData(tuple(lam), tuple(hs), tuple(basis), len(hs) * F.q ** len(basis))
 
@@ -135,8 +134,8 @@ class InductionContext:
     every induced value (one object per distinct value).  Each class is the
     closure of an element under g -> s^-1 g s for the distinct t-parts and
     a-parts of certified_generators, which generate H and N and so G = H N;
-    G = H + J is a union of translates of J, so orbit_partition computes every
-    closure."""
+    both fix the S-part h of g = h + x (S is commutative, J an ideal), so
+    orbit_partition computes every closure inside its translate h + J."""
 
     def __init__(self, spec: AlgebraSpec, bound: int):
         self.order = group_order(spec)

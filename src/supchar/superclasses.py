@@ -167,8 +167,8 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
 
     Each superclass is the closure of an element of G = H + J under the
     certified generators of G~ (certified_generators), so it is exactly one
-    G~-orbit; R_tau is affine, so the orbit kernel computes every closure
-    (orbit_partition)."""
+    G~-orbit; R_tau is affine and fixes the S-part of each element, so
+    orbit_partition computes every closure inside its translate h + J."""
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")

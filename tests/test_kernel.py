@@ -10,6 +10,7 @@ four-block poset, J = 0, and a radical basis listed out of order.
 import os
 from array import array
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -124,11 +125,19 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     maps = [sandwich_map(s, s.invert(x), x) for x in sorted(parts - {unit})]
     assert _sets(s, "G", InductionContext(s, 2 ** 17).classes) == _oracle(g_points, maps)
 
-    # G under right multiplication by the t-parts, whose orbits cross
-    # translates: on T3-3-radical-first an orbit's least point is not always
-    # its least number
-    maps = [sandwich_map(s, unit, t) for t in sorted({g.t for g in gens} - {unit})]
-    assert _sets(s, "G", orbit_partition(box(s, "G"), maps)) == _oracle(g_points, maps)
+
+@pytest.mark.parametrize("case", ["T3-3", "T2-GF4", "zigzag_poset_q3", "T3-3-radical-first"])
+def test_partitions_of_g_build_no_array_longer_than_j(case, monkeypatch):
+    """superclass_partition and InductionContext partition G one translate
+    h + J at a time: no array the orbit kernel builds, image table or orbit,
+    holds more than |J| = q^dim J entries."""
+    s = spec_for(case)
+    sizes, real = [], algebra.array
+    monkeypatch.setattr(algebra, "array", lambda *args: sizes.append(len(a := real(*args))) or a)
+    superclass_partition(s)
+    InductionContext(s, 2 ** 17)
+    assert len(box(s, "G").translates) > 1     # so |G| > |J|
+    assert sizes and max(sizes) <= s.field.q ** len(s.radical_basis)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
@@ -149,17 +158,22 @@ def test_lane_sums_are_field_addition(p, k):
 def test_map_leaving_the_point_set_is_refused():
     # on J of T(2, 3), whose coordinates 0 and 1 are E11 and E22: the shift
     # x -> x + E11 moves the image of 0 off J, and x -> E11 x_12 the image of
-    # E12; on G the zero map sends diag(1, 1) to 0, which is not in H
+    # E12; on G the zero map sends diag(1, 1) to 0, which is not in H, and
+    # right multiplication by a torus generator t moves diag(1, 1) to t, off
+    # its translate diag(1, 1) + J
     s = get_spec(2, 3)
     F, rad = s.field, s.radical_basis
     identity = [((i, 1),) for i in range(s.dim)]
     onto_e11 = [() if i not in rad else ((0, 1),) for i in range(s.dim)]
+    t = sorted({g.t for g in certified_generators(s)} - {s.unit})[0]
     cases = [([s.zero()], LinearMap(F, identity, s.basis_vec(0)), r"\(0, 0, 0\)"),
              ([s.zero()], LinearMap(F, onto_e11, s.zero()), r"\(0, 0, 1\)"),
              (h_elements(s), LinearMap(F, [()] * s.dim, s.zero()), r"\(1, 1, 0\)")]
     for translates, m, point in cases:
         with pytest.raises(PointOutsideSet, match=f"sends {point} outside"):
             orbit_partition(algebra.Box(F, translates, rad), [m])
+    with pytest.raises(PointOutsideSet, match=r"sends \(1, 1, 0\) outside"):
+        orbit_partition(box(s, "G"), [sandwich_map(s, s.unit, t)])
 
 
 def _literal_element_support(s, x):
@@ -231,14 +245,14 @@ def test_box_numbers_points_translate_by_translate(name):
     """point and number are inverse on every box, and number the points
     translate by translate, lexicographically in the free coordinates."""
     s = spec_named(name) if name in LABEL_SPECS else spec_for(name)
-    for tag in ("G", "H", "N", "J", "J*"):
+    for tag in ("G", "N", "J", "J*"):
         b = box(s, tag)
         values = range(s.field.q)
         want = [v for h in b.translates for v in product(
             *[values if i in b.coords else (x,) for i, x in enumerate(h)])]
         assert [b.point(n) for n in range(b.size)] == want, tag
         assert [b.number(v) for v in want] == list(range(b.size)), tag
-    for tag, outside in (("G", s.zero()), ("H", s.zero()), ("N", s.zero()),
+    for tag, outside in (("G", s.zero()), ("N", s.zero()),
                          ("J", s.unit), ("J*", (0,) * (len(s.radical_basis) + 1))):
         with pytest.raises(PointOutsideSet, match="not a point"):
             box(s, tag).number(outside)
@@ -246,14 +260,25 @@ def test_box_numbers_points_translate_by_translate(name):
 
 @pytest.mark.parametrize("name", LABEL_SPECS, ids=str)
 def test_certificate_and_torus_conjugations_close_on_the_kernel(name, monkeypatch):
-    """The t-parts close in the kernel's box H, as the a- and b-parts do in
-    1 + J: no tuple closure runs."""
-    def refuse(*args):
-        raise AssertionError("a tuple closure ran")
-    monkeypatch.setattr(algebra, "closure", refuse)
+    """The a- and b-parts close in the kernel's box 1 + J, and the only tuple
+    closure that runs is H's, on block discrete logs from the zero vector:
+    no AlgebraSpec.mul or LinearMap.apply runs while H is proved."""
+    starts = []
+    real_closure = algebra.closure
+    monkeypatch.setattr(algebra, "closure",
+                        lambda start, maps: starts.append(start) or real_closure(start, maps))
     if isinstance(name, tuple):     # fresh: nothing certified yet
         s = tri.make_triangular(name[0], get_field(*name[1:]))
     else:
         s = spec_named(name)
-    algebra.certify_generators(s, algebra.tilde_generators(s))
+    gens = algebra.tilde_generators(s)
+    algebra.certify_generators(s, gens)
     assert len(algebra.torus_conjugations(s)) == sum(o > 1 for o in s.block_orders)
+    assert starts and set(starts) == {(0,) * len(s.blocks)}
+
+    def refuse(*args):
+        raise AssertionError("an algebra product ran while H was proved")
+    monkeypatch.setattr(algebra.AlgebraSpec, "mul", refuse)
+    monkeypatch.setattr(LinearMap, "apply", refuse)
+    t_parts = sorted({g.t for g in gens})
+    assert algebra._generated_order(s, "H", t_parts) == prod(s.block_orders)
