@@ -70,6 +70,7 @@ class AlgebraSpec:
         self._sparse = tuple(map(tuple, sparse))
         self._inv_cache: dict = {}
         self._tilde_gens = None         # certified tilde_generators
+        self._n_closure = (None, None)  # the last _unit_closure: (its xs, the subgroup)
         self._boxes: dict = {}          # tag -> its point set (box)
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
         self._orbit_of: dict = {}       # action -> the orbit id of each point (orbit_ids)
@@ -619,16 +620,27 @@ def _generated_order(spec: AlgebraSpec, tag: str, xs) -> int:
     H is the product of the cyclic H_i, and each block's discrete log is a
     bijection onto Z/|H_i| (_build_block_data), so on H it is the closure of
     the zero vector under adding each x's vector of block logs mod |H_i|.  On
-    N it is the orbit of the unit under right multiplication by the xs, which
-    permutes the box 1 + J."""
+    N it is the size of _unit_closure."""
     if tag == "H":
         orders = spec.block_orders
         steps = [[spec.block_dlog[i][block_component(spec, x, i)] for i in range(len(orders))]
                  for x in xs]
         return len(closure((0,) * len(orders), [
             lambda v, s=s: tuple((a + b) % n for a, b, n in zip(v, s, orders)) for s in steps]))
-    unit, maps = box(spec, tag).number(spec.unit), [sandwich_map(spec, spec.unit, x) for x in xs]
-    return len(next(o for o in orbit_partition(box(spec, tag), maps) if unit in o))
+    return len(_unit_closure(spec, xs))
+
+
+def _unit_closure(spec: AlgebraSpec, xs) -> array:
+    """The subgroup of N that xs generate, as point numbers of box N: the
+    orbit of the unit under right multiplication by the xs, which permutes
+    the box 1 + J.  The last one built is kept, so the certificate reads the
+    closure tilde_generators ended on instead of building it again."""
+    key = frozenset(xs)
+    if spec._n_closure[0] != key:
+        points, maps = box(spec, "N"), [sandwich_map(spec, spec.unit, x) for x in sorted(key)]
+        unit = points.number(spec.unit)
+        spec._n_closure = key, next(o for o in orbit_partition(points, maps) if unit in o)
+    return spec._n_closure[1]
 
 
 def torus_conjugations(spec: AlgebraSpec) -> list:
@@ -652,14 +664,56 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
 # ---------------------------------------------------------------------------
 
 def tilde_generators(spec: AlgebraSpec):
-    """Generator triples of G~: one torus generator per block, and (1, a, 1),
-    (1, 1, a) with a = 1 + c b_r for every radical basis vector b_r and c != 0."""
-    gens = [make_triple(spec, t, spec.unit, spec.unit) for t in torus_generators(spec)]
-    for r in spec.radical_basis:
-        for c in range(1, spec.field.q):
-            a = spec.add(spec.unit, spec.smul(c, spec.basis_vec(r)))
-            gens.append(make_triple(spec, spec.unit, a, spec.unit))
-            gens.append(make_triple(spec, spec.unit, spec.unit, a))
+    """Generator triples of G~, few of them: one torus generator per block of
+    order > 1, and (1, a, 1), (1, 1, a) for each a-part a.
+
+    The a-parts start as 1 + c b_r for the radical basis vectors b_r outside
+    J^2 plus the span of those kept before them (a basis of J/J^2: the simple
+    roots of T(n, q), the cover relations of an incidence algebra) and c in
+    the F_p-basis 1, x, ..., x^(k-1) of F_q (codes p^j).  As
+    (1 + x)(1 + y) = 1 + x + y mod J^2, these generate N modulo 1 + J^2, so
+    they generate N when 1 + J^2 lies in N's Frattini subgroup, as for T(n, q).
+    Otherwise (for a group algebra F_p[P] the lifts 1 + (g - 1) generate only
+    P) they are topped up by 1 + c m for the monomials m = b_r1 ... b_rl of
+    the radical basis, by length l and in index order within a length, and
+    c != 0: each one outside the group generated so far (_unit_closure) is
+    added, until that group is N.  This ends at N, as the monomials of length
+    i span J^i modulo J^(i+1); the candidates of length 1 are every 1 + c b_r,
+    so the top-up stops within them whenever those generate N.
+    certified_generators proves the list."""
+    F, rad, unit = spec.field, spec.radical_basis, spec.unit
+    gens = [make_triple(spec, t, unit, unit) for t in torus_generators(spec)]
+    # b_r raises the rank of J^2 + <kept b_s, s < r> exactly when no vector
+    # of J^2 has its last nonzero J coordinate at r: the non-pivot columns
+    # of the rref of J^2 with its J coordinates in reverse order
+    at = {i: len(rad) - 1 - s for s, i in enumerate(rad)}
+    rows = []
+    for i in rad:
+        for j in rad:
+            if cell := spec._sparse[i][j]:
+                rows.append([0] * len(rad))
+                for l, c in cell:
+                    rows[-1][at[l]] = c
+    pivots = set(linalg.rref(F, rows)[1])
+    parts = [spec.add(unit, spec.smul(F.p ** j, spec.basis_vec(r)))
+             for r in rad if at[r] not in pivots for j in range(F.k)]
+
+    def monomials():    # by length, in index order within a length; zero ones dropped
+        level = [spec.basis_vec(r) for r in rad]
+        while level:
+            yield from level
+            level = [y for m in level for r in rad if any(y := spec.mul(m, spec.basis_vec(r)))]
+
+    points, inside = box(spec, "N"), set(_unit_closure(spec, parts))
+    for m in monomials() if len(inside) < points.size else ():
+        for c in range(1, F.q):
+            if points.number(x := spec.add(unit, spec.smul(c, m))) not in inside:
+                parts.append(x)
+                inside = set(_unit_closure(spec, parts))
+        if len(inside) == points.size:
+            break
+    for a in parts:
+        gens += [make_triple(spec, unit, a, unit), make_triple(spec, unit, unit, a)]
     return gens
 
 
@@ -822,10 +876,15 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
     F = spec.field
     d = spec.dim
     if not is_form:
-        # column j holds c_j v, then v c_j: one product each per basis vector
-        left = [spec.mul(spec.basis_vec(j), v) for j in range(d)]
-        right = [spec.mul(v, spec.basis_vec(j)) for j in range(d)]
-        rows = [*zip(*left), *zip(*right)]
+        # column j holds b_j v, then v b_j, read off the structure constants:
+        # the sum of v_i times the cells b_j b_i (row j), or b_i b_j (column j)
+        def image(cells):
+            out = [0] * d
+            for vi, cell in zip(v, cells):
+                for l, c in cell if vi else ():
+                    out[l] = F.add(out[l], F.mul(vi, c))
+            return out
+        rows = [*zip(*map(image, spec._sparse)), *zip(*map(image, zip(*spec._sparse)))]
     else:
         # v(b_r c_j) and v(c_j b_r), read off the table of v's products
         products = spec.form_products(v)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .algebra import (
@@ -471,7 +471,8 @@ def n_characters(spec: AlgebraSpec, bound: int):
     psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in O (Diaconis &
     Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) -> mu(b_r b_c)), with norm
     psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is additive in nu, so one table
-    per representative 1 + x holds it for every nu in J* (by point number)."""
+    per representative 1 + x holds it for every nu in J* (by point number), and
+    one count of the pairs (orbit of nu, Tr nu(x)) over J* gives every sum."""
     F, rad, m = spec.field, spec.radical_basis, spec.cyclo_order
     if F.q ** len(rad) > bound:
         raise GroupTooLarge(f"|N| = {F.q ** len(rad)} exceeds bound {bound}")
@@ -481,16 +482,21 @@ def n_characters(spec: AlgebraSpec, bound: int):
     orbits = nn_orbits(spec)
     degrees = [F.q ** linalg.rank(F, [[lam_b[r][c] for c in rad] for r in rad])
                for lam_b in (spec.form_products(orb.representative) for orb in orbits)]
+    # one key per nu in J*: its orbit's position times width, plus Tr nu(x)
+    # (a sum of len(rad) traces, each below p, so below width)
+    width = (F.p - 1) * len(rad) + 1
+    keys = [o * width for o in orbit_ids([orb.members for orb in orbits], box(spec, "J*").size)]
     values, reduced = [[] for _ in orbits], {}      # each distinct value reduced once
     for rec in n_part:
         traces = [0]    # Tr nu(x) for every nu on the coordinates done so far
         for x in reversed(spec.j_coords(rec.representative)):
             steps = [F.trace(F.mul(c, x)) for c in range(F.q)]
             traces = [s + t for s in steps for t in traces] if x else traces * F.q
-        for vals, orb, degree in zip(values, orbits, degrees):
-            poly = [0] * m
-            for t, n in Counter(map(traces.__getitem__, orb.members)).items():
-                poly[t % F.p * (m // F.p)] += n * degree
+        polys = [[0] * m for _ in orbits]
+        for key, n in Counter(map(add, keys, traces)).items():
+            o, t = divmod(key, width)
+            polys[o][t % F.p * (m // F.p)] += n * degrees[o]
+        for vals, orb, poly in zip(values, orbits, polys):
             if (key := (tuple(poly), len(orb.members))) not in reduced:
                 reduced[key] = CycloNumber.from_int_poly(m, *key)
             vals.append(reduced[key])

@@ -1,5 +1,6 @@
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from supchar import linalg
 from supchar.cyclo import cyclotomic_poly
-from supchar.algebra import (AlgebraSpec, box, h_elements, load_algebra_file, make_triple,
-                             validate_algebra)
+from supchar.algebra import (AlgebraSpec, box, h_elements, load_algebra, load_algebra_file,
+                             make_triple, validate_algebra)
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -47,6 +48,64 @@ def get_spec(n, p, k=1):
     if key not in _specs:
         _specs[key] = tri.make_triangular(n, get_field(p, k))
     return _specs[key]
+
+
+def group_algebra_spec(p, elements, op) -> dict:
+    """The spec JSON of the group algebra F_p[P] of the p-group P with the
+    given elements, identity first, and product op.  The basis is b_0 = 1 and
+    b_i = g_i - 1 for i > 0: S = F_p is one block, and J, the augmentation
+    ideal, is spanned by the b_i (nilpotent as P is a p-group), with
+    b_i b_j = (g_i g_j - 1) - b_i - b_j."""
+    index, dim = {g: i for i, g in enumerate(elements)}, len(elements)
+    unit = [1] + [0] * (dim - 1)
+    mul = [[0, j, [[j, 1]]] for j in range(dim)] + [[i, 0, [[i, 1]]] for i in range(1, dim)]
+    for i in range(1, dim):
+        for j in range(1, dim):
+            terms = Counter({index[op(elements[i], elements[j])]: 1})
+            terms.subtract({i: 1})
+            terms.subtract({j: 1})
+            mul.append([i, j, [[l, c % p] for l, c in sorted(terms.items()) if l and c % p]])
+    return {"p": p, "dim": dim, "unit": unit, "mul": mul, "radical_basis": list(range(1, dim)),
+            "blocks": [{"idempotent": unit, "degree": 1, "basis": [0]}]}
+
+
+def _dihedral(n):
+    """D_2n as pairs (a, s) for r^a s^s, identity first."""
+    return ([(a, s) for s in (0, 1) for a in range(n)],
+            lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, (x[1] + y[1]) % 2))
+
+
+def _quaternion(x, y):
+    """The Hamilton product of quaternions given as (a, b, c, d) = a + bi + cj + dk."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _abelian(*orders):
+    """The product of the cyclic groups of the given orders, identity first."""
+    elements = [()]
+    for n in orders:
+        elements = [g + (a,) for g in elements for a in range(n)]
+    return elements, lambda x, y: tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+
+# name -> (p, elements of P with the identity first, product of P)
+GROUP_ALGEBRAS = {
+    "F2[C2xC2]": (2, *_abelian(2, 2)),
+    "F2[C4]": (2, *_abelian(4)),
+    "F2[D8]": (2, *_dihedral(4)),
+    "F2[Q8]": (2, [tuple(sign * int(i == v) for i in range(4)) for sign in (1, -1)
+                   for v in range(4)], _quaternion),
+    "F3[C3xC3]": (3, *_abelian(3, 3)),
+    # |G| = 2^15: left out of tier-1 for its time (about 2 s of verify --checks all)
+    "F2[D16]": (2, *_dihedral(8)),
+}
+
+
+def group_algebra(name):
+    return load_algebra(group_algebra_spec(*GROUP_ALGEBRAS[name]))
 
 
 def get_partition(n, p, k=1):

@@ -47,8 +47,8 @@ from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
 from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
-from conftest import (dual_vectors, g_elements, get_field, get_spec, j_vectors, points_of,
-                      random_triple)
+from conftest import (dual_vectors, g_elements, get_field, get_spec, group_algebra, j_vectors,
+                      points_of, random_triple)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -354,13 +354,53 @@ def test_certificate_accepts_generators_without_a_commutator_direction():
     certify_generators(s, _without_direction(s, tilde_generators(s), E13))
 
 
+def _closure_order(s, gens, side):
+    """The order of the subgroup of N the non-unit side-parts of gens
+    generate, by a literal closure of the unit under right multiplication."""
+    parts = {getattr(g, side) for g in gens} - {s.unit}
+    return len(algebra.closure(s.unit, [lambda x, a=a: s.mul(x, a) for a in parts]))
+
+
 def test_certificate_rejects_a_missing_radical_direction():
+    # E12 is no commutator, so the rest generate a proper subgroup of N
     s = get_spec(3, 2)
     gens = tilde_generators(s)
-    with pytest.raises(NotGenerating, match="a-parts generate a subgroup of order 4 "):
-        certify_generators(s, _without_direction(s, gens, E12))
-    with pytest.raises(NotGenerating, match="b-parts generate a subgroup of order 4 "):
-        certify_generators(s, _without_direction(s, gens, E12, sides=("b",)))
+    for side, rest in (("a", _without_direction(s, gens, E12)),
+                       ("b", _without_direction(s, gens, E12, sides=("b",)))):
+        order = _closure_order(s, rest, side)
+        assert order < 2 ** 3
+        with pytest.raises(NotGenerating,
+                           match=f"{side}-parts generate a subgroup of order {order} of N"):
+            certify_generators(s, rest)
+
+
+def test_group_algebra_generators_are_topped_up_by_a_monomial():
+    # F_2[C2 x C2], b_i = g_i - 1: b_1 and b_2 span J/J^2, and their lifts
+    # g_1, g_2 generate only P (order 4 of |N| = 8); 1 + b_3 = g_1 g_2 lies in
+    # P, b_1^2 = 0, and 1 + b_1 b_2 is the first candidate outside P
+    s = group_algebra("F2[C2xC2]")
+    gens = tilde_generators(s)
+    b1, b2 = s.basis_vec(1), s.basis_vec(2)
+    assert [g.a for g in gens if g.a != s.unit] == [s.add(s.unit, b1), s.add(s.unit, b2),
+                                                    s.add(s.unit, s.mul(b1, b2))]
+    assert _closure_order(s, gens[:4], "a") == 4     # the triples of g_1 and g_2
+    certify_generators(s, gens)
+
+
+@pytest.mark.parametrize("name", ["T(3,3)", "F2[D8]"])
+def test_certificate_reuses_the_builders_closure_of_n(name, monkeypatch):
+    """certified_generators closes N only as often as tilde_generators does:
+    the certificate reads the builder's last closure."""
+    def fresh():    # nothing built or certified yet
+        return tri.make_triangular(3, get_field(3)) if name == "T(3,3)" else group_algebra(name)
+    real, calls = algebra.orbit_partition, []
+    monkeypatch.setattr(algebra, "orbit_partition",
+                        lambda points, maps: calls.append(points.size) or real(points, maps))
+    tilde_generators(fresh())
+    built = len(calls)
+    calls.clear()
+    algebra.certified_generators(fresh())
+    assert len(calls) == built >= 1
 
 
 def test_certificate_rejects_a_missing_torus_generator():
@@ -438,8 +478,10 @@ def test_corner_certificate_rejects_a_missing_corner_direction(monkeypatch):
     s = tri.make_triangular(4, get_field(2))        # fresh: nothing certified yet
     T = frozenset({0, 1, 2})
     assert sum(element_support(s, s.basis_vec(r)) <= T for r in s.radical_basis) == 3
-    with pytest.raises(NotGenerating,
-                       match="a-parts generate a subgroup of order 32 of N, which has order 64"):
+    order = _closure_order(s, algebra.tilde_generators(s), "a")
+    assert order < 64
+    with pytest.raises(NotGenerating, match=f"a-parts generate a subgroup of order {order} "
+                                            "of N, which has order 64"):
         orbit(s, s.basis_vec(e12), "rho")
 
 
@@ -545,18 +587,18 @@ def test_singularity_examples():
     assert not is_singular(s, e12_plus_e23)
 
 
-def test_is_singular_takes_one_product_per_side_and_basis_vector(monkeypatch):
-    """2 dim products c_j v and v c_j for an element; none for a form, whose
-    rows are read off the structure constants."""
+def test_is_singular_reads_the_structure_constants_with_no_mul(monkeypatch):
+    """No AlgebraSpec.mul for an element or a form: the products b_j v and
+    v b_j, and the table of the form's products, are read off the structure
+    constants."""
     s = get_spec(3, 3)
     x = s.add(basis_vec(s, root_index(3, 1, 2)), basis_vec(s, root_index(3, 2, 3)))
     calls = []
     mul = AlgebraSpec.mul
     monkeypatch.setattr(AlgebraSpec, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
     assert not is_singular(s, x)
-    assert len(calls) == 2 * s.dim
     assert not is_singular(s, s.j_coords(x), True)
-    assert len(calls) == 2 * s.dim
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -694,6 +736,24 @@ def test_load_schema_error_names_field(mutate, field):
 def test_generator_closure_sanity():
     s = get_spec(3, 3)
     gens = tilde_generators(s)
-    # torus generators for each block plus two one-parameter families per
-    # radical basis vector and nonzero scalar
-    assert len(gens) == 3 + 2 * 3 * 2
+    # torus generators for each block of order > 1, then (1, a, 1) and
+    # (1, 1, a) for each a-part a
+    torus = [g for g in gens if g.t != s.unit]
+    parts = [g.a for g in gens if g.a != s.unit]
+    assert len(torus) == sum(order > 1 for order in s.block_orders)
+    assert gens[len(torus):] == [g for a in parts for g in (make_triple(s, s.unit, a, s.unit),
+                                                            make_triple(s, s.unit, s.unit, a))]
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (4, 3, 1), (3, 2, 2)])
+def test_tilde_generators_are_the_simple_roots_scaled_by_an_fp_basis(n, p, k):
+    """On T(n, q), q = p^k, J/J^2 is spanned by the simple roots, which
+    scaled by the F_p-basis 1, x, ..., x^(k-1) of F_q generate N: one torus
+    generator per block of order > 1 and 2 k (n - 1) radical triples."""
+    s = get_spec(n, p, k)
+    gens = tilde_generators(s)
+    assert len(gens) == sum(order > 1 for order in s.block_orders) + 2 * k * (n - 1)
+    want = {s.add(s.unit, s.smul(p ** j, s.basis_vec(root_index(n, i, i + 1))))
+            for i in range(1, n) for j in range(k)}
+    assert {g.a for g in gens} - {s.unit} == want
+    certify_generators(s, gens)

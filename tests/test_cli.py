@@ -7,6 +7,8 @@ import pytest
 from supchar import cli
 from supchar import supercharacters as sc
 
+from conftest import GROUP_ALGEBRAS, group_algebra_spec
+
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 # the incidence algebra over GF(3) of the zigzag poset 0<1>2<3, |G| = 432
 ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
@@ -250,6 +252,28 @@ PINNED_STDOUT = [
     (["orbits", "--spec", SEMISIMPLE, "--space", "both"],
      "a84a0b809fe2f6fda74b16d3debdda3cb7f547c3857c0ff1bca2b3cfbab07db8"),
 ]
+
+
+# verify --checks all on group algebras F_p[P] (conftest.GROUP_ALGEBRAS),
+# whose generators need radical monomials beyond J/J^2
+GROUP_ALGEBRA_STDOUT = {
+    "F2[C2xC2]": "4268eec8ce291c84edf0e92bb64be1b8d3845310d88c4312f1e1fbc9582db151",
+    "F2[C4]": "dad28e00e759f194b3608ed10f4260eb936c06f4f4ad8c303d3188f995135196",
+    "F2[D8]": "7c255c0c53ef490d66624f33346fea9533ba80f0f62ca98e601fdc5ec9004e67",
+    "F2[Q8]": "2d020bc06b423a702b6d08339b2ad66409b45cd55437935025db580a1606c1a3",
+    "F3[C3xC3]": "b93a70c0547dacfcf31db2f0d768a01aac420de750f226d6ef41536f8a2efb9b",
+}
+
+
+@pytest.mark.parametrize("name", GROUP_ALGEBRA_STDOUT)
+def test_group_algebra_verify_matches_pinned_sha256(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SUPCHAR_BOUND", raising=False)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(group_algebra_spec(*GROUP_ALGEBRAS[name])))
+    code, out, _ = run(["verify", "--spec", str(path), "--checks", "all"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_ALGEBRA_STDOUT[name]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
