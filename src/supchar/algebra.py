@@ -39,11 +39,6 @@ class Block(namedtuple("Block", "idempotent degree basis")):
     __slots__ = ()
 
 
-class TildeTriple(namedtuple("TildeTriple", "t a b t_inv a_inv b_inv")):
-    """A triple (t, a, b) with cached inverses; t in H, a and b in N = 1 + J."""
-    __slots__ = ()
-
-
 class OrbitRecord(namedtuple("OrbitRecord", "members representative space_tag")):
     __slots__ = ()  # space_tag: "J", "J*" or "N"
 
@@ -69,7 +64,7 @@ class AlgebraSpec:
             sparse[i][j] = tuple(sorted((l, c) for l, c in cell.items() if c))
         self._sparse = tuple(map(tuple, sparse))
         self._inv_cache: dict = {}
-        self._tilde_gens = None         # certified tilde_generators
+        self._tilde_gens = None         # certified tilde_generators: (torus, parts)
         self._n_closure = (None, None)  # the last _unit_closure: (its xs, the subgroup)
         self._boxes: dict = {}          # tag -> its point set (box)
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
@@ -175,10 +170,6 @@ class AlgebraSpec:
         F, full = self.field, self.j_embed(lam)
         return [[F.dot((full[l], v) for l, v in cell) if cell else 0 for cell in row]
                 for row in self._sparse]
-
-
-def make_triple(spec: AlgebraSpec, t, a, b) -> TildeTriple:
-    return TildeTriple(t, a, b, spec.invert(t), spec.invert(a), spec.invert(b))
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +562,19 @@ def idempotent_of(spec: AlgebraSpec, blocks: frozenset):
 # the triple-group actions
 # ---------------------------------------------------------------------------
 
-def rho(spec: AlgebraSpec, tau: TildeTriple, x):
-    """rho(tau)(x) = t a x b^{-1} t^{-1} on the radical."""
+def rho(spec: AlgebraSpec, tau, x):
+    """rho(tau)(x) = t a x b^{-1} t^{-1} on the radical, tau = (t, a, b)."""
     if not spec.in_radical(x):
         raise NotInRadical(f"{x} has a nonzero S-component")
-    return spec.mul_many(tau.t, tau.a, x, tau.b_inv, tau.t_inv)
+    t, a, b = tau
+    return spec.mul_many(t, a, x, spec.invert(b), spec.invert(t))
 
 
-def rho_dual(spec: AlgebraSpec, tau: TildeTriple, lam):
-    """The dual action: (rho* lam)(x) = lam(a^{-1} t^{-1} x t b)."""
-    u = spec.mul(tau.a_inv, tau.t_inv)
-    v = spec.mul(tau.t, tau.b)
+def rho_dual(spec: AlgebraSpec, tau, lam):
+    """The dual action: (rho* lam)(x) = lam(a^{-1} t^{-1} x t b), tau = (t, a, b)."""
+    t, a, b = tau
+    u = spec.mul(spec.invert(a), spec.invert(t))
+    v = spec.mul(t, b)
     out = []
     for i in spec.radical_basis:
         w = spec.mul_many(u, spec.basis_vec(i), v)
@@ -589,18 +582,15 @@ def rho_dual(spec: AlgebraSpec, tau: TildeTriple, lam):
     return tuple(out)
 
 
-def rho_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
-    """rho(tau) compiled, on full vectors of J (J is an ideal, so J maps to J)."""
-    return sandwich_map(spec, spec.mul(tau.t, tau.a), spec.mul(tau.b_inv, tau.t_inv),
-                        spec.radical_basis)
-
-
-def rho_dual_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
-    """rho*(tau) compiled, on radical coordinates: the transpose of the
-    sandwich x -> a^{-1} t^{-1} x t b restricted to J."""
+def rho_dual_map(spec: AlgebraSpec, u, w) -> LinearMap:
+    """lam -> (x -> lam(u x w)) compiled, on radical coordinates: the
+    transpose of the sandwich x -> u x w restricted to J.  For the pair
+    (t a, b^-1 t^-1) of a triple tau = (t, a, b) this is rho*(tau)^-1, not
+    rho*(tau); a set of maps and their inverses generate the same group, so
+    the maps of sandwich_pairs have the orbits of rho* with no part inverted."""
     rad = spec.radical_basis
     pos = {i: s for s, i in enumerate(rad)}
-    m = sandwich_map(spec, spec.mul(tau.a_inv, tau.t_inv), spec.mul(tau.t, tau.b), rad)
+    m = sandwich_map(spec, u, w, rad)
     cols = [[] for _ in rad]
     for r, i in enumerate(rad):
         for l, c in m.cols[i]:
@@ -615,19 +605,16 @@ def torus_generators(spec: AlgebraSpec) -> list:
             for i, blk in enumerate(spec.blocks) if spec.block_orders[i] > 1]
 
 
-def _generated_order(spec: AlgebraSpec, tag: str, xs) -> int:
-    """The order of the subgroup of H (tag "H") or N ("N") that xs generate.
-    H is the product of the cyclic H_i, and each block's discrete log is a
-    bijection onto Z/|H_i| (_build_block_data), so on H it is the closure of
-    the zero vector under adding each x's vector of block logs mod |H_i|.  On
-    N it is the size of _unit_closure."""
-    if tag == "H":
-        orders = spec.block_orders
-        steps = [[spec.block_dlog[i][block_component(spec, x, i)] for i in range(len(orders))]
-                 for x in xs]
-        return len(closure((0,) * len(orders), [
-            lambda v, s=s: tuple((a + b) % n for a, b, n in zip(v, s, orders)) for s in steps]))
-    return len(_unit_closure(spec, xs))
+def _h_order(spec: AlgebraSpec, xs) -> int:
+    """The order of the subgroup of H that the xs generate.  H is the
+    product of the cyclic H_i, and each block's discrete log is a bijection
+    onto Z/|H_i| (_build_block_data), so it is the closure of the zero vector
+    under adding each x's vector of block logs mod |H_i|."""
+    orders = spec.block_orders
+    steps = [[spec.block_dlog[i][block_component(spec, x, i)] for i in range(len(orders))]
+             for x in xs]
+    return len(closure((0,) * len(orders), [
+        lambda v, s=s: tuple((a + b) % n for a, b, n in zip(v, s, orders)) for s in steps]))
 
 
 def _unit_closure(spec: AlgebraSpec, xs) -> array:
@@ -651,7 +638,7 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
     proved once per spec."""
     if spec._torus_conj is None:
         gens = torus_generators(spec)
-        size, order = _generated_order(spec, "H", gens), prod(spec.block_orders)
+        size, order = _h_order(spec, gens), prod(spec.block_orders)
         if size != order:
             raise NotGenerating(f"the torus generators generate a subgroup of order "
                                 f"{size} of H, which has order {order}")
@@ -663,11 +650,12 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
 # generators of the triple group G~, and its orbits
 # ---------------------------------------------------------------------------
 
-def tilde_generators(spec: AlgebraSpec):
-    """Generator triples of G~, few of them: one torus generator per block of
-    order > 1, and (1, a, 1), (1, 1, a) for each a-part a.
+def tilde_generators(spec: AlgebraSpec) -> tuple[list, list]:
+    """(torus, parts): generators of G~, few of them, as their parts: one
+    torus generator per block of order > 1, and parts that generate N
+    (sandwich_pairs makes the triples (t, 1, 1), (1, a, 1), (1, 1, a^-1)).
 
-    The a-parts start as 1 + c b_r for the radical basis vectors b_r outside
+    The parts start as 1 + c b_r for the radical basis vectors b_r outside
     J^2 plus the span of those kept before them (a basis of J/J^2: the simple
     roots of T(n, q), the cover relations of an incidence algebra) and c in
     the F_p-basis 1, x, ..., x^(k-1) of F_q (codes p^j).  As
@@ -680,9 +668,8 @@ def tilde_generators(spec: AlgebraSpec):
     added, until that group is N.  This ends at N, as the monomials of length
     i span J^i modulo J^(i+1); the candidates of length 1 are every 1 + c b_r,
     so the top-up stops within them whenever those generate N.
-    certified_generators proves the list."""
+    certified_generators proves them."""
     F, rad, unit = spec.field, spec.radical_basis, spec.unit
-    gens = [make_triple(spec, t, unit, unit) for t in torus_generators(spec)]
     # b_r raises the rank of J^2 + <kept b_s, s < r> exactly when no vector
     # of J^2 has its last nonzero J coordinate at r: the non-pivot columns
     # of the rref of J^2 with its J coordinates in reverse order
@@ -712,9 +699,7 @@ def tilde_generators(spec: AlgebraSpec):
                 inside = set(_unit_closure(spec, parts))
         if len(inside) == points.size:
             break
-    for a in parts:
-        gens += [make_triple(spec, unit, a, unit), make_triple(spec, unit, unit, a)]
-    return gens
+    return torus_generators(spec), parts
 
 
 def closure(start, maps) -> set:
@@ -733,58 +718,70 @@ def closure(start, maps) -> set:
     return members
 
 
-def certify_generators(spec: AlgebraSpec, gens) -> None:
-    """Prove that the triples gens generate G~ = H x| (N x N); raise
-    NotGenerating otherwise.
+def certify_generators(spec: AlgebraSpec, torus, parts) -> None:
+    """Prove that the torus generators and the parts generate
+    G~ = H x| (N x N) as the triples (t, 1, 1), (1, a, 1) and (1, 1, a);
+    raise NotGenerating otherwise.
 
-    Each triple must move one of t, a, b only, with t in H and a, b in
-    N = 1 + J.  As (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), gens then generate
-    G~ exactly when their t-parts generate H and their a-parts and b-parts each
-    generate N.  Each of these is the closure of the unit under right
-    multiplication, which lies in H (or N) and so equals it exactly when it
-    has |H| (or |N| = q^{dim J}) elements: on H a closure of block discrete
-    logs, on N the orbit of the unit in the kernel's partition of the box
-    1 + J (_generated_order).  The b-parts need no closure of their own when
-    they equal the a-parts.
+    Each t must lie in H and each a in N = 1 + J.  As
+    (t, a, b) = (t, 1, 1)(1, a, 1)(1, 1, b), the triples then generate G~
+    exactly when the torus generates H and the parts generate N.  Each is
+    the closure of the unit under right multiplication, which lies in H (or
+    N) and so equals it exactly when it has |H| (or |N| = q^{dim J})
+    elements: on H a closure of block discrete logs (_h_order), on N the
+    orbit of the unit in the kernel's partition of the box 1 + J
+    (_unit_closure, which reads the closure tilde_generators ended on).
     """
-    unit = spec.unit
     h_set = set(box(spec, "G").translates)
-    parts = {"t": set(), "a": set(), "b": set()}
-    for g in gens:
-        moved = [(k, x) for k, x in (("t", g.t), ("a", g.a), ("b", g.b)) if x != unit]
-        if len(moved) > 1:
-            raise NotGenerating(f"triple {g.t, g.a, g.b} moves more than one part")
-        for k, x in moved:
-            if not (x in h_set if k == "t" else spec.in_radical(spec.sub(x, unit))):
-                raise NotGenerating(f"{k}-part {x} lies outside {'H' if k == 't' else 'N'}")
-            parts[k].add(x)
-    for k, name in [("t", "H"), ("a", "N")] + [("b", "N")] * (parts["b"] != parts["a"]):
-        size = _generated_order(spec, name, sorted(parts[k]))
-        order = prod(spec.block_orders) if name == "H" else box(spec, "N").size
+    for t in torus:
+        if t not in h_set:
+            raise NotGenerating(f"t-part {t} lies outside H")
+    for a in parts:
+        if not spec.in_radical(spec.sub(a, spec.unit)):
+            raise NotGenerating(f"a-part {a} lies outside N")
+    for k, name, size, order in (
+            ("t", "H", _h_order(spec, torus), prod(spec.block_orders)),
+            ("a", "N", len(_unit_closure(spec, parts)), box(spec, "N").size)):
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")
 
 
-def certified_generators(spec: AlgebraSpec) -> list:
-    """tilde_generators(spec), once certify_generators has proved that they
-    generate G~.  The proof runs once per spec."""
+def certified_generators(spec: AlgebraSpec) -> tuple[list, list]:
+    """tilde_generators(spec), (torus, parts), once certify_generators has
+    proved that they generate G~.  The proof runs once per spec."""
     if spec._tilde_gens is None:
-        gens = tilde_generators(spec)
-        certify_generators(spec, gens)
-        spec._tilde_gens = gens
+        torus, parts = tilde_generators(spec)
+        certify_generators(spec, torus, parts)
+        spec._tilde_gens = torus, parts
     return spec._tilde_gens
+
+
+def sandwich_pairs(spec: AlgebraSpec, torus: bool = True) -> list:
+    """The pairs (u, w) whose sandwiches x -> u x w compile every action of
+    G~ (on J, J* and G): (t, t^-1) for each certified torus generator t,
+    then (a, 1) and (1, a) for each part a.  The pair of a triple (t, a, b)
+    is (t a, b^-1 t^-1), so these are the triples (t, 1, 1), (1, a, 1) and
+    (1, 1, a^-1), which generate G~ exactly as the parts generate N.  With
+    torus False, the pairs (a, 1) and (1, a) alone generate 1 x (N x N)."""
+    ts, parts = certified_generators(spec)
+    unit = spec.unit
+    pairs = [(t, spec.invert(t)) for t in ts] if torus else []
+    return pairs + [pair for a in parts for pair in ((a, unit), (unit, a))]
 
 
 def space_orbits(spec: AlgebraSpec, action: str) -> list[OrbitRecord]:
     """The G~-orbits on all of J (action "rho", full vectors) or of J*
     ("rho_dual", radical coordinates), in order of their least member: the
-    kernel's closures (orbit_partition) under the certified generators,
-    compiled and partitioned once per action and spec."""
+    kernel's closures (orbit_partition) under the maps of sandwich_pairs,
+    x -> u x w on J and lam -> lam(u x w) on J* (rho_dual_map), compiled and
+    partitioned once per action and spec."""
     if action not in spec._orbits:
-        tag, compile_map = ("J", rho_map) if action == "rho" else ("J*", rho_dual_map)
+        pairs, rad = sandwich_pairs(spec), spec.radical_basis
+        tag, maps = ("J", [sandwich_map(spec, u, w, rad) for u, w in pairs]) if action == "rho" \
+            else ("J*", [rho_dual_map(spec, u, w) for u, w in pairs])
         points = box(spec, tag)
-        parts = orbit_partition(points, [compile_map(spec, g) for g in certified_generators(spec)])
+        parts = orbit_partition(points, maps)
         spec._orbits[action] = [OrbitRecord(m, points.point(m[0]), tag) for m in parts]
         spec._orbit_of[action] = orbit_ids(parts, points.size)
     return spec._orbits[action]
@@ -879,11 +876,7 @@ def is_singular(spec: AlgebraSpec, v, is_form: bool = False) -> bool:
         # column j holds b_j v, then v b_j, read off the structure constants:
         # the sum of v_i times the cells b_j b_i (row j), or b_i b_j (column j)
         def image(cells):
-            out = [0] * d
-            for vi, cell in zip(v, cells):
-                for l, c in cell if vi else ():
-                    out[l] = F.add(out[l], F.mul(vi, c))
-            return out
+            return LinearMap(F, cells, spec.zero()).apply(v)
         rows = [*zip(*map(image, spec._sparse)), *zip(*map(image, zip(*spec._sparse)))]
     else:
         # v(b_r c_j) and v(c_j b_r), read off the table of v's products

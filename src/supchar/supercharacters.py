@@ -24,6 +24,7 @@ from .algebra import (
     orbit_support,
     rho_dual_map,
     sandwich_map,
+    sandwich_pairs,
 )
 from .cyclo import CycloNumber, cyclotomic_poly, ratio, ratio_text
 from .errors import (
@@ -77,16 +78,16 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "rho_dual"))[0] != e:
         raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
     F, rad, products = spec.field, spec.radical_basis, spec.form_products(lam)
-    hs = [h for h in h_elements(spec)
-          if all(block_component(spec, h, i) == spec.blocks[i].idempotent for i in e)]
+    h_all = box(spec, "G").translates   # H, sorted
+    hs = [h for h in h_all if all(block_component(spec, h, i) == spec.blocks[i].idempotent
+                                  for i in e)]
 
     columns = [*zip(*products)]
 
     def fixes(h):   # lam(h b_r) = lam(b_r) = lam(b_r h) for every radical b_r
         return all(F.dot(zip(h, columns[r])) == lam_r == F.dot(zip(h, products[r]))
                    for r, lam_r in zip(rad, lam))
-    both = [h for h in h_elements(spec) if fixes(h)]
-    if sorted(both) != sorted(hs):
+    if [h for h in h_all if fixes(h)] != hs:
         raise NotInStabilizer(f"H_{{e'}} != H_right /\\ H_left for the regular form {lam}")
 
     rows = [[products[c][r] for c in rad] for r in rad]     # u -> (lam(u b_r))_r
@@ -132,8 +133,8 @@ class InductionContext:
     classes, the class index of each element, the group order, the point
     number in box J of each code of J (_Lanes over its coordinates), and
     every induced value (one object per distinct value).  Each class is the
-    closure of an element under g -> s^-1 g s for the distinct t-parts and
-    a-parts of certified_generators, which generate H and N and so G = H N;
+    closure of an element under g -> s^-1 g s for the torus generators and
+    the parts of certified_generators, which generate H and N and so G = H N;
     both fix the S-part h of g = h + x (S is commutative, J an ideal), so
     orbit_partition computes every closure inside its translate h + J."""
 
@@ -141,9 +142,8 @@ class InductionContext:
         self.order = group_order(spec)
         if self.order > bound:
             raise GroupTooLarge(f"|G| = {self.order} exceeds bound {bound}")
-        gens = certified_generators(spec)
-        parts = {x for g in gens for x in (g.a, g.t)} - {spec.unit}
-        maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(parts)]
+        torus, parts = certified_generators(spec)
+        maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(torus + parts)]
         self.classes = orbit_partition(box(spec, "G"), maps)
         self.class_of = orbit_ids(self.classes, self.order)
         coords = box(spec, "J").coords
@@ -455,28 +455,29 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
 # ---------------------------------------------------------------------------
 
 def nn_orbits(spec: AlgebraSpec):
-    """N x N-orbits in J* (the triple-group action with trivial torus part).
-
-    The certified generators of G~ with t = 1 generate 1 x (N x N): their
-    a-parts and b-parts each generate N, which is what certified_generators proved."""
-    maps = [rho_dual_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
+    """N x N-orbits in J* (the triple-group action with trivial torus part):
+    the closures under rho_dual_map of the pairs (a, 1) and (1, a) of
+    sandwich_pairs, which generate 1 x (N x N) as the certified parts
+    generate N."""
+    maps = [rho_dual_map(spec, u, w) for u, w in sandwich_pairs(spec, torus=False)]
     return [OrbitRecord(m, box(spec, "J*").point(m[0]), "J*")
             for m in orbit_partition(box(spec, "J*"), maps)]
 
 
 def n_characters(spec: AlgebraSpec, bound: int):
     """(N-superclasses, characters): the N-superclasses 1 + N x N of N = 1 + J
-    (closures under the certified triples with t = 1), and for every orbit
-    O = N mu N of nn_orbits the triple (O, psi, <psi, psi>_N) of the orbit sum
-    psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in O (Diaconis &
-    Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) -> mu(b_r b_c)), with norm
-    psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is additive in nu, so one table
-    per representative 1 + x holds it for every nu in J* (by point number), and
-    one count of the pairs (orbit of nu, Tr nu(x)) over J* gives every sum."""
+    (closures under r_map of the pairs (a, 1), (1, a) of sandwich_pairs), and
+    for every orbit O = N mu N of nn_orbits the triple (O, psi, <psi, psi>_N)
+    of the orbit sum psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in
+    O (Diaconis & Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) ->
+    mu(b_r b_c)), with norm psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is
+    additive in nu, so one table per representative 1 + x holds it for every
+    nu in J* (by point number), and one count of the pairs (orbit of nu,
+    Tr nu(x)) over J* gives every sum."""
     F, rad, m = spec.field, spec.radical_basis, spec.cyclo_order
     if F.q ** len(rad) > bound:
         raise GroupTooLarge(f"|N| = {F.q ** len(rad)} exceeds bound {bound}")
-    maps = [r_map(spec, g) for g in certified_generators(spec) if g.t == spec.unit]
+    maps = [r_map(spec, u, w) for u, w in sandwich_pairs(spec, torus=False)]
     n_part = [OrbitRecord(c, box(spec, "N").point(c[0]), "N")
               for c in orbit_partition(box(spec, "N"), maps)]
     orbits = nn_orbits(spec)

@@ -9,11 +9,9 @@ from .algebra import (
     DEFAULT_GROUP_BOUND,
     AlgebraSpec,
     LinearMap,
-    TildeTriple,
     associated_support,
     block_component,
     box,
-    certified_generators,
     closure,
     group_order,
     idempotent_of,
@@ -22,6 +20,7 @@ from .algebra import (
     orbit_support,
     regular_orbit_counts,
     sandwich_map,
+    sandwich_pairs,
     torus_conjugations,
 )
 from .errors import GroupTooLarge, NotInH, PartitionMismatch, ReductionFailed
@@ -51,15 +50,17 @@ class SuperclassRecord(namedtuple("SuperclassRecord", "label members representat
         return len(self.members)
 
 
-def r_act(spec: AlgebraSpec, tau: TildeTriple, g):
-    """R_tau(g) = 1 + t a (g - 1) b^{-1} t^{-1}."""
-    core = spec.mul_many(tau.t, tau.a, spec.sub(g, spec.unit), tau.b_inv, tau.t_inv)
+def r_act(spec: AlgebraSpec, tau, g):
+    """R_tau(g) = 1 + t a (g - 1) b^{-1} t^{-1}, tau = (t, a, b)."""
+    t, a, b = tau
+    core = spec.mul_many(t, a, spec.sub(g, spec.unit), spec.invert(b), spec.invert(t))
     return spec.add(spec.unit, core)
 
 
-def r_map(spec: AlgebraSpec, tau: TildeTriple) -> LinearMap:
-    """R_tau compiled: g -> M g + (1 - M 1) with M the sandwich by t a and b^{-1} t^{-1}."""
-    m = sandwich_map(spec, spec.mul(tau.t, tau.a), spec.mul(tau.b_inv, tau.t_inv))
+def r_map(spec: AlgebraSpec, u, w) -> LinearMap:
+    """g -> 1 + u (g - 1) w compiled: g -> M g + (1 - M 1) with M the
+    sandwich by u and w; R_tau for the pair (t a, b^-1 t^-1) of tau = (t, a, b)."""
+    m = sandwich_map(spec, u, w)
     return LinearMap(spec.field, m.cols, spec.sub(spec.unit, m.apply(spec.unit)))
 
 
@@ -165,14 +166,14 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
 def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     """All superclasses, labeled and sorted by representative.
 
-    Each superclass is the closure of an element of G = H + J under the
-    certified generators of G~ (certified_generators), so it is exactly one
-    G~-orbit; R_tau is affine and fixes the S-part of each element, so
-    orbit_partition computes every closure inside its translate h + J."""
+    Each superclass is the closure of an element of G = H + J under R_tau
+    for the pairs of sandwich_pairs (r_map), so it is exactly one G~-orbit;
+    R_tau is affine and fixes the S-part of each element, so orbit_partition
+    computes every closure inside its translate h + J."""
     size = group_order(spec)
     if size > bound:
         raise GroupTooLarge(f"|G| = {size} exceeds bound {bound}")
-    maps, G = [r_map(spec, tau) for tau in certified_generators(spec)], box(spec, "G")
+    maps, G = [r_map(spec, u, w) for u, w in sandwich_pairs(spec)], box(spec, "G")
     records = [SuperclassRecord(classify(spec, m), m, G.point(m[0]))
                for m in orbit_partition(G, maps)]
     if len({r.label for r in records}) != len(records):

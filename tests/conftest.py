@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from supchar import linalg
 from supchar.cyclo import cyclotomic_poly
 from supchar.algebra import (AlgebraSpec, box, h_elements, load_algebra, load_algebra_file,
-                             make_triple, validate_algebra)
+                             validate_algebra)
 from supchar.fields import field_make
 from supchar import triangular as tri
 from supchar.superclasses import superclass_partition
@@ -230,7 +230,7 @@ def random_triple(spec, rng):
     q = spec.field.q
     a = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
     b = spec.add(spec.unit, spec.j_embed(tuple(rng.randrange(q) for _ in spec.radical_basis)))
-    return make_triple(spec, t, a, b)
+    return t, a, b
 
 
 @pytest.fixture(scope="session")

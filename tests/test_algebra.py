@@ -12,6 +12,7 @@ from supchar.algebra import (
     Block,
     block_component,
     box,
+    certified_generators,
     certify_generators,
     form_support,
     group_order,
@@ -19,12 +20,13 @@ from supchar.algebra import (
     is_singular,
     load_algebra,
     load_algebra_file,
-    make_triple,
     orbit,
     orbit_census,
     orbit_support,
     rho,
     rho_dual,
+    sandwich_pairs,
+    space_orbits,
     support_table,
     tilde_generators,
     validate_algebra,
@@ -217,7 +219,7 @@ def test_invert_whole_group():
 
 def test_rho_identity_triple():
     s = get_spec(3, 2)
-    tau = make_triple(s, s.unit, s.unit, s.unit)
+    tau = (s.unit, s.unit, s.unit)
     for x in j_vectors(s):
         assert rho(s, tau, x) == x
     for lam in dual_vectors(s):
@@ -227,7 +229,7 @@ def test_rho_identity_triple():
 def test_rho_torus_scaling():
     s = get_spec(2, 3)
     t = (2, 1, 0)
-    tau = make_triple(s, t, s.unit, s.unit)
+    tau = (t, s.unit, s.unit)
     e12 = basis_vec(s, 2)
     # t1 * t2^{-1} = 2 * 1 = 2
     assert rho(s, tau, e12) == s.smul(2, e12)
@@ -238,23 +240,22 @@ def test_rho_unipotent():
     e12 = basis_vec(s, root_index(3, 1, 2))
     e23 = basis_vec(s, root_index(3, 2, 3))
     e13 = basis_vec(s, root_index(3, 1, 3))
-    tau = make_triple(s, s.unit, s.add(s.unit, e12), s.unit)
+    tau = (s.unit, s.add(s.unit, e12), s.unit)
     assert rho(s, tau, e23) == s.add(e23, e13)
 
 
 def test_rho_rejects_s_component():
     s = get_spec(2, 2)
-    tau = make_triple(s, s.unit, s.unit, s.unit)
+    tau = (s.unit, s.unit, s.unit)
     with pytest.raises(NotInRadical):
         rho(s, tau, s.unit)
 
 
 def _triple_product(s, t1, t2):
     # (t1 t2, t2^{-1} a1 t2 a2, t2^{-1} b1 b2 ... ) per the group law
-    t = s.mul(t1.t, t2.t)
-    a = s.mul_many(t2.t_inv, t1.a, t2.t, t2.a)
-    b = s.mul_many(t2.t_inv, t1.b, t2.t, t2.b)
-    return make_triple(s, t, a, b)
+    (u1, a1, b1), (u2, a2, b2) = t1, t2
+    u2_inv = s.invert(u2)
+    return (s.mul(u1, u2), s.mul_many(u2_inv, a1, u2, a2), s.mul_many(u2_inv, b1, u2, b2))
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (2, 2, 2)])
@@ -338,40 +339,38 @@ def _direction(s, x):
     return support[0] if len(support) == 1 else None
 
 
-def _without_direction(s, gens, r, sides=("a", "b")):
-    return [g for g in gens if all(_direction(s, getattr(g, side)) != r for side in sides)]
+def _without_direction(s, gens, r):
+    """(torus, parts) with the parts in the direction r dropped."""
+    torus, parts = gens
+    return torus, [a for a in parts if _direction(s, a) != r]
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
 def test_certificate_accepts_tilde_generators(n, p, k):
     s = get_spec(n, p, k)
-    certify_generators(s, tilde_generators(s))
+    certify_generators(s, *tilde_generators(s))
 
 
 def test_certificate_accepts_generators_without_a_commutator_direction():
     # 1 + E13 is the commutator of 1 + E12 and 1 + E23, so the rest still generate
     s = get_spec(3, 2)
-    certify_generators(s, _without_direction(s, tilde_generators(s), E13))
+    certify_generators(s, *_without_direction(s, tilde_generators(s), E13))
 
 
-def _closure_order(s, gens, side):
-    """The order of the subgroup of N the non-unit side-parts of gens
-    generate, by a literal closure of the unit under right multiplication."""
-    parts = {getattr(g, side) for g in gens} - {s.unit}
+def _closure_order(s, parts):
+    """The order of the subgroup of N the parts generate, by a literal
+    closure of the unit under right multiplication."""
     return len(algebra.closure(s.unit, [lambda x, a=a: s.mul(x, a) for a in parts]))
 
 
 def test_certificate_rejects_a_missing_radical_direction():
     # E12 is no commutator, so the rest generate a proper subgroup of N
     s = get_spec(3, 2)
-    gens = tilde_generators(s)
-    for side, rest in (("a", _without_direction(s, gens, E12)),
-                       ("b", _without_direction(s, gens, E12, sides=("b",)))):
-        order = _closure_order(s, rest, side)
-        assert order < 2 ** 3
-        with pytest.raises(NotGenerating,
-                           match=f"{side}-parts generate a subgroup of order {order} of N"):
-            certify_generators(s, rest)
+    torus, rest = _without_direction(s, tilde_generators(s), E12)
+    order = _closure_order(s, rest)
+    assert order < 2 ** 3
+    with pytest.raises(NotGenerating, match=f"a-parts generate a subgroup of order {order} of N"):
+        certify_generators(s, torus, rest)
 
 
 def test_group_algebra_generators_are_topped_up_by_a_monomial():
@@ -379,12 +378,11 @@ def test_group_algebra_generators_are_topped_up_by_a_monomial():
     # g_1, g_2 generate only P (order 4 of |N| = 8); 1 + b_3 = g_1 g_2 lies in
     # P, b_1^2 = 0, and 1 + b_1 b_2 is the first candidate outside P
     s = group_algebra("F2[C2xC2]")
-    gens = tilde_generators(s)
+    torus, parts = tilde_generators(s)
     b1, b2 = s.basis_vec(1), s.basis_vec(2)
-    assert [g.a for g in gens if g.a != s.unit] == [s.add(s.unit, b1), s.add(s.unit, b2),
-                                                    s.add(s.unit, s.mul(b1, b2))]
-    assert _closure_order(s, gens[:4], "a") == 4     # the triples of g_1 and g_2
-    certify_generators(s, gens)
+    assert parts == [s.add(s.unit, b1), s.add(s.unit, b2), s.add(s.unit, s.mul(b1, b2))]
+    assert _closure_order(s, parts[:2]) == 4     # g_1 and g_2
+    certify_generators(s, torus, parts)
 
 
 @pytest.mark.parametrize("name", ["T(3,3)", "F2[D8]"])
@@ -405,33 +403,40 @@ def test_certificate_reuses_the_builders_closure_of_n(name, monkeypatch):
 
 def test_certificate_rejects_a_missing_torus_generator():
     s = get_spec(2, 3)
-    gens = tilde_generators(s)
-    torus = [g for g in gens if g.t != s.unit]
+    torus, parts = tilde_generators(s)
     assert len(torus) == 2
     with pytest.raises(NotGenerating, match="t-parts generate a subgroup of order 2 "):
-        certify_generators(s, [g for g in gens if g is not torus[0]])
+        certify_generators(s, torus[1:], parts)
 
 
-def test_certificate_rejects_two_sided_triples():
-    # (1, a, a) for every a: the a-parts and b-parts generate N, but the triples
-    # generate only the diagonal of N x N
-    s = get_spec(2, 3)
-    full = tilde_generators(s)
-    gens = [g for g in full if g.t != s.unit]
-    gens += [make_triple(s, s.unit, g.a, g.a) for g in full if g.a != s.unit]
-    with pytest.raises(NotGenerating, match="more than one part"):
-        certify_generators(s, gens)
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (3, 3, 1), (2, 2, 2)])
+def test_generators_and_orbits_invert_no_part_of_n(n, p, k, monkeypatch):
+    """The certificate, the G~-orbits on J and J* and the N x N-orbits on J*
+    invert torus elements only: the pair (1, a) stands for (1, 1, a^-1), and
+    lam -> lam(u x w) on J* is compiled from the sandwich itself."""
+    s = tri.make_triangular(n, get_field(p, k))     # fresh: nothing certified yet
+    args, real = [], AlgebraSpec.invert
+    monkeypatch.setattr(AlgebraSpec, "invert", lambda self, g: args.append(g) or real(self, g))
+    certified_generators(s)
+    space_orbits(s, "rho")
+    space_orbits(s, "rho_dual")
+    nn_orbits(s)
+    assert set(args) <= set(box(s, "G").translates)
 
 
-def _drop_last_generator(monkeypatch):
-    # with q = 2 the last generator (1, 1, 1 + E23) of T(3, 2) is the only
-    # b-part in the direction E23
+def _drop_last_part(monkeypatch):
+    # with q = 2 the last part 1 + E23 of T(3, 2) is the only one in the
+    # direction E23
     full = algebra.tilde_generators
-    monkeypatch.setattr(algebra, "tilde_generators", lambda spec: full(spec)[:-1])
+
+    def dropped(spec):
+        torus, parts = full(spec)
+        return torus, parts[:-1]
+    monkeypatch.setattr(algebra, "tilde_generators", dropped)
 
 
 def test_censuses_and_partition_run_the_certificate(monkeypatch):
-    _drop_last_generator(monkeypatch)
+    _drop_last_part(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
             lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
             lambda s: InductionContext(s, 2 ** 17), lambda s: n_characters(s, 2 ** 17))
@@ -455,7 +460,7 @@ def test_certificate_accepts_every_corner(n, p, k, monkeypatch):
     real = algebra.certify_generators
     calls = []
     monkeypatch.setattr(algebra, "certify_generators",
-                        lambda spec, gens: calls.append(1) or real(spec, gens))
+                        lambda spec, *gens: calls.append(1) or real(spec, *gens))
     xs = j_vectors(s)
     lams = dual_vectors(s)
     for T in _corners(s):
@@ -478,7 +483,7 @@ def test_corner_certificate_rejects_a_missing_corner_direction(monkeypatch):
     s = tri.make_triangular(4, get_field(2))        # fresh: nothing certified yet
     T = frozenset({0, 1, 2})
     assert sum(element_support(s, s.basis_vec(r)) <= T for r in s.radical_basis) == 3
-    order = _closure_order(s, algebra.tilde_generators(s), "a")
+    order = _closure_order(s, algebra.tilde_generators(s)[1])
     assert order < 64
     with pytest.raises(NotGenerating, match=f"a-parts generate a subgroup of order {order} "
                                             "of N, which has order 64"):
@@ -491,20 +496,20 @@ def test_corner_certificate_rejects_parts_off_the_corner():
     # membership tests before any closure is counted
     s = get_spec(3, 2)
     one_plus_e12 = s.add(s.unit, s.basis_vec(E12))
+    torus, parts = tilde_generators(s)
     with pytest.raises(NotGenerating, match="t-part .* lies outside H"):
-        certify_generators(s, tilde_generators(s) + [make_triple(s, one_plus_e12, s.unit, s.unit)])
+        certify_generators(s, torus + [one_plus_e12], parts)
     s = get_spec(2, 3)
-    gens = tilde_generators(s)
-    torus = next(g.t for g in gens if g.t != s.unit)
+    torus, parts = tilde_generators(s)
     with pytest.raises(NotGenerating, match="a-part .* lies outside N"):
-        certify_generators(s, gens + [make_triple(s, s.unit, torus, s.unit)])
+        certify_generators(s, torus, parts + [torus[0]])
 
 
 def test_corner_orbits_run_the_corner_certificate(monkeypatch):
     # the corner of blocks 1, 2 of T(3, 2) is J_e = <E12>; its orbits are cut
-    # from G~-orbits, so they are refused when the dropped generator
-    # (1, 1, 1 + E23) lies outside the corner
-    _drop_last_generator(monkeypatch)
+    # from G~-orbits, so they are refused when the dropped part 1 + E23 lies
+    # outside the corner
+    _drop_last_part(monkeypatch)
     corner = frozenset({0, 1})
     e12_dual = (1, 0, 0)
     runs = (lambda s: orbit(s, s.basis_vec(E12), "rho"),
@@ -518,18 +523,19 @@ def test_corner_orbits_run_the_corner_certificate(monkeypatch):
 
 
 def test_censuses_compile_each_generator_once(monkeypatch):
-    counts = {"rho_map": 0, "rho_dual_map": 0}
-    for name in counts:
-        def counted(spec, tau, real=getattr(algebra, name), name=name):
-            counts[name] += 1
-            return real(spec, tau)
-        monkeypatch.setattr(algebra, name, counted)
     s = tri.make_triangular(3, get_field(3))
+    n_gens = len(sandwich_pairs(s))     # certify before counting
+    counts = {"sandwich_map": 0, "rho_dual_map": 0}
+    for name in counts:
+        def counted(*args, real=getattr(algebra, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(algebra, name, counted)
     for _ in range(2):
         orbit_census(s, "J")
         orbit_census(s, "J*")
-    n_gens = len(tilde_generators(s))
-    assert counts == {"rho_map": n_gens, "rho_dual_map": n_gens}
+    # one sandwich_map per pair on J, and one inside each rho_dual_map on J*
+    assert counts == {"sandwich_map": 2 * n_gens, "rho_dual_map": n_gens}
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2)])
@@ -680,7 +686,7 @@ def test_corner_orbits_are_tilde_orbits_cut_to_the_corner(case):
         h_e = [h for h in h_elements(s) if all(
             block_component(s, h, i) == s.blocks[i].idempotent for i in range(nb) if i not in T)]
         n_e = [s.add(s.unit, x) for x in xs if element_support(s, x) <= T]
-        group = [make_triple(s, t, a, b) for t in h_e for a in n_e for b in n_e]
+        group = [(t, a, b) for t in h_e for a in n_e for b in n_e]
         for action, act, supp, points in (("rho", rho, element_support, xs),
                                           ("rho_dual", rho_dual, form_support, lams)):
             for y in (v for v in points if supp(s, v) <= T):
@@ -735,25 +741,23 @@ def test_load_schema_error_names_field(mutate, field):
 
 def test_generator_closure_sanity():
     s = get_spec(3, 3)
-    gens = tilde_generators(s)
-    # torus generators for each block of order > 1, then (1, a, 1) and
-    # (1, 1, a) for each a-part a
-    torus = [g for g in gens if g.t != s.unit]
-    parts = [g.a for g in gens if g.a != s.unit]
+    torus, parts = tilde_generators(s)
+    # a torus generator for each block of order > 1; the sandwiches (t, t^-1)
+    # for each, then (a, 1) and (1, a) for each part a
     assert len(torus) == sum(order > 1 for order in s.block_orders)
-    assert gens[len(torus):] == [g for a in parts for g in (make_triple(s, s.unit, a, s.unit),
-                                                            make_triple(s, s.unit, s.unit, a))]
+    assert sandwich_pairs(s) == [(t, s.invert(t)) for t in torus] + \
+        [pair for a in parts for pair in ((a, s.unit), (s.unit, a))]
 
 
 @pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (4, 3, 1), (3, 2, 2)])
 def test_tilde_generators_are_the_simple_roots_scaled_by_an_fp_basis(n, p, k):
     """On T(n, q), q = p^k, J/J^2 is spanned by the simple roots, which
     scaled by the F_p-basis 1, x, ..., x^(k-1) of F_q generate N: one torus
-    generator per block of order > 1 and 2 k (n - 1) radical triples."""
+    generator per block of order > 1 and k (n - 1) parts."""
     s = get_spec(n, p, k)
-    gens = tilde_generators(s)
-    assert len(gens) == sum(order > 1 for order in s.block_orders) + 2 * k * (n - 1)
+    torus, parts = tilde_generators(s)
+    assert len(torus) == sum(order > 1 for order in s.block_orders)
     want = {s.add(s.unit, s.smul(p ** j, s.basis_vec(root_index(n, i, i + 1))))
             for i in range(1, n) for j in range(k)}
-    assert {g.a for g in gens} - {s.unit} == want
-    certify_generators(s, gens)
+    assert len(parts) == k * (n - 1) and set(parts) == want
+    certify_generators(s, torus, parts)

@@ -1,8 +1,10 @@
 """The compiled maps against the literal actions they replace, on every element.
 
-Covers R_tau on G, rho on J and rho* on J* for every generator triple and 20
-seeded random triples, and conjugation by every s in G, on every acceptance
-configuration (GF(4) included) and on both bundled spec files.
+Covers the three maps of the pair (u, w) = (t a, b^-1 t^-1) of a triple
+tau = (t, a, b): R_tau on G, rho(tau) on J and rho*(tau)^-1 on J*, for every
+triple that sandwich_pairs stands for and 20 seeded random triples, and
+conjugation by every s in G, on every acceptance configuration (GF(4)
+included) and on both bundled spec files.
 """
 import os
 import random
@@ -10,14 +12,14 @@ import random
 import pytest
 
 from supchar.algebra import (
+    certified_generators,
     load_algebra_file,
     orbit,
     rho,
     rho_dual,
     rho_dual_map,
-    rho_map,
     sandwich_map,
-    tilde_generators,
+    sandwich_pairs,
 )
 from supchar.errors import NotInRadical
 from supchar.superclasses import r_act, r_map
@@ -37,8 +39,20 @@ def spec_for(case):
 
 
 def triples(spec):
-    rng = random.Random(11)
-    return tilde_generators(spec) + [random_triple(spec, rng) for _ in range(20)]
+    """The triples (t, 1, 1), (1, a, 1) and (1, 1, a^-1) of the certified torus
+    generators t and parts a, in the order of sandwich_pairs, then 20 seeded
+    random triples."""
+    torus, parts = certified_generators(spec)
+    unit, rng = spec.unit, random.Random(11)
+    return [(t, unit, unit) for t in torus] + \
+        [tau for a in parts for tau in ((unit, a, unit), (unit, unit, spec.invert(a)))] + \
+        [random_triple(spec, rng) for _ in range(20)]
+
+
+def pair(spec, tau):
+    """The sandwich (u, w) = (t a, b^-1 t^-1) of tau = (t, a, b)."""
+    t, a, b = tau
+    return spec.mul(t, a), spec.mul(spec.invert(b), spec.invert(t))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -47,13 +61,17 @@ def test_triple_maps_match_literal_actions(case):
     gl = g_elements(s)
     xs = j_vectors(s)
     lams = dual_vectors(s)
+    pairs = sandwich_pairs(s)
+    assert pairs == [pair(s, tau) for tau in triples(s)[:len(pairs)]]
     for tau in triples(s):
-        f = r_map(s, tau).apply
+        u, w = pair(s, tau)
+        f = r_map(s, u, w).apply
         assert all(f(g) == r_act(s, tau, g) for g in gl)
-        f = rho_map(s, tau).apply
+        f = sandwich_map(s, u, w, s.radical_basis).apply
         assert all(f(x) == rho(s, tau, x) for x in xs)
-        f = rho_dual_map(s, tau).apply
-        assert all(f(lam) == rho_dual(s, tau, lam) for lam in lams)
+        # lam -> lam(u x w) undoes rho*(tau)
+        f = rho_dual_map(s, u, w).apply
+        assert all(rho_dual(s, tau, f(lam)) == lam for lam in lams)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -29,8 +29,8 @@ from supchar.algebra import (
     orbit_partition,
     orbit_support,
     rho_dual_map,
-    rho_map,
     sandwich_map,
+    sandwich_pairs,
     space_orbits,
     support_table,
     validate_algebra,
@@ -100,29 +100,31 @@ def _sets(s, tag, orbits):
 def test_kernel_partitions_equal_the_tuple_bfs(case):
     s = spec_for(case)
     F, rad, unit = s.field, s.radical_basis, s.unit
-    gens = certified_generators(s)
-    n_gens = [g for g in gens if g.t == unit]
+    pairs, n_pairs = sandwich_pairs(s), sandwich_pairs(s, torus=False)
     xs = j_vectors(s)
     lams = dual_vectors(s)
     n_points = [s.add(unit, x) for x in xs]
     g_points = g_elements(s)
 
     # J under rho and J* under rho*, as the censuses and nn_orbits see them
-    for space, points, compile_map in (("J", xs, rho_map), ("J*", lams, rho_dual_map)):
-        want = _oracle(points, [compile_map(s, g) for g in gens])
+    for space, points, maps in (
+            ("J", xs, [sandwich_map(s, u, w, rad) for u, w in pairs]),
+            ("J*", lams, [rho_dual_map(s, u, w) for u, w in pairs])):
+        want = _oracle(points, maps)
         assert _sets(s, space, orbit_census(s, space).orbits) == want, space
-    want = _oracle(lams, [rho_dual_map(s, g) for g in n_gens])
+    want = _oracle(lams, [rho_dual_map(s, u, w) for u, w in n_pairs])
     assert _sets(s, "J*", nn_orbits(s)) == want
 
     # N and G under R_tau: the N-superclasses of n_characters and the superclasses
-    maps = [r_map(s, g) for g in n_gens]
+    maps = [r_map(s, u, w) for u, w in n_pairs]
     assert _sets(s, "N", orbit_partition(box(s, "N"), maps)) == _oracle(n_points, maps)
-    want = _oracle(g_points, [r_map(s, g) for g in gens])
+    want = _oracle(g_points, [r_map(s, u, w) for u, w in pairs])
     assert _sets(s, "G", superclass_partition(s)) == want
 
-    # G under the conjugations by the a-parts and t-parts: the conjugacy classes
-    parts = {g.a for g in gens} | {g.t for g in gens}
-    maps = [sandwich_map(s, s.invert(x), x) for x in sorted(parts - {unit})]
+    # G under the conjugations by the torus generators and the parts: the
+    # conjugacy classes
+    torus, parts = certified_generators(s)
+    maps = [sandwich_map(s, s.invert(x), x) for x in sorted(torus + parts)]
     assert _sets(s, "G", InductionContext(s, 2 ** 17).classes) == _oracle(g_points, maps)
 
 
@@ -165,7 +167,7 @@ def test_map_leaving_the_point_set_is_refused():
     F, rad = s.field, s.radical_basis
     identity = [((i, 1),) for i in range(s.dim)]
     onto_e11 = [() if i not in rad else ((0, 1),) for i in range(s.dim)]
-    t = sorted({g.t for g in certified_generators(s)} - {s.unit})[0]
+    t = sorted(certified_generators(s)[0])[0]
     cases = [([s.zero()], LinearMap(F, identity, s.basis_vec(0)), r"\(0, 0, 0\)"),
              ([s.zero()], LinearMap(F, onto_e11, s.zero()), r"\(0, 0, 1\)"),
              (h_elements(s), LinearMap(F, [()] * s.dim, s.zero()), r"\(1, 1, 0\)")]
@@ -260,7 +262,7 @@ def test_box_numbers_points_translate_by_translate(name):
 
 @pytest.mark.parametrize("name", LABEL_SPECS, ids=str)
 def test_certificate_and_torus_conjugations_close_on_the_kernel(name, monkeypatch):
-    """The a- and b-parts close in the kernel's box 1 + J, and the only tuple
+    """The parts close in the kernel's box 1 + J, and the only tuple
     closure that runs is H's, on block discrete logs from the zero vector:
     no AlgebraSpec.mul or LinearMap.apply runs while H is proved."""
     starts = []
@@ -271,8 +273,8 @@ def test_certificate_and_torus_conjugations_close_on_the_kernel(name, monkeypatc
         s = tri.make_triangular(name[0], get_field(*name[1:]))
     else:
         s = spec_named(name)
-    gens = algebra.tilde_generators(s)
-    algebra.certify_generators(s, gens)
+    torus, parts = algebra.tilde_generators(s)
+    algebra.certify_generators(s, torus, parts)
     assert len(algebra.torus_conjugations(s)) == sum(o > 1 for o in s.block_orders)
     assert starts and set(starts) == {(0,) * len(s.blocks)}
 
@@ -280,5 +282,4 @@ def test_certificate_and_torus_conjugations_close_on_the_kernel(name, monkeypatc
         raise AssertionError("an algebra product ran while H was proved")
     monkeypatch.setattr(algebra.AlgebraSpec, "mul", refuse)
     monkeypatch.setattr(LinearMap, "apply", refuse)
-    t_parts = sorted({g.t for g in gens})
-    assert algebra._generated_order(s, "H", t_parts) == prod(s.block_orders)
+    assert algebra._h_order(s, torus) == prod(s.block_orders)

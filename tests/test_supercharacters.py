@@ -888,23 +888,21 @@ def test_n_characters_respect_the_bound():
 
 
 def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
-    """One conjugation per distinct non-unit t-part and a-part of the certified
+    """One conjugation per torus generator and part of the certified
     generators for G (not one per element, |G| = 216), and for n_characters one
-    R_tau and one rho*_tau per triple with t = 1 and no conjugation."""
+    R_tau and one rho*_tau per sandwich pair (a, 1) or (1, a) and no conjugation."""
     s = tri.make_triangular(3, get_field(3))
-    gens = certified_generators(s)      # certify before counting
+    torus, parts = certified_generators(s)      # certify before counting
     real = algebra.sandwich_map
     calls = []
     for mod in (algebra, superclasses, sc):
         monkeypatch.setattr(mod, "sandwich_map", lambda *a, **k: calls.append(1) or real(*a, **k))
-    t_parts = {g.t for g in gens} - {s.unit}
-    a_parts = {g.a for g in gens} - {s.unit}
     InductionContext(s, 2 ** 17)
-    assert len(calls) == len(t_parts | a_parts) < group_order(s)
+    assert len(calls) == len(set(torus) | set(parts)) < group_order(s)
     calls.clear()
     n_characters(s, 2 ** 17)
-    n_triples = sum(1 for g in gens if g.t == s.unit)
-    assert len(calls) == 2 * n_triples < group_order(s)
+    n_pairs = 2 * len(parts)
+    assert len(calls) == 2 * n_pairs < group_order(s)
 
 
 def test_nn_orbit_count_t32():

@@ -9,7 +9,6 @@ from supchar.algebra import (
     box,
     group_order,
     load_algebra_file,
-    make_triple,
     orbit_census,
     regular_orbit_counts,
     torus_conjugations,
@@ -47,7 +46,7 @@ ZIGZAG = os.path.join(os.path.dirname(__file__), "zigzag_poset_q3.json")
 
 def test_r_act_identity_triple():
     s = get_spec(2, 3)
-    tau = make_triple(s, s.unit, s.unit, s.unit)
+    tau = (s.unit, s.unit, s.unit)
     for g in g_elements(s):
         assert r_act(s, tau, g) == g
 
@@ -57,7 +56,7 @@ def test_r_act_reduces_to_rho_on_n():
     e12 = s.basis_vec(3)
     e23 = s.basis_vec(5)
     e13 = s.basis_vec(4)
-    tau = make_triple(s, s.unit, s.add(s.unit, e12), s.unit)
+    tau = (s.unit, s.add(s.unit, e12), s.unit)
     g = s.add(s.unit, e23)
     assert r_act(s, tau, g) == s.add(s.unit, s.add(e23, e13))
 
