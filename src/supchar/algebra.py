@@ -65,7 +65,7 @@ class AlgebraSpec:
         self._sparse = tuple(map(tuple, sparse))
         self._inv_cache: dict = {}
         self._tilde_gens = None         # certified tilde_generators: (torus, parts)
-        self._n_closure = (None, None)  # the last _unit_closure: (its xs, the subgroup)
+        self._n_closure = None          # the last _unit_closure: xs, members, flags, tables
         self._boxes: dict = {}          # tag -> its point set (box)
         self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
         self._orbit_of: dict = {}       # action -> the orbit id of each point (orbit_ids)
@@ -300,6 +300,43 @@ class Box:
         return tuple(x)
 
 
+def _image_tables(box: Box, maps):
+    """The function h -> [the table of each affine map (LinearMap) on the
+    translate h + V of box], V spanned by the e_i, i in coords: entry n of a
+    table is the image of the translate's point n, both numbered within the
+    translate (Box numbers translate t from t q^len(coords)).  Raises
+    PointOutsideSet for a map that does not send h + V onto itself.
+
+    The points of a translate are coded as packed ints (_Lanes) over the
+    coords, and one index of q^len(coords) codes numbers them.  By linearity
+    x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum c_i M e_i,
+    so M h + shift must agree with h off V and each M e_i lie in V; a map's
+    table on h + V then adds the q multiples of each column M e_i, coded once
+    per map, to the image of h: about one packed add per point."""
+    field, coords = box.field, box.coords
+    lanes, width = _Lanes(field, coords), field.q ** len(coords)
+    index = dict(zip(lanes.span([[(i, 1)] for i in coords]), range(width)))
+    lines = []
+    for m in maps:
+        for i in coords:
+            if any(l not in lanes.shifts for l, _ in m.cols[i]):    # h0 + e_i is weights[i]
+                raise PointOutsideSet(f"a map sends {box.point(box.weights[i])} outside its point set")
+        lines.append([lanes.span([m.cols[i]]) for i in coords])
+
+    def tables(h) -> list[array]:
+        out = []
+        for m, columns in zip(maps, lines):
+            image = m.apply(h)
+            if any(image[i] != c for i, c in enumerate(h) if i not in lanes.shifts):
+                raise PointOutsideSet(f"a map sends {h} outside its point set")
+            codes = [lanes.pack((i, image[i]) for i in coords)]
+            for line in columns:
+                codes = lanes.sums(codes, line)
+            out.append(array("I", map(index.__getitem__, codes)))
+        return out
+    return tables
+
+
 def orbit_partition(box: Box, maps) -> list[array]:
     """The orbits on the points of box of the group the affine maps
     (LinearMap) generate, each an array('I') of point numbers (Box) with its
@@ -309,37 +346,14 @@ def orbit_partition(box: Box, maps) -> list[array]:
     coords) onto itself, else PointOutsideSet: the orbits are found one
     translate at a time.  A finite group is generated by any generating set
     as a semigroup, so the closures under the maps, applied without inverses,
-    are exactly the orbits.
-
-    The points of a translate are coded as packed ints (_Lanes) over the
-    coords, and one index of q^len(coords) codes numbers them.  By linearity
-    x -> M x + shift sends h + sum c_i e_i to (M h + shift) + sum c_i M e_i,
-    so M h + shift must agree with h off V and each M e_i lie in V; a map's
-    table on h + V then adds the q multiples of each column M e_i, coded once
-    per map, to the image of h: about one packed add per point.  The closures
-    are a BFS over these tables; in a translate, number order is point order,
-    so each BFS starts at the least point of its orbit.
+    are exactly the orbits.  They are a BFS over the maps' image tables on
+    each translate (_image_tables); in a translate, number order is point
+    order, so each BFS starts at the least point of its orbit.
     """
-    field, coords, translates = box.field, box.coords, box.translates
-    lanes, width = _Lanes(field, coords), field.q ** len(coords)
-    index = dict(zip(lanes.span([[(i, 1)] for i in coords]), range(width)))
-    lines = []
-    for m in maps:
-        for i in coords:
-            if any(l not in lanes.shifts for l, _ in m.cols[i]):    # h0 + e_i is weights[i]
-                raise PointOutsideSet(f"a map sends {box.point(box.weights[i])} outside its point set")
-        lines.append([lanes.span([m.cols[i]]) for i in coords])
+    tables_on, width = _image_tables(box, maps), box.field.q ** len(box.coords)
     orbits = []
-    for t, h in enumerate(translates):
-        tables = []
-        for m, columns in zip(maps, lines):
-            image = m.apply(h)
-            if any(image[i] != c for i, c in enumerate(h) if i not in lanes.shifts):
-                raise PointOutsideSet(f"a map sends {h} outside its point set")
-            codes = [lanes.pack((i, image[i]) for i in coords)]
-            for line in columns:
-                codes = lanes.sums(codes, line)
-            tables.append(array("I", map(index.__getitem__, codes)))
+    for t, h in enumerate(box.translates):
+        tables = tables_on(h)
         seen, offset = bytearray(width), t * width
         for start in range(width):
             if not seen[start]:
@@ -617,17 +631,34 @@ def _h_order(spec: AlgebraSpec, xs) -> int:
         lambda v, s=s: tuple((a + b) % n for a, b, n in zip(v, s, orders)) for s in steps]))
 
 
-def _unit_closure(spec: AlgebraSpec, xs) -> array:
-    """The subgroup of N that xs generate, as point numbers of box N: the
-    orbit of the unit under right multiplication by the xs, which permutes
-    the box 1 + J.  The last one built is kept, so the certificate reads the
-    closure tilde_generators ended on instead of building it again."""
-    key = frozenset(xs)
-    if spec._n_closure[0] != key:
-        points, maps = box(spec, "N"), [sandwich_map(spec, spec.unit, x) for x in sorted(key)]
+def _unit_closure(spec: AlgebraSpec, xs) -> tuple[array, bytearray]:
+    """The subgroup of N that xs generate: its point numbers of box N in BFS
+    order, the unit first, and a flag per point of the box set on exactly
+    those.  It is the orbit of the unit under right multiplication by the
+    xs, which permutes the box 1 + J: one BFS from the unit over the maps'
+    image tables.  The last closure is kept with its tables; when xs extends
+    the xs it was built for, only the new maps are compiled, applied to the
+    old members, and the BFS goes on from the members they add.  So the
+    top-ups of tilde_generators compile each part once, and the certificate
+    reads the closure they ended on."""
+    points, xs = box(spec, "N"), tuple(xs)
+    if spec._n_closure is None or xs[:len(spec._n_closure[0])] != spec._n_closure[0]:
         unit = points.number(spec.unit)
-        spec._n_closure = key, next(o for o in orbit_partition(points, maps) if unit in o)
-    return spec._n_closure[1]
+        seen = bytearray(points.size)
+        seen[unit] = 1
+        spec._n_closure = (), array("I", [unit]), seen, []
+    done, members, seen, tables = spec._n_closure
+    new = _image_tables(points, [sandwich_map(spec, spec.unit, x)
+                                for x in xs[len(done):]])(spec.unit)
+    old = len(members)
+    tables += new
+    for n, v in enumerate(members):     # the old members under the new maps only
+        for table in new if n < old else tables:
+            if not seen[w := table[v]]:
+                seen[w] = 1
+                members.append(w)
+    spec._n_closure = xs, members, seen, tables
+    return members, seen
 
 
 def torus_conjugations(spec: AlgebraSpec) -> list:
@@ -691,13 +722,13 @@ def tilde_generators(spec: AlgebraSpec) -> tuple[list, list]:
             yield from level
             level = [y for m in level for r in rad if any(y := spec.mul(m, spec.basis_vec(r)))]
 
-    points, inside = box(spec, "N"), set(_unit_closure(spec, parts))
-    for m in monomials() if len(inside) < points.size else ():
+    points, (members, inside) = box(spec, "N"), _unit_closure(spec, parts)
+    for m in monomials() if len(members) < points.size else ():
         for c in range(1, F.q):
-            if points.number(x := spec.add(unit, spec.smul(c, m))) not in inside:
+            if not inside[points.number(x := spec.add(unit, spec.smul(c, m)))]:
                 parts.append(x)
-                inside = set(_unit_closure(spec, parts))
-        if len(inside) == points.size:
+                members, inside = _unit_closure(spec, parts)
+        if len(members) == points.size:
             break
     return torus_generators(spec), parts
 
@@ -728,9 +759,9 @@ def certify_generators(spec: AlgebraSpec, torus, parts) -> None:
     exactly when the torus generates H and the parts generate N.  Each is
     the closure of the unit under right multiplication, which lies in H (or
     N) and so equals it exactly when it has |H| (or |N| = q^{dim J})
-    elements: on H a closure of block discrete logs (_h_order), on N the
-    orbit of the unit in the kernel's partition of the box 1 + J
-    (_unit_closure, which reads the closure tilde_generators ended on).
+    elements: on H a closure of block discrete logs (_h_order), on N a BFS
+    from the unit over the box 1 + J (_unit_closure, which reads the closure
+    tilde_generators ended on).
     """
     h_set = set(box(spec, "G").translates)
     for t in torus:
@@ -741,7 +772,7 @@ def certify_generators(spec: AlgebraSpec, torus, parts) -> None:
             raise NotGenerating(f"a-part {a} lies outside N")
     for k, name, size, order in (
             ("t", "H", _h_order(spec, torus), prod(spec.block_orders)),
-            ("a", "N", len(_unit_closure(spec, parts)), box(spec, "N").size)):
+            ("a", "N", len(_unit_closure(spec, parts)[0]), box(spec, "N").size)):
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")
@@ -753,7 +784,7 @@ def certified_generators(spec: AlgebraSpec) -> tuple[list, list]:
     if spec._tilde_gens is None:
         torus, parts = tilde_generators(spec)
         certify_generators(spec, torus, parts)
-        spec._tilde_gens = torus, parts
+        spec._tilde_gens, spec._n_closure = (torus, parts), None    # no closure is needed again
     return spec._tilde_gens
 
 

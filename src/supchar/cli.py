@@ -4,6 +4,7 @@ layers load with this module; each command imports the layers it runs."""
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -296,5 +297,17 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
 
 
+def entry() -> None:
+    """The process entry, of `python -m supchar.cli` and of the `supchar`
+    script: main() on sys.argv, then exit with its code.  Every output is
+    closed by then, so the objects of the run are frozen (gc.freeze) and the
+    interpreter's shutdown collection passes over them; stdout and stderr are
+    still flushed at exit.  main() itself freezes nothing, so a caller's heap
+    stays collectable."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

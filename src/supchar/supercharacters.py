@@ -17,7 +17,6 @@ from .algebra import (
     certified_generators,
     form_support,
     group_order,
-    h_elements,
     orbit,
     orbit_ids,
     orbit_partition,

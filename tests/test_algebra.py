@@ -387,18 +387,19 @@ def test_group_algebra_generators_are_topped_up_by_a_monomial():
 
 @pytest.mark.parametrize("name", ["T(3,3)", "F2[D8]"])
 def test_certificate_reuses_the_builders_closure_of_n(name, monkeypatch):
-    """certified_generators closes N only as often as tilde_generators does:
-    the certificate reads the builder's last closure."""
+    """certified_generators compiles each part's map on N once: the top-ups
+    extend one closure of the unit, and the certificate reads the closure
+    they ended on."""
     def fresh():    # nothing built or certified yet
         return tri.make_triangular(3, get_field(3)) if name == "T(3,3)" else group_algebra(name)
-    real, calls = algebra.orbit_partition, []
-    monkeypatch.setattr(algebra, "orbit_partition",
-                        lambda points, maps: calls.append(points.size) or real(points, maps))
-    tilde_generators(fresh())
-    built = len(calls)
-    calls.clear()
+    real, compiled = algebra._image_tables, []
+    monkeypatch.setattr(algebra, "_image_tables",
+                        lambda points, maps: compiled.extend(maps) or real(points, maps))
+    parts = tilde_generators(fresh())[1]
+    assert len(compiled) == len(parts)
+    compiled.clear()
     algebra.certified_generators(fresh())
-    assert len(calls) == built >= 1
+    assert len(compiled) == len(parts)
 
 
 def test_certificate_rejects_a_missing_torus_generator():

@@ -94,7 +94,10 @@ def _run(argv) -> str:
      ("fractions", "json", "csv", "supchar.cyclo", "supchar.superclasses",
       "supchar.supercharacters")),
     (_run(["verify", "--n", "3", "--p", "2", "--checks", "all"]), ("fractions", "json", "csv")),
-], ids=["import", "orbits", "verify"])
+    (_run(["table", "--n", "3", "--p", "2", "--mode", "closed"]), ("fractions", "json")),
+    (_run(["algebra", "--spec", os.path.join(PACKAGE, "data", "dual_numbers_q3.json")]),
+     ("fractions", "supchar.triangular")),
+], ids=["import", "orbits", "verify", "table", "algebra"])
 def test_commands_load_only_the_layers_they_run(code, absent):
     assert _loaded(code, absent) == []
 

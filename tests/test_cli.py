@@ -1,6 +1,10 @@
+import ast
+import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -498,3 +502,36 @@ def test_verify_writes_report_to_out(tmp_path, capsys):
                            "--out", str(out)], capsys)
     assert code == 0 and stdout == ""
     assert out.read_text().startswith("CHECK counts PASS")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["table", "--n", "2", "--p", "3", "--mode", "closed"], 0),
+    (["table", "--n", "2", "--p", "4"], 2),
+    (["verify", "--n", "3", "--p", "3", "--bound", "10"], 3),
+], ids=["ok", "bad-config", "too-large"])
+def test_process_entry_matches_main(argv, code, monkeypatch, capsys):
+    """python -m supchar.cli writes the bytes and exits with the code of
+    in-process main, and main freezes none of the caller's heap."""
+    monkeypatch.delenv("SUPCHAR_BOUND", raising=False)
+    frozen = gc.get_freeze_count()
+    main_code, out, err = run(argv, capsys)
+    assert (main_code, gc.get_freeze_count()) == (code, frozen)
+    env = {k: v for k, v in os.environ.items() if k != "SUPCHAR_BOUND"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "supchar.cli", *argv], env=env,
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+
+
+def test_script_names_the_module_entry():
+    """The supchar script of pyproject.toml and python -m supchar.cli run one
+    function: the one the __main__ block of cli.py calls."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["supchar"]
+    with open(cli.__file__) as fh:
+        guard = next(node for node in ast.parse(fh.read()).body
+                     if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    [call] = [node.value for node in guard.body if isinstance(node, ast.Expr)]
+    assert script == f"supchar.cli:{ast.unparse(call.func)}"
