@@ -67,13 +67,12 @@ class AlgebraSpec:
         self._tilde_gens = None         # certified tilde_generators: (torus, parts)
         self._n_closure = None          # the last _unit_closure: xs, members, flags, tables
         self._boxes: dict = {}          # tag -> its point set (box)
-        self._orbits: dict = {}         # action -> the G~-orbits on all of J or J*
-        self._orbit_of: dict = {}       # action -> the orbit id of each point (orbit_ids)
+        self._orbits: dict = {}         # "J" or "J*" -> the G~-orbits on all of it
+        self._orbit_of: dict = {}       # "J" or "J*" -> the orbit id of each point (orbit_ids)
         self._supports: dict = {}       # space -> support_table
         self._orbit_supports: dict = {}  # (space, least point) -> orbit_support
         self._torus_conj = None         # y -> t^-1 y t for each torus generator t
         self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
-        self._validated = False
 
     # -- linear helpers --------------------------------------------------
 
@@ -269,6 +268,11 @@ class _Lanes:
                                       for c in range(F.q)])
         return codes
 
+    def numbers(self) -> dict:
+        """{code: n} for every vector on the active coordinates, n its number:
+        its base-q digits, the first active coordinate most significant."""
+        return {c: n for n, c in enumerate(self.span([[(i, 1)] for i in self.shifts]))}
+
 
 class Box:
     """The points h + sum of c_i e_i (h in translates, each zero on coords; c_i
@@ -314,8 +318,8 @@ def _image_tables(box: Box, maps):
     table on h + V then adds the q multiples of each column M e_i, coded once
     per map, to the image of h: about one packed add per point."""
     field, coords = box.field, box.coords
-    lanes, width = _Lanes(field, coords), field.q ** len(coords)
-    index = dict(zip(lanes.span([[(i, 1)] for i in coords]), range(width)))
+    lanes = _Lanes(field, coords)
+    index = lanes.numbers()
     lines = []
     for m in maps:
         for i in coords:
@@ -503,7 +507,6 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     spec.nilpotency_class = k
 
     _build_block_data(spec)
-    spec._validated = True
     return spec
 
 
@@ -661,8 +664,8 @@ def _unit_closure(spec: AlgebraSpec, xs) -> tuple[array, bytearray]:
     return members, seen
 
 
-def torus_conjugations(spec: AlgebraSpec) -> list:
-    """The compiled apply functions of y -> t^-1 y t for the torus generators
+def torus_conjugations(spec: AlgebraSpec) -> list[LinearMap]:
+    """The compiled maps y -> t^-1 y t for the torus generators
     t (torus_generators), once the closure of the generators is proved to
     have |H| elements; raises NotGenerating otherwise.  The closure of y
     under these maps is then its orbit under conjugation by H.  Built and
@@ -673,7 +676,7 @@ def torus_conjugations(spec: AlgebraSpec) -> list:
         if size != order:
             raise NotGenerating(f"the torus generators generate a subgroup of order "
                                 f"{size} of H, which has order {order}")
-        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t).apply for t in gens]
+        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t) for t in gens]
     return spec._torus_conj
 
 
@@ -801,26 +804,26 @@ def sandwich_pairs(spec: AlgebraSpec, torus: bool = True) -> list:
     return pairs + [pair for a in parts for pair in ((a, unit), (unit, a))]
 
 
-def space_orbits(spec: AlgebraSpec, action: str) -> list[OrbitRecord]:
-    """The G~-orbits on all of J (action "rho", full vectors) or of J*
-    ("rho_dual", radical coordinates), in order of their least member: the
-    kernel's closures (orbit_partition) under the maps of sandwich_pairs,
-    x -> u x w on J and lam -> lam(u x w) on J* (rho_dual_map), compiled and
-    partitioned once per action and spec."""
-    if action not in spec._orbits:
+def space_orbits(spec: AlgebraSpec, space: str) -> list[OrbitRecord]:
+    """The G~-orbits on all of J (space "J", full vectors) or of J* ("J*",
+    radical coordinates), in order of their least member: the kernel's
+    closures (orbit_partition) under the maps of sandwich_pairs, x -> u x w
+    on J and lam -> lam(u x w) on J* (rho_dual_map), compiled and
+    partitioned once per space and spec."""
+    if space not in spec._orbits:
         pairs, rad = sandwich_pairs(spec), spec.radical_basis
-        tag, maps = ("J", [sandwich_map(spec, u, w, rad) for u, w in pairs]) if action == "rho" \
-            else ("J*", [rho_dual_map(spec, u, w) for u, w in pairs])
-        points = box(spec, tag)
+        maps = [sandwich_map(spec, u, w, rad) for u, w in pairs] if space == "J" \
+            else [rho_dual_map(spec, u, w) for u, w in pairs]
+        points = box(spec, space)
         parts = orbit_partition(points, maps)
-        spec._orbits[action] = [OrbitRecord(m, points.point(m[0]), tag) for m in parts]
-        spec._orbit_of[action] = orbit_ids(parts, points.size)
-    return spec._orbits[action]
+        spec._orbits[space] = [OrbitRecord(m, points.point(m[0]), space) for m in parts]
+        spec._orbit_of[space] = orbit_ids(parts, points.size)
+    return spec._orbits[space]
 
 
-def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
-    """The G~-orbit of `start` in J (action "rho") or J* (action "rho_dual"),
-    read off the partition of the whole space (space_orbits).
+def orbit(spec: AlgebraSpec, start, space: str) -> OrbitRecord:
+    """The G~-orbit of `start` in J (space "J") or J* (space "J*"), read off
+    the partition of the whole space (space_orbits).
 
     The orbit of y in a corner J_e = e J e under the corner group
     G~_e = H_e x| (N_e x N_e) is G~ y /\\ J_e: if t a y b^-1 t^-1 lies in J_e,
@@ -830,10 +833,9 @@ def orbit(spec: AlgebraSpec, start, action: str) -> OrbitRecord:
     J_e, so the corner orbit and the G~-orbit share their support and
     canonical representative (orbit_support).
     """
-    if action == "rho" and not spec.in_radical(start):
+    if space == "J" and not spec.in_radical(start):
         raise NotInRadical(f"{tuple(start)} has a nonzero S-component")
-    orbits, points = space_orbits(spec, action), box(spec, "J" if action == "rho" else "J*")
-    return orbits[spec._orbit_of[action][points.number(start)]]
+    return space_orbits(spec, space)[spec._orbit_of[space][box(spec, space).number(start)]]
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +942,7 @@ def orbit_census(spec: AlgebraSpec, space: str = "J",
     size = F.q ** len(spec.radical_basis)
     if size > bound:
         raise SpaceTooLarge(f"|{space}| = {size} exceeds bound {bound}")
-    orbits = space_orbits(spec, "rho" if space == "J" else "rho_dual")
+    orbits = space_orbits(spec, space)
     supports, corner_reps = map(list, zip(*(orbit_support(spec, o) for o in orbits)))
 
     nb = len(spec.blocks)

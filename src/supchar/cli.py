@@ -48,6 +48,14 @@ def _field(args):
     return field_make(args.p, 1 if args.k is None else args.k, ("--p", "--k"))
 
 
+def _algebra(args):
+    """The algebra of --spec, else T(--n, GF(q)) over the field of --p/--k."""
+    if args.spec:
+        return load_algebra_file(args.spec)
+    from .triangular import make_triangular
+    return make_triangular(args.n, _field(args))
+
+
 def _write(path, text, flag="--out"):
     if path:
         try:
@@ -99,7 +107,8 @@ def _report(results, path=None) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
-def _verify_checks(spec, n, F, selected, bound, space_bound):
+def _verify_checks(spec, n, selected, bound, space_bound):
+    """The selected checks on spec; n is None for a spec file, else spec is T(n, q)."""
     from . import triangular as tri
     from .superclasses import predicted_count, superclass_partition
     from .supercharacters import (CheckResult, InductionContext, axioms_report, build_table,
@@ -115,7 +124,7 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
         ok = pred == len(partition) == len(labels)
         detail = f"predicted {pred} = classes {len(partition)} = characters {len(labels)}"
         if n is not None:
-            cls, chs = tri.labels(n, F)
+            cls, chs = tri.labels(n, spec.field)
             ok = ok and len(cls) == len(partition) and len(chs) == len(labels)
             detail += f" = closed-form labels {len(cls)}"
         results.append(CheckResult("counts", ok, detail))
@@ -128,25 +137,25 @@ def _verify_checks(spec, n, F, selected, bound, space_bound):
                                    f"n(J*)={census_d.n} n_E(J*)={census_d.n_e} "
                                    f"residuals {census_j.residual},{census_d.residual}"))
 
-    # one induced table, and one set of conjugacy classes, serve every check
+    # one induced table, and one run context (InductionContext), serve every check
     ctx = table = None
     if {"axioms", "restriction"} & set(selected) or (n is not None and "oracle" in selected):
-        ctx = InductionContext(spec, bound)
-        table = build_table(spec, partition, labels, bound, ctx=ctx)
+        ctx = InductionContext(spec, partition, bound)
+        table = build_table(spec, labels, ctx)
 
     if "axioms" in selected:
-        results.extend(axioms_report(spec, table, partition, ctx.classes))
+        results.extend(axioms_report(spec, table, ctx))
 
     if "oracle" in selected:
         if n is None:
             results.append(CheckResult("oracle", True, "skipped: no closed form for custom algebras"))
         else:
-            diffs = tri.compare_tables(tri.table(n, F, "closed", bound, spec=spec),
+            diffs = tri.compare_tables(tri.table(n, spec.field, "closed", bound, spec=spec),
                                        tri.brute_table(spec, n, partition, table))
             results.append(CheckResult("oracle", not diffs, f"{len(diffs)} mismatched entries"))
 
     if "restriction" in selected:
-        results.append(restriction_report(spec, labels, table, partition, bound))
+        results.append(restriction_report(spec, labels, table, ctx, bound))
     return results
 
 
@@ -159,23 +168,13 @@ def cmd_verify(args) -> int:
         print("--checks all cannot be combined with named checks" if "all" in bad
               else f"unknown checks: {bad}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.spec:
-        spec = load_algebra_file(args.spec)
-        n = F = None
-    else:
-        from .triangular import make_triangular
-        F = _field(args)
-        n = args.n
-        spec = make_triangular(n, F)
-    return _report(_verify_checks(spec, n, F, selected, bound, _space_bound(args)), args.out)
+    n = None if args.spec else args.n
+    return _report(_verify_checks(_algebra(args), n, selected, bound, _space_bound(args)),
+                   args.out)
 
 
 def cmd_orbits(args) -> int:
-    if args.spec:
-        spec = load_algebra_file(args.spec)
-    else:
-        from .triangular import make_triangular
-        spec = make_triangular(args.n, _field(args))
+    spec = _algebra(args)
     spaces = ["J", "J*"] if args.space == "both" else \
         (["J*"] if args.space == "dual" else ["J"])
     lines = []
@@ -202,10 +201,10 @@ def cmd_algebra(args) -> int:
     partition = superclass_partition(spec, bound)
     census_d = orbit_census(spec, "J*", _space_bound(args))
     labels = enumerate_labels(spec, census_d)
-    ctx = InductionContext(spec, bound)
-    table = build_table(spec, partition, labels, bound, ctx=ctx)
+    ctx = InductionContext(spec, partition, bound)
+    table = build_table(spec, labels, ctx)
     _write(args.out, _render_table(table, args.format))
-    return _report(axioms_report(spec, table, partition, ctx.classes))
+    return _report(axioms_report(spec, table, ctx))
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from .algebra import (
     rho_dual_map,
     sandwich_map,
     sandwich_pairs,
+    torus_conjugations,
 )
 from .cyclo import CycloNumber, cyclotomic_poly, ratio, ratio_text
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import identity_index, r_map
+from .superclasses import r_map
 
 
 class SupercharLabel(namedtuple("SupercharLabel", [
@@ -62,10 +63,6 @@ class StabilizerData(namedtuple("StabilizerData", [
     __slots__ = ()
 
 
-class ClassFunction(namedtuple("ClassFunction", "values degree")):
-    __slots__ = ()  # values: CycloNumbers in partition order (equal ones may be one object)
-
-
 def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     """H_{e'} and a basis of J_{lam,right} = {u in J : lam(u J) = 0}, for a
     form lam regular in the corner of e (NotRegular otherwise).  One table of
@@ -74,7 +71,7 @@ def stabilizer_data(spec: AlgebraSpec, lam, e: frozenset) -> StabilizerData:
     h_i lam(b_i b_r).  One product h b per h and basis vector b checks
     h J_{lam,right} = J_{lam,right} (u -> h u is one-to-one), so xi's domain
     is G_lam = H_{e'} (1 + J_{lam,right}) = H_{e'} + J_{lam,right}."""
-    if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "rho_dual"))[0] != e:
+    if form_support(spec, lam) != e or orbit_support(spec, orbit(spec, lam, "J*"))[0] != e:
         raise NotRegular(f"form {lam} is not regular in the corner of {sorted(e)}")
     F, rad, products = spec.field, spec.radical_basis, spec.form_products(lam)
     h_all = box(spec, "G").translates   # H, sorted
@@ -128,36 +125,38 @@ def xi(spec: AlgebraSpec, label: SupercharLabel, g,
 
 
 class InductionContext:
-    """The conjugacy classes of G, shared by every induction of one run: the
-    classes, the class index of each element, the group order, the point
-    number in box J of each code of J (_Lanes over its coordinates), and
-    every induced value (one object per distinct value).  Each class is the
-    closure of an element under g -> s^-1 g s for the torus generators and
-    the parts of certified_generators, which generate H and N and so G = H N;
-    both fix the S-part h of g = h + x (S is commutative, J an ideal), so
-    orbit_partition computes every closure inside its translate h + J."""
+    """The G-side facts of one run, shared by every induction and check: the
+    superclass partition, the position of the identity's superclass in it,
+    the conjugacy classes of G, the class index of each element, the set of
+    classes each superclass meets (in partition order), the group order, the
+    point number in box J of each code of J (_Lanes.numbers), and every
+    induced value (one object per distinct value).
 
-    def __init__(self, spec: AlgebraSpec, bound: int):
+    A superclass never leaves its translate h + J, and the unit is the least
+    point of its translate, so the identity's superclass is the one whose
+    least member is the unit.  Each conjugacy class is the closure of an
+    element under g -> s^-1 g s for the torus generators (torus_conjugations)
+    and the parts of certified_generators, which generate H and N and so
+    G = H N; both fix the S-part h of g = h + x (S is commutative, J an
+    ideal), so orbit_partition computes every closure inside its translate
+    h + J."""
+
+    def __init__(self, spec: AlgebraSpec, partition, bound: int):
         self.order = group_order(spec)
         if self.order > bound:
             raise GroupTooLarge(f"|G| = {self.order} exceeds bound {bound}")
-        torus, parts = certified_generators(spec)
-        maps = [sandwich_map(spec, spec.invert(s), s) for s in sorted(torus + parts)]
-        self.classes = orbit_partition(box(spec, "G"), maps)
+        G, self.partition = box(spec, "G"), partition
+        unit = G.number(spec.unit)
+        self.identity = next((i for i, r in enumerate(partition) if r.members[0] == unit), None)
+        if self.identity is None:
+            raise PartitionMismatch("no superclass contains the identity")
+        _, parts = certified_generators(spec)
+        maps = torus_conjugations(spec) + [sandwich_map(spec, spec.invert(a), a) for a in parts]
+        self.classes = orbit_partition(G, maps)
         self.class_of = orbit_ids(self.classes, self.order)
-        coords = box(spec, "J").coords
-        self.j_number = {c: n for n, c in enumerate(
-            _Lanes(spec.field, coords).span([[(i, 1)] for i in coords]))}
+        self.meets = [{self.class_of[g] for g in rec.members} for rec in partition]
+        self.j_number = _Lanes(spec.field, box(spec, "J").coords).numbers()
         self.values: dict = {}
-        self._meets = (None, None, None)
-
-    def meets(self, spec: AlgebraSpec, partition) -> tuple[list[set], int]:
-        """The set of conjugacy classes each superclass of partition meets, in
-        partition order, and identity_index: both looked up once per partition."""
-        if self._meets[0] is not partition:
-            self._meets = partition, [{self.class_of[g] for g in rec.members}
-                                      for rec in partition], identity_index(spec, partition)
-        return self._meets[1:]
 
 
 def class_counts(spec: AlgebraSpec, stab: StabilizerData, ctx: InductionContext) -> dict:
@@ -186,9 +185,10 @@ def class_counts(spec: AlgebraSpec, stab: StabilizerData, ctx: InductionContext)
     return out
 
 
-def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionContext,
-           stab: StabilizerData | None = None, counts: dict | None = None) -> ClassFunction:
-    """ind(xi, G_lambda, G), evaluated once per conjugacy class by the averaging
+def induce(spec: AlgebraSpec, label: SupercharLabel, ctx: InductionContext,
+           stab: StabilizerData | None = None, counts: dict | None = None) -> tuple:
+    """ind(xi, G_lambda, G) as its values on the superclasses of ctx, in
+    partition order, evaluated once per conjugacy class by the averaging
     formula grouped by class, and checked constant on every superclass element:
 
         chi(g) = |G| / (|cl(g)| |G_lambda|) * sum of xi(y), y in cl(g) /\\ G_lambda.
@@ -221,19 +221,18 @@ def induce(spec: AlgebraSpec, label: SupercharLabel, partition, ctx: InductionCo
         return got
 
     values = []
-    meets, idx = ctx.meets(spec, partition)
-    for rec, classes in zip(partition, meets):
+    for rec, classes in zip(ctx.partition, ctx.meets):
         first, *rest = classes
         val = value_of(first)
         if any(value_of(ci) is not val for ci in rest):
             raise NotConstantOnSuperclass(f"induced character varies on {rec.representative}")
         values.append(val)
 
-    degree = values[idx]
+    degree = values[ctx.identity]
     if not degree.is_rational() or degree.nums[0] * stab.size != ctx.order * degree.den:
         raise NotInStabilizer(f"degree {degree.render()} != |G|/|G_lambda| = "
                               f"{ratio_text(ctx.order, stab.size)}")
-    return ClassFunction(tuple(values), degree)
+    return tuple(values)
 
 
 def _integer_rows(values, weights):
@@ -248,7 +247,8 @@ def _integer_rows(values, weights):
 
 def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]:
     """[[<phi, psi> for psi in psis] for phi in phis], exactly, where
-    <phi, psi> = (1/order) sum over the classes K of |K| phi(K) conj(psi(K)).
+    <phi, psi> = (1/order) sum over the classes K of |K| phi(K) conj(psi(K));
+    a class function is the row of its CycloNumber values in partition order.
 
     Each phi becomes |K|-weighted integer rows and each psi plain integer
     rows of its conjugate (_integer_rows), each distinct value conjugated
@@ -258,16 +258,16 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
     conj <psi_i, psi_j>, the same polynomial with z^k read as z^(-k mod m)."""
     sizes = [len(rec.members) for rec in partition]
     funcs = [*phis, *psis]
-    if any(len(f.values) != len(sizes) for f in funcs):
+    if any(len(f) != len(sizes) for f in funcs):
         raise PartitionMismatch("class functions defined on different partitions")
-    orders = {v.order for f in funcs for v in f.values}
+    orders = {v.order for f in funcs for v in f}
     if len(orders) != 1:
         raise OrderMismatch(f"orders differ: {sorted(orders)}")
     m = orders.pop()
     width = 2 * len(cyclotomic_poly(m)) - 3
-    conj = {v: v.conj() for v in {v for f in psis for v in f.values}}
-    left = [_integer_rows(f.values, sizes) for f in phis]
-    right = [_integer_rows([conj[v] for v in f.values], [1] * len(sizes)) for f in psis]
+    conj = {v: v.conj() for v in {v for f in psis for v in f}}
+    left = [_integer_rows(f, sizes) for f in phis]
+    right = [_integer_rows([conj[v] for v in f], [1] * len(sizes)) for f in psis]
     reduced: dict = {}
 
     def value(poly, den) -> CycloNumber:
@@ -367,12 +367,9 @@ class CharacterTable(namedtuple("CharacterTable", [
         }
 
 
-def build_table(spec: AlgebraSpec, partition, labels, bound: int,
-                ctx: InductionContext | None = None) -> CharacterTable:
-    """Induce every supercharacter and assemble the exact table; a given
-    InductionContext of spec is used instead of being built again."""
-    if ctx is None:
-        ctx = InductionContext(spec, bound)
+def build_table(spec: AlgebraSpec, labels, ctx: InductionContext) -> CharacterTable:
+    """Induce every supercharacter on the superclasses of ctx and assemble
+    the exact table."""
     # G_lambda depends on the orbit (lambda, e) only, not on (f, theta): each
     # is built once, induces every label of its orbit, and is dropped
     orbits = defaultdict(list)
@@ -383,11 +380,11 @@ def build_table(spec: AlgebraSpec, partition, labels, bound: int,
         stab = stabilizer_data(spec, *key)
         counts = class_counts(spec, stab, ctx)
         for r in rows:
-            values[r] = list(induce(spec, labels[r], partition, ctx, stab, counts).values)
+            values[r] = list(induce(spec, labels[r], ctx, stab, counts))
     return CharacterTable(
         row_labels=list(labels),
-        col_labels=[r.label for r in partition],
-        sizes=[r.size for r in partition],
+        col_labels=[r.label for r in ctx.partition],
+        sizes=[r.size for r in ctx.partition],
         values=values,
         group_order=ctx.order,
         cyclo_order=spec.cyclo_order,
@@ -402,10 +399,10 @@ class CheckResult(namedtuple("CheckResult", "name passed details", defaults=("",
     __slots__ = ()
 
 
-def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
-                  conj_classes) -> list[CheckResult]:
-    """Pass/fail per supercharacter-theory axiom plus the standard consequences;
-    conj_classes are the conjugacy classes of G (InductionContext.classes)."""
+def axioms_report(spec: AlgebraSpec, table: CharacterTable,
+                  ctx: InductionContext) -> list[CheckResult]:
+    """Pass/fail per supercharacter-theory axiom plus the standard consequences,
+    for a table on the superclasses of ctx."""
     out = []
     nrows = len(table.row_labels)
     ncols = len(table.col_labels)
@@ -414,26 +411,26 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     out.append(CheckResult("S2", True,
                            "constancy verified on every group element during induction"))
 
-    idx = identity_index(spec, partition)
-    singleton = partition[idx].size == 1
-    out.append(CheckResult("S3", singleton, f"identity class size {partition[idx].size}"))
+    idx, rows = ctx.identity, table.values
+    size = ctx.partition[idx].size
+    out.append(CheckResult("S3", size == 1, f"identity class size {size}"))
 
-    funcs = [ClassFunction(tuple(row), row[idx]) for row in table.values]
-    gram = inner_products(partition, funcs, funcs, table.group_order)
+    gram = inner_products(ctx.partition, rows, rows, table.group_order)
     bad = next((f"<{i},{j}> = {gram[i][j].render()}" for i in range(nrows)
                 for j in range(i + 1, nrows) if not gram[i][j].is_zero()), "")
     out.append(CheckResult("disjoint", not bad, bad or "all off-diagonal inner products 0"))
 
-    member_to_class = orbit_ids([r.members for r in partition], table.group_order)
-    refines = all(len({member_to_class[g] for g in cls}) == 1 for cls in conj_classes)
+    # the classes and the superclasses both partition G: each class meets one
+    # superclass exactly when the superclasses meet len(classes) in all
+    refines = sum(map(len, ctx.meets)) == len(ctx.classes)
     out.append(CheckResult("conjugacy-refinement", refines,
-                           f"{len(conj_classes)} conjugacy classes"))
+                           f"{len(ctx.classes)} conjugacy classes"))
 
     # regular character: rho = sum a_alpha chi_alpha with a_alpha > 0 rational,
     # a_alpha = chi(1) / <chi, chi> as (numerator, denominator) ints
     ok, coeffs, ci = True, [], None
-    for i, f in enumerate(funcs):
-        norm, deg = gram[i][i], f.degree
+    for i, row in enumerate(rows):
+        norm, deg = gram[i][i], row[idx]
         ok = norm.is_rational() and norm.nums[0] > 0 and deg.is_rational() and deg.nums[0] > 0
         if not ok:
             break
@@ -441,7 +438,7 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable, partition,
     if ok:
         # sum a chi = |G| at the identity and 0 elsewhere, on integer rows
         regular = (1, [(0, [int(k == idx) for k in range(ncols)])])
-        terms = [(a, _integer_rows(f.values, [1] * ncols)) for a, f in zip(coeffs, funcs)]
+        terms = [(a, _integer_rows(row, [1] * ncols)) for a, row in zip(coeffs, rows)]
         ci = _first_nonzero_class(terms + [((-table.group_order, 1), regular)], ncols)
     detail = f"coefficients {sorted({ratio_text(*a) for a in coeffs})}" if ci is None else \
         f"reconstruction off at class {ci}"
@@ -500,13 +497,13 @@ def n_characters(spec: AlgebraSpec, bound: int):
             if (key := (tuple(poly), len(orb.members))) not in reduced:
                 reduced[key] = CycloNumber.from_int_poly(m, *key)
             vals.append(reduced[key])
-    return n_part, [(orb, ClassFunction(tuple(vals), CycloNumber.rational(m, degree)),
+    return n_part, [(orb, tuple(vals),
                      CycloNumber.from_int_poly(m, [degree ** 2], len(orb.members)))
                     for orb, vals, degree in zip(orbits, values, degrees)]
 
 
-def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partition,
-                       bound: int) -> CheckResult:
+def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable,
+                       ctx: InductionContext, bound: int) -> CheckResult:
     """Weak form of the restriction formula, row by row (labels in row order),
     stopping at the first failure: Res_N(chi) = sum of c_mu psi_mu over the
     N-supercharacters (n_characters), every c_mu rational, >= 0, and nonzero
@@ -516,7 +513,7 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
     call gives every c_mu; the sum is rebuilt exactly on integer rows."""
     n_part, chars = n_characters(spec, bound)
     G = box(spec, "G")
-    index, base = orbit_ids([r.members for r in partition], G.size), G.number(spec.unit)
+    index, base = orbit_ids([r.members for r in ctx.partition], G.size), G.number(spec.unit)
     cols = []
     for rec in n_part:   # point n of N = 1 + J is point base + n of G
         first, *rest = {index[base + n] for n in rec.members}
@@ -524,15 +521,15 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable, partiti
             raise PartitionMismatch(f"the N-superclass of {rec.representative} "
                                     "does not lie in one superclass of G")
         cols.append(first)
-    restrictions = [ClassFunction(tuple(row[c] for c in cols), None) for row in table.values]
+    restrictions = [tuple(row[c] for c in cols) for row in table.values]
     # <psi, res> = conj <res, psi> (equal when rational), so only res is conjugated
     nums = inner_products(n_part, [psi for _, psi, _ in chars], restrictions,
                           spec.field.q ** len(spec.radical_basis))
     ones = [1] * len(n_part)
-    psi_rows = [_integer_rows(psi.values, ones) for _, psi, _ in chars]
+    psi_rows = [_integer_rows(psi, ones) for _, psi, _ in chars]
     for r, (lbl, res) in enumerate(zip(labels, restrictions)):
-        allowed = set(orbit(spec, lbl.lambda_rep, "rho_dual").members)    # J* numbers
-        terms = [((-1, 1), _integer_rows(res.values, ones))]
+        allowed = set(orbit(spec, lbl.lambda_rep, "J*").members)    # J* numbers
+        terms = [((-1, 1), _integer_rows(res, ones))]
         for (orb, _, norm), row, rows in zip(chars, nums, psi_rows):
             if not row[r].is_rational():
                 break

@@ -104,7 +104,7 @@ def transporter_count(spec: AlgebraSpec, x, y) -> int:
     nu = len(spec.radical_basis)
     left_map, right_map = _product_maps(spec)
     u_cols = left_map.apply(x)
-    conjugates = closure(y, torus_conjugations(spec))
+    conjugates = closure(y, [m.apply for m in torus_conjugations(spec)])
     total = 0
     for yt in conjugates:
         rhs = spec.sub(yt, x)
@@ -157,7 +157,7 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
         if G.number(spec.add(h, y)) not in members:
             raise ReductionFailed("reduced element left the superclass")
 
-    T, omega_rep = orbit_support(spec, orbit(spec, y, "rho"))
+    T, omega_rep = orbit_support(spec, orbit(spec, y, "J"))
     if G.number(spec.add(h, omega_rep)) not in members:
         raise ReductionFailed("canonical corner representative left the superclass")
     return SuperclassLabel(T, fset, h, omega_rep)
@@ -179,14 +179,6 @@ def superclass_partition(spec: AlgebraSpec, bound: int = DEFAULT_GROUP_BOUND):
     if len({r.label for r in records}) != len(records):
         raise PartitionMismatch("distinct superclasses share a label")
     return records
-
-
-def identity_index(spec: AlgebraSpec, partition) -> int:
-    unit = box(spec, "G").number(spec.unit)
-    for i, rec in enumerate(partition):
-        if unit in rec.members:
-            return i
-    raise PartitionMismatch("no superclass contains the identity")
 
 
 def predicted_count(spec: AlgebraSpec, census) -> int:

@@ -455,7 +455,7 @@ def table(n: int, field: FieldSpec, mode: str = "closed",
     brute-force table is the one build_table induces from the census labels,
     re-indexed by brute_table; |J*| <= |G|, so bound also bounds the census."""
     from .superclasses import superclass_partition
-    from .supercharacters import build_table, enumerate_labels
+    from .supercharacters import InductionContext, build_table, enumerate_labels
     if mode == "closed":
         class_labels, char_labels = labels(n, field)
         shapes = [class_shape(lbl) for lbl in class_labels]
@@ -470,7 +470,8 @@ def table(n: int, field: FieldSpec, mode: str = "closed",
             spec = make_triangular(n, field)
         partition = superclass_partition(spec, bound)
         census = enumerate_labels(spec, orbit_census(spec, "J*", bound))
-        return brute_table(spec, n, partition, build_table(spec, partition, census, bound))
+        ctx = InductionContext(spec, partition, bound)
+        return brute_table(spec, n, partition, build_table(spec, census, ctx))
     raise ValueError(f"unknown table mode {mode!r}")
 
 

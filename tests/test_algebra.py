@@ -292,16 +292,16 @@ def test_rho_dual_pairing():
 
 def test_orbit_of_zero():
     s = get_spec(2, 2)
-    assert points_of(s, orbit(s, s.zero(), "rho")) == {s.zero()}
+    assert points_of(s, orbit(s, s.zero(), "J")) == {s.zero()}
 
 
 def test_orbit_examples():
     s22 = get_spec(2, 2)
     e12 = basis_vec(s22, 2)
-    assert points_of(s22, orbit(s22, e12, "rho")) == {e12}
+    assert points_of(s22, orbit(s22, e12, "J")) == {e12}
     s23 = get_spec(2, 3)
     e12 = basis_vec(s23, 2)
-    got = points_of(s23, orbit(s23, e12, "rho"))
+    got = points_of(s23, orbit(s23, e12, "J"))
     assert got == {e12, s23.smul(2, e12)}
 
 
@@ -419,8 +419,8 @@ def test_generators_and_orbits_invert_no_part_of_n(n, p, k, monkeypatch):
     args, real = [], AlgebraSpec.invert
     monkeypatch.setattr(AlgebraSpec, "invert", lambda self, g: args.append(g) or real(self, g))
     certified_generators(s)
-    space_orbits(s, "rho")
-    space_orbits(s, "rho_dual")
+    space_orbits(s, "J")
+    space_orbits(s, "J*")
     nn_orbits(s)
     assert set(args) <= set(box(s, "G").translates)
 
@@ -437,10 +437,12 @@ def _drop_last_part(monkeypatch):
 
 
 def test_censuses_and_partition_run_the_certificate(monkeypatch):
+    partition = superclass_partition(tri.make_triangular(3, get_field(2)))
     _drop_last_part(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
-            lambda s: orbit(s, s.zero(), "rho"), superclass_partition, nn_orbits,
-            lambda s: InductionContext(s, 2 ** 17), lambda s: n_characters(s, 2 ** 17))
+            lambda s: orbit(s, s.zero(), "J"), superclass_partition, nn_orbits,
+            lambda s: InductionContext(s, partition, 2 ** 17),
+            lambda s: n_characters(s, 2 ** 17))
     for run in runs:
         s = tri.make_triangular(3, get_field(2))    # fresh: nothing certified yet
         with pytest.raises(NotGenerating):
@@ -465,10 +467,10 @@ def test_certificate_accepts_every_corner(n, p, k, monkeypatch):
     xs = j_vectors(s)
     lams = dual_vectors(s)
     for T in _corners(s):
-        for action, supp, points in (("rho", element_support, xs),
-                                     ("rho_dual", form_support, lams)):
+        for space, supp, points in (("J", element_support, xs),
+                                    ("J*", form_support, lams)):
             y = max(v for v in points if supp(s, v) <= T)
-            members = points_of(s, orbit(s, y, action))
+            members = points_of(s, orbit(s, y, space))
             assert y in {v for v in members if supp(s, v) <= T}
     assert len(calls) == 1
 
@@ -488,7 +490,7 @@ def test_corner_certificate_rejects_a_missing_corner_direction(monkeypatch):
     assert order < 64
     with pytest.raises(NotGenerating, match=f"a-parts generate a subgroup of order {order} "
                                             "of N, which has order 64"):
-        orbit(s, s.basis_vec(e12), "rho")
+        orbit(s, s.basis_vec(e12), "J")
 
 
 def test_corner_certificate_rejects_parts_off_the_corner():
@@ -513,8 +515,8 @@ def test_corner_orbits_run_the_corner_certificate(monkeypatch):
     _drop_last_part(monkeypatch)
     corner = frozenset({0, 1})
     e12_dual = (1, 0, 0)
-    runs = (lambda s: orbit(s, s.basis_vec(E12), "rho"),
-            lambda s: orbit(s, e12_dual, "rho_dual"),
+    runs = (lambda s: orbit(s, s.basis_vec(E12), "J"),
+            lambda s: orbit(s, e12_dual, "J*"),
             lambda s: classify(s, array("I", [box(s, "G").number(s.unit)])),
             lambda s: stabilizer_data(s, e12_dual, corner))
     for run in runs:
@@ -643,14 +645,13 @@ def test_corner_restriction_is_regular(n, p):
     member of the cut has support exactly T, and the census representative is
     its least member."""
     s = get_spec(n, p)
-    for space, action, supp in (("J", "rho", element_support),
-                                ("J*", "rho_dual", form_support)):
+    for space, supp in (("J", element_support), ("J*", form_support)):
         census = orbit_census(s, space)
         for orb, T, rep in zip(census.orbits, census.supports, census.corner_reps):
             cut = {v for v in points_of(s, orb) if supp(s, v) <= T}
             assert rep == min(cut)
             assert all(supp(s, v) == T for v in cut)
-            assert orbit(s, rep, action).members == orb.members
+            assert orbit(s, rep, space).members == orb.members
 
 
 LEMMA_CASES = [(2, 3, 1), (3, 2, 1), (2, 2, 2), "dual_numbers_q3.json", "triangular_2_3.json"]
@@ -688,12 +689,12 @@ def test_corner_orbits_are_tilde_orbits_cut_to_the_corner(case):
             block_component(s, h, i) == s.blocks[i].idempotent for i in range(nb) if i not in T)]
         n_e = [s.add(s.unit, x) for x in xs if element_support(s, x) <= T]
         group = [(t, a, b) for t in h_e for a in n_e for b in n_e]
-        for action, act, supp, points in (("rho", rho, element_support, xs),
-                                          ("rho_dual", rho_dual, form_support, lams)):
+        for space, act, supp, points in (("J", rho, element_support, xs),
+                                         ("J*", rho_dual, form_support, lams)):
             for y in (v for v in points if supp(s, v) <= T):
                 literal = {act(s, tau, y) for tau in group}
-                cut = {v for v in points_of(s, orbit(s, y, action)) if supp(s, v) <= T}
-                assert literal == cut, (sorted(T), action, y)
+                cut = {v for v in points_of(s, orbit(s, y, space)) if supp(s, v) <= T}
+                assert literal == cut, (sorted(T), space, y)
 
 
 # ---------------------------------------------------------------------------

@@ -87,4 +87,4 @@ def test_conjugation_maps_match_mul(case):
 def test_orbit_rejects_start_outside_radical():
     s = get_spec(2, 2)
     with pytest.raises(NotInRadical):
-        orbit(s, s.unit, "rho")
+        orbit(s, s.unit, "J")

@@ -125,7 +125,8 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     # conjugacy classes
     torus, parts = certified_generators(s)
     maps = [sandwich_map(s, s.invert(x), x) for x in sorted(torus + parts)]
-    assert _sets(s, "G", InductionContext(s, 2 ** 17).classes) == _oracle(g_points, maps)
+    ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
+    assert _sets(s, "G", ctx.classes) == _oracle(g_points, maps)
 
 
 @pytest.mark.parametrize("case", ["T3-3", "T2-GF4", "zigzag_poset_q3", "T3-3-radical-first"])
@@ -136,8 +137,7 @@ def test_partitions_of_g_build_no_array_longer_than_j(case, monkeypatch):
     s = spec_for(case)
     sizes, real = [], algebra.array
     monkeypatch.setattr(algebra, "array", lambda *args: sizes.append(len(a := real(*args))) or a)
-    superclass_partition(s)
-    InductionContext(s, 2 ** 17)
+    InductionContext(s, superclass_partition(s), 2 ** 17)
     assert len(box(s, "G").translates) > 1     # so |G| > |J|
     assert sizes and max(sizes) <= s.field.q ** len(s.radical_basis)
 
@@ -221,8 +221,8 @@ def test_orbit_support_decodes_only_its_representative(name, monkeypatch):
         s = tri.make_triangular(name[0], get_field(*name[1:]))
     else:
         s = spec_named(name)
-    for space, action in (("J", "rho"), ("J*", "rho_dual")):
-        orbits = space_orbits(s, action)
+    for space in ("J", "J*"):
+        orbits = space_orbits(s, space)
         calls = []
         for cls, fn in ((algebra.Box, "point"), (LinearMap, "apply")):
             real = getattr(cls, fn)

@@ -28,15 +28,10 @@ from supchar.errors import (
     PartitionMismatch,
 )
 from supchar.fields import FieldSpec, additive_char_exponent
-from supchar.superclasses import (
-    SuperclassRecord,
-    identity_index,
-    superclass_partition,
-)
+from supchar.superclasses import SuperclassRecord, superclass_partition
 from supchar.supercharacters import (
     CharacterTable,
     CheckResult,
-    ClassFunction,
     InductionContext,
     SupercharLabel,
     axioms_report,
@@ -155,7 +150,7 @@ def test_g_lambda_and_n_right_equal_the_literal_products():
     # basis listed backwards, box J's coordinate order (sorted basis indices)
     # is not radical order, and class_counts must number x in the former
     for name, s, _ in [*_literal_specs(), ("T(3,3) reversed", reversed_radical(3, 3), None)]:
-        ctx = InductionContext(s, 2 ** 17)
+        ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
             want = _literal_right_stabilizer(s, lbl.lambda_rep, stab.h_part)
@@ -190,7 +185,7 @@ def test_class_counts_decode_no_point_and_apply_no_map(monkeypatch):
     vector of J_{lambda,right} (lambda(b) and the q multiples of each row)
     and per field element (eps), none per element of G_lambda."""
     for name, s, _ in [*_literal_specs(), ("T(3,GF(4))", get_spec(3, 2, 2), None)]:
-        ctx = InductionContext(s, 2 ** 17)
+        ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
         F, nu = s.field, len(s.radical_basis)
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
@@ -305,33 +300,31 @@ def test_xi_multiplicative_exhaustive():
 
 def test_induce_principal_character():
     s = get_spec(2, 3)
-    partition = get_partition(2, 3)
-    ctx = InductionContext(s, 2 ** 17)
-    cf = induce(s, principal_label(s), partition, ctx)
+    ctx = InductionContext(s, get_partition(2, 3), 2 ** 17)
+    cf = induce(s, principal_label(s), ctx)
     one = CycloNumber.rational(s.cyclo_order, 1)
-    assert all(v == one for v in cf.values)
+    assert all(v == one for v in cf)
 
 
 def test_induce_t22_big_character():
     s = get_spec(2, 2)
-    partition = get_partition(2, 2)
-    ctx = InductionContext(s, 2 ** 17)
-    cf = induce(s, e12_label(s), partition, ctx)
-    idx = identity_index(s, partition)
+    ctx = InductionContext(s, get_partition(2, 2), 2 ** 17)
+    cf = induce(s, e12_label(s), ctx)
+    idx = ctx.identity
     m = s.cyclo_order
-    assert cf.values[idx] == CycloNumber.rational(m, 1)
+    assert cf[idx] == CycloNumber.rational(m, 1)
     other = 1 - idx
-    assert cf.values[other] == CycloNumber.rational(m, -1)
+    assert cf[other] == CycloNumber.rational(m, -1)
 
 
 def test_induce_t23_big_character():
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
-    ctx = InductionContext(s, 2 ** 17)
-    cf = induce(s, e12_label(s), partition, ctx)
+    ctx = InductionContext(s, partition, 2 ** 17)
+    cf = induce(s, e12_label(s), ctx)
     m = s.cyclo_order
-    assert cf.degree == CycloNumber.rational(m, 4)
-    for rec, v in zip(partition, cf.values):
+    assert cf[ctx.identity] == CycloNumber.rational(m, 4)
+    for rec, v in zip(partition, cf):
         h = s.s_part(rec.representative)
         if h != s.unit:
             assert v.is_zero()
@@ -341,39 +334,36 @@ def test_induce_t23_big_character():
 
 def test_induce_degree_is_index():
     s = get_spec(3, 2)
-    partition = get_partition(3, 2)
-    ctx = InductionContext(s, 2 ** 17)
+    ctx = InductionContext(s, get_partition(3, 2), 2 ** 17)
     for lbl in enumerate_labels(s, orbit_census(s, "J*")):
         stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
-        cf = induce(s, lbl, partition, ctx, stab=stab)
-        assert cf.degree.rational_value() == Fraction(group_order(s), stab.size)
+        cf = induce(s, lbl, ctx, stab=stab)
+        assert cf[ctx.identity].rational_value() == Fraction(group_order(s), stab.size)
 
 
 def test_induce_independent_of_orbit_representative():
     s = get_spec(2, 3)
-    partition = get_partition(2, 3)
-    ctx = InductionContext(s, 2 ** 17)
-    orb = orbit(s, (1,), "rho_dual")
+    ctx = InductionContext(s, get_partition(2, 3), 2 ** 17)
+    orb = orbit(s, (1,), "J*")
     assert len(orb.members) >= 2
     results = []
     for lam in sorted(points_of(s, orb)):
         lbl = SupercharLabel(frozenset({0, 1}), frozenset(), (0, 0), lam)
-        results.append(induce(s, lbl, partition, ctx).values)
+        results.append(induce(s, lbl, ctx))
     assert all(vals == results[0] for vals in results[1:])
     # and three orbit pairs on a bigger group
     s33 = get_spec(3, 3)
-    partition33 = get_partition(3, 3)
-    ctx33 = InductionContext(s33, 2 ** 17)
+    ctx33 = InductionContext(s33, get_partition(3, 3), 2 ** 17)
     tested = 0
     for lbl in enumerate_labels(s33, orbit_census(s33, "J*")):
-        orb = orbit(s33, lbl.lambda_rep, "rho_dual")
+        orb = orbit(s33, lbl.lambda_rep, "J*")
         if len(orb.members) < 2:
             continue
         reps = sorted(points_of(s33, orb))[:2]
         vals = []
         for lam in reps:
             alt = SupercharLabel(lbl.e, lbl.f, lbl.theta, lam)
-            vals.append(induce(s33, alt, partition33, ctx33).values)
+            vals.append(induce(s33, alt, ctx33))
         assert vals[0] == vals[1]
         tested += 1
         if tested == 3:
@@ -393,15 +383,15 @@ def _reference_specs():
 def test_induce_matches_literal_average_over_g():
     """induce equals (1/|G_lambda|) sum over s in G of xi°(s^-1 g s) at every g."""
     for name, s, partition in _reference_specs():
-        ctx = InductionContext(s, 2 ** 17)
+        ctx = InductionContext(s, partition, 2 ** 17)
         group = g_elements(s)
         inverses = {u: s.invert(u) for u in group}
         m = s.cyclo_order
         for lbl in enumerate_labels(s, orbit_census(s, "J*")):
             stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
             elements = _elements(s, stab)
-            cf = induce(s, lbl, partition, ctx, stab=stab)
-            for rec, value in zip(partition, cf.values):
+            cf = induce(s, lbl, ctx, stab=stab)
+            for rec, value in zip(partition, cf):
                 for g in points_of(s, rec):
                     total = CycloNumber.zero(m)
                     for u in group:
@@ -419,15 +409,16 @@ def test_induce_matches_literal_average_on_group_algebras(name):
     and shared by every label."""
     s = group_algebra(name)
     assert group_order(s) <= 2 ** 10
-    partition, ctx, group = superclass_partition(s), InductionContext(s, 2 ** 17), g_elements(s)
+    partition, group = superclass_partition(s), g_elements(s)
+    ctx = InductionContext(s, partition, 2 ** 17)
     inverses = {u: s.invert(u) for u in group}
     conjugates = {g: Counter(s.mul_many(inverses[u], g, u) for u in group) for g in group}
     m = s.cyclo_order
     for lbl in enumerate_labels(s, orbit_census(s, "J*")):
         stab = stabilizer_data(s, lbl.lambda_rep, lbl.e)
         xis = {y: xi(s, lbl, y, stab) for y in _elements(s, stab)}
-        cf = induce(s, lbl, partition, ctx, stab=stab)
-        for rec, value in zip(partition, cf.values):
+        cf = induce(s, lbl, ctx, stab=stab)
+        for rec, value in zip(partition, cf):
             for g in points_of(s, rec):
                 total = CycloNumber.zero(m)
                 for y, n in conjugates[g].items():
@@ -453,13 +444,13 @@ def test_build_table_shares_one_stabilizer_per_orbit(monkeypatch):
             return real(spec, lam, e)
         monkeypatch.setattr(sc, "stabilizer_data", counted)
         labels = enumerate_labels(s, orbit_census(s, "J*"))
-        ctx = InductionContext(s, 2 ** 17)
-        table = build_table(s, partition, labels, 2 ** 17, ctx=ctx)
+        ctx = InductionContext(s, partition, 2 ** 17)
+        table = build_table(s, labels, ctx)
         monkeypatch.setattr(sc, "stabilizer_data", real)
         assert sorted(calls) == sorted({(l.lambda_rep, l.e) for l in labels}), name
         for lbl, row in zip(labels, table.values):
             fresh = real(s, lbl.lambda_rep, lbl.e)
-            assert list(induce(s, lbl, partition, ctx, stab=fresh).values) == row, \
+            assert list(induce(s, lbl, ctx, stab=fresh)) == row, \
                 (name, lbl.render())
         if name == "T(3,3)":
             assert (len(labels), len(calls)) == (15, 5)
@@ -468,10 +459,10 @@ def test_build_table_shares_one_stabilizer_per_orbit(monkeypatch):
 def test_induce_rejects_value_varying_on_a_superclass():
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
-    ctx = InductionContext(s, 2 ** 17)
+    ctx = InductionContext(s, partition, 2 ** 17)
     lbl = e12_label(s)
-    values = induce(s, lbl, partition, ctx).values
-    idx = identity_index(s, partition)
+    values = induce(s, lbl, ctx)
+    idx = ctx.identity
     i, j = next((i, j) for i in range(len(partition)) for j in range(i + 1, len(partition))
                 if idx not in (i, j) and values[i] != values[j])
     a, b = partition[i], partition[j]
@@ -479,13 +470,13 @@ def test_induce_rejects_value_varying_on_a_superclass():
                                                                   b.representative))
     bad = [r for k, r in enumerate(partition) if k not in (i, j)] + [merged]
     with pytest.raises(NotConstantOnSuperclass):
-        induce(s, lbl, bad, ctx)
+        induce(s, lbl, InductionContext(s, bad, 2 ** 17))
 
 
 def test_induction_context_bound():
     s = get_spec(3, 3)
     with pytest.raises(GroupTooLarge):
-        InductionContext(s, 100)
+        InductionContext(s, get_partition(3, 3), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +486,9 @@ def test_induction_context_bound():
 def test_inner_products_t22():
     s = get_spec(2, 2)
     partition = get_partition(2, 2)
-    ctx = InductionContext(s, 2 ** 17)
-    one = induce(s, principal_label(s), partition, ctx)
-    big = induce(s, e12_label(s), partition, ctx)
+    ctx = InductionContext(s, partition, 2 ** 17)
+    one = induce(s, principal_label(s), ctx)
+    big = induce(s, e12_label(s), ctx)
     m = s.cyclo_order
     gram = inner_products(partition, [one, big], [one, big], 2)
     assert gram[0][0] == gram[1][1] == CycloNumber.rational(m, 1)
@@ -507,10 +498,10 @@ def test_inner_products_t22():
 def test_inner_product_partition_mismatch():
     s = get_spec(2, 2)
     partition = get_partition(2, 2)
-    cf = ClassFunction((CycloNumber.rational(2, 1),), CycloNumber.rational(2, 1))
+    cf = (CycloNumber.rational(2, 1),)
     with pytest.raises(PartitionMismatch):
         inner_products(partition, [cf], [cf], 2)
-    ok = induce(s, principal_label(s), partition, InductionContext(s, 2 ** 17))
+    ok = induce(s, principal_label(s), InductionContext(s, partition, 2 ** 17))
     for phis, psis in (([ok], [ok, cf]), ([cf, ok], [ok])):
         with pytest.raises(PartitionMismatch):
             inner_products(partition, phis, psis, 2)
@@ -518,8 +509,8 @@ def test_inner_product_partition_mismatch():
 
 def _literal_inner(partition, phi, psi, order):
     """(1/order) sum over K of |K| phi(K) conj(psi(K)) in CycloNumber arithmetic."""
-    total = CycloNumber.zero(phi.values[0].order)
-    for rec, a, b in zip(partition, phi.values, psi.values):
+    total = CycloNumber.zero(phi[0].order)
+    for rec, a, b in zip(partition, phi, psi):
         total = total + a * b.conj() * len(rec.members)
     return total / order
 
@@ -543,11 +534,9 @@ def _table_specs():
 def test_inner_products_equal_the_literal_sum():
     for name, s, partition in _table_specs():
         labels = enumerate_labels(s, orbit_census(s, "J*"))
-        table = build_table(s, partition, labels, 2 ** 17)
-        funcs = [ClassFunction(tuple(row), None) for row in table.values]
-        # and one class function with non-integral values
-        funcs.append(ClassFunction(tuple(a / 2 + b / 3 for a, b in zip(*table.values[-2:])),
-                                   None))
+        table = build_table(s, labels, InductionContext(s, partition, 2 ** 17))
+        # the rows, and one class function with non-integral values
+        funcs = [*table.values, [a / 2 + b / 3 for a, b in zip(*table.values[-2:])]]
         gram = inner_products(partition, funcs, funcs, table.group_order)
         assert len(gram) == len(funcs) and all(len(row) == len(funcs) for row in gram)
         for i, phi in enumerate(funcs):
@@ -570,8 +559,8 @@ def _gram_tables():
                  "triangular_2_3.json"]:
         s = spec_named(name)
         partition = superclass_partition(s)
-        yield name, partition, build_table(s, partition, enumerate_labels(
-            s, orbit_census(s, "J*")), 2 ** 17)
+        yield name, partition, build_table(s, enumerate_labels(s, orbit_census(s, "J*")),
+                                           InductionContext(s, partition, 2 ** 17))
 
 
 def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
@@ -580,7 +569,7 @@ def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
     included, equals the literal sum.  A row twisted by zeta gives entries
     that are not real, so the filled half is not all zeros."""
     for name, partition, table in _gram_tables():
-        fs = [ClassFunction(tuple(row), None) for row in table.values]
+        fs = list(table.values)
         calls = Counter()
         real = CycloNumber.conj
         monkeypatch.setattr(CycloNumber, "conj", lambda self: calls.update([self]) or real(self))
@@ -589,7 +578,7 @@ def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
         assert set(calls) == {v for row in table.values for v in row}, name
         assert set(calls.values()) == {1}, name
         zeta = CycloNumber.root(table.cyclo_order, 1)
-        fs.append(ClassFunction(tuple(a * zeta + b for a, b in zip(*table.values[-2:])), None))
+        fs.append([a * zeta + b for a, b in zip(*table.values[-2:])])
         gram = inner_products(partition, fs, fs, table.group_order)
         full = [[_literal_inner(partition, phi, psi, table.group_order) for psi in fs]
                 for phi in fs]
@@ -604,8 +593,8 @@ def _perturbed(table):
 
 
 def test_disjoint_fails_on_a_perturbed_value_with_the_literal_detail():
-    s, partition, table, classes = full_table(3, 3)
-    idx = identity_index(s, partition)
+    s, partition, table, ctx = full_table(3, 3)
+    idx = ctx.identity
     k, l = [k for k in range(len(partition)) if k != idx][:2]
     one = table.values.index([CycloNumber.rational(table.cyclo_order, 1)] * len(partition))
     # chi_r(K) + 1 alone, and chi_r(K) + |L| with chi_r(L) - |K|, which keeps
@@ -614,23 +603,21 @@ def test_disjoint_fails_on_a_perturbed_value_with_the_literal_detail():
         bad = _perturbed(table)
         for c, b in bumps.items():
             bad.values[-1][c] = bad.values[-1][c] + b
-        funcs = [ClassFunction(tuple(row), None) for row in bad.values]
-        want = _literal_disjoint_detail(partition, funcs, bad.group_order)
-        report = {r.name: r for r in axioms_report(s, bad, partition, classes)}
+        want = _literal_disjoint_detail(partition, bad.values, bad.group_order)
+        report = {r.name: r for r in axioms_report(s, bad, ctx)}
         assert want is not None and not report["disjoint"].passed
         assert report["disjoint"].details == want
     assert not want.startswith(f"<{one},")
 
 
 def test_disjoint_fails_on_a_perturbed_class_size():
-    s, partition, table, classes = full_table(3, 3)
+    s, partition, table, _ = full_table(3, 3)
     k = next(k for k, rec in enumerate(partition) if s.unit not in points_of(s, rec))
     rec = partition[k]      # one member listed twice: the size grows by one
     grown = SuperclassRecord(rec.label, rec.members + rec.members[:1], rec.representative)
     bad = partition[:k] + [grown] + partition[k + 1:]
-    funcs = [ClassFunction(tuple(row), None) for row in table.values]
-    want = _literal_disjoint_detail(bad, funcs, table.group_order)
-    report = {r.name: r for r in axioms_report(s, table, bad, classes)}
+    want = _literal_disjoint_detail(bad, table.values, table.group_order)
+    report = {r.name: r for r in axioms_report(s, table, InductionContext(s, bad, 2 ** 17))}
     assert want is not None and not report["disjoint"].passed
     assert report["disjoint"].details == want
 
@@ -638,33 +625,32 @@ def test_disjoint_fails_on_a_perturbed_class_size():
 def test_regular_character_fails_on_a_value_turned_by_a_root_of_unity():
     # chi(K) -> zeta^-1 chi(K) keeps every norm and degree; for rational chi(K)
     # the reconstruction is off by a multiple of z alone
-    s, partition, table, classes = full_table(3, 3)
+    s, partition, table, ctx = full_table(3, 3)
     m = table.cyclo_order
-    idx = identity_index(s, partition)
+    idx = ctx.identity
     r, k = next((r, k) for r, row in enumerate(table.values) for k, v in enumerate(row)
                 if k != idx and v.is_rational() and not v.is_zero())
     bad = _perturbed(table)
     bad.values[r][k] = bad.values[r][k] * CycloNumber.root(m, -1)
     assert not (bad.values[r][k] - table.values[r][k]).coeffs[0]
-    report = {r.name: r for r in axioms_report(s, bad, partition, classes)}
+    report = {r.name: r for r in axioms_report(s, bad, ctx)}
     assert not report["regular-character"].passed
     assert report["regular-character"].details == f"reconstruction off at class {k}"
 
 
 def test_regular_character_holds_for_a_row_scaled_by_a_third():
     # a = chi(1) / <chi, chi> scales inversely, so a chi and the check are unchanged
-    s, partition, table, classes = full_table(3, 3)
+    s, partition, table, ctx = full_table(3, 3)
     scaled = _perturbed(table)
     scaled.values[-1] = [v / 3 for v in scaled.values[-1]]
-    report = {r.name: r.passed for r in axioms_report(s, scaled, partition, classes)}
+    report = {r.name: r.passed for r in axioms_report(s, scaled, ctx)}
     assert report["regular-character"] and report["disjoint"]
 
 
 def test_inner_products_make_no_cyclo_multiplication(monkeypatch):
     """The kernel multiplies Python ints only; axioms_report makes fewer
     CycloNumber products than one per table entry."""
-    s, partition, table, classes = full_table(3, 3)
-    funcs = [ClassFunction(tuple(row), None) for row in table.values]
+    s, partition, table, ctx = full_table(3, 3)
     real = CycloNumber.__mul__
     calls = []
 
@@ -673,9 +659,9 @@ def test_inner_products_make_no_cyclo_multiplication(monkeypatch):
         return real(self, other)
     monkeypatch.setattr(CycloNumber, "__mul__", counted)
     monkeypatch.setattr(CycloNumber, "__rmul__", counted)
-    inner_products(partition, funcs, funcs, table.group_order)
+    inner_products(partition, table.values, table.values, table.group_order)
     assert not calls
-    assert all(r.passed for r in axioms_report(s, table, partition, classes))
+    assert all(r.passed for r in axioms_report(s, table, ctx))
     assert len(calls) < len(table.values) * len(partition)
 
 
@@ -700,9 +686,8 @@ def test_label_count_matches_partition(n, p):
 
 def test_table_exports():
     s = get_spec(2, 2)
-    partition = get_partition(2, 2)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    table = build_table(s, partition, labels, 2 ** 17)
+    table = build_table(s, labels, InductionContext(s, get_partition(2, 2), 2 ** 17))
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("class,")
@@ -728,8 +713,8 @@ def test_table_deterministic_across_runs():
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    t1 = build_table(s, partition, labels, 2 ** 17)
-    t2 = build_table(s, partition, labels, 2 ** 17)
+    t1 = build_table(s, labels, InductionContext(s, partition, 2 ** 17))
+    t2 = build_table(s, labels, InductionContext(s, partition, 2 ** 17))
     assert t1.to_csv() == t2.to_csv()
 
 
@@ -738,17 +723,17 @@ def test_table_deterministic_across_runs():
 # ---------------------------------------------------------------------------
 
 def full_table(n, p):
-    """The spec, partition, induced table and conjugacy classes of T(n, p)."""
+    """The spec, partition, induced table and run context of T(n, p)."""
     s = get_spec(n, p)
     partition = get_partition(n, p)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    ctx = InductionContext(s, 2 ** 17)
-    return s, partition, build_table(s, partition, labels, 2 ** 17, ctx=ctx), ctx.classes
+    ctx = InductionContext(s, partition, 2 ** 17)
+    return s, partition, build_table(s, labels, ctx), ctx
 
 
 def test_axioms_pass_t22():
-    s, partition, table, classes = full_table(2, 2)
-    report = axioms_report(s, table, partition, classes)
+    s, partition, table, ctx = full_table(2, 2)
+    report = axioms_report(s, table, ctx)
     assert all(r.passed for r in report)
     names = [r.name for r in report]
     assert names == ["S1", "S2", "S3", "disjoint", "conjugacy-refinement",
@@ -756,13 +741,33 @@ def test_axioms_pass_t22():
 
 
 def test_axioms_negative_control():
-    s, partition, table, classes = full_table(2, 2)
+    s, partition, table, ctx = full_table(2, 2)
     bad = CharacterTable(table.row_labels, table.col_labels, table.sizes,
                          [list(row) for row in table.values],
                          table.group_order, table.cyclo_order)
     bad.values[1][1] = bad.values[1][1] + 1
-    report = {r.name: r.passed for r in axioms_report(s, bad, partition, classes)}
+    report = {r.name: r.passed for r in axioms_report(s, bad, ctx)}
     assert not (report["disjoint"] and report["regular-character"])
+
+
+def test_conjugacy_refinement_fails_on_a_superclass_split_inside_a_class():
+    """A superclass cut in two through a conjugacy class, its table column
+    repeated: the class meets two superclasses, so the superclasses meet one
+    class too many in all; of the other checks only S1 (one column more than
+    rows) fails."""
+    s, partition, table, ctx = full_table(3, 2)
+    k, rec = next((k, rec) for k, rec in enumerate(partition)
+                  if len(ctx.classes[ctx.class_of[rec.members[0]]]) > 1)
+    split = partition[:k] + [rec._replace(members=rec.members[:1]),
+                             rec._replace(members=rec.members[1:])] + partition[k + 1:]
+
+    def twice(row):     # column k repeated
+        return row[:k + 1] + row[k:]
+    bad = table._replace(col_labels=twice(table.col_labels), sizes=[r.size for r in split],
+                         values=[twice(row) for row in table.values])
+    report = {r.name: r for r in axioms_report(s, bad, InductionContext(s, split, 2 ** 17))}
+    assert [n for n, r in report.items() if not r.passed] == ["S1", "conjugacy-refinement"]
+    assert report["conjugacy-refinement"].details == f"{len(ctx.classes)} conjugacy classes"
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +778,7 @@ def n_values(spec, mu):
     """The N-supercharacter of the N x N-orbit of mu, as {g: value} over N."""
     n_part, chars = n_characters(spec, 2 ** 17)
     psi = next(psi for orb, psi, _ in chars if mu in points_of(spec, orb))
-    return {g: v for rec, v in zip(n_part, psi.values) for g in points_of(spec, rec)}
+    return {g: v for rec, v in zip(n_part, psi) for g in points_of(spec, rec)}
 
 
 def test_n_supercharacter_trivial():
@@ -826,7 +831,7 @@ def test_classes_of_g_and_n_equal_literal_conjugation():
     # the classes of G only: no step computes the conjugacy classes of N
     for name, s, _ in _literal_specs():
         elements = g_elements(s)
-        ctx = InductionContext(s, 2 ** 17)
+        ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
         assert {points_of(s, c) for c in ctx.classes} == _literal_classes(s, elements), name
         assert ctx.order == len(elements) and len(ctx.class_of) == len(elements)
 
@@ -853,7 +858,7 @@ def test_n_characters_match_literal_average_over_n():
             right = {s.j_coords(u) for u, row in zip(radical, products)
                      if all(s.form_eval(mu, uv) == 0 for uv in row)}
             square = CycloNumber.zero(m)
-            for rec, value in zip(n_part, psi.values):
+            for rec, value in zip(n_part, psi):
                 for g in points_of(s, rec):
                     exps = Counter(additive_char_exponent(F, s.form_eval(mu, y), m)
                                    for y in conjugates[g] if s.j_coords(y) in right)
@@ -862,7 +867,7 @@ def test_n_characters_match_literal_average_over_n():
                         total = total + CycloNumber.root(m, exp) * count
                     assert value == total / len(right), (name, mu, g)
                     square = square + value * value.conj()
-            assert psi.degree == psi.values[0] == len(group) // len(right), (name, mu)
+            assert psi[0] == len(group) // len(right), (name, mu)
             assert norm == square / len(group), (name, mu)
 
 
@@ -889,16 +894,21 @@ def test_n_characters_respect_the_bound():
 
 def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
     """One conjugation per torus generator and part of the certified
-    generators for G (not one per element, |G| = 216), and for n_characters one
-    R_tau and one rho*_tau per sandwich pair (a, 1) or (1, a) and no conjugation."""
+    generators for G (not one per element, |G| = 216), the torus ones compiled
+    once by torus_conjugations, and for n_characters one R_tau and one
+    rho*_tau per sandwich pair (a, 1) or (1, a) and no conjugation."""
     s = tri.make_triangular(3, get_field(3))
     torus, parts = certified_generators(s)      # certify before counting
+    partition = superclass_partition(s)
     real = algebra.sandwich_map
     calls = []
     for mod in (algebra, superclasses, sc):
         monkeypatch.setattr(mod, "sandwich_map", lambda *a, **k: calls.append(1) or real(*a, **k))
-    InductionContext(s, 2 ** 17)
+    InductionContext(s, partition, 2 ** 17)
     assert len(calls) == len(set(torus) | set(parts)) < group_order(s)
+    calls.clear()
+    InductionContext(s, partition, 2 ** 17)     # the torus maps are built already
+    assert len(calls) == len(parts)
     calls.clear()
     n_characters(s, 2 ** 17)
     n_pairs = 2 * len(parts)
@@ -914,16 +924,16 @@ def test_nn_orbit_count_t32():
 
 def _restriction_setup(n, p):
     s = get_spec(n, p)
-    partition = get_partition(n, p)
+    ctx = InductionContext(s, get_partition(n, p), 2 ** 17)
     labels = enumerate_labels(s, orbit_census(s, "J*"))
-    return s, partition, labels, build_table(s, partition, labels, 2 ** 17)
+    return s, ctx, labels, build_table(s, labels, ctx)
 
 
-def _restrict(s, labels, table, partition, rows=None):
+def _restrict(s, labels, table, ctx, rows=None):
     """restriction_report on labels with the given table rows (default the
     table's own)."""
     table = table._replace(values=table.values if rows is None else rows)
-    return restriction_report(s, labels, table, partition, 2 ** 17)
+    return restriction_report(s, labels, table, ctx, 2 ** 17)
 
 
 def _failed_at(lbl):
@@ -932,45 +942,44 @@ def _failed_at(lbl):
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_decomposition(n, p):
-    s, partition, labels, table = _restriction_setup(n, p)
-    assert _restrict(s, labels, table, partition) == \
+    s, ctx, labels, table = _restriction_setup(n, p)
+    assert _restrict(s, labels, table, ctx) == \
         CheckResult("restriction", True, f"{len(labels)} characters restricted to 1+J")
     for lbl, row in zip(labels, table.values):
-        assert _restrict(s, [lbl], table, partition, [row]).passed, lbl.render()
+        assert _restrict(s, [lbl], table, ctx, [row]).passed, lbl.render()
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_rejects_a_perturbed_value(n, p):
-    s, partition, labels, table = _restriction_setup(n, p)
-    idx = identity_index(s, partition)
+    s, ctx, labels, table = _restriction_setup(n, p)
     # a superclass other than {1} that meets N, so that Res_N sees the change
-    ci = next(i for i, rec in enumerate(partition)
-              if i != idx and s.s_part(rec.representative) == s.unit)
+    ci = next(i for i, rec in enumerate(ctx.partition)
+              if i != ctx.identity and s.s_part(rec.representative) == s.unit)
     for r, lbl in enumerate(labels):
         rows = [list(row) for row in table.values]
         rows[r][ci] = rows[r][ci] + 1
         # every other row passes, so the report stops at this one
-        assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
+        assert _restrict(s, labels, table, ctx, rows) == _failed_at(lbl)
 
 
 def test_restriction_rejects_a_lambda_outside_its_torus_conjugates():
-    s, partition, labels, table = _restriction_setup(2, 3)
+    s, ctx, labels, table = _restriction_setup(2, 3)
     one = table.values[labels.index(principal_label(s))]
     big = table.values[labels.index(e12_label(s))]
-    assert _restrict(s, [principal_label(s), e12_label(s)], table, partition, [one, big]).passed
+    assert _restrict(s, [principal_label(s), e12_label(s)], table, ctx, [one, big]).passed
     # the two rows swapped: each decomposes, but on the other lambda's orbits
-    assert _restrict(s, [e12_label(s)], table, partition, [one]) == _failed_at(e12_label(s))
-    assert _restrict(s, [principal_label(s)], table, partition, [big]) == \
+    assert _restrict(s, [e12_label(s)], table, ctx, [one]) == _failed_at(e12_label(s))
+    assert _restrict(s, [principal_label(s)], table, ctx, [big]) == \
         _failed_at(principal_label(s))
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
 def test_restriction_rejects_a_negated_row(n, p):
-    s, partition, labels, table = _restriction_setup(n, p)
+    s, ctx, labels, table = _restriction_setup(n, p)
     for r, lbl in enumerate(labels):
         rows = list(table.values)
         rows[r] = [v * -1 for v in rows[r]]
-        assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
+        assert _restrict(s, labels, table, ctx, rows) == _failed_at(lbl)
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
@@ -978,7 +987,7 @@ def test_restriction_rebuild_rejects_a_perturbed_value_and_a_negated_row(n, p, m
     """With the coefficients pinned to those of the true rows, every
     coefficient test passes, so only the integer-row rebuild of
     sum c_mu psi_mu can see a perturbed value or a negated row."""
-    s, partition, labels, table = _restriction_setup(n, p)
+    s, ctx, labels, table = _restriction_setup(n, p)
     real, gram = sc.inner_products, []
 
     def pinned(*args):
@@ -986,40 +995,40 @@ def test_restriction_rebuild_rejects_a_perturbed_value_and_a_negated_row(n, p, m
             gram.append(real(*args))
         return gram[0]
     monkeypatch.setattr(sc, "inner_products", pinned)
-    assert _restrict(s, labels, table, partition).passed
-    idx = identity_index(s, partition)
-    ci = next(i for i, rec in enumerate(partition)
-              if i != idx and s.s_part(rec.representative) == s.unit)
+    assert _restrict(s, labels, table, ctx).passed
+    ci = next(i for i, rec in enumerate(ctx.partition)
+              if i != ctx.identity and s.s_part(rec.representative) == s.unit)
     for r, lbl in enumerate(labels):
         perturbed = [list(row) for row in table.values]
         perturbed[r][ci] = perturbed[r][ci] + 1
         negated = list(table.values)
         negated[r] = [-v for v in negated[r]]
         for rows in (perturbed, negated):
-            assert _restrict(s, labels, table, partition, rows) == _failed_at(lbl)
+            assert _restrict(s, labels, table, ctx, rows) == _failed_at(lbl)
 
 
 def test_restriction_rejects_a_missing_n_supercharacter(monkeypatch):
     # Res_N of the principal character is psi_0 alone, which is orthogonal to
     # every other psi: without psi_0 all coefficients are 0 and only the
     # reconstruction sees the gap
-    s, partition, labels, table = _restriction_setup(3, 2)
+    s, ctx, labels, table = _restriction_setup(3, 2)
     n_part, chars = n_characters(s, 2 ** 17)
     rest = [c for c in chars if c[0].representative != (0, 0, 0)]
     assert len(rest) == len(chars) - 1
-    one = ClassFunction(tuple(CycloNumber.rational(s.cyclo_order, 1) for _ in n_part), None)
+    one = [CycloNumber.rational(s.cyclo_order, 1)] * len(n_part)
     nums = inner_products(n_part, [psi for _, psi, _ in rest], [one], 2 ** 3)
     assert not any(num.rational_value() for (num,) in nums)
     monkeypatch.setattr(sc, "n_characters", lambda spec, bound: (n_part, rest))
     row = table.values[labels.index(principal_label(s))]
-    assert _restrict(s, [principal_label(s)], table, partition, [row]) == \
+    assert _restrict(s, [principal_label(s)], table, ctx, [row]) == \
         _failed_at(principal_label(s))
 
 
 def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
-    s, partition, labels, table = _restriction_setup(3, 2)
+    s, ctx, labels, table = _restriction_setup(3, 2)
     n_part, _ = n_characters(s, 2 ** 17)
     orb = next(rec for rec in n_part if len(rec.members) > 1)
+    partition = ctx.partition
     k, rec = next((k, rec) for k, rec in enumerate(partition)
                   if orb.representative in points_of(s, rec))
     g = max(points_of(s, orb))
@@ -1030,11 +1039,12 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     bad = partition[:k] + split + partition[k + 1:]
     rows = [row[:k + 1] + row[k:] for row in table.values]
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
-        _restrict(s, labels, table, bad, rows)
+        _restrict(s, labels, table, InductionContext(s, bad, 2 ** 17), rows)
     # without the superclass, the N-superclass lies in none
     rows = [row[:k] + row[k + 1:] for row in table.values]
+    missing = InductionContext(s, partition[:k] + partition[k + 1:], 2 ** 17)
     with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
-        _restrict(s, labels, table, partition[:k] + partition[k + 1:], rows)
+        _restrict(s, labels, table, missing, rows)
 
 
 def _torus_conjugate_orbits(spec, lam, chars) -> set:
@@ -1058,13 +1068,13 @@ def test_restriction_support_is_the_tilde_orbit_of_lambda(name):
     s = spec_named(name)
     _, chars = n_characters(s, 2 ** 17)
     for lbl in enumerate_labels(s, orbit_census(s, "J*")):
-        members = points_of(s, orbit(s, lbl.lambda_rep, "rho_dual"))
+        members = points_of(s, orbit(s, lbl.lambda_rep, "J*"))
         support = {oi for oi, (orb, _, _) in enumerate(chars) if orb.representative in members}
         assert support == _torus_conjugate_orbits(s, lbl.lambda_rep, chars), lbl.render()
 
 
 def test_restriction_pass_enumerates_no_h_and_makes_one_gram_call(monkeypatch):
-    s, partition, labels, table = _restriction_setup(3, 3)
+    s, ctx, labels, table = _restriction_setup(3, 3)
     calls = Counter()
 
     def counted(name, fn):
@@ -1080,7 +1090,7 @@ def test_restriction_pass_enumerates_no_h_and_makes_one_gram_call(monkeypatch):
                             counted("invert", algebra.AlgebraSpec.invert))
         return out
     monkeypatch.setattr(sc, "n_characters", then_count)
-    assert restriction_report(s, labels, table, partition, 2 ** 17).passed
+    assert restriction_report(s, labels, table, ctx, 2 ** 17).passed
     assert calls == Counter(inner_products=1)
 
 
@@ -1089,8 +1099,7 @@ def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
     """One from_int_poly call per distinct (|cl|, counts of xi's values on
     cl /\\ G_lambda) pair, with the counts read off xi itself."""
     s = spec_named(name)
-    partition = superclass_partition(s)
-    ctx = InductionContext(s, 2 ** 17)
+    ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
     real = CycloNumber.from_int_poly
     calls = []
     monkeypatch.setattr(CycloNumber, "from_int_poly",
@@ -1103,7 +1112,7 @@ def test_induce_reduces_each_distinct_class_value_once(name, monkeypatch):
                                              for y in points_of(s, cls) if y in members).items()))
                 for cls in ctx.classes}
         calls.clear()
-        induce(s, label, partition, ctx, stab)
+        induce(s, label, ctx, stab)
         assert len(calls) == len(keys), label.render()
         fewer += len(keys) < len(ctx.classes)
     assert fewer     # some classes share a key, so a call per class is too many
@@ -1113,13 +1122,12 @@ def test_induce_rejects_a_wrong_degree():
     """With G_lambda = 1 + J moved to the coset diag(2, 1) + J, which misses
     the identity, the induced degree is 0, not |G| / |G_lambda|."""
     s = get_spec(2, 3)
-    partition = get_partition(2, 3)
     label = SupercharLabel(frozenset({0, 1}), frozenset(), (0, 0), (1,))
     stab = stabilizer_data(s, label.lambda_rep, label.e)
     assert stab.h_part == (s.unit,)
     stab = stab._replace(h_part=(s.add(s.unit, s.basis_vec(0)),))
     with pytest.raises(NotInStabilizer, match="degree"):
-        induce(s, label, partition, InductionContext(s, 2 ** 17), stab)
+        induce(s, label, InductionContext(s, get_partition(2, 3), 2 ** 17), stab)
 
 
 def test_stabilizer_data_rejects_a_wrong_h_part(monkeypatch):

@@ -19,7 +19,6 @@ from supchar.errors import (GroupTooLarge, NotGenerating, NotInH, PartitionMisma
 from supchar.superclasses import (
     associated_idempotent,
     classify,
-    identity_index,
     predicted_count,
     r_act,
     superclass_partition,
@@ -101,7 +100,7 @@ def test_identity_singleton():
     for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         s = get_spec(n, p)
         partition = get_partition(n, p)
-        idx = identity_index(s, partition)
+        idx = InductionContext(s, partition, 2 ** 17).identity
         assert points_of(s, partition[idx]) == {s.unit}
 
 
@@ -145,14 +144,14 @@ def test_refines_conjugacy(n, p):
     for ci, rec in enumerate(partition):
         for g in points_of(s, rec):
             member_to_class[g] = ci
-    for cls in InductionContext(s, 2 ** 17).classes:
+    for cls in InductionContext(s, partition, 2 ** 17).classes:
         assert len({member_to_class[g] for g in points_of(s, cls)}) == 1
 
 
 def test_classify_identity():
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
-    rec = partition[identity_index(s, partition)]
+    rec = partition[InductionContext(s, partition, 2 ** 17).identity]
     lbl = rec.label
     assert lbl.e == frozenset() and lbl.f == frozenset()
     assert lbl.h == s.unit
@@ -289,9 +288,9 @@ def test_superclass_partition_rejects_a_shared_label(monkeypatch):
         superclass_partition(s)
 
 
-def test_identity_index_rejects_a_partition_without_the_identity():
+def test_induction_context_rejects_a_partition_without_the_identity():
     s = get_spec(2, 3)
     partition = get_partition(2, 3)
-    idx = identity_index(s, partition)
+    idx = InductionContext(s, partition, 2 ** 17).identity
     with pytest.raises(PartitionMismatch, match="no superclass contains the identity"):
-        identity_index(s, partition[:idx] + partition[idx + 1:])
+        InductionContext(s, partition[:idx] + partition[idx + 1:], 2 ** 17)

@@ -312,7 +312,7 @@ def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
     s = get_spec(3, 3)
     census = sc.enumerate_labels(s, orbit_census(s, "J*"))
     i, lbl = next((i, l) for i, l in enumerate(census) if any(l.lambda_rep))
-    other = next(v for v in sorted(points_of(s, orbit(s, lbl.lambda_rep, "rho_dual")))
+    other = next(v for v in sorted(points_of(s, orbit(s, lbl.lambda_rep, "J*")))
                  if v != lbl.lambda_rep and form_support(s, v) == lbl.e)
     swapped = census[:i] + [lbl._replace(lambda_rep=other)] + census[i + 1:]
     want = next(ch for ch in tri.labels(3, s.field)[1] if tri.to_general_label(s, 3, ch) == lbl)
@@ -327,7 +327,8 @@ def test_brute_table_rejects_a_non_canonical_census_label(monkeypatch, capsys):
 def test_brute_table_carries_a_perturbed_entry_to_its_labels():
     s = get_spec(3, 3)
     partition = get_partition(3, 3)
-    base = sc.build_table(s, partition, sc.enumerate_labels(s, orbit_census(s, "J*")), 2 ** 17)
+    base = sc.build_table(s, sc.enumerate_labels(s, orbit_census(s, "J*")),
+                          sc.InductionContext(s, partition, 2 ** 17))
     r, c = 7, 4
     base.values[r][c] = base.values[r][c] + 1
     class_labels, char_labels = tri.labels(3, s.field)
