@@ -63,7 +63,6 @@ class AlgebraSpec:
             cell = {l: c % field.p if field.k == 1 else c for l, c in terms}
             sparse[i][j] = tuple(sorted((l, c) for l, c in cell.items() if c))
         self._sparse = tuple(map(tuple, sparse))
-        self._inv_cache: dict = {}
         self._tilde_gens = None         # certified tilde_generators: (torus, parts)
         self._n_closure = None          # the last _unit_closure: xs, members, flags, tables
         self._boxes: dict = {}          # tag -> its point set (box)
@@ -146,16 +145,26 @@ class AlgebraSpec:
     # -- inversion ---------------------------------------------------------
 
     def invert(self, g):
-        """Inverse via a d x d linear solve; raises NotInvertible."""
-        if g in self._inv_cache:
-            return self._inv_cache[g]
-        cols = [self.mul(g, self.basis_vec(j)) for j in range(self.dim)]
-        rows = [[cols[j][l] for j in range(self.dim)] for l in range(self.dim)]
-        y = linalg.solve(self.field, rows, list(self.unit))
-        if y is None or self.mul(y, g) != self.unit:
+        """g^-1 for g = h + x, h in S and x in J; raises NotInvertible.  A/J = S
+        is a product of fields, so g is a unit exactly when h is nonzero on
+        every block.  h^-1 is read off each block's discrete logs, and with
+        y = h^-1 x, g^-1 = (1 + y)^-1 h^-1 = (sum of (-y)^i) h^-1, a finite sum
+        as J is nilpotent."""
+        h = self.s_part(g)
+        h_inv = self.zero()
+        for i in range(len(self.blocks)):
+            if (c := block_component(self, h, i)) == self.zero():
+                raise NotInvertible(f"element {g} is not invertible")
+            logs = self.block_dlog[i]
+            h_inv = self.add(h_inv, list(logs)[-logs[c]])    # logs lists the powers in order
+        neg_y = self.mul(h_inv, self.sub(h, g))
+        term = total = self.unit
+        while any(term := self.mul(term, neg_y)):
+            total = self.add(total, term)
+        out = self.mul(total, h_inv)
+        if self.mul(out, g) != self.unit:
             raise NotInvertible(f"element {g} is not invertible")
-        self._inv_cache[g] = y
-        return y
+        return out
 
     # -- forms ---------------------------------------------------------------
 
@@ -566,13 +575,6 @@ def associated_support(spec: AlgebraSpec, s) -> frozenset:
     return frozenset(
         i for i in range(len(spec.blocks)) if block_component(spec, s, i) != spec.zero()
     )
-
-
-def idempotent_of(spec: AlgebraSpec, blocks: frozenset):
-    e = spec.zero()
-    for i in sorted(blocks):
-        e = spec.add(e, spec.blocks[i].idempotent)
-    return e
 
 
 # ---------------------------------------------------------------------------

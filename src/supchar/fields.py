@@ -195,13 +195,17 @@ def _finish(p, k, modulus, generator, exp, log):
 
 def field_make(p: int, k: int = 1, names=("p", "k")) -> FieldSpec:
     """GF(p^k), smallest primitive modulus, its root the generator; errors name p, k by names."""
-    if not _is_prime(p):
+    # a p above the bound fails on size below, before any slow trial division
+    if p <= DEFAULT_SIZE_BOUND and not _is_prime(p):
         raise NotPrime(f"{names[0]}: {p} is not prime")
     if k < 1:
         raise DegreeTooLarge(f"{names[1]}: extension degree must be >= 1, got {k}")
-    q = p ** k
-    if q > DEFAULT_SIZE_BOUND:
-        raise DegreeTooLarge(f"{names[k > 1]}: field size {q} exceeds bound {DEFAULT_SIZE_BOUND}")
+    # p^k exceeds the bound if p or 2^k does: it is computed, or written out,
+    # only while it is short
+    if p > DEFAULT_SIZE_BOUND or k >= DEFAULT_SIZE_BOUND.bit_length() or \
+            p ** k > DEFAULT_SIZE_BOUND:
+        size = p ** k if k * p.bit_length() <= 1024 else f"{p}^{k}"
+        raise DegreeTooLarge(f"{names[k > 1]}: field size {size} exceeds bound {DEFAULT_SIZE_BOUND}")
 
     if k == 1:
         for g in range(1, p):

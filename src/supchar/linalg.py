@@ -49,21 +49,3 @@ def kernel_basis(spec: FieldSpec, rows: list[list[int]]) -> list[tuple[int, ...]
         basis.append(tuple(v))
     return basis
 
-
-def solve(spec: FieldSpec, rows: list[list[int]], rhs: list[int]):
-    """One solution of M v = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != 0 for b in rhs) else ()
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(spec, aug)
-    for r in range(len(mat)):
-        if all(v == 0 for v in mat[r][:ncols]) and mat[r][ncols] != 0:
-            return None
-    v = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        v[pc] = mat[r][ncols]
-    return tuple(v)
-

@@ -251,7 +251,7 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
     a class function is the row of its CycloNumber values in partition order.
 
     Each phi becomes |K|-weighted integer rows and each psi plain integer
-    rows of its conjugate (_integer_rows), each distinct value conjugated
+    rows of its conjugate (_integer_rows), each value object conjugated
     once.  A pair is then a sum of integer dot products per degree s + t,
     and each distinct (polynomial, denominator) is reduced mod Phi_m once.
     When phis is psis (a Gram) only i <= j is summed: <psi_j, psi_i> is
@@ -265,9 +265,12 @@ def inner_products(partition, phis, psis, order: int) -> list[list[CycloNumber]]
         raise OrderMismatch(f"orders differ: {sorted(orders)}")
     m = orders.pop()
     width = 2 * len(cyclotomic_poly(m)) - 3
-    conj = {v: v.conj() for v in {v for f in psis for v in f}}
+    # keyed by identity, as tables share value objects (induce interns them)
+    # and a CycloNumber hash costs a modular inverse
+    conj = {id(v): v for f in psis for v in f}
+    conj = {key: v.conj() for key, v in conj.items()}
     left = [_integer_rows(f, sizes) for f in phis]
-    right = [_integer_rows([conj[v] for v in f], [1] * len(sizes)) for f in psis]
+    right = [_integer_rows([conj[id(v)] for v in f], [1] * len(sizes)) for f in psis]
     reduced: dict = {}
 
     def value(poly, den) -> CycloNumber:

@@ -14,13 +14,13 @@ from .algebra import (
     box,
     closure,
     group_order,
-    idempotent_of,
-    orbit,
     orbit_partition,
     orbit_support,
     regular_orbit_counts,
     sandwich_map,
     sandwich_pairs,
+    space_orbits,
+    support_table,
     torus_conjugations,
 )
 from .errors import GroupTooLarge, NotInH, PartitionMismatch, ReductionFailed
@@ -130,34 +130,23 @@ def associated_idempotent(spec: AlgebraSpec, h) -> frozenset:
 
 
 def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
-    """Quadruple label of a superclass, via the constructive two-step
-    reduction; members are the class's point numbers in box G, least first."""
-    G = box(spec, "G")
-    g = G.point(members[0])
-    h = spec.s_part(g)
-    x = spec.j_part(g)
-    fset = associated_idempotent(spec, h)
-    f = idempotent_of(spec, fset)
+    """Quadruple label (e, f, h, omega) of a superclass; members are the
+    class's point numbers in box G, least first.
 
-    if x == spec.zero():
-        y = spec.zero()
-    else:
-        # unit u of S with h - 1 = u f; conjugate the f-reduction through it
-        s = spec.sub(h, spec.unit)
-        u = spec.add(spec.mul(f, spec.mul(s, f)), spec.sub(spec.unit, f))
-        x1 = spec.mul(spec.invert(u), x)
-        a = spec.invert(spec.add(spec.unit, x1))
-        u2 = spec.sub(spec.mul(a, spec.add(f, x1)), f)
-        if spec.mul(u2, f) != spec.zero():
-            raise ReductionFailed("left reduction did not kill the f-column")
-        y1 = spec.mul(spec.sub(spec.unit, f), u2)
-        y = spec.mul(u, y1)
-        if spec.mul(f, y) != spec.zero() or spec.mul(y, f) != spec.zero():
-            raise ReductionFailed("reduced part is not in the f' corner")
-        if G.number(spec.add(h, y)) not in members:
-            raise ReductionFailed("reduced element left the superclass")
-
-    T, omega_rep = orbit_support(spec, orbit(spec, y, "J"))
+    Every member is h + x with one h (R_tau fixes the S-part), and f is
+    associated_idempotent(h).  The members in the corner h + J_f' are those
+    whose J-point x, number n - G.number(h) in box J, has a support
+    (support_table) disjoint from f; their J-orbit ids (space_orbits) must be
+    exactly one id, else ReductionFailed.  (e, omega) is orbit_support of that
+    orbit, and h + omega must be a member."""
+    G, orbits = box(spec, "G"), space_orbits(spec, "J")
+    support, ids = support_table(spec, "J"), spec._orbit_of["J"]
+    h = spec.s_part(G.point(members[0]))
+    fset, base = associated_idempotent(spec, h), G.number(h)
+    corner = {ids[n - base] for n in members if fset.isdisjoint(support[n - base])}
+    if len(corner) != 1:
+        raise ReductionFailed(f"the class meets the f' corner in {len(corner)} J-orbits, not one")
+    T, omega_rep = orbit_support(spec, orbits[corner.pop()])
     if G.number(spec.add(h, omega_rep)) not in members:
         raise ReductionFailed("canonical corner representative left the superclass")
     return SuperclassLabel(T, fset, h, omega_rep)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from array import array
 import json
 import os
@@ -50,7 +51,7 @@ from supchar.superclasses import classify, superclass_partition, transporter_cou
 from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
 
 from conftest import (dual_vectors, g_elements, get_field, get_spec, group_algebra, j_vectors,
-                      points_of, random_triple)
+                      points_of, random_triple, spec_named)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "supchar", "data")
 
@@ -206,11 +207,21 @@ def test_invert_examples():
 
 
 def test_invert_whole_group():
+    """invert on all of G, for T(2, 3), T(2, GF(4)) (the spec of
+    test_gf4_block_torus), T(3, 3), F_2[D8] and the zigzag poset; on T(2, 3)
+    every other element of the 27-element algebra is refused."""
+    for s in (get_spec(2, 3), get_spec(2, 2, 2), get_spec(3, 3), group_algebra("F2[D8]"),
+              spec_named("zigzag_poset_q3.json")):
+        for g in g_elements(s):
+            ginv = s.invert(g)
+            assert s.mul(g, ginv) == s.unit
+            assert s.mul(ginv, g) == s.unit
     s = get_spec(2, 3)
-    for g in g_elements(s):
-        ginv = s.invert(g)
-        assert s.mul(g, ginv) == s.unit
-        assert s.mul(ginv, g) == s.unit
+    units = set(g_elements(s))
+    for x in itertools.product(range(3), repeat=3):
+        if x not in units:
+            with pytest.raises(NotInvertible):
+                s.invert(x)
 
 
 # ---------------------------------------------------------------------------

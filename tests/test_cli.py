@@ -340,6 +340,25 @@ def test_spec_field_errors_name_the_field(field, why, tmp_path, capsys):
         assert err == f"invalid configuration: {why}\n", command
 
 
+@pytest.mark.parametrize("argv,why", [
+    (["table", "--n", "2", "--p", "1000000000000000003"],
+     "--p: field size 1000000000000000003 exceeds bound 65536"),
+    (["table", "--n", "2", "--p", "2", "--k", "1000000000"],
+     "--k: field size 2^1000000000 exceeds bound 65536"),
+    (["algebra", "--spec", "{spec}"], "p: field size 1000000000000000003 exceeds bound 65536"),
+], ids=["huge-p", "huge-k", "huge-spec-p"])
+def test_huge_field_exits_2_at_once(argv, why, tmp_path):
+    """A huge p or k is refused on size before any trial division or power:
+    the process exits 2 within a few seconds."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_dual_numbers(), "p": 1000000000000000003}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "supchar.cli", *(a.format(spec=path) for a in argv)],
+                          env=env, capture_output=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"invalid configuration: {why}\n"
+
+
 def test_orbits_bound_exceeded(monkeypatch):
     assert run(["orbits", "--n", "4", "--p", "2", "--bound", "4"]) == 3
     monkeypatch.setenv("SUPCHAR_BOUND", "4")

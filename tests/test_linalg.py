@@ -57,34 +57,6 @@ def test_kernel_is_kernel():
                     assert acc == 0
 
 
-def test_solve_round_trip():
-    rng = random.Random(11)
-    F = get_field(3)
-    for _ in range(40):
-        rows = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-        x = [rng.randrange(3) for _ in range(3)]
-        rhs = []
-        for row in rows:
-            acc = 0
-            for a, b in zip(row, x):
-                acc = F.add(acc, F.mul(a, b))
-            rhs.append(acc)
-        got = linalg.solve(F, rows, rhs)
-        assert got is not None
-        check = []
-        for row in rows:
-            acc = 0
-            for a, b in zip(row, got):
-                acc = F.add(acc, F.mul(a, b))
-            check.append(acc)
-        assert check == rhs
-
-
-def test_solve_inconsistent():
-    F = get_field(2)
-    assert linalg.solve(F, [[1, 0], [1, 0]], [0, 1]) is None
-
-
 # every field the span tests run over, as (p, k)
 SPAN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 

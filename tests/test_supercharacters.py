@@ -564,10 +564,10 @@ def _gram_tables():
 
 
 def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
-    """inner_products(fs, fs) sums only i <= j and conjugates each distinct
-    table value once; every entry, the j > i ones filled by conjugation
-    included, equals the literal sum.  A row twisted by zeta gives entries
-    that are not real, so the filled half is not all zeros."""
+    """inner_products(fs, fs) sums only i <= j, conjugates each distinct
+    table value once and hashes no value; every entry, the j > i ones filled
+    by conjugation included, equals the literal sum.  A row twisted by zeta
+    gives entries that are not real, so the filled half is not all zeros."""
     for name, partition, table in _gram_tables():
         fs = list(table.values)
         calls = Counter()
@@ -579,7 +579,11 @@ def test_hermitian_gram_equals_the_full_double_loop(monkeypatch):
         assert set(calls.values()) == {1}, name
         zeta = CycloNumber.root(table.cyclo_order, 1)
         fs.append([a * zeta + b for a, b in zip(*table.values[-2:])])
+        hashes, real_hash = [], CycloNumber.__hash__
+        monkeypatch.setattr(CycloNumber, "__hash__", lambda self: hashes.append(1) or real_hash(self))
         gram = inner_products(partition, fs, fs, table.group_order)
+        monkeypatch.undo()
+        assert not hashes, name
         full = [[_literal_inner(partition, phi, psi, table.group_order) for psi in fs]
                 for phi in fs]
         assert gram == full, name

@@ -6,11 +6,14 @@ from math import prod
 import pytest
 
 from supchar.algebra import (
+    AlgebraSpec,
     box,
+    certified_generators,
     group_order,
     load_algebra_file,
     orbit_census,
     regular_orbit_counts,
+    space_orbits,
     torus_conjugations,
 )
 from supchar import superclasses
@@ -187,23 +190,44 @@ def test_classify_constant_on_superclass(n, p):
     for rec in get_partition(n, p):
         members = sorted(rec.members)
         picks = members if len(members) <= 3 else rng.sample(members, 3)
-        for g in picks:     # the reduction started from g instead of the least member
+        for g in picks:     # h read off g instead of the least member
             rest = [m for m in rec.members if m != g]
             assert classify(s, array("I", [g, *rest])) == rec.label
 
 
 def test_classify_checks_membership_on_point_numbers(monkeypatch):
-    """A class given without its reduced element, or a canonical corner
+    """A class that meets the f' corner in no J-orbit, or a canonical corner
     representative outside the class, raises ReductionFailed."""
     s = get_spec(2, 3)
-    g = s.add((2, 1, 0), s.basis_vec(2))      # diag(2, 1) + E12, reduced to diag(2, 1)
-    with pytest.raises(ReductionFailed, match="reduced element left the superclass"):
+    g = s.add((2, 1, 0), s.basis_vec(2))      # diag(2, 1) + E12: f = {0}, and E12 meets block 0
+    with pytest.raises(ReductionFailed, match="meets the f' corner in 0 J-orbits"):
         classify(s, array("I", [box(s, "G").number(g)]))
     rec = next(r for r in get_partition(2, 3) if r.representative == s.add(s.unit, s.basis_vec(2)))
     monkeypatch.setattr(superclasses, "orbit_support",
                         lambda spec, orb: (frozenset({0, 1}), s.zero()))
     with pytest.raises(ReductionFailed, match="canonical corner representative left"):
         classify(s, rec.members)
+
+
+def test_classify_rejects_a_class_over_two_corner_orbits():
+    """The unit and 1 + E12 of T(2, 3) given as one class meet the f' corner
+    (all of J, as f is empty) in the J-orbits of 0 and of E12."""
+    s = get_spec(2, 3)
+    G = box(s, "G")
+    members = array("I", sorted(map(G.number, (s.unit, s.add(s.unit, s.basis_vec(2))))))
+    with pytest.raises(ReductionFailed, match="meets the f' corner in 2 J-orbits"):
+        classify(s, members)
+
+
+def test_partition_inverts_only_torus_generators(monkeypatch):
+    """Labels are read off the J census: with its orbits built, the partition
+    of T(4, 3) inverts each torus generator once, for its pair (t, t^-1)."""
+    s = tri.make_triangular(4, get_field(3))
+    space_orbits(s, "J")
+    args, real = [], AlgebraSpec.invert
+    monkeypatch.setattr(AlgebraSpec, "invert", lambda self, g: args.append(g) or real(self, g))
+    superclass_partition(s)
+    assert sorted(args) == sorted(certified_generators(s)[0])
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 3)])
