@@ -29,7 +29,7 @@ from .errors import (
     SNotCommutative,
     SpaceTooLarge,
 )
-from .fields import FieldSpec, field_make
+from .fields import FieldSpec, check_size, field_make
 
 DEFAULT_GROUP_BOUND = 2 ** 17     # on |G|
 DEFAULT_SPACE_BOUND = 2 ** 20     # on |J| and |J*|
@@ -40,7 +40,7 @@ class Block(namedtuple("Block", "idempotent degree basis")):
 
 
 class OrbitRecord(namedtuple("OrbitRecord", "members representative space_tag")):
-    __slots__ = ()  # space_tag: "J", "J*" or "N"
+    __slots__ = ()  # space_tag: "J" or "J*"
 
 
 class AlgebraSpec:
@@ -66,10 +66,11 @@ class AlgebraSpec:
         self._tilde_gens = None         # certified tilde_generators: (torus, parts)
         self._n_closure = None          # the last _unit_closure: xs, members, flags, tables
         self._boxes: dict = {}          # tag -> its point set (box)
-        self._orbits: dict = {}         # "J" or "J*" -> the G~-orbits on all of it
-        self._orbit_of: dict = {}       # "J" or "J*" -> the orbit id of each point (orbit_ids)
+        self._orbits: dict = {}         # (space, torus) -> the orbits on all of it (space_orbits)
+        self._orbit_of: dict = {}       # (space, torus) -> the orbit id of each point (orbit_ids)
         self._supports: dict = {}       # space -> support_table
         self._orbit_supports: dict = {}  # (space, least point) -> orbit_support
+        self._torus_pairs = None        # (t, t^-1) for each torus generator t
         self._torus_conj = None         # y -> t^-1 y t for each torus generator t
         self._radical_products = None   # y -> b_r y and y -> -(y b_r), radical b_r
 
@@ -394,13 +395,13 @@ def orbit_ids(orbits, size: int) -> array:
 
 
 def box(spec: AlgebraSpec, tag: str) -> Box:
-    """The point set tag of spec, built once: "G" = H + J, "N" = 1 + J and "J"
-    as full vectors, "J*" in radical coordinates."""
+    """The point set tag of spec, built once: "G" = H + J and "J" as full
+    vectors, "J*" in radical coordinates.  N = 1 + J is numbered as J."""
     if tag not in spec._boxes:
         hs, nu = h_elements(spec) if tag == "G" else None, len(spec.radical_basis)
         spec._boxes[tag] = Box(spec.field, *{
-            "G": (hs, spec.radical_basis), "N": ([spec.unit], spec.radical_basis),
-            "J": ([spec.zero()], spec.radical_basis), "J*": ([(0,) * nu], range(nu))}[tag])
+            "G": (hs, spec.radical_basis), "J": ([spec.zero()], spec.radical_basis),
+            "J*": ([(0,) * nu], range(nu))}[tag])
     return spec._boxes[tag]
 
 
@@ -522,9 +523,11 @@ def validate_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 def _build_block_data(spec: AlgebraSpec):
     """Per-block unit sets, multiplicative generators, discrete logs and
     orders |H_i|.  A block's span is a field (else BadIdempotents) exactly when
-    the powers of one element pass every nonzero element and return to its unit."""
+    the powers of one element pass every nonzero element and return to its
+    unit.  A span is listed only within field_make's bound (check_size)."""
     spec.block_units, spec.block_gen, spec.block_dlog = [], [], []
     for bi, blk in enumerate(spec.blocks):
+        check_size(spec.field.p, spec.field.k * blk.degree, f"blocks[{bi}].degree")
         points = Box(spec.field, [spec.zero()], blk.basis)
         units = list(map(points.point, range(1, points.size)))     # every point but 0
         for gen in units:
@@ -617,11 +620,14 @@ def rho_dual_map(spec: AlgebraSpec, u, w) -> LinearMap:
     return LinearMap(spec.field, cols, [0] * len(rad))
 
 
-def torus_generators(spec: AlgebraSpec) -> list:
-    """One torus generator per block of order > 1: the block's multiplicative
-    generator, and 1 on every other block."""
-    return [spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
-            for i, blk in enumerate(spec.blocks) if spec.block_orders[i] > 1]
+def torus_pairs(spec: AlgebraSpec) -> list:
+    """(t, t^-1) for one torus generator t per block of order > 1: the block's
+    multiplicative generator, and 1 on every other block; inverted once per spec."""
+    if spec._torus_pairs is None:
+        spec._torus_pairs = [(t, spec.invert(t)) for t in (
+            spec.add(spec.block_gen[i], spec.sub(spec.unit, blk.idempotent))
+            for i, blk in enumerate(spec.blocks) if spec.block_orders[i] > 1)]
+    return spec._torus_pairs
 
 
 def _h_order(spec: AlgebraSpec, xs) -> int:
@@ -637,24 +643,25 @@ def _h_order(spec: AlgebraSpec, xs) -> int:
 
 
 def _unit_closure(spec: AlgebraSpec, xs) -> tuple[array, bytearray]:
-    """The subgroup of N that xs generate: its point numbers of box N in BFS
-    order, the unit first, and a flag per point of the box set on exactly
-    those.  It is the orbit of the unit under right multiplication by the
-    xs, which permutes the box 1 + J: one BFS from the unit over the maps'
-    image tables.  The last closure is kept with its tables; when xs extends
-    the xs it was built for, only the new maps are compiled, applied to the
-    old members, and the BFS goes on from the members they add.  So the
-    top-ups of tilde_generators compile each part once, and the certificate
-    reads the closure they ended on."""
-    points, xs = box(spec, "N"), tuple(xs)
+    """The subgroup of N that xs generate, 1 + y numbered as y in box J: its
+    point numbers in BFS order, the unit (0) first, and a flag per point set
+    on exactly those.  It is the orbit of the unit under right
+    multiplication by the xs, 1 + y -> (1 + y) x, the affine map
+    y -> y x + (x - 1) of J: one BFS from 0 over the maps' image tables.  The
+    last closure is kept with its tables; when xs extends the xs it was
+    built for, only the new maps are compiled, applied to the old members,
+    and the BFS goes on from the members they add.  So the top-ups of
+    tilde_generators compile each part once, and the certificate reads the
+    closure they ended on."""
+    points, xs, rad = box(spec, "J"), tuple(xs), spec.radical_basis
     if spec._n_closure is None or xs[:len(spec._n_closure[0])] != spec._n_closure[0]:
-        unit = points.number(spec.unit)
         seen = bytearray(points.size)
-        seen[unit] = 1
-        spec._n_closure = (), array("I", [unit]), seen, []
+        seen[0] = 1
+        spec._n_closure = (), array("I", [0]), seen, []
     done, members, seen, tables = spec._n_closure
-    new = _image_tables(points, [sandwich_map(spec, spec.unit, x)
-                                for x in xs[len(done):]])(spec.unit)
+    new = _image_tables(points, [
+        LinearMap(spec.field, sandwich_map(spec, spec.unit, x, rad).cols, spec.sub(x, spec.unit))
+        for x in xs[len(done):]])(spec.zero())
     old = len(members)
     tables += new
     for n, v in enumerate(members):     # the old members under the new maps only
@@ -668,17 +675,17 @@ def _unit_closure(spec: AlgebraSpec, xs) -> tuple[array, bytearray]:
 
 def torus_conjugations(spec: AlgebraSpec) -> list[LinearMap]:
     """The compiled maps y -> t^-1 y t for the torus generators
-    t (torus_generators), once the closure of the generators is proved to
+    t (torus_pairs), once the closure of the generators is proved to
     have |H| elements; raises NotGenerating otherwise.  The closure of y
     under these maps is then its orbit under conjugation by H.  Built and
     proved once per spec."""
     if spec._torus_conj is None:
-        gens = torus_generators(spec)
-        size, order = _h_order(spec, gens), prod(spec.block_orders)
+        pairs = torus_pairs(spec)
+        size, order = _h_order(spec, [t for t, _ in pairs]), prod(spec.block_orders)
         if size != order:
             raise NotGenerating(f"the torus generators generate a subgroup of order "
                                 f"{size} of H, which has order {order}")
-        spec._torus_conj = [sandwich_map(spec, spec.invert(t), t) for t in gens]
+        spec._torus_conj = [sandwich_map(spec, t_inv, t) for t, t_inv in pairs]
     return spec._torus_conj
 
 
@@ -727,15 +734,15 @@ def tilde_generators(spec: AlgebraSpec) -> tuple[list, list]:
             yield from level
             level = [y for m in level for r in rad if any(y := spec.mul(m, spec.basis_vec(r)))]
 
-    points, (members, inside) = box(spec, "N"), _unit_closure(spec, parts)
+    points, (members, inside) = box(spec, "J"), _unit_closure(spec, parts)
     for m in monomials() if len(members) < points.size else ():
         for c in range(1, F.q):
-            if not inside[points.number(x := spec.add(unit, spec.smul(c, m)))]:
-                parts.append(x)
+            if not inside[points.number(y := spec.smul(c, m))]:     # 1 + y is point y
+                parts.append(spec.add(unit, y))
                 members, inside = _unit_closure(spec, parts)
         if len(members) == points.size:
             break
-    return torus_generators(spec), parts
+    return [t for t, _ in torus_pairs(spec)], parts
 
 
 def closure(start, maps) -> set:
@@ -765,8 +772,8 @@ def certify_generators(spec: AlgebraSpec, torus, parts) -> None:
     the closure of the unit under right multiplication, which lies in H (or
     N) and so equals it exactly when it has |H| (or |N| = q^{dim J})
     elements: on H a closure of block discrete logs (_h_order), on N a BFS
-    from the unit over the box 1 + J (_unit_closure, which reads the closure
-    tilde_generators ended on).
+    from the unit over the box 1 + J, numbered as J (_unit_closure, which
+    reads the closure tilde_generators ended on).
     """
     h_set = set(box(spec, "G").translates)
     for t in torus:
@@ -777,7 +784,7 @@ def certify_generators(spec: AlgebraSpec, torus, parts) -> None:
             raise NotGenerating(f"a-part {a} lies outside N")
     for k, name, size, order in (
             ("t", "H", _h_order(spec, torus), prod(spec.block_orders)),
-            ("a", "N", len(_unit_closure(spec, parts)[0]), box(spec, "N").size)):
+            ("a", "N", len(_unit_closure(spec, parts)[0]), box(spec, "J").size)):
         if size != order:
             raise NotGenerating(f"the {k}-parts generate a subgroup of order {size} "
                                 f"of {name}, which has order {order}")
@@ -795,32 +802,33 @@ def certified_generators(spec: AlgebraSpec) -> tuple[list, list]:
 
 def sandwich_pairs(spec: AlgebraSpec, torus: bool = True) -> list:
     """The pairs (u, w) whose sandwiches x -> u x w compile every action of
-    G~ (on J, J* and G): (t, t^-1) for each certified torus generator t,
-    then (a, 1) and (1, a) for each part a.  The pair of a triple (t, a, b)
-    is (t a, b^-1 t^-1), so these are the triples (t, 1, 1), (1, a, 1) and
-    (1, 1, a^-1), which generate G~ exactly as the parts generate N.  With
-    torus False, the pairs (a, 1) and (1, a) alone generate 1 x (N x N)."""
-    ts, parts = certified_generators(spec)
+    G~ (on J, J* and G): torus_pairs' (t, t^-1) for each certified torus
+    generator t, then (a, 1) and (1, a) for each part a.  The pair of a
+    triple (t, a, b) is (t a, b^-1 t^-1), so these are the triples (t, 1, 1),
+    (1, a, 1) and (1, 1, a^-1), which generate G~ exactly as the parts
+    generate N.  With torus False, (a, 1) and (1, a) generate 1 x (N x N)."""
+    _, parts = certified_generators(spec)
     unit = spec.unit
-    pairs = [(t, spec.invert(t)) for t in ts] if torus else []
+    pairs = torus_pairs(spec) if torus else []
     return pairs + [pair for a in parts for pair in ((a, unit), (unit, a))]
 
 
-def space_orbits(spec: AlgebraSpec, space: str) -> list[OrbitRecord]:
+def space_orbits(spec: AlgebraSpec, space: str, torus: bool = True) -> list[OrbitRecord]:
     """The G~-orbits on all of J (space "J", full vectors) or of J* ("J*",
     radical coordinates), in order of their least member: the kernel's
     closures (orbit_partition) under the maps of sandwich_pairs, x -> u x w
-    on J and lam -> lam(u x w) on J* (rho_dual_map), compiled and
-    partitioned once per space and spec."""
-    if space not in spec._orbits:
-        pairs, rad = sandwich_pairs(spec), spec.radical_basis
+    on J and lam -> lam(u x w) on J* (rho_dual_map); with torus False those
+    of 1 x (N x N): the N mu N on J*, and on J the O with 1 + O an
+    N-superclass.  Built once per (space, torus) and spec, with orbit_ids."""
+    if (key := (space, torus)) not in spec._orbits:
+        pairs, rad = sandwich_pairs(spec, torus), spec.radical_basis
         maps = [sandwich_map(spec, u, w, rad) for u, w in pairs] if space == "J" \
             else [rho_dual_map(spec, u, w) for u, w in pairs]
         points = box(spec, space)
         parts = orbit_partition(points, maps)
-        spec._orbits[space] = [OrbitRecord(m, points.point(m[0]), space) for m in parts]
-        spec._orbit_of[space] = orbit_ids(parts, points.size)
-    return spec._orbits[space]
+        spec._orbits[key] = [OrbitRecord(m, points.point(m[0]), space) for m in parts]
+        spec._orbit_of[key] = orbit_ids(parts, points.size)
+    return spec._orbits[key]
 
 
 def orbit(spec: AlgebraSpec, start, space: str) -> OrbitRecord:
@@ -835,9 +843,7 @@ def orbit(spec: AlgebraSpec, start, space: str) -> OrbitRecord:
     J_e, so the corner orbit and the G~-orbit share their support and
     canonical representative (orbit_support).
     """
-    if space == "J" and not spec.in_radical(start):
-        raise NotInRadical(f"{tuple(start)} has a nonzero S-component")
-    return space_orbits(spec, space)[spec._orbit_of[space][box(spec, space).number(start)]]
+    return space_orbits(spec, space)[spec._orbit_of[space, True][box(spec, space).number(start)]]
 
 
 # ---------------------------------------------------------------------------

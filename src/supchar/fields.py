@@ -193,6 +193,15 @@ def _finish(p, k, modulus, generator, exp, log):
     return spec._replace(frob=tuple(spec.pow(a, p) if a else 0 for a in range(q)))
 
 
+def check_size(p: int, k: int, name: str) -> None:
+    """DegreeTooLarge, naming name, if p^k exceeds DEFAULT_SIZE_BOUND: as it does
+    if p or 2^k does, p^k is computed, or written out, only while it is short."""
+    if p > DEFAULT_SIZE_BOUND or k >= DEFAULT_SIZE_BOUND.bit_length() or \
+            p ** k > DEFAULT_SIZE_BOUND:
+        size = p ** k if k * p.bit_length() <= 1024 else f"{p}^{k}"
+        raise DegreeTooLarge(f"{name}: field size {size} exceeds bound {DEFAULT_SIZE_BOUND}")
+
+
 def field_make(p: int, k: int = 1, names=("p", "k")) -> FieldSpec:
     """GF(p^k), smallest primitive modulus, its root the generator; errors name p, k by names."""
     # a p above the bound fails on size below, before any slow trial division
@@ -200,12 +209,7 @@ def field_make(p: int, k: int = 1, names=("p", "k")) -> FieldSpec:
         raise NotPrime(f"{names[0]}: {p} is not prime")
     if k < 1:
         raise DegreeTooLarge(f"{names[1]}: extension degree must be >= 1, got {k}")
-    # p^k exceeds the bound if p or 2^k does: it is computed, or written out,
-    # only while it is short
-    if p > DEFAULT_SIZE_BOUND or k >= DEFAULT_SIZE_BOUND.bit_length() or \
-            p ** k > DEFAULT_SIZE_BOUND:
-        size = p ** k if k * p.bit_length() <= 1024 else f"{p}^{k}"
-        raise DegreeTooLarge(f"{names[k > 1]}: field size {size} exceeds bound {DEFAULT_SIZE_BOUND}")
+    check_size(p, k, names[k > 1])
 
     if k == 1:
         for g in range(1, p):
@@ -234,6 +238,7 @@ def field_make_custom(p: int, k: int, modulus: tuple[int, ...], generator: int) 
     Exists so tests can assert that character tables do not depend on the
     modulus/generator convention of field_make.
     """
+    check_size(p, k, "k" if k > 1 else "p")    # before any slow trial division
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     modulus = tuple(c % p for c in modulus)

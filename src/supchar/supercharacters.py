@@ -10,7 +10,6 @@ from operator import add, mul
 from . import linalg
 from .algebra import (
     AlgebraSpec,
-    OrbitRecord,
     _Lanes,
     block_component,
     box,
@@ -21,9 +20,8 @@ from .algebra import (
     orbit_ids,
     orbit_partition,
     orbit_support,
-    rho_dual_map,
     sandwich_map,
-    sandwich_pairs,
+    space_orbits,
     torus_conjugations,
 )
 from .cyclo import CycloNumber, cyclotomic_poly, ratio, ratio_text
@@ -36,7 +34,6 @@ from .errors import (
     PartitionMismatch,
 )
 from .fields import additive_char_exponent
-from .superclasses import r_map
 
 
 class SupercharLabel(namedtuple("SupercharLabel", [
@@ -453,39 +450,27 @@ def axioms_report(spec: AlgebraSpec, table: CharacterTable,
 # restriction to N (weak decomposition check)
 # ---------------------------------------------------------------------------
 
-def nn_orbits(spec: AlgebraSpec):
-    """N x N-orbits in J* (the triple-group action with trivial torus part):
-    the closures under rho_dual_map of the pairs (a, 1) and (1, a) of
-    sandwich_pairs, which generate 1 x (N x N) as the certified parts
-    generate N."""
-    maps = [rho_dual_map(spec, u, w) for u, w in sandwich_pairs(spec, torus=False)]
-    return [OrbitRecord(m, box(spec, "J*").point(m[0]), "J*")
-            for m in orbit_partition(box(spec, "J*"), maps)]
-
-
 def n_characters(spec: AlgebraSpec, bound: int):
-    """(N-superclasses, characters): the N-superclasses 1 + N x N of N = 1 + J
-    (closures under r_map of the pairs (a, 1), (1, a) of sandwich_pairs), and
-    for every orbit O = N mu N of nn_orbits the triple (O, psi, <psi, psi>_N)
-    of the orbit sum psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in
-    O (Diaconis & Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) ->
-    mu(b_r b_c)), with norm psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is
-    additive in nu, so one table per representative 1 + x holds it for every
-    nu in J* (by point number), and one count of the pairs (orbit of nu,
-    Tr nu(x)) over J* gives every sum."""
+    """(N-superclasses, characters) for N = 1 + J, numbered as J: the
+    records of the orbits O of 1 x (N x N) on J (space_orbits with torus
+    False), 1 + O an N-superclass, and for every orbit O = N mu N of that
+    group on J* the triple (O, psi, <psi, psi>_N) of the orbit sum
+    psi(1 + x) = (psi(1) / |O|) sum of eps^{nu(x)} over nu in O (Diaconis &
+    Isaacs 2008), psi(1) = |mu N| = q^(rank of (r, c) -> mu(b_r b_c)), with
+    norm psi(1)^2 / |O| by Parseval on J.  Tr nu(x) is additive in nu, so
+    one table per representative x holds it for every nu in J* (by point
+    number), and one count of the pairs (orbit of nu, Tr nu(x)) over J*
+    gives every sum."""
     F, rad, m = spec.field, spec.radical_basis, spec.cyclo_order
     if F.q ** len(rad) > bound:
         raise GroupTooLarge(f"|N| = {F.q ** len(rad)} exceeds bound {bound}")
-    maps = [r_map(spec, u, w) for u, w in sandwich_pairs(spec, torus=False)]
-    n_part = [OrbitRecord(c, box(spec, "N").point(c[0]), "N")
-              for c in orbit_partition(box(spec, "N"), maps)]
-    orbits = nn_orbits(spec)
+    n_part, orbits = space_orbits(spec, "J", torus=False), space_orbits(spec, "J*", torus=False)
     degrees = [F.q ** linalg.rank(F, [[lam_b[r][c] for c in rad] for r in rad])
                for lam_b in (spec.form_products(orb.representative) for orb in orbits)]
     # one key per nu in J*: its orbit's position times width, plus Tr nu(x)
     # (a sum of len(rad) traces, each below p, so below width)
     width = (F.p - 1) * len(rad) + 1
-    keys = [o * width for o in orbit_ids([orb.members for orb in orbits], box(spec, "J*").size)]
+    keys = [o * width for o in spec._orbit_of["J*", False]]
     values, reduced = [[] for _ in orbits], {}      # each distinct value reduced once
     for rec in n_part:
         traces = [0]    # Tr nu(x) for every nu on the coordinates done so far
@@ -518,11 +503,11 @@ def restriction_report(spec: AlgebraSpec, labels, table: CharacterTable,
     G = box(spec, "G")
     index, base = orbit_ids([r.members for r in ctx.partition], G.size), G.number(spec.unit)
     cols = []
-    for rec in n_part:   # point n of N = 1 + J is point base + n of G
+    for rec in n_part:   # 1 + x, point n of box J, is point base + n of G
         first, *rest = {index[base + n] for n in rec.members}
         if rest or first < 0:
-            raise PartitionMismatch(f"the N-superclass of {rec.representative} "
-                                    "does not lie in one superclass of G")
+            g = spec.add(spec.unit, rec.representative)
+            raise PartitionMismatch(f"the N-superclass of {g} does not lie in one superclass of G")
         cols.append(first)
     restrictions = [tuple(row[c] for c in cols) for row in table.values]
     # <psi, res> = conj <res, psi> (equal when rational), so only res is conjugated

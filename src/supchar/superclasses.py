@@ -140,7 +140,7 @@ def classify(spec: AlgebraSpec, members) -> SuperclassLabel:
     exactly one id, else ReductionFailed.  (e, omega) is orbit_support of that
     orbit, and h + omega must be a member."""
     G, orbits = box(spec, "G"), space_orbits(spec, "J")
-    support, ids = support_table(spec, "J"), spec._orbit_of["J"]
+    support, ids = support_table(spec, "J"), spec._orbit_of["J", True]
     h = spec.s_part(G.point(members[0]))
     fset, base = associated_idempotent(spec, h), G.number(h)
     corner = {ids[n - base] for n in members if fset.isdisjoint(support[n - base])}

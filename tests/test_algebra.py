@@ -48,7 +48,7 @@ from supchar.errors import (
 )
 from supchar import triangular as tri
 from supchar.superclasses import classify, superclass_partition, transporter_count
-from supchar.supercharacters import InductionContext, n_characters, nn_orbits, stabilizer_data
+from supchar.supercharacters import InductionContext, n_characters, stabilizer_data
 
 from conftest import (dual_vectors, g_elements, get_field, get_spec, group_algebra, j_vectors,
                       points_of, random_triple, spec_named)
@@ -432,7 +432,7 @@ def test_generators_and_orbits_invert_no_part_of_n(n, p, k, monkeypatch):
     certified_generators(s)
     space_orbits(s, "J")
     space_orbits(s, "J*")
-    nn_orbits(s)
+    space_orbits(s, "J*", torus=False)
     assert set(args) <= set(box(s, "G").translates)
 
 
@@ -451,7 +451,8 @@ def test_censuses_and_partition_run_the_certificate(monkeypatch):
     partition = superclass_partition(tri.make_triangular(3, get_field(2)))
     _drop_last_part(monkeypatch)
     runs = (lambda s: orbit_census(s, "J"), lambda s: orbit_census(s, "J*"),
-            lambda s: orbit(s, s.zero(), "J"), superclass_partition, nn_orbits,
+            lambda s: orbit(s, s.zero(), "J"), superclass_partition,
+            lambda s: space_orbits(s, "J*", torus=False),
             lambda s: InductionContext(s, partition, 2 ** 17),
             lambda s: n_characters(s, 2 ** 17))
     for run in runs:

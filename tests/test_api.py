@@ -97,7 +97,8 @@ def _run(argv) -> str:
     (_run(["table", "--n", "3", "--p", "2", "--mode", "closed"]), ("fractions", "json")),
     (_run(["algebra", "--spec", os.path.join(PACKAGE, "data", "dual_numbers_q3.json")]),
      ("fractions", "supchar.triangular")),
-], ids=["import", "orbits", "verify", "table", "algebra"])
+    ("import supchar.supercharacters", ("supchar.superclasses",)),
+], ids=["import", "orbits", "verify", "table", "algebra", "supercharacters"])
 def test_commands_load_only_the_layers_they_run(code, absent):
     assert _loaded(code, absent) == []
 

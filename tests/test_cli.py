@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from supchar import cli
+from supchar import algebra, cli
 from supchar import supercharacters as sc
+from supchar.fields import field_make
+from supchar.triangular import make_triangular
 
 from conftest import GROUP_ALGEBRAS, group_algebra_spec
 
@@ -357,6 +360,49 @@ def test_huge_field_exits_2_at_once(argv, why, tmp_path):
                           env=env, capture_output=True, timeout=5)
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.decode() == f"invalid configuration: {why}\n"
+
+
+@pytest.mark.parametrize("argv,n,p", [
+    (["verify", "--n", "4", "--p", "3", "--checks", "all"], 4, 3),
+    (["table", "--n", "3", "--p", "5", "--mode", "closed"], 3, 5),
+], ids=["verify-t43", "closed-t35"])
+def test_each_torus_generator_is_inverted_once(argv, n, p, monkeypatch, capsys):
+    """sandwich_pairs and torus_conjugations read one inverse per torus
+    generator per spec (torus_pairs): a whole verify of T(4, 3) inverts its 4 torus
+    generators 4 times, and the closed table of T(3, 5), which sizes its
+    classes by transporter_count, inverts its 3 once each and certifies
+    nothing of N."""
+    torus = [t for t, _ in algebra.torus_pairs(make_triangular(n, field_make(p)))]
+    args, real = [], algebra.AlgebraSpec.invert
+    monkeypatch.setattr(algebra.AlgebraSpec, "invert",
+                        lambda self, g: args.append(g) or real(self, g))
+    if argv[0] == "table":
+        def refuse(spec):
+            raise AssertionError("the closed table certified generators of N")
+        monkeypatch.setattr(algebra, "tilde_generators", refuse)
+    assert run(argv, capsys)[0] == 0
+    assert Counter(g for g in args if g in torus) == Counter(torus)
+    assert len(torus) == n
+
+
+def test_block_beyond_the_field_bound_exits_2_at_once(tmp_path):
+    """A block of degree 17 over GF(2) spans 2^17 points, more than the
+    bound field_make puts on GF(p^k): it is refused on its size before any
+    point is listed, and the process exits 2 within a few seconds.  The
+    block (the unit b0 and b1..b16 with every b_i b_j = 0) is no field."""
+    d = 17
+    unit = [1] + [0] * (d - 1)
+    mul = [[0, i, [[i, 1]]] for i in range(d)] + [[i, 0, [[i, 1]]] for i in range(1, d)]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p": 2, "dim": d, "unit": unit, "mul": mul, "radical_basis": [],
+                                "blocks": [{"idempotent": unit, "degree": d,
+                                            "basis": list(range(d))}]}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "supchar.cli", "algebra", "--spec", str(path),
+                           "--bound", "10"], env=env, capture_output=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == \
+        "invalid configuration: blocks[0].degree: field size 131072 exceeds bound 65536\n"
 
 
 def test_orbits_bound_exceeded(monkeypatch):

@@ -21,7 +21,7 @@ from supchar.algebra import (
     sandwich_map,
     sandwich_pairs,
 )
-from supchar.errors import NotInRadical
+from supchar.errors import PointOutsideSet
 from supchar.superclasses import r_act, r_map
 
 from conftest import (ACCEPTANCE_CONFIGS, dual_vectors, g_elements, get_spec, j_vectors,
@@ -85,6 +85,7 @@ def test_conjugation_maps_match_mul(case):
 
 
 def test_orbit_rejects_start_outside_radical():
+    # box J has no point with a nonzero S-part
     s = get_spec(2, 2)
-    with pytest.raises(NotInRadical):
+    with pytest.raises(PointOutsideSet, match="not a point"):
         orbit(s, s.unit, "J")

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from supchar import fields
 from supchar.errors import (
     BadOrder,
     DegreeTooLarge,
@@ -209,6 +214,22 @@ def test_gf4_alternative_generator():
         for b in F.elements():
             assert F.add(a, b) == G.add(a, b)
             assert F.mul(a, b) == G.mul(a, b)
+
+
+def test_custom_field_runs_the_size_bound():
+    """field_make_custom refuses a field above the bound of field_make, and a
+    huge p on size before any trial division (in a subprocess, 5 s timeout)."""
+    with pytest.raises(DegreeTooLarge, match="^p: field size 65537 exceeds bound 65536$"):
+        field_make_custom(65537, 1, (-3, 1), 3)
+    with pytest.raises(DegreeTooLarge, match="^k: field size 131072 exceeds bound 65536$"):
+        field_make_custom(2, 17, (1,) * 18, 2)
+    code = "from supchar.fields import field_make_custom\n" \
+           "try:\n    field_make_custom(10 ** 18 + 3, 1, (-2, 1), 2)\n" \
+           "except Exception as exc:\n    print(type(exc).__name__, exc)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fields.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=5)
+    assert proc.stdout == "DegreeTooLarge p: field size 1000000000000000003 exceeds bound 65536\n"
 
 
 def test_custom_field_rejects_non_generator():

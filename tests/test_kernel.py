@@ -26,6 +26,7 @@ from supchar.algebra import (
     h_elements,
     load_algebra_file,
     orbit_census,
+    orbit_ids,
     orbit_partition,
     orbit_support,
     rho_dual_map,
@@ -37,7 +38,7 @@ from supchar.algebra import (
 )
 from supchar.errors import PointOutsideSet
 from supchar.superclasses import r_map, superclass_partition
-from supchar.supercharacters import InductionContext, nn_orbits
+from supchar.supercharacters import InductionContext
 
 from conftest import (LABEL_SPECS, dual_vectors, g_elements, get_field, get_spec, j_vectors,
                       points_of, reversed_radical, spec_named, tuple_orbit_partition)
@@ -106,18 +107,22 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     n_points = [s.add(unit, x) for x in xs]
     g_points = g_elements(s)
 
-    # J under rho and J* under rho*, as the censuses and nn_orbits see them
+    # J under rho and J* under rho*, as the censuses see them
     for space, points, maps in (
             ("J", xs, [sandwich_map(s, u, w, rad) for u, w in pairs]),
             ("J*", lams, [rho_dual_map(s, u, w) for u, w in pairs])):
         want = _oracle(points, maps)
         assert _sets(s, space, orbit_census(s, space).orbits) == want, space
+    # the N x N-orbits on J*, and the N-superclasses of N = 1 + J under
+    # R_tau, numbered as J (n_characters reads both)
     want = _oracle(lams, [rho_dual_map(s, u, w) for u, w in n_pairs])
-    assert _sets(s, "J*", nn_orbits(s)) == want
-
-    # N and G under R_tau: the N-superclasses of n_characters and the superclasses
+    assert _sets(s, "J*", space_orbits(s, "J*", torus=False)) == want
     maps = [r_map(s, u, w) for u, w in n_pairs]
-    assert _sets(s, "N", orbit_partition(box(s, "N"), maps)) == _oracle(n_points, maps)
+    got = [frozenset(s.add(unit, x) for x in o) for o in
+           _sets(s, "J", space_orbits(s, "J", torus=False))]
+    assert got == _oracle(n_points, maps)
+
+    # G under R_tau: the superclasses
     want = _oracle(g_points, [r_map(s, u, w) for u, w in pairs])
     assert _sets(s, "G", superclass_partition(s)) == want
 
@@ -127,6 +132,20 @@ def test_kernel_partitions_equal_the_tuple_bfs(case):
     maps = [sandwich_map(s, s.invert(x), x) for x in sorted(torus + parts)]
     ctx = InductionContext(s, superclass_partition(s), 2 ** 17)
     assert _sets(s, "G", ctx.classes) == _oracle(g_points, maps)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_n_side_partitions_refine_the_tilde_ones(case):
+    """1 x (N x N) is a subgroup of G~: its orbits on J and on J*
+    (space_orbits with torus False) partition the space, and each lies in
+    one G~-orbit."""
+    s = spec_for(case)
+    for space in ("J", "J*"):
+        size = box(s, space).size
+        tilde = orbit_ids([o.members for o in space_orbits(s, space)], size)
+        n_side = [o.members for o in space_orbits(s, space, torus=False)]
+        assert -1 not in orbit_ids(n_side, size), space
+        assert all(len({tilde[n] for n in o}) == 1 for o in n_side), space
 
 
 @pytest.mark.parametrize("case", ["T3-3", "T2-GF4", "zigzag_poset_q3", "T3-3-radical-first"])
@@ -247,15 +266,15 @@ def test_box_numbers_points_translate_by_translate(name):
     """point and number are inverse on every box, and number the points
     translate by translate, lexicographically in the free coordinates."""
     s = spec_named(name) if name in LABEL_SPECS else spec_for(name)
-    for tag in ("G", "N", "J", "J*"):
+    for tag in ("G", "J", "J*"):
         b = box(s, tag)
         values = range(s.field.q)
         want = [v for h in b.translates for v in product(
             *[values if i in b.coords else (x,) for i, x in enumerate(h)])]
         assert [b.point(n) for n in range(b.size)] == want, tag
         assert [b.number(v) for v in want] == list(range(b.size)), tag
-    for tag, outside in (("G", s.zero()), ("N", s.zero()),
-                         ("J", s.unit), ("J*", (0,) * (len(s.radical_basis) + 1))):
+    for tag, outside in (("G", s.zero()), ("J", s.unit),
+                         ("J*", (0,) * (len(s.radical_basis) + 1))):
         with pytest.raises(PointOutsideSet, match="not a point"):
             box(s, tag).number(outside)
 

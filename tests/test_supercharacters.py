@@ -18,6 +18,7 @@ from supchar.algebra import (
     load_algebra_file,
     orbit,
     orbit_census,
+    space_orbits,
 )
 from supchar.cyclo import CycloNumber
 from supchar.errors import (
@@ -40,7 +41,6 @@ from supchar.supercharacters import (
     induce,
     inner_products,
     n_characters,
-    nn_orbits,
     restriction_report,
     stabilizer_data,
     xi,
@@ -779,10 +779,12 @@ def test_conjugacy_refinement_fails_on_a_superclass_split_inside_a_class():
 # ---------------------------------------------------------------------------
 
 def n_values(spec, mu):
-    """The N-supercharacter of the N x N-orbit of mu, as {g: value} over N."""
+    """The N-supercharacter of the N x N-orbit of mu, as {g: value} over N;
+    an N-superclass record holds the x of its elements 1 + x."""
     n_part, chars = n_characters(spec, 2 ** 17)
     psi = next(psi for orb, psi, _ in chars if mu in points_of(spec, orb))
-    return {g: v for rec, v in zip(n_part, psi) for g in points_of(spec, rec)}
+    return {spec.add(spec.unit, x): v
+            for rec, v in zip(n_part, psi) for x in points_of(spec, rec)}
 
 
 def test_n_supercharacter_trivial():
@@ -856,14 +858,15 @@ def test_n_characters_match_literal_average_over_n():
                       for g in group}
         products = [[s.mul(u, v) for v in radical] for u in radical]
         n_part, chars = n_characters(s, 2 ** 17)
-        assert sorted(g for rec in n_part for g in points_of(s, rec)) == sorted(group)
+        elements = [[s.add(s.unit, x) for x in points_of(s, rec)] for rec in n_part]
+        assert sorted(g for gs in elements for g in gs) == sorted(group)
         for orb, psi, norm in chars:
             mu = orb.representative
             right = {s.j_coords(u) for u, row in zip(radical, products)
                      if all(s.form_eval(mu, uv) == 0 for uv in row)}
             square = CycloNumber.zero(m)
-            for rec, value in zip(n_part, psi):
-                for g in points_of(s, rec):
+            for gs, value in zip(elements, psi):
+                for g in gs:
                     exps = Counter(additive_char_exponent(F, s.form_eval(mu, y), m)
                                    for y in conjugates[g] if s.j_coords(y) in right)
                     total = CycloNumber.zero(m)
@@ -888,6 +891,18 @@ def test_n_characters_neither_induce_nor_take_inner_products(monkeypatch):
     assert calls == Counter()
 
 
+def test_a_second_n_characters_call_partitions_nothing(monkeypatch):
+    """n_characters reads the orbits of 1 x (N x N) on J and J* from
+    space_orbits, which partitions each space once per spec."""
+    s = tri.make_triangular(3, get_field(3))    # fresh: nothing partitioned yet
+    first = n_characters(s, 2 ** 17)
+    calls, real = [], algebra.orbit_partition
+    for mod in (algebra, sc):
+        monkeypatch.setattr(mod, "orbit_partition", lambda *a: calls.append(1) or real(*a))
+    assert n_characters(s, 2 ** 17) == first
+    assert calls == []
+
+
 def test_n_characters_respect_the_bound():
     s = get_spec(3, 3)
     with pytest.raises(GroupTooLarge, match="27 exceeds bound 26"):
@@ -899,8 +914,8 @@ def test_n_characters_respect_the_bound():
 def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
     """One conjugation per torus generator and part of the certified
     generators for G (not one per element, |G| = 216), the torus ones compiled
-    once by torus_conjugations, and for n_characters one R_tau and one
-    rho*_tau per sandwich pair (a, 1) or (1, a) and no conjugation."""
+    once by torus_conjugations, and for n_characters one sandwich on J and
+    one rho*_tau per sandwich pair (a, 1) or (1, a) and no conjugation."""
     s = tri.make_triangular(3, get_field(3))
     torus, parts = certified_generators(s)      # certify before counting
     partition = superclass_partition(s)
@@ -921,7 +936,7 @@ def test_classes_and_n_characters_compile_no_map_per_element(monkeypatch):
 
 def test_nn_orbit_count_t32():
     s = get_spec(3, 2)
-    orbits = nn_orbits(s)
+    orbits = space_orbits(s, "J*", torus=False)
     total = sum(len(o.members) for o in orbits)
     assert total == 2 ** 3
 
@@ -1032,22 +1047,22 @@ def test_restriction_rejects_an_n_superclass_straddling_two_superclasses():
     s, ctx, labels, table = _restriction_setup(3, 2)
     n_part, _ = n_characters(s, 2 ** 17)
     orb = next(rec for rec in n_part if len(rec.members) > 1)
+    one_plus = s.add(s.unit, orb.representative)    # the record holds x of 1 + x
     partition = ctx.partition
-    k, rec = next((k, rec) for k, rec in enumerate(partition)
-                  if orb.representative in points_of(s, rec))
-    g = max(points_of(s, orb))
+    k, rec = next((k, rec) for k, rec in enumerate(partition) if one_plus in points_of(s, rec))
+    g = s.add(s.unit, max(points_of(s, orb)))
     rest = points_of(s, rec) - {g}
     split = [SuperclassRecord(rec.label, array("I", [box(s, "G").number(g)]), g),
              SuperclassRecord(rec.label, array("I", sorted(map(box(s, "G").number, rest))),
                               min(rest))]
     bad = partition[:k] + split + partition[k + 1:]
     rows = [row[:k + 1] + row[k:] for row in table.values]
-    with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
+    with pytest.raises(PartitionMismatch, match=re.escape(str(one_plus))):
         _restrict(s, labels, table, InductionContext(s, bad, 2 ** 17), rows)
     # without the superclass, the N-superclass lies in none
     rows = [row[:k] + row[k + 1:] for row in table.values]
     missing = InductionContext(s, partition[:k] + partition[k + 1:], 2 ** 17)
-    with pytest.raises(PartitionMismatch, match=re.escape(str(orb.representative))):
+    with pytest.raises(PartitionMismatch, match=re.escape(str(one_plus))):
         _restrict(s, labels, table, missing, rows)
 
 

@@ -220,12 +220,13 @@ def test_classify_rejects_a_class_over_two_corner_orbits():
 
 
 def test_partition_inverts_only_torus_generators(monkeypatch):
-    """Labels are read off the J census: with its orbits built, the partition
-    of T(4, 3) inverts each torus generator once, for its pair (t, t^-1)."""
+    """Labels are read off the J census: J's orbits and the partition of
+    T(4, 3) together invert each torus generator once, for its pair
+    (t, t^-1), and the partition inverts nothing more."""
     s = tri.make_triangular(4, get_field(3))
-    space_orbits(s, "J")
     args, real = [], AlgebraSpec.invert
     monkeypatch.setattr(AlgebraSpec, "invert", lambda self, g: args.append(g) or real(self, g))
+    space_orbits(s, "J")
     superclass_partition(s)
     assert sorted(args) == sorted(certified_generators(s)[0])
 
